@@ -296,6 +296,20 @@ def bench_result_cache(cores, points: int, seed: int) -> Dict:
     }
 
 
+def slice_with_loops(corpus: List, count: int) -> List:
+    """The first ``count`` benchmarks plus every ``loops`` benchmark.
+
+    The loop family sits at the end of the corpus, and it is the only
+    place the adaptive tier decides loop branches on shadow values, so
+    a plain prefix would keep those decisions out of the gate.
+    """
+    head = corpus[:count]
+    return head + [
+        core for core in corpus[count:]
+        if core.properties.get("herbgrind-family") == "loops"
+    ]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--points", type=int, default=8,
@@ -303,7 +317,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--kernel-points", type=int, default=32,
                         help="input points for the kernel suite")
     parser.add_argument("--slice", type=int, default=None,
-                        help="limit the corpus to its first N benchmarks")
+                        help="limit the corpus to its first N benchmarks; "
+                             "the 'loops' family is always kept, so the "
+                             "identity gate still sees real-valued loop "
+                             "branch comparisons")
     parser.add_argument("--repeat", type=int, default=1,
                         help="timing repetitions (min is reported)")
     parser.add_argument("--seed", type=int, default=7)
@@ -317,7 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     corpus = load_corpus()
     if args.slice is not None:
-        corpus = corpus[:args.slice]
+        corpus = slice_with_loops(corpus, args.slice)
     kernel_suite = [c for c in corpus if is_kernel_bound(c)]
 
     print(f"corpus: {len(corpus)} benchmarks "

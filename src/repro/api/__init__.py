@@ -48,6 +48,7 @@ from repro.api.results import (
 from repro.api.sampling import (
     DEFAULT_RANGE,
     LOG_SPAN_RATIO,
+    EmptyRangeError,
     precondition_box,
     sample_box,
     sample_inputs,
@@ -63,6 +64,7 @@ __all__ = [
     "AnalysisSession",
     "BZBackend",
     "DEFAULT_RANGE",
+    "EmptyRangeError",
     "ErrorStats",
     "FpDebugBackend",
     "HerbgrindBackend",

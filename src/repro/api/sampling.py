@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fpcore.ast import FPCore, Num, Op, Var
 from repro.fpcore.evaluator import eval_double
+from repro.resilience.errors import InvalidInputError
 
 #: A one-sided range whose high/low ratio exceeds this is log-sampled.
 LOG_SPAN_RATIO = 1e3
@@ -30,6 +31,22 @@ DEFAULT_RANGE = (-1e9, 1e9)
 #: Fraction of draws steered into static hotspot bands when a
 #: ``hotspots`` map is supplied (the rest keep baseline coverage).
 HOTSPOT_MIX = 0.5
+
+
+class EmptyRangeError(InvalidInputError):
+    """A :pre range clause ``(<= low x high)`` with ``low > high``: no
+    input satisfies it, so there is nothing to sample."""
+
+    def __init__(self, program: str, variable: str,
+                 low: float, high: float) -> None:
+        super().__init__(
+            f"{program}: empty :pre range for {variable!r}:"
+            f" [{low!r}, {high!r}]"
+        )
+        self.program = program
+        self.variable = variable
+        self.low = low
+        self.high = high
 
 
 def precondition_box(core: FPCore) -> Dict[str, Tuple[float, float]]:
@@ -157,6 +174,12 @@ def sample_inputs(
     """
     rng = random.Random(seed)
     box = precondition_box(core)
+    for argument in core.arguments:
+        low, high = box[argument]
+        if low > high:
+            raise EmptyRangeError(
+                core.name or "<unnamed>", argument, low, high
+            )
     points: List[List[float]] = []
     rejections = 0
     while len(points) < count:

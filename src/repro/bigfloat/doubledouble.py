@@ -413,15 +413,18 @@ class DoubleDouble:
     def __repr__(self) -> str:
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
 
-    # -- comparisons (exact, via the rational value) -------------------
+    # -- comparisons (exact) -------------------------------------------
     #
-    # Comparisons on shadow values are rare (branch certification goes
-    # through the policy's banded path first), so these favour being
-    # unconditionally correct over being fast.
+    # Loop branches compare shadow counters on every iteration, so a
+    # pair against another pair or a finite float is decided in
+    # doubles: kernels keep every pair normalized (hi == RN(hi + lo))
+    # and RN is monotone, so hi < hi' implies value < value', while
+    # equal hi leaves lo to decide — the (hi, lo) tuple order is the
+    # real order.  A finite float f is the normalized pair (f, 0.0).
+    # BigFloat, int and non-finite operands compare through the exact
+    # rational value.
 
     def _as_comparable(self, other: object):
-        if type(other) is DoubleDouble:
-            return other.to_fraction()
         if isinstance(other, BigFloat):
             if not other.is_finite():
                 return None
@@ -433,6 +436,9 @@ class DoubleDouble:
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
+        pair = _pair_of(other)
+        if pair is not None:
+            return (self.hi, self.lo) == pair
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
@@ -445,6 +451,9 @@ class DoubleDouble:
         return not result
 
     def __lt__(self, other: object) -> bool:
+        pair = _pair_of(other)
+        if pair is not None:
+            return (self.hi, self.lo) < pair
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
@@ -457,6 +466,9 @@ class DoubleDouble:
         return self.to_fraction() < value
 
     def __gt__(self, other: object) -> bool:
+        pair = _pair_of(other)
+        if pair is not None:
+            return (self.hi, self.lo) > pair
         value = self._as_comparable(other)
         if value is NotImplemented:
             return NotImplemented
@@ -469,6 +481,9 @@ class DoubleDouble:
         return self.to_fraction() > value
 
     def __le__(self, other: object) -> bool:
+        pair = _pair_of(other)
+        if pair is not None:
+            return (self.hi, self.lo) <= pair
         gt = self.__gt__(other)
         if gt is NotImplemented:
             return NotImplemented
@@ -479,6 +494,9 @@ class DoubleDouble:
         return not gt
 
     def __ge__(self, other: object) -> bool:
+        pair = _pair_of(other)
+        if pair is not None:
+            return (self.hi, self.lo) >= pair
         lt = self.__lt__(other)
         if lt is NotImplemented:
             return NotImplemented
@@ -491,6 +509,19 @@ class DoubleDouble:
     # IEEE-style equality is not an equivalence relation across the
     # shadow representations; use .key() for identity-based hashing.
     __hash__ = None  # type: ignore[assignment]
+
+
+def _pair_of(other: object) -> Optional[Tuple[float, float]]:
+    """``other`` as a normalized ``(hi, lo)`` pair, when it has one.
+
+    Pairs and finite floats qualify; everything else (BigFloat, int,
+    inf, NaN) returns None and takes the exact rational path.
+    """
+    if type(other) is DoubleDouble:
+        return other.hi, other.lo
+    if type(other) is float and other - other == 0.0:
+        return other, 0.0
+    return None
 
 
 def from_double(value: float) -> DoubleDouble:

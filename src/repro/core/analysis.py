@@ -1005,6 +1005,7 @@ class HerbgrindAnalysis(Tracer):
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
+        returns_arg = self._returns_argument
         record = None
         fast_walk = None
         bail_walk = None
@@ -1117,46 +1118,36 @@ class HerbgrindAnalysis(Tracer):
             is_candidate = error_bits > threshold
             # --- influence stage --------------------------------------
             passthrough = None
-            if compensating:
-                if escalates:
-                    passthrough = self._compensation_passthrough(
-                        op, (sa, sb), shadow, (a.value, b.value), value
+            if compensating and real.is_finite():
+                # The compensation test (see _compensation_passthrough),
+                # inlined up to its real-valued equality: condition (b)
+                # — the output must have *less* error than the
+                # passed-through argument — reads errors cached on the
+                # shadows and almost always fails with both argument
+                # errors at zero, in which case the output error is
+                # never even computed (out >= 0 = arg both ways).
+                ea = sa.total_error
+                if ea is None:
+                    ea = sa.total_error = (
+                        0.0 if a.value == ra else err_of(a.value, ra)
                     )
-                elif real.is_finite():
-                    # The fixed-policy compensation test, inlined: the
-                    # error measurements are cached on the shadows and
-                    # condition (b) — the output must have *less* error
-                    # than the passed-through argument — almost always
-                    # fails with both argument errors at zero, in which
-                    # case the output error is never even computed
-                    # (out ≥ 0 = arg both ways; pure reordering).
-                    ea = sa.total_error
-                    if ea is None:
-                        ea = sa.total_error = (
-                            0.0 if a.value == ra else err_of(a.value, ra)
+                eb = sb.total_error
+                if eb is None:
+                    eb = sb.total_error = (
+                        0.0 if b.value == rb else err_of(b.value, rb)
+                    )
+                if ea > 0.0 or eb > 0.0:
+                    out_error = shadow.total_error
+                    if out_error is None:
+                        out_error = shadow.total_error = (
+                            0.0 if value == exact_rounded
+                            else err_of(value, exact_rounded)
                         )
-                    eb = sb.total_error
-                    if eb is None:
-                        eb = sb.total_error = (
-                            0.0 if b.value == rb else err_of(b.value, rb)
-                        )
-                    if ea > 0.0 or eb > 0.0:
-                        out_error = shadow.total_error
-                        if out_error is None:
-                            out_error = shadow.total_error = (
-                                0.0 if value == exact_rounded
-                                else err_of(value, exact_rounded)
-                            )
-                        if out_error < ea:
-                            candidate = sa.real
-                            if candidate.is_finite() and candidate == real:
-                                passthrough = 0
-                        if passthrough is None and out_error < eb:
-                            candidate = sb.real
-                            if is_sub:
-                                candidate = candidate.neg()
-                            if candidate.is_finite() and candidate == real:
-                                passthrough = 1
+                    if out_error < ea and returns_arg(op, 0, sa, sb, shadow):
+                        passthrough = 0
+                    elif out_error < eb and \
+                            returns_arg(op, 1, sb, sa, shadow):
+                        passthrough = 1
             if passthrough is not None:
                 record.compensations_detected += 1
                 influences = (sa if passthrough == 0 else sb).influences
@@ -1542,6 +1533,7 @@ class HerbgrindAnalysis(Tracer):
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
+        returns_arg = self._returns_argument
         narrow = to_single
         record = None
         fast_walk = None
@@ -1686,41 +1678,30 @@ class HerbgrindAnalysis(Tracer):
                 is_candidate = error_bits > threshold
                 # --- influence stage ----------------------------------
                 passthrough = None
-                if compensating:
-                    if escalates:
-                        passthrough = self._compensation_passthrough(
-                            op, (sa, sb), shadow, (av, bv), value
+                if compensating and real.is_finite():
+                    ea = sa.total_error
+                    if ea is None:
+                        ea = sa.total_error = (
+                            0.0 if av == ra else err_of(av, ra)
                         )
-                    elif real.is_finite():
-                        ea = sa.total_error
-                        if ea is None:
-                            ea = sa.total_error = (
-                                0.0 if av == ra else err_of(av, ra)
+                    eb = sb.total_error
+                    if eb is None:
+                        eb = sb.total_error = (
+                            0.0 if bv == rb else err_of(bv, rb)
+                        )
+                    if ea > 0.0 or eb > 0.0:
+                        out_error = shadow.total_error
+                        if out_error is None:
+                            out_error = shadow.total_error = (
+                                0.0 if value == exact_rounded
+                                else err_of(value, exact_rounded)
                             )
-                        eb = sb.total_error
-                        if eb is None:
-                            eb = sb.total_error = (
-                                0.0 if bv == rb else err_of(bv, rb)
-                            )
-                        if ea > 0.0 or eb > 0.0:
-                            out_error = shadow.total_error
-                            if out_error is None:
-                                out_error = shadow.total_error = (
-                                    0.0 if value == exact_rounded
-                                    else err_of(value, exact_rounded)
-                                )
-                            if out_error < ea:
-                                candidate = sa.real
-                                if candidate.is_finite() \
-                                        and candidate == real:
-                                    passthrough = 0
-                            if passthrough is None and out_error < eb:
-                                candidate = sb.real
-                                if is_sub:
-                                    candidate = candidate.neg()
-                                if candidate.is_finite() \
-                                        and candidate == real:
-                                    passthrough = 1
+                        if out_error < ea and \
+                                returns_arg(op, 0, sa, sb, shadow):
+                            passthrough = 0
+                        elif out_error < eb and \
+                                returns_arg(op, 1, sb, sa, shadow):
+                            passthrough = 1
                 if passthrough is not None:
                     record.compensations_detected += 1
                     influences = (sa if passthrough == 0 else sb).influences
@@ -2031,63 +2012,79 @@ class HerbgrindAnalysis(Tracer):
         output has *less* error than that passed-through argument —
         i.e. the other term corrected accumulated rounding error.
 
-        The equality in (a) is a real-valued decision: under adaptive
-        tiers it escalates when the candidate and the result are closer
-        than their guarded drift bands.  Takes the machine values raw
-        (not boxed) so the batched engine's column closures share it.
+        Condition (b) goes first: it is cached error measurements and
+        a float compare, and it fails outright when neither argument
+        carries error (the output's error cannot be below zero), so
+        the real-valued equality of (a) is rarely reached.  Pure
+        reordering of a conjunction — the verdict is unchanged.  Takes
+        the machine values raw (not boxed); the fused and batched
+        closures inline this prefix and share :meth:`_returns_argument`.
         """
-        real_result = result_shadow.real
-        if not real_result.is_finite():
+        if not result_shadow.real.is_finite():
             return None
-        out_error = result_shadow.total_error
-        if out_error is None:
-            out_error = result_shadow.total_error = rounded_total_error(
-                result_value, self._rounded(result_shadow)
-            )
-        for index in (0, 1):
-            shadow = shadows[index]
-            # Condition (b) first: it is two cached error measurements
-            # and a float compare, and it usually fails (error-free
-            # args cannot be "corrected"), so the real-valued equality
-            # of condition (a) is rarely reached.  Pure reordering of a
-            # conjunction — the verdict is unchanged.
-            arg_error = shadow.total_error
-            if arg_error is None:
-                arg_error = shadow.total_error = rounded_total_error(
-                    arg_values[index], self._rounded(shadow)
-                )
-            if out_error >= arg_error:
-                continue
-            other = shadows[1 - index]
-            candidate = shadow.real
-            if index == 1 and op == "-":
-                candidate = candidate.neg()
-            if not candidate.is_finite():
-                continue
-            verdict = None
-            if self.policy.escalates and not (
-                shadow.drift == EXACT and result_shadow.drift == EXACT
-            ):
-                verdict = self.policy.addition_passthrough(
-                    candidate, shadow.drift, other.real, other.drift
-                )
-                if verdict is False:
-                    continue
-            if verdict is None and self.policy.comparison_unsafe(
-                candidate, shadow.drift, real_result, result_shadow.drift
-            ):
-                self.policy.note_escalation("comparison")
-                exact_candidate = self.escalator.exact_real(shadow)
-                if index == 1 and op == "-":
-                    exact_candidate = exact_candidate.neg()
-                if not (
-                    exact_candidate == self.escalator.exact_real(result_shadow)
-                ):
-                    continue
-            elif not (candidate == real_result):
-                continue
-            return index
+        left, right = shadows
+        error_left = self._total_error(left, arg_values[0])
+        error_right = self._total_error(right, arg_values[1])
+        if error_left <= 0.0 and error_right <= 0.0:
+            return None
+        out_error = self._total_error(result_shadow, result_value)
+        if out_error < error_left and \
+                self._returns_argument(op, 0, left, right, result_shadow):
+            return 0
+        if out_error < error_right and \
+                self._returns_argument(op, 1, right, left, result_shadow):
+            return 1
         return None
+
+    def _total_error(self, shadow: ShadowValue, value: float) -> float:
+        """Bits of error of ``value`` against its shadow, cached."""
+        error = shadow.total_error
+        if error is None:
+            error = shadow.total_error = bits_of_error_fast(
+                value, self._rounded(shadow)
+            )
+        return error
+
+    def _returns_argument(
+        self,
+        op: str,
+        index: int,
+        shadow: ShadowValue,
+        other: ShadowValue,
+        result_shadow: ShadowValue,
+    ) -> bool:
+        """Condition (a) of the compensation test: whether the op
+        returns its argument ``index`` (``shadow``) in the reals.
+
+        Under adaptive tiers the equality escalates when the candidate
+        and the result are closer than their guarded drift bands.
+        """
+        negate = index == 1 and op == "-"
+        candidate = shadow.real
+        if negate:
+            candidate = candidate.neg()
+        if not candidate.is_finite():
+            return False
+        real_result = result_shadow.real
+        if not self._escalates:
+            return candidate == real_result
+        policy = self.policy
+        verdict = None
+        if not (shadow.drift == EXACT and result_shadow.drift == EXACT):
+            verdict = policy.addition_passthrough(
+                candidate, shadow.drift, other.real, other.drift
+            )
+            if verdict is False:
+                return False
+        if verdict is None and policy.comparison_unsafe(
+            candidate, shadow.drift, real_result, result_shadow.drift
+        ):
+            policy.note_escalation("comparison")
+            exact_candidate = self.escalator.exact_real(shadow)
+            if negate:
+                exact_candidate = exact_candidate.neg()
+            return exact_candidate == self.escalator.exact_real(result_shadow)
+        return candidate == real_result
 
     # ------------------------------------------------------------------
     # Spots

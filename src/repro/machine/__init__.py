@@ -11,7 +11,12 @@ from repro.machine import isa, lanes
 from repro.machine.batched import BatchedProgram
 from repro.machine.builder import FunctionBuilder
 from repro.machine.compiled import CompiledProgram
-from repro.machine.compiler import CompileError, compile_expression, compile_fpcore
+from repro.machine.compiler import (
+    CompileError,
+    UnknownFunctionError,
+    compile_expression,
+    compile_fpcore,
+)
 from repro.machine.interpreter import (
     ExecutionStats,
     Interpreter,
@@ -25,6 +30,7 @@ from repro.machine.values import FloatBox
 __all__ = [
     "BatchedProgram",
     "CompileError",
+    "UnknownFunctionError",
     "CompiledProgram",
     "ExecutionStats",
     "FloatBox",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.bigfloat.functions import ALL_OPERATIONS
 from repro.fpcore.ast import (
     BOOLEAN_OPS,
     COMPARISON_OPS,
@@ -37,6 +38,7 @@ from repro.fpcore.ast import (
 from repro.fpcore.evaluator import _double_constant
 from repro.machine.builder import FunctionBuilder, Reg
 from repro.machine.isa import Function, Program
+from repro.resilience.errors import InvalidInputError
 
 #: FPCore comparison op -> machine branch predicate.
 _PREDICATE = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
@@ -46,10 +48,26 @@ class CompileError(ValueError):
     """Raised when an FPCore construct cannot be lowered."""
 
 
+class UnknownFunctionError(CompileError, InvalidInputError):
+    """A call to a function that is neither a hardware operation nor a
+    math-library routine.  Caught at compile time: at run time it
+    would fail identically in every engine configuration."""
+
+    def __init__(self, program: str, function: str) -> None:
+        super().__init__(
+            f"{program}: unknown function {function!r}"
+            " (not a hardware or math-library operation)"
+        )
+        self.program = program
+        self.function = function
+
+
 class _ExprCompiler:
-    def __init__(self, builder: FunctionBuilder, loc_prefix: str) -> None:
+    def __init__(self, builder: FunctionBuilder, loc_prefix: str,
+                 program: str) -> None:
         self.builder = builder
         self.loc_prefix = loc_prefix
+        self.program = program
         self._node_counter = 0
 
     def _loc(self) -> str:
@@ -80,6 +98,8 @@ class _ExprCompiler:
                 raise CompileError(
                     f"boolean operator {expr.op} in value position"
                 )
+            if expr.op not in ALL_OPERATIONS:
+                raise UnknownFunctionError(self.program, expr.op)
             args = [self.compile(arg, env) for arg in expr.args]
             return self.builder.op(expr.op, *args, loc=self._loc())
         if isinstance(expr, If):
@@ -220,7 +240,7 @@ def compile_fpcore(
     program_name = name or core.name or "benchmark"
     prefix = loc_prefix or f"{program_name}.c"
     builder = FunctionBuilder("main")
-    compiler = _ExprCompiler(builder, prefix)
+    compiler = _ExprCompiler(builder, prefix, program_name)
     env: Dict[str, Reg] = {}
     for argument in core.arguments:
         env[argument] = builder.read(loc=f"{prefix}:arg-{argument}")

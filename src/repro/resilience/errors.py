@@ -1,12 +1,16 @@
 """The failure taxonomy of the degradation ladder.
 
-Every exception here is *degradable*: it marks a failure that a less
+:class:`DegradableError` and its subclasses mark a failure that a less
 accelerated configuration can plausibly avoid — a crashed substrate
 kernel, a fast-path engine fault, an exhausted per-analysis resource
 budget.  The ladder (:mod:`repro.resilience.ladder`) catches exactly
 this family (plus :class:`repro.machine.interpreter.MachineError`) and
 retries the analysis down the stack; anything else is a caller bug and
 propagates untouched.
+
+:class:`InvalidInputError` is the opposite case: the request itself is
+wrong, so every rung would fail the same way.  It is raised before the
+ladder runs and the serving layer answers it with HTTP 400.
 
 Everything is stdlib-only and import-light: the analysis hot path
 imports this module at startup.
@@ -24,6 +28,11 @@ class DegradableError(Exception):
     """
 
     seam: str = ""
+
+
+class InvalidInputError(ValueError):
+    """The program or its inputs cannot be analysed as given (an
+    unknown function, an empty :pre range, ...).  Never degradable."""
 
 
 class KernelFault(DegradableError):

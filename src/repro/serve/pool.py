@@ -25,7 +25,10 @@ its own ``multiprocessing`` processes:
 
 The task payload is a **list of request dicts** (a shard); the future
 resolves to a list of reply tuples, one per request, in order:
-``("ok", result_json_text)`` or ``("error", error_type, message)``.
+``("ok", result_json_text)``, ``("invalid", error_type, message)`` for
+a program or input the analysis rejects
+(:class:`~repro.resilience.errors.InvalidInputError`), or
+``("error", error_type, message)``.
 Analysis failures are therefore *data*, not pool exceptions — only
 infrastructure failures (timeout, crash, rejection) surface as
 exceptions on the future.
@@ -73,8 +76,8 @@ def _analysis_worker_main(conn) -> None:
     ``analyze_batch`` workers use — and serializes each result with
     ``to_json()`` so the serving layer ships bytes identical to an
     in-process ``AnalysisSession``.  Any exception an analysis raises
-    becomes an ``("error", type, message)`` reply; only process death
-    is a crash.
+    becomes an ``("invalid", ...)`` or ``("error", type, message)``
+    reply; only process death is a crash.
 
     A result with process-local metadata — a degradation record the
     ladder produced, or precision-tier residency counters — gains a
@@ -92,6 +95,7 @@ def _analysis_worker_main(conn) -> None:
     from repro.api.requests import AnalysisRequest
     from repro.api.session import _execute
     from repro.resilience import faults as _faults
+    from repro.resilience.errors import InvalidInputError
 
     while True:
         try:
@@ -121,6 +125,8 @@ def _analysis_worker_main(conn) -> None:
                     ))
                 else:
                     replies.append(("ok", result.to_json()))
+            except InvalidInputError as exc:
+                replies.append(("invalid", type(exc).__name__, str(exc)))
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 replies.append(("error", type(exc).__name__, str(exc)))
         try:

@@ -377,7 +377,16 @@ class AnalysisService:
             if self.store is not None:
                 self.store.put_text(digest, text)
             return ServeOutcome(200, text, digest, SOURCE_COMPUTED)
-        _, error_type, message = reply
+        kind, error_type, message = reply
+        if kind == "invalid":
+            # The program itself is wrong (unknown function, empty
+            # :pre range): a client error, and never worth a retry.
+            self.counters.invalid += 1
+            return ServeOutcome(
+                400, error_body("invalid_request",
+                                f"{error_type}: {message}", digest),
+                digest,
+            )
         self.counters.analysis_errors += 1
         return ServeOutcome(
             500, error_body("analysis_error",

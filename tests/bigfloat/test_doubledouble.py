@@ -31,9 +31,14 @@ import random
 import struct
 from fractions import Fraction
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bigfloat import BigFloat, Context
+from repro.bigfloat import doubledouble as dd_module
 from repro.bigfloat.doubledouble import (
     DD_KERNELS,
     DD_REL_ERR_LOG2,
@@ -359,3 +364,197 @@ class TestDoubleDoubleValue:
             magnitude = abs(value.to_fraction())
             msb = value.msb_exponent
             assert Fraction(2) ** msb <= magnitude < Fraction(2) ** (msb + 1)
+
+
+# ----------------------------------------------------------------------
+# Ordering: pairs compare in doubles by their (hi, lo) tuple
+# ----------------------------------------------------------------------
+
+COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def is_normalized(hi: float, lo: float) -> bool:
+    """``hi == RN(hi + lo)``: Fraction-to-float conversion rounds
+    correctly, so this is the exact normalization predicate."""
+    return hi == float(frac(hi, lo))
+
+
+def oracle(op: str, left: DoubleDouble, right) -> bool:
+    """The comparison decided on exact rationals (IEEE for inf/NaN)."""
+    if isinstance(right, float) and math.isnan(right):
+        return op == "!="
+    if isinstance(right, float) and math.isinf(right):
+        # Every pair is finite: it sits strictly between the infinities.
+        return COMPARISONS[op](0, 1 if right > 0 else -1)
+    value = right.to_fraction() if isinstance(right, DoubleDouble) \
+        else Fraction(right)
+    return COMPARISONS[op](left.to_fraction(), value)
+
+
+def check_ordering(left: DoubleDouble, right) -> None:
+    for op, compare in COMPARISONS.items():
+        assert compare(left, right) == oracle(op, left, right), \
+            (op, left, right)
+        if isinstance(right, DoubleDouble):
+            continue
+        # The reflected operand order dispatches to the mirrored method.
+        mirrored = compare(right, left)
+        truth = oracle({"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(
+            op, op), left, right)
+        assert mirrored == truth, (op, right, left)
+
+
+@st.composite
+def normalized_pairs(draw, min_exponent=-1074, max_exponent=1000):
+    """A normalized pair, with a lo anywhere in the half-ulp band."""
+    hi = draw(st.floats(allow_nan=False, allow_infinity=False,
+                        min_value=-math.ldexp(1.0, max_exponent),
+                        max_value=math.ldexp(1.0, max_exponent)))
+    scale = math.frexp(hi)[1] - 53
+    lo = math.ldexp(draw(st.floats(-0.5, 0.5)), max(scale, -1074))
+    hi, lo = two_sum(hi, lo)
+    return DoubleDouble(hi, lo)
+
+
+@st.composite
+def pair_and_neighbour(draw):
+    """Two pairs, often sharing ``hi`` so that ``lo`` must decide."""
+    left = draw(normalized_pairs())
+    if draw(st.booleans()):
+        lo = math.ldexp(draw(st.floats(-0.5, 0.5)),
+                        max(math.frexp(left.hi)[1] - 53, -1074))
+        right = DoubleDouble(*two_sum(left.hi, lo))
+    else:
+        right = draw(normalized_pairs())
+    return left, right
+
+
+class TestExactOrdering:
+    @given(pair_and_neighbour())
+    @settings(max_examples=400)
+    def test_pair_vs_pair_matches_fractions(self, pairs):
+        left, right = pairs
+        assert is_normalized(left.hi, left.lo)
+        assert is_normalized(right.hi, right.lo)
+        check_ordering(left, right)
+        check_ordering(right, left)
+
+    @given(normalized_pairs(), st.floats())
+    @settings(max_examples=400)
+    def test_pair_vs_float_matches_fractions(self, left, value):
+        check_ordering(left, value)
+
+    @given(normalized_pairs())
+    @settings(max_examples=200)
+    def test_pair_vs_own_hi(self, left):
+        # The float nearest the pair: lo alone decides the order.
+        check_ordering(left, left.hi)
+
+    def test_directed_cases(self):
+        tiny = math.ldexp(1.0, -60)
+        below_one = math.nextafter(1.0, 0.0)
+        sub = 5e-324
+        pairs = [
+            DoubleDouble(0.0, 0.0),
+            DoubleDouble(-0.0, 0.0),
+            DoubleDouble(-0.0, -0.0),
+            # Equal hi, opposite-sign lo.
+            DoubleDouble(1.0, tiny),
+            DoubleDouble(1.0, -tiny),
+            DoubleDouble(-3.5, tiny),
+            DoubleDouble(-3.5, -tiny),
+            # A power-of-two hi with negative lo sits below hi, above
+            # the next double down.
+            DoubleDouble(1.0, -math.ldexp(1.0, -55)),
+            DoubleDouble(below_one, math.ldexp(1.0, -55)),
+            DoubleDouble(below_one, 0.0),
+            DoubleDouble(-1.0, math.ldexp(1.0, -55)),
+            # Subnormal lo under a tiny normal hi.
+            DoubleDouble(math.ldexp(1.0, -1000), sub),
+            DoubleDouble(math.ldexp(1.0, -1000), -sub),
+            DoubleDouble(sub, 0.0),
+            DoubleDouble(-sub, 0.0),
+            DoubleDouble(1.7976931348623157e308, 0.0),
+        ]
+        floats = [0.0, -0.0, 1.0, -1.0, below_one, -3.5, sub, -sub,
+                  math.ldexp(1.0, -1000), math.inf, -math.inf, math.nan,
+                  1.7976931348623157e308]
+        for left in pairs:
+            assert is_normalized(left.hi, left.lo), left
+            for right in pairs:
+                check_ordering(left, right)
+            for value in floats:
+                check_ordering(left, value)
+
+    def test_pairs_and_floats_never_build_fractions(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("comparison left the double domain")
+
+        monkeypatch.setattr(DoubleDouble, "to_fraction", refuse)
+        monkeypatch.setattr(dd_module, "Fraction", refuse)
+        rng = random.Random(0xDDD0)
+        for _ in range(200):
+            left = DoubleDouble(*random_dd(rng, -20, 20))
+            right = DoubleDouble(*random_dd(rng, -20, 20))
+            value = random_double(rng, -20, 20)
+            for compare in COMPARISONS.values():
+                compare(left, right)
+                compare(left, value)
+                compare(value, left)
+                compare(left, left.hi)
+
+    def test_other_operands_keep_the_exact_path(self):
+        pair = DoubleDouble(1.0, math.ldexp(1.0, -60))
+        big = BigFloat.from_float(1.0)
+        assert pair > big and pair != big and not pair <= big
+        assert pair > 1 and pair != 1 and pair < 2
+        huge = 2 ** 1100  # not a double: ints are compared exactly
+        assert pair < huge and not pair >= huge
+
+
+class TestKernelOutputsAreNormalized:
+    """The ordering proof rests on ``hi == RN(hi + lo)`` for every
+    pair a kernel hands out."""
+
+    OPS = ["+", "-", "*", "/"]
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_binary_kernels(self, op):
+        rng = random.Random(0xDDE0 + ord(op[0]))
+        kernel = DD_KERNELS[op]
+        for _ in range(400):
+            x = random_dd(rng, -60, 60)
+            y = random_dd(rng, -60, 60)
+            near = (x[0] * (1.0 + rng.choice([0.0, 2e-16, -2e-16])),
+                    rng.choice([0.0, x[1], -x[1]]))
+            for args in ((*x, *y), (*x, *near), (x[0], 0.0, y[0], 0.0)):
+                outcome = kernel(*args)
+                if outcome is not None:
+                    assert is_normalized(*outcome[:2]), (op, args)
+
+    def test_unary_and_ternary_kernels(self):
+        rng = random.Random(0xDDF0)
+        for _ in range(400):
+            xh, xl = random_dd(rng, -60, 60)
+            yh, yl = random_dd(rng, -60, 60)
+            zh, zl = random_dd(rng, -60, 60)
+            outcomes = [
+                dd_sqrt(abs(xh), xl if xh > 0 else -xl),
+                dd_fma(xh, xl, yh, yl, zh, zl),
+                dd_neg(xh, xl),
+                dd_abs(xh, xl),
+            ]
+            for outcome in outcomes:
+                if outcome is not None:
+                    assert is_normalized(*outcome[:2]), outcome
+
+    @given(normalized_pairs(-400, 400), normalized_pairs(-400, 400),
+           st.sampled_from(OPS))
+    @settings(max_examples=400)
+    def test_binary_kernels_hypothesis(self, x, y, op):
+        outcome = DD_KERNELS[op](x.hi, x.lo, y.hi, y.lo)
+        if outcome is not None:
+            assert is_normalized(*outcome[:2]), (op, x, y)
