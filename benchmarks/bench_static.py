@@ -2,14 +2,13 @@
 """Static-analysis cost and agreement benchmark → ``BENCH_static.json``.
 
 Measures the interval/condition-number static pass
-(:mod:`repro.staticanalysis`) against the dynamic shadow analysis it
-rides along with, and gates on the properties the subsystem promises:
+(:mod:`repro.staticanalysis`) against the dynamic shadow analysis, and
+gates on the properties the subsystem promises:
 
 * **Cost** — full-corpus ``lint`` (compile + fixpoint + diagnostics
   for all 86 benchmarks) must take **< 10%** of one cold dynamic
-  corpus analysis at the same precision/point count.  The static pass
-  exists to be cheap enough to run on every analysis by default.
-* **Agreement** — every dynamically flagged root-cause location must
+  corpus analysis at the same precision/point count.
+* **Agreement** — every dynamically flagged candidate location must
   be statically ranked (score above the dynamic threshold Tℓ), up to
   the small allowlist of interval-domain limitations shared with
   ``tests/staticanalysis/test_agreement.py``.  The fraction is
@@ -69,6 +68,7 @@ def main(argv=None) -> int:
     )
 
     # --- cold dynamic corpus analysis ------------------------------
+    # workers=1 (the default) keeps result.raw for the agreement check.
     session = AnalysisSession(
         config=AnalysisConfig(shadow_precision=args.precision),
         num_points=args.points,
@@ -82,20 +82,9 @@ def main(argv=None) -> int:
     matched = 0
     missed = []
     for core, result in zip(corpus, results):
-        dynamic_locs = sorted({c.loc for c in result.root_causes if c.loc})
-        if not dynamic_locs:
-            continue
-        report = result.extra.get("static")
-        if report is None:  # REPRO_STATIC=0 or attach failure
-            report = static_report(core=core)
-            cross_check(
-                report,
-                [
-                    type("Rec", (), {"loc": loc, "max_local_error": 0.0})()
-                    for loc in dynamic_locs
-                ],
-            )
-        agreement = report.agreement
+        agreement = cross_check(
+            static_report(core=core), result.raw.candidate_records()
+        )
         matched += len(agreement["matched"])
         missed.extend(
             {"benchmark": core.name, **miss} for miss in agreement["missed"]

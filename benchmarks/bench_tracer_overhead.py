@@ -553,8 +553,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "the live baseline (or, without git, the "
                              "reference engine) reaches this factor")
     parser.add_argument("--hw-points", type=int, default=32,
-                        help="input points for the hw-tier row (enough "
-                             "lanes to engage vectorized batch columns)")
+                        help="input points for the hw-tier row (the "
+                             "lanes of its one batched run)")
     parser.add_argument("--require-hw-speedup", type=float, default=None,
                         metavar="FACTOR",
                         help="fail unless the kernel-bound hw-tier "

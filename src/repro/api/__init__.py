@@ -20,9 +20,10 @@ Subsystems:
   (herbgrind, fpdebug, verrou, bz),
 * :mod:`repro.api.sampling` — the shared precondition-box sampler.
 
-The legacy entry points (``repro.core.analyze_fpcore``,
-``repro.core.sample_inputs``, ...) remain as thin shims delegating
-here; new code should use the session.
+Every analysis goes through the session: ``session.analyze(core)``
+returns a serializable :class:`AnalysisResult` whose ``raw`` attribute
+is the backend's native analysis object (a ``HerbgrindAnalysis`` for
+the default backend).  Sampling lives in :mod:`repro.api.sampling`.
 """
 
 from repro.api.backends import (

@@ -179,12 +179,6 @@ class HerbgrindBackend(AnalysisBackend):
             profile["kernel_cache_misses"] = analysis.kernel_cache_misses
             profile["tier_residency"] = analysis.tier_residency()
             extra["pipeline_profile"] = profile
-        static = _static_report(program, request, analysis)
-        if static is not None:
-            # Process-local, like extra["degradation"]: stripped by
-            # AnalysisResult.to_dict(), so serialized results stay
-            # byte-identical with the static layer on or off.
-            extra["static"] = static
         return AnalysisResult(
             benchmark=request.name,
             backend=self.name,
@@ -202,32 +196,6 @@ def _expr_text(expression) -> str:
     from repro.fpcore.printer import format_expr
 
     return format_expr(expression)
-
-
-def _static_report(program, request, analysis):
-    """The static layer's report for one dynamic run, or ``None``.
-
-    Enabled by default; ``REPRO_STATIC=0`` turns it off.  The static
-    pass runs over the *same* compiled program and precondition box as
-    the dynamic analysis and cross-checks its ranking against the
-    dynamically flagged candidate sites.  It is strictly advisory: any
-    failure inside it is swallowed so the dynamic result is never
-    affected.
-    """
-    import os
-
-    if os.environ.get("REPRO_STATIC", "1") == "0":
-        return None
-    try:
-        from repro.staticanalysis import cross_check, static_report
-
-        report = static_report(
-            core=request.core, program=program, name=request.name
-        )
-        cross_check(report, analysis.candidate_records())
-        return report
-    except Exception:
-        return None
 
 
 # ----------------------------------------------------------------------

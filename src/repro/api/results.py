@@ -110,14 +110,12 @@ class SpotResult:
 
 
 #: ``extra`` keys that never leave the process: the degradation trail
-#: (repro.resilience.ladder), the static report (repro.staticanalysis),
-#: and the precision-tier residency counters (hardware/working/full tier
-#: attribution).  Stripping them from serialization keeps corpus JSON
-#: *byte-identical* across feature stacks — a degraded run matches the
-#: clean run, a run with the static layer on (the default) matches
-#: ``REPRO_STATIC=0``, and hw-tier on matches off.  All stay on the
-#: object for in-process callers.
-_LOCAL_EXTRA_KEYS = ("degradation", "static", "tier_residency")
+#: (repro.resilience.ladder) and the precision-tier residency counters
+#: (hardware/working/full tier attribution).  Stripping them from
+#: serialization keeps corpus JSON *byte-identical* across feature
+#: stacks — a degraded run matches the clean run, and hw-tier on
+#: matches off.  Both stay on the object for in-process callers.
+_LOCAL_EXTRA_KEYS = ("degradation", "tier_residency")
 
 
 def _portable_extra(extra: Dict[str, Any]) -> Dict[str, Any]:

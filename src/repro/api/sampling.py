@@ -1,8 +1,7 @@
 """Shared input sampling for every analysis entry point.
 
-Historically ``cli.py`` and ``core/driver.py`` each hand-rolled the
-log-uniform range sampler; this module is now the single home for it.
-The sampler follows Herbie's convention: a range lying entirely on one
+This module is the single home of the log-uniform range sampler.
+It follows Herbie's convention: a range lying entirely on one
 side of zero and spanning more than ``LOG_SPAN_RATIO`` binades is
 sampled log-uniformly (linear sampling of [1e-12, 1] would essentially
 never produce a value below 1e-3, and cancellation benchmarks live in

@@ -70,8 +70,6 @@ class ResultCache:
     ``cache_dir`` — digest-prefix shard directories with atomic
     writes, shared with the serving subsystem (:mod:`repro.serve`) so
     offline sessions and servers read and write one store format.
-    Flat ``<cache_dir>/<digest>.json`` entries written by older
-    versions are still read (and promoted into the sharded layout).
     """
 
     def __init__(self, capacity: int = 256,

@@ -29,10 +29,6 @@ Safety properties:
   corrupt data.  The ``store.read.*`` / ``store.write.*`` fault seams
   (:mod:`repro.resilience.faults`) inject exactly these failures for
   the chaos suite.
-* **Legacy compatibility.**  Stores written by the pre-sharded
-  ``ResultCache`` kept flat ``<root>/<digest>.json`` entries; those are
-  still read (and transparently promoted into the sharded layout) so
-  existing cache directories keep working.
 
 The store deals only in digest → JSON *text*.  Parsing and schema
 checks stay with the callers (:class:`repro.api.session.ResultCache`,
@@ -75,12 +71,10 @@ class ShardedResultStore:
     correctness.
     """
 
-    def __init__(self, root: str, read_legacy: bool = True) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.read_legacy = read_legacy
         self.hits = 0
         self.misses = 0
-        self.legacy_hits = 0
         self.writes = 0
         self.write_errors = 0
         #: Entries that failed read validation (empty / unparseable).
@@ -99,11 +93,6 @@ class ShardedResultStore:
             self.root, digest[:SHARD_PREFIX_LEN], f"{digest}.json"
         )
 
-    def legacy_path(self, digest: str) -> str:
-        """Where the pre-sharded flat layout kept ``digest``."""
-        self._check(digest)
-        return os.path.join(self.root, f"{digest}.json")
-
     @staticmethod
     def _check(digest: str) -> None:
         if not is_digest(digest):
@@ -116,9 +105,6 @@ class ShardedResultStore:
     def get_text(self, digest: str) -> Optional[str]:
         """The stored JSON text for ``digest``, or None on a miss.
 
-        Reads the sharded entry first, then (by default) the legacy
-        flat entry, promoting a legacy hit into the sharded layout so
-        old store directories migrate incrementally as they are read.
         An entry that fails validation (zero-byte / partial JSON left
         by a killed writer) is quarantined to a sidecar and treated as
         a miss — corruption never raises and never gets served.
@@ -130,16 +116,6 @@ class ShardedResultStore:
                 self.hits += 1
                 return text
             self._quarantine(path, digest)
-        if self.read_legacy:
-            legacy = self.legacy_path(digest)
-            text = self._read(legacy)
-            if text is not None:
-                if self._valid(text):
-                    self.hits += 1
-                    self.legacy_hits += 1
-                    self._write(digest, text)  # promote; failure is fine
-                    return text
-                self._quarantine(legacy, digest)
         self.misses += 1
         return None
 
@@ -159,11 +135,7 @@ class ShardedResultStore:
         return ok
 
     def __contains__(self, digest: str) -> bool:
-        if not is_digest(digest):
-            return False
-        if os.path.exists(self.path(digest)):
-            return True
-        return self.read_legacy and os.path.exists(self.legacy_path(digest))
+        return is_digest(digest) and os.path.exists(self.path(digest))
 
     @staticmethod
     def _read(path: str) -> Optional[str]:
@@ -237,28 +209,23 @@ class ShardedResultStore:
     # ------------------------------------------------------------------
 
     def iter_digests(self) -> Iterator[str]:
-        """All digests currently stored (sharded and legacy entries)."""
-        seen = set()
+        """All digests currently stored."""
         try:
             top = os.listdir(self.root)
         except OSError:
             return
         for entry in sorted(top):
             path = os.path.join(self.root, entry)
-            if len(entry) == SHARD_PREFIX_LEN and os.path.isdir(path):
-                try:
-                    names = os.listdir(path)
-                except OSError:
-                    continue
-                for name in sorted(names):
-                    digest = name[:-5] if name.endswith(".json") else ""
-                    if is_digest(digest) and digest not in seen:
-                        seen.add(digest)
-                        yield digest
-            elif entry.endswith(".json") and is_digest(entry[:-5]):
-                if entry[:-5] not in seen:
-                    seen.add(entry[:-5])
-                    yield entry[:-5]
+            if len(entry) != SHARD_PREFIX_LEN or not os.path.isdir(path):
+                continue
+            try:
+                names = os.listdir(path)
+            except OSError:
+                continue
+            for name in sorted(names):
+                digest = name[:-5] if name.endswith(".json") else ""
+                if is_digest(digest):
+                    yield digest
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_digests())
@@ -267,7 +234,6 @@ class ShardedResultStore:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "legacy_hits": self.legacy_hits,
             "writes": self.writes,
             "write_errors": self.write_errors,
             "corrupt": self.corrupt,

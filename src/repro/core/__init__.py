@@ -28,7 +28,6 @@ from repro.core.config import (
     ENGINE_COMPILED,
     ENGINE_REFERENCE,
 )
-from repro.core.driver import analyze_fpcore, precondition_box, sample_inputs
 from repro.core.records import (
     OpRecord,
     SpotRecord,
@@ -66,10 +65,7 @@ __all__ = [
     "ShadowValue",
     "SpotRecord",
     "SpotReport",
-    "analyze_fpcore",
     "analyze_program",
     "generate_report",
-    "precondition_box",
     "root_cause_report",
-    "sample_inputs",
 ]

@@ -7,7 +7,7 @@ untyped memory).  The interpreter takes a :class:`Tracer` — the
 instrumentation seam where Herbgrind and the comparison tools attach.
 """
 
-from repro.machine import isa, lanes
+from repro.machine import isa
 from repro.machine.batched import BatchedProgram
 from repro.machine.builder import FunctionBuilder
 from repro.machine.compiled import CompiledProgram
@@ -45,5 +45,4 @@ __all__ = [
     "compile_expression",
     "compile_fpcore",
     "isa",
-    "lanes",
 ]

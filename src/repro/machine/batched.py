@@ -40,17 +40,6 @@ Each sub-batch shares one tracer epoch (``on_batch_start`` /
 ``on_batch_finish``): leaf idents are value-keyed and escalator memo
 entries are pure functions of their idents, so lanes only warm each
 other's caches.
-
-The SoA register columns this module maintains are also what makes the
-vectorized lane kernels of :mod:`repro.machine.lanes` possible: the
-fused batch callbacks built by ``HerbgrindAnalysis.batch_site_callback``
-receive whole value/shadow columns per operand and (when NumPy is
-available) run the machine arithmetic and the hardware double-double
-shadow kernels as array operations over all lanes at once, falling back
-lane-by-lane to the scalar path wherever a lane needs a special-case
-branch, promotion, or escalation.  This module stays NumPy-agnostic:
-columns are plain lists at this layer, and the vectorization decision
-lives entirely inside the callback.
 """
 
 from __future__ import annotations

@@ -1,340 +1,17 @@
-"""NumPy-vectorized lane arithmetic for the batched engine.
+"""Provenance stub for the removed NumPy-vectorized batch lanes.
 
-The batched engine stores registers as SoA columns (see
-:mod:`repro.machine.batched`), but the analysis' per-site callbacks
-still walked those columns lane by lane, paying one Python arithmetic
-call per lane for the machine value and one double-double kernel call
-per lane for the hardware shadow.  This module lifts both onto NumPy:
+The batched engine's per-site callbacks once ran NumPy pre-passes over
+whole value and double-double shadow columns.  The leave-one-out
+ablation measured them within noise on every benchmark workload, so
+they were deleted: the batch closures in :mod:`repro.core.analysis`
+loop the lanes in Python, and :mod:`repro.bigfloat.doubledouble` holds
+the one definition of the double-double kernels and guards.
 
-* :func:`machine_binary` / :func:`machine_unary` compute a whole
-  machine-value column with one ufunc call, patching the rare lanes
-  whose scalar handler has non-IEEE glue (division by zero, negative
-  sqrt) through the scalar handler so the column is bit-identical to
-  the per-lane loop.
-* :func:`dd_binary_columns` / :func:`dd_unary_columns` run the
-  double-double kernels of :mod:`repro.bigfloat.doubledouble` over
-  hi/lo component arrays in the exact scalar operation order — binary64
-  ufuncs round-to-nearest exactly like Python's scalar float ops, so
-  every accepted lane is bit-for-bit the scalar kernel's result — and
-  return an ``ok`` mask; rejected lanes (guard trips, special-case
-  branches, non-hardware shadows) simply fall back to the existing
-  scalar per-lane path, which is also where escalation lives.
-
-Everything degrades to ``None`` when NumPy is absent (the ``pure`` CI
-leg), when ``REPRO_NUMPY=0`` disables it, or when a column is shorter
-than :data:`MIN_LANES` (ufunc dispatch overhead would beat the win).
-Callers treat ``None`` as "use the per-lane loop"; reports are
-byte-identical either way because vectorization only changes who
-computes each lane, never what is computed.
+Only this module remains, because the benchmark harness
+(``perfbench/workloads.py``) still reports ``lanes.HAVE_NUMPY`` as the
+``numpy_lanes`` field of its provenance line.  It can go together with
+that field.
 """
 
-from __future__ import annotations
-
-import math
-import os
-from typing import List, Optional, Sequence, Tuple
-
-from repro.bigfloat.doubledouble import DoubleDouble
-
-try:
-    if os.environ.get("REPRO_NUMPY", "1") == "0":
-        raise ImportError("vectorized lanes disabled by REPRO_NUMPY=0")
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the pure CI leg
-    _np = None
-
-__all__ = [
-    "HAVE_NUMPY",
-    "MIN_LANES",
-    "MACHINE_BINARY_OPS",
-    "MACHINE_UNARY_OPS",
-    "DD_BINARY_OPS",
-    "DD_UNARY_OPS",
-    "machine_binary",
-    "machine_unary",
-    "dd_binary_columns",
-    "dd_unary_columns",
-    "split_column",
-]
-
-#: True when the vectorized paths are available in this process.
-HAVE_NUMPY = _np is not None
-
-#: Below this many lanes the per-call ufunc overhead outweighs the
-#: saved Python arithmetic; the per-lane loop is faster.
-MIN_LANES = 8
-
-# Mirrors of the doubledouble module's guard constants (kept private
-# there; the vectorized kernels must apply identical guards).
-_SPLITTER = 134217729.0  # 2**27 + 1
-_SPLIT_MAX = math.ldexp(1.0, 970)
-_TINY = math.ldexp(1.0, -960)
-
-#: Operations whose scalar double handler is the plain IEEE operation
-#: (plus scalar-patched special cases), vectorizable bit-identically.
-MACHINE_BINARY_OPS = frozenset(("+", "-", "*", "/"))
-MACHINE_UNARY_OPS = frozenset(("sqrt", "fabs", "neg"))
-
-#: Operations with a vectorized double-double kernel.
-DD_BINARY_OPS = frozenset(("+", "-", "*", "/"))
-DD_UNARY_OPS = frozenset(("sqrt",))
-
-
-# ----------------------------------------------------------------------
-# Machine-value columns
-# ----------------------------------------------------------------------
-
-def machine_binary(
-    op: str, avals: Sequence[float], bvals: Sequence[float], scalar_fn
-) -> Optional[List[float]]:
-    """One vectorized machine-value column, or None to use the loop.
-
-    Lanes where the scalar handler's semantics are not the raw IEEE
-    ufunc (division by zero goes through explicit sign glue in
-    ``DOUBLE_HANDLERS``) are recomputed through ``scalar_fn`` so the
-    column matches the per-lane loop bit for bit, NaN signs included.
-    """
-    if _np is None or op not in MACHINE_BINARY_OPS \
-            or len(avals) < MIN_LANES:
-        return None
-    with _np.errstate(all="ignore"):
-        a = _np.asarray(avals)
-        b = _np.asarray(bvals)
-        if op == "+":
-            out = (a + b).tolist()
-        elif op == "-":
-            out = (a - b).tolist()
-        elif op == "*":
-            out = (a * b).tolist()
-        else:
-            result = a / b
-            out = result.tolist()
-            zero = b == 0.0
-            if zero.any():
-                for i in _np.flatnonzero(zero).tolist():
-                    out[i] = scalar_fn(avals[i], bvals[i])
-    return out
-
-
-def machine_unary(
-    op: str, avals: Sequence[float], scalar_fn
-) -> Optional[List[float]]:
-    """Unary counterpart of :func:`machine_binary`."""
-    if _np is None or op not in MACHINE_UNARY_OPS \
-            or len(avals) < MIN_LANES:
-        return None
-    with _np.errstate(all="ignore"):
-        a = _np.asarray(avals)
-        if op == "fabs":
-            return _np.abs(a).tolist()
-        if op == "neg":
-            return _np.negative(a).tolist()
-        result = _np.sqrt(a)
-        out = result.tolist()
-        negative = a < 0.0
-        if negative.any():
-            # math.sqrt maps the domain error to +NaN; hardware sqrt
-            # may disagree on the NaN's sign bit, so patch per lane.
-            for i in _np.flatnonzero(negative).tolist():
-                out[i] = scalar_fn(avals[i])
-    return out
-
-
-# ----------------------------------------------------------------------
-# Double-double component columns
-# ----------------------------------------------------------------------
-
-def split_column(
-    vals: Sequence[float], shads: Sequence
-) -> Optional[Tuple[List[float], List[float], List[bool]]]:
-    """SoA hi/lo components of a shadow column's double-double reals.
-
-    Unfilled opaque lanes (shadow still None) use the machine value —
-    exactly the leaf :meth:`_opaque_shadow_value` will intern for them.
-    Lanes carrying a non-hardware real are masked out; a column with no
-    hardware lanes at all returns None so callers skip the vector pass.
-    """
-    n = len(vals)
-    hi = [0.0] * n
-    lo = [0.0] * n
-    ok = [True] * n
-    any_hw = False
-    for i in range(n):
-        shadow = shads[i]
-        if shadow is None:
-            value = vals[i]
-            if value - value == 0.0:
-                hi[i] = value
-                any_hw = True
-            else:
-                ok[i] = False
-        else:
-            real = shadow.real
-            if type(real) is DoubleDouble:
-                hi[i] = real.hi
-                lo[i] = real.lo
-                any_hw = True
-            else:
-                ok[i] = False
-    if not any_hw:
-        return None
-    return hi, lo, ok
-
-
-def dd_binary_columns(
-    op: str,
-    avals: Sequence[float], ashads: Sequence,
-    bvals: Sequence[float], bshads: Sequence,
-) -> Optional[Tuple[List[float], List[float], List[bool], List[bool]]]:
-    """One vectorized double-double pass over a binary site's columns.
-
-    Returns per-lane ``(hi, lo, exact, ok)`` lists; ``ok`` lanes carry
-    exactly what the scalar kernel would return, everything else falls
-    back to the per-lane path (including its promotion handling).
-    Returns None when vectorization is off or the columns hold no
-    hardware lanes.
-    """
-    if _np is None or op not in DD_BINARY_OPS or len(avals) < MIN_LANES:
-        return None
-    a = split_column(avals, ashads)
-    if a is None:
-        return None
-    b = split_column(bvals, bshads)
-    if b is None:
-        return None
-    with _np.errstate(all="ignore"):
-        xh = _np.asarray(a[0])
-        xl = _np.asarray(a[1])
-        yh = _np.asarray(b[0])
-        yl = _np.asarray(b[1])
-        ok = _np.logical_and(a[2], b[2])
-        if op == "+":
-            zh, zl, exact, ok = _dd_add(xh, xl, yh, yl, ok)
-        elif op == "-":
-            zh, zl, exact, ok = _dd_add(xh, xl, -yh, -yl, ok)
-        elif op == "*":
-            zh, zl, exact, ok = _dd_mul(xh, xl, yh, yl, ok)
-        else:
-            zh, zl, exact, ok = _dd_div(xh, xl, yh, yl, ok)
-    return zh.tolist(), zl.tolist(), exact.tolist(), ok.tolist()
-
-
-def dd_unary_columns(
-    op: str, avals: Sequence[float], ashads: Sequence
-) -> Optional[Tuple[List[float], List[float], List[bool], List[bool]]]:
-    """Unary counterpart of :func:`dd_binary_columns` (sqrt only —
-    negation and absolute value are single flips, cheaper scalar)."""
-    if _np is None or op not in DD_UNARY_OPS or len(avals) < MIN_LANES:
-        return None
-    a = split_column(avals, ashads)
-    if a is None:
-        return None
-    with _np.errstate(all="ignore"):
-        xh = _np.asarray(a[0])
-        xl = _np.asarray(a[1])
-        ok = _np.asarray(a[2])
-        zh, zl, exact, ok = _dd_sqrt(xh, xl, ok)
-    return zh.tolist(), zl.tolist(), exact.tolist(), ok.tolist()
-
-
-# ----------------------------------------------------------------------
-# Vectorized error-free transformations and kernels
-#
-# Each mirrors its scalar namesake in repro.bigfloat.doubledouble
-# operation for operation: binary64 ufuncs and Python scalar floats
-# round identically, so accepted lanes are bit-identical to the scalar
-# kernels (the lanes fuzz suite checks exactly that).  Guard trips and
-# the scalar kernels' special-case early returns (zero operands, zero
-# products, zero dividends — where IEEE sign rules need the raw
-# hardware result) clear the lane's ``ok`` bit instead of branching.
-# ----------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl, ok):
-    # Zero operands take the scalar kernel's sign-preserving branch.
-    ok = ok & ~((xh == 0.0) & (xl == 0.0)) & ~((yh == 0.0) & (yl == 0.0))
-    sh, sl = _two_sum(xh, yh)
-    ok &= (sh - sh) == 0.0
-    th, tl = _two_sum(xl, yl)
-    vh, vl = _quick_two_sum(sh, sl + th)
-    zh, zl = _quick_two_sum(vh, tl + vl)
-    ok &= (zh - zh) == 0.0
-    exact = (xl == 0.0) & (yl == 0.0)
-    # Inexact results in the deep-underflow range promote (guard).
-    ok &= ~(~exact & (zh != 0.0) & (zh > -_TINY) & (zh < _TINY))
-    return zh, zl, exact, ok
-
-
-def _dd_mul(xh, xl, yh, yl, ok):
-    ok = ok & (xh > -_SPLIT_MAX) & (xh < _SPLIT_MAX) \
-        & (yh > -_SPLIT_MAX) & (yh < _SPLIT_MAX)
-    ph, pl = _two_prod(xh, yh)
-    ok &= (ph - ph) == 0.0
-    ok &= ph != 0.0  # zero products: scalar sign/underflow branch
-    pure = (xl == 0.0) & (yl == 0.0)
-    # A pure product landing in the underflow band takes the scalar
-    # generic path (and promotes); don't claim it exact here.
-    ok &= ~(pure & (ph > -_TINY) & (ph < _TINY))
-    t = xh * yl + xl * yh
-    zh, zl = _quick_two_sum(ph, _np.where(pure, pl, pl + t))
-    ok &= (zh - zh) == 0.0
-    ok &= ~(~pure & (zh != 0.0) & (zh > -_TINY) & (zh < _TINY))
-    return zh, zl, pure, ok
-
-
-def _dd_div(xh, xl, yh, yl, ok):
-    ok = ok & (yh != 0.0) & ((yh - yh) == 0.0)
-    ok &= ~((xh == 0.0) & (xl == 0.0))  # zero dividends: sign branch
-    abs_xh = _np.abs(xh)
-    ok &= (abs_xh > _TINY) & (abs_xh < _SPLIT_MAX) \
-        & (yh > -_SPLIT_MAX) & (yh < _SPLIT_MAX)
-    th = xh / yh
-    ok &= (th - th) == 0.0
-    # A zero th is underflow here (zero dividends were masked above):
-    # the scalar kernel promotes, so the lane must too.
-    abs_th = _np.abs(th)
-    ok &= (abs_th > _TINY) & (abs_th < _SPLIT_MAX)
-    ph, pl = _two_prod(th, yh)
-    ok &= (ph - ph) == 0.0
-    dh = xh - ph
-    d = (dh - pl) + xl - th * yl
-    tl = d / yh
-    zh, zl = _quick_two_sum(th, tl)
-    ok &= (zh - zh) == 0.0
-    exact = (xl == 0.0) & (yl == 0.0) & (ph == xh) & (pl == 0.0) \
-        & (d == 0.0)
-    return zh, zl, exact, ok
-
-
-def _dd_sqrt(xh, xl, ok):
-    # The range guard also rejects zeros (scalar early return),
-    # negatives, and non-finite highs.
-    ok = ok & (xh > _TINY) & (xh < _SPLIT_MAX)
-    r = _np.sqrt(_np.where(ok, xh, 1.0))
-    ph, pl = _two_prod(r, r)
-    e = ((xh - ph) - pl) + xl
-    zh, zl = _quick_two_sum(r, e / (2.0 * r))
-    ok &= (zh - zh) == 0.0
-    exact = (xl == 0.0) & (ph == xh) & (pl == 0.0)
-    return zh, zl, exact, ok
+#: The vectorized lanes no longer exist, whether or not NumPy does.
+HAVE_NUMPY = False

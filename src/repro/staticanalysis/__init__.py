@@ -20,11 +20,10 @@ Three consumers sit on top:
   cancellation, domain-edge operations, overflow/underflow-prone
   intermediates, ill-conditioned branches) with witness binades
   (:mod:`repro.staticanalysis.lint`);
-* :class:`StaticReport` attached to ``AnalysisResult.extra["static"]``
-  by the herbgrind backend and cross-checked against the dynamically
-  flagged sites (:mod:`repro.staticanalysis.report`; the report is
-  stripped from serialized JSON, like ``extra["degradation"]``, so the
-  byte-identity invariant holds with the layer on or off);
+* :func:`static_report` / :func:`cross_check` — a
+  :class:`StaticReport` computed on demand and cross-checked against
+  the sites a dynamic analysis flagged
+  (:mod:`repro.staticanalysis.report`);
 * static sampling guidance — per-input high-condition-number binades
   that bias ``repro.api.sampling`` toward the narrow regimes the
   log-uniform sampler misses (:mod:`repro.staticanalysis.hotspots`).

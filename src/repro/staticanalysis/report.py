@@ -1,13 +1,9 @@
-"""The ``StaticReport`` consumers attach to analysis results.
+"""The ``StaticReport``: one static pass over one program, on demand.
 
-The herbgrind backend computes one static pass per analysis (interval
-dataflow + lint over the *same* compiled program and precondition box
-the dynamic run uses) and attaches the report to
-``AnalysisResult.extra["static"]``.  Like ``extra["degradation"]``, the
-report is process-local metadata: it is stripped by
-``AnalysisResult.to_dict()`` so serialized corpus JSON stays
-byte-identical with the static layer on (default) or off
-(``REPRO_STATIC=0``).
+:func:`static_report` runs interval dataflow + lint over a compiled
+program and its precondition box — the same ones a dynamic analysis of
+the same FPCore uses — so :func:`cross_check` can compare its ranking
+with that analysis' candidate records.
 
 :func:`cross_check` is the agreement contract between the two layers:
 every dynamically flagged root-cause site (a candidate record) should

@@ -264,12 +264,11 @@ class TestDiskCache:
         fresh.analyze(ERRONEOUS)
         assert counting_backend.runs == 2
 
-    def test_legacy_flat_entry_is_read_and_promoted(
+    def test_flat_entry_outside_shards_is_a_miss(
         self, counting_backend, tmp_path
     ):
-        # Pre-sharding cache dirs stored results flat as
-        # <dir>/<digest>.json; they must stay readable, and a hit gets
-        # promoted into the sharded layout for the next reader.
+        # Only the sharded <dir>/<digest[:2]>/<digest>.json layout is
+        # read: a flat <dir>/<digest>.json file is recomputed.
         cache_dir = str(tmp_path / "results")
         seeder = AnalysisSession(
             config=FAST, backend=counting_backend.name, num_points=4,
@@ -278,8 +277,8 @@ class TestDiskCache:
         seeder.analyze(ERRONEOUS)
         digest = request_digest(seeder.request(ERRONEOUS))
         sharded = os.path.join(cache_dir, digest[:2], f"{digest}.json")
-        legacy = os.path.join(cache_dir, f"{digest}.json")
-        os.rename(sharded, legacy)  # demote to the legacy flat layout
+        flat = os.path.join(cache_dir, f"{digest}.json")
+        os.rename(sharded, flat)
         os.rmdir(os.path.dirname(sharded))
 
         fresh = AnalysisSession(
@@ -287,8 +286,8 @@ class TestDiskCache:
             cache_dir=cache_dir,
         )
         fresh.analyze(ERRONEOUS)
-        assert counting_backend.runs == 1  # served from the legacy file
-        assert os.path.exists(sharded)  # and promoted on the way
+        assert counting_backend.runs == 2
+        assert os.path.exists(sharded)  # the recompute wrote the shard
 
 
 class TestBatchCaching:

@@ -238,3 +238,72 @@ class TestBatch:
             session.analyze_batch(
                 [ERRONEOUS, CLEAN], workers=2, libm=build_libm()
             )
+
+
+class TestPipelineDelegation:
+    def test_evaluate_benchmark_routes_through_session(self, monkeypatch):
+        from repro.eval import evaluate_benchmark
+
+        calls = []
+        original = AnalysisSession.analyze
+
+        def spy(self, core, **overrides):
+            calls.append(core)
+            return original(self, core, **overrides)
+
+        monkeypatch.setattr(AnalysisSession, "analyze", spy)
+        evaluate_benchmark(
+            parse_fpcore(ERRONEOUS), config=FAST, num_points=4
+        )
+        assert len(calls) == 1
+
+    def test_evaluate_suite_shares_one_session(self, monkeypatch):
+        from repro.eval import evaluate_suite
+
+        sessions = []
+        original = AnalysisSession.analyze
+
+        def spy(self, core, **overrides):
+            sessions.append(self)
+            return original(self, core, **overrides)
+
+        monkeypatch.setattr(AnalysisSession, "analyze", spy)
+        cores = [
+            parse_fpcore(ERRONEOUS),
+            parse_fpcore('(FPCore (x) :name "ok" :pre (<= 1 x 2) (+ x 1))'),
+        ]
+        evaluate_suite(cores, config=FAST, num_points=4)
+        assert len(sessions) == 2
+        assert sessions[0] is sessions[1]
+
+
+class TestCliDelegation:
+    def test_cli_analyze_routes_through_session(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        calls = []
+        original = AnalysisSession.analyze
+
+        def spy(self, core, **overrides):
+            calls.append(core)
+            return original(self, core, **overrides)
+
+        monkeypatch.setattr(AnalysisSession, "analyze", spy)
+        assert main(["analyze", ERRONEOUS, "--points", "4",
+                     "--precision", "192"]) == 0
+        assert len(calls) == 1
+
+    def test_cli_corpus_routes_through_batch(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        calls = []
+        original = AnalysisSession.analyze_batch
+
+        def spy(self, cores, workers=1, **overrides):
+            calls.append(list(cores))
+            return original(self, cores, workers=workers, **overrides)
+
+        monkeypatch.setattr(AnalysisSession, "analyze_batch", spy)
+        assert main(["corpus", "--name", "paper-x-plus-1-minus-x",
+                     "--points", "4", "--precision", "192"]) == 0
+        assert len(calls) == 1 and len(calls[0]) == 1

@@ -144,8 +144,8 @@ class TestHwTierParity:
     """The hardware double-double tier must be invisible in the bytes:
     every decision it takes either provably matches the full-precision
     oracle or escalates, so corpus reports are byte-identical with the
-    tier on or off — under both engines, through the batched layer, and
-    with the NumPy lane vectorization on or off."""
+    tier on or off — under both engines and through the batched
+    layer."""
 
     @staticmethod
     def sweep(hw_tier, engine="compiled"):
@@ -169,17 +169,6 @@ class TestHwTierParity:
         monkeypatch.setenv("REPRO_HWTIER", "0")
         assert self.sweep(None) == ambient
         assert ambient == self.sweep(True)
-
-    def test_byte_identical_without_lane_vectorization(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMPY", raising=False)
-        vectorized = self.sweep(True)
-        monkeypatch.setenv("REPRO_NUMPY", "0")
-        # A fresh import-time decision is not possible mid-process, so
-        # force the runtime flag the callbacks consult at build time.
-        from repro.machine import lanes
-
-        monkeypatch.setattr(lanes, "HAVE_NUMPY", False)
-        assert self.sweep(True) == vectorized
 
     def test_sequential_engine_ignores_hw_vectorization(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")

@@ -7,6 +7,11 @@ into sub-batches, loop programs falling back entirely, and the
 degenerate one-lane batch.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core import AnalysisConfig, EngineFeatures, analyze_program
@@ -178,3 +183,41 @@ class TestEnvironmentSwitch:
         assert _batched_default()
         assert EngineFeatures.for_engine("compiled").batched
         assert not EngineFeatures.for_engine("reference").batched
+
+
+class TestImportFootprint:
+    def test_batched_adaptive_analysis_never_imports_numpy(self):
+        # A fresh interpreter, since other test modules import NumPy as
+        # an oracle.  The batch closures loop lanes in pure Python, so
+        # neither the library, the server, nor an adaptive batched
+        # run with the double-double tier may load NumPy.
+        script = textwrap.dedent("""
+            import sys
+            import repro.api
+            import repro.serve
+            from repro.api import AnalysisSession
+            from repro.core import AnalysisConfig
+
+            session = AnalysisSession(
+                config=AnalysisConfig(precision_policy="adaptive",
+                                      hw_tier=True),
+                num_points=8, seed=3,
+            )
+            result = session.analyze(
+                "(FPCore (x y) :pre (and (<= 1 x 2) (<= 1 y 2))"
+                " (- (* x x) (* y y)))"
+            )
+            assert result.raw.batched_lanes == 8, result.raw.batched_lanes
+            assert result.raw.hw_kernel_ops > 0
+            assert "numpy" not in sys.modules, "numpy was imported"
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

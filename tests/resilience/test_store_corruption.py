@@ -64,16 +64,6 @@ class TestReadCorruption:
         store.put_text(digest, PAYLOAD)
         assert store.get_text(digest) == PAYLOAD
 
-    def test_legacy_entry_corruption_is_quarantined(self, tmp_path):
-        store = ShardedResultStore(str(tmp_path))
-        digest = _digest("e")
-        legacy = store.legacy_path(digest)
-        os.makedirs(os.path.dirname(legacy), exist_ok=True)
-        with open(legacy, "w", encoding="utf-8") as handle:
-            handle.write('{"truncat')  # a killed legacy writer
-        assert store.get_text(digest) is None
-        assert os.path.exists(legacy + ".quarantine")
-
 
 class TestKilledWriterArtifacts:
     """Corruption landed directly on disk, no seams: the store must

@@ -1,5 +1,5 @@
-"""The sharded result store: layout, atomicity, legacy compatibility,
-and concurrent multi-process safety."""
+"""The sharded result store: layout, atomicity, and concurrent
+multi-process safety."""
 
 import hashlib
 import json
@@ -69,6 +69,17 @@ class TestLayout:
         assert set(store.iter_digests()) == digests
         assert len(store) == 20
 
+    def test_flat_entries_outside_shards_are_not_entries(self, tmp_path):
+        store = ShardedResultStore(str(tmp_path))
+        sharded = _digest("s")
+        flat = _digest("f")
+        store.put_text(sharded, "{}")
+        (tmp_path / f"{flat}.json").write_text("{}")
+        assert list(store.iter_digests()) == [sharded]
+        assert flat not in store
+        assert store.get_text(flat) is None
+        assert store.stats()["misses"] == 1
+
     def test_unwritable_root_is_not_fatal(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -76,41 +87,6 @@ class TestLayout:
         assert store.put_text(_digest("a"), "{}") is False
         assert store.stats()["write_errors"] == 1
         assert store.get_text(_digest("a")) is None
-
-
-class TestLegacyLayout:
-    def test_flat_entries_are_read_and_promoted(self, tmp_path):
-        digest = _digest("legacy")
-        flat = tmp_path / f"{digest}.json"
-        flat.write_text('{"legacy": true}')
-        store = ShardedResultStore(str(tmp_path))
-        assert digest in store
-        assert store.get_text(digest) == '{"legacy": true}'
-        assert store.stats()["legacy_hits"] == 1
-        # Promoted: the sharded copy now exists and is preferred.
-        assert os.path.exists(store.path(digest))
-        assert store.get_text(digest) == '{"legacy": true}'
-        assert store.stats()["legacy_hits"] == 1  # second read: sharded
-
-    def test_legacy_read_can_be_disabled(self, tmp_path):
-        digest = _digest("legacy")
-        (tmp_path / f"{digest}.json").write_text("{}")
-        store = ShardedResultStore(str(tmp_path), read_legacy=False)
-        assert store.get_text(digest) is None
-        assert digest not in store
-
-    def test_iter_covers_both_layouts_without_duplicates(self, tmp_path):
-        store = ShardedResultStore(str(tmp_path))
-        sharded = _digest("s")
-        both = _digest("b")
-        legacy = _digest("l")
-        store.put_text(sharded, "{}")
-        store.put_text(both, "{}")
-        (tmp_path / f"{both}.json").write_text("{}")
-        (tmp_path / f"{legacy}.json").write_text("{}")
-        assert sorted(store.iter_digests()) == sorted(
-            {sharded, both, legacy}
-        )
 
 
 def _writer_job(args):

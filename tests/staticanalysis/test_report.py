@@ -1,4 +1,4 @@
-"""StaticReport attach/strip parity and the cross_check contract."""
+"""StaticReport on demand, result extras, and the cross_check contract."""
 
 import json
 
@@ -23,30 +23,16 @@ def _session():
 
 
 class TestAttach:
-    def test_report_attached_by_default(self):
-        result = _session().analyze(parse_fpcore(DSQ))
-        report = result.extra.get("static")
+    def test_dynamic_run_computes_no_report_but_cross_checks(self):
+        core = parse_fpcore(DSQ)
+        result = _session().analyze(core)
+        assert "static" not in result.extra
+        report = static_report(core=core)
+        cross_check(report, result.raw.candidate_records())
         assert isinstance(report, StaticReport)
         assert report.program == "dsq"
         assert report.converged
         assert report.agreement is not None
-
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STATIC", "0")
-        result = _session().analyze(parse_fpcore(DSQ))
-        assert "static" not in result.extra
-
-    def test_serialization_is_byte_identical_on_and_off(self, monkeypatch):
-        core = parse_fpcore(DSQ)
-        with_static = _session().analyze(core)
-        monkeypatch.setenv("REPRO_STATIC", "0")
-        without_static = _session().analyze(core)
-        assert "static" in with_static.extra
-        assert "static" not in without_static.extra
-        assert with_static.to_json() == without_static.to_json()
-        assert "static" not in json.loads(with_static.to_json()).get(
-            "extra", {}
-        )
 
     def test_strip_preserves_other_extra_keys(self):
         result = _session().analyze(parse_fpcore(DSQ))
