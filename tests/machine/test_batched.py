@@ -4,16 +4,21 @@ The batched engine's one contract is that turning it on is invisible:
 reports are byte-identical to the sequential per-point loop for every
 lane pattern — uniform batches, divergent branches splitting the lanes
 into sub-batches, loop programs falling back entirely, and the
-degenerate one-lane batch.
+degenerate one-lane batch — and for every lane value, down to signed
+zeros, NaN, subnormals and wide double-double operands on every
+operation the batch closures handle.
 """
 
+import math
 import os
+import struct
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig, EngineFeatures, analyze_program
 from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
@@ -221,3 +226,122 @@ class TestImportFootprint:
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+# Adversarial lane values: signed zeros, infinities, NaN, subnormals,
+# the edges of the normal range, the Dekker splitting limit, and values
+# an ulp apart.  The batch closures loop these lanes through the same
+# scalar handlers and double-double kernels as the sequential engine,
+# so every lane must come out bit for bit the same.
+EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, 1.5, -2.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.ldexp(1.0, 970), math.ldexp(1.0, -960), math.ldexp(1.0, -1060),
+    1e16, 1.0 + 2 ** -52,
+]
+
+# Every rotation pairs each edge value with a different partner.
+EDGE_PAIRS = [
+    [EDGE_VALUES[i], EDGE_VALUES[(i + k) % len(EDGE_VALUES)]]
+    for k in (0, 1, 5, 11)
+    for i in range(len(EDGE_VALUES))
+]
+
+BINARY_OPS = sorted(
+    ("+", "-", "*", "/", "atan2", "copysign", "fdim", "fmax", "fmin",
+     "fmod", "hypot", "pow", "remainder")
+)
+UNARY_OPS = sorted(
+    op for op in DOUBLE_HANDLERS if op not in BINARY_OPS and op != "fma"
+)
+
+CONFIGS = {
+    "fixed": AnalysisConfig(precision_policy="fixed"),
+    "adaptive": AnalysisConfig(precision_policy="adaptive", hw_tier=True),
+}
+
+
+def raw_bits(rows):
+    """Outputs as IEEE encodings: tells -0.0 from 0.0 and NaN == NaN."""
+    return [[struct.pack("<d", value) for value in row] for row in rows]
+
+
+def run_both_bitwise(core, points, config):
+    program = compile_fpcore(core)
+    batched, out_b = analyze_program(
+        program, points, config=config, features=BATCHED
+    )
+    sequential, out_s = analyze_program(
+        program, points, config=config, features=SEQUENTIAL
+    )
+    assert raw_bits(out_b) == raw_bits(out_s)
+    assert batched.runs == sequential.runs == len(points)
+    # repr() so that NaN statistics compare by their spelling.
+    assert repr(signature(batched)) == repr(signature(sequential))
+    assert batched.batched_groups == 1
+    assert batched.batched_lanes == len(points)
+    return batched
+
+
+class TestEdgeLanes:
+    def test_every_batched_operation_is_covered(self):
+        assert "fma" in DOUBLE_HANDLERS
+        assert len(BINARY_OPS) + len(UNARY_OPS) + 1 == len(DOUBLE_HANDLERS)
+
+    @pytest.mark.parametrize("policy", sorted(CONFIGS))
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_binary_edge_lanes_match_sequential(self, op, policy):
+        core = parse_fpcore(f"(FPCore (x y) ({op} x y))")
+        run_both_bitwise(core, EDGE_PAIRS, CONFIGS[policy])
+
+    @pytest.mark.parametrize("policy", sorted(CONFIGS))
+    @pytest.mark.parametrize("op", UNARY_OPS)
+    def test_unary_edge_lanes_match_sequential(self, op, policy):
+        core = parse_fpcore(f"(FPCore (x) ({op} x))")
+        run_both_bitwise(
+            core, [[value] for value in EDGE_VALUES], CONFIGS[policy]
+        )
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_wide_double_double_operands(self, op):
+        # (+ x y) leaves a double-double shadow with a nonzero low word
+        # on most lanes, so the outer operation runs the pair kernels
+        # on operands wider than a double.
+        core = parse_fpcore(f"(FPCore (x y z) ({op} (+ x y) z))")
+        points = [
+            [1e16, 1.5, 3.0], [1.0, 2 ** -60, -1.0], [1e300, 1e284, 1e-10],
+            [3.0, 1e-17, 7.0], [-2.0, 2 ** -70, 2.0 ** 600],
+            [1.0, -2 ** -53, 1.0 + 2 ** -52], [5e-324, 1.0, 1e16],
+            [0.1, 0.2, 0.3],
+        ]
+        analysis = run_both_bitwise(core, points, CONFIGS["adaptive"])
+        assert analysis.hw_kernel_ops > 0
+
+    def test_cancellation_lanes(self):
+        # x + (-x) cancels exactly in the high word; with a low word
+        # left over, the result is that low word alone.
+        core = parse_fpcore("(FPCore (x y) (+ (+ x y) (- x)))")
+        points = [
+            [math.ldexp(1.0 + k / 16, e), math.ldexp(1.0, e - 60 - k)]
+            for k in range(4) for e in (-40, 0, 40)
+        ]
+        analysis = run_both_bitwise(core, points, CONFIGS["adaptive"])
+        assert analysis.hw_kernel_ops > 0
+
+    def test_division_by_zero_lanes(self):
+        core = parse_fpcore("(FPCore (x y) (/ x y))")
+        points = [
+            [1.0, 0.0], [-1.0, -0.0], [0.0, 0.0], [-0.0, -0.0],
+            [math.nan, 0.0], [math.inf, 0.0], [2.0, -0.0], [3.0, 1.0],
+        ]
+        for config in CONFIGS.values():
+            run_both_bitwise(core, points, config)
+
+    def test_negative_sqrt_lanes(self):
+        core = parse_fpcore("(FPCore (x) (sqrt x))")
+        points = [
+            [-1.0], [4.0], [-0.0], [0.0], [-math.inf], [math.inf], [2.0],
+            [-4.0],
+        ]
+        for config in CONFIGS.values():
+            run_both_bitwise(core, points, config)
