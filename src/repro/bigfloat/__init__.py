@@ -49,6 +49,7 @@ from repro.bigfloat.backend import (
     KernelBackend,
     available_substrates,
     get_backend,
+    substrate_fallbacks,
     substrate_provider,
 )
 from repro.bigfloat.policy import (
@@ -69,6 +70,7 @@ __all__ = [
     "KernelBackend",
     "available_substrates",
     "get_backend",
+    "substrate_fallbacks",
     "substrate_provider",
     "AdaptivePrecisionPolicy",
     "BigFloat",

@@ -10,7 +10,9 @@ arbitrary-precision engine:
   first, then mpmath's ``libmp`` fixed-point kernels, falling back to
   the python kernels when neither is present.  Selection happens once
   per process; a provider that fails its startup self-check (see
-  :func:`_self_check`) is discarded rather than trusted.
+  :func:`_run_self_check`) is discarded rather than trusted, and
+  :func:`substrate_fallbacks` says why each skipped provider was
+  passed over.
 
 A substrate replaces only the *general-path numerics*.  Every IEEE
 special value, domain error, signed-zero rule, overflow clamp and
@@ -40,6 +42,7 @@ tier and takes effect only after promotion to BigFloat.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigfloat import arith, functions, transcendental
@@ -53,6 +56,8 @@ from repro.bigfloat.rounding import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.errors import KernelFault
+
+logger = logging.getLogger("repro.bigfloat")
 
 SUBSTRATE_PYTHON = "python"
 SUBSTRATE_NATIVE = "native"
@@ -93,6 +98,9 @@ class KernelBackend:
         self.double_handlers: Dict[str, Callable[..., float]] = (
             functions.DOUBLE_HANDLERS
         )
+        #: Native providers passed over while resolving this substrate:
+        #: provider name -> why (see :func:`substrate_fallbacks`).
+        self.skipped: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Fault seams (repro.resilience.faults)
@@ -406,9 +414,9 @@ class _Gmpy2Provider:
     """General-path kernels on gmpy2's MPFR type.
 
     This container may not ship gmpy2; the implementation is exercised
-    only where it is importable, and :func:`_self_check` validates it
-    against the python kernels before it is ever trusted (any failure
-    silently falls back to the next provider).
+    only where it is importable, and :func:`_run_self_check` validates
+    it against the python kernels before it is ever trusted (any
+    failure falls back to the next provider, with the reason recorded).
     """
 
     name = "gmpy2"
@@ -616,6 +624,7 @@ class NativeBackend(KernelBackend):
     def __init__(self) -> None:
         super().__init__()
         provider = _load_provider()
+        self.skipped = dict(_skipped)
         if provider is None:
             # No native library: stay a transparent alias of python.
             self.provider = "python"
@@ -666,15 +675,34 @@ def _check_close(ours: BigFloat, theirs: BigFloat, ulps: int,
     return difference.msb_exponent <= ours.msb_exponent - precision + ulps
 
 
+#: Why the latest :func:`_load_provider` call skipped each provider.
+_skipped: Dict[str, str] = {}
+
+
 def _load_provider():
-    """gmpy2 first, then mpmath; each must pass the self-check."""
+    """gmpy2 first, then mpmath; each must pass the self-check.
+
+    A provider that fails to load (an ``ImportError`` when its library
+    is absent) or fails the self-check is skipped; the reason is logged
+    at INFO and kept in :data:`_skipped`.
+    """
+    _skipped.clear()
     for factory in (_Gmpy2Provider, _MpmathProvider):
         try:
             provider = factory()
-            _run_self_check(provider)
-        except Exception:
-            continue
-        return provider
+        except Exception as error:
+            reason = f"{type(error).__name__}: {error}"
+        else:
+            try:
+                _run_self_check(provider)
+            except Exception as error:
+                reason = (
+                    f"self-check failed: {type(error).__name__}: {error}"
+                )
+            else:
+                return provider
+        _skipped[factory.name] = reason
+        logger.info("native substrate skips %s: %s", factory.name, reason)
     return None
 
 
@@ -752,3 +780,9 @@ def get_backend(name: str) -> KernelBackend:
 def substrate_provider(name: str) -> str:
     """The engine actually serving a substrate ("python"/"mpmath"/"gmpy2")."""
     return get_backend(name).provider
+
+
+def substrate_fallbacks(name: str) -> Dict[str, str]:
+    """Why a substrate skipped each native provider it passed over
+    (provider name -> reason); empty when none was skipped."""
+    return dict(get_backend(name).skipped)

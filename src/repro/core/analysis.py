@@ -325,9 +325,7 @@ class HerbgrindAnalysis(Tracer):
         #: ident into the pool's flat arrays; structured nodes are
         #: materialized lazily.
         self.pool = (
-            trace_mod.TracePool(
-                levels_depth=self.config.max_expression_depth
-            )
+            trace_mod.TracePool()
             if self.features.trace_pool else None
         )
         self.escalator = ShadowEscalator(

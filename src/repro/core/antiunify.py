@@ -42,9 +42,13 @@ collects the per-variable values in exactly the order
 :func:`collect_variable_values` would.  Any discrepancy bails out to
 the unmodified full walk, so results are *identical* to the reference
 path by construction; the fast path only skips work whose outcome it
-has proved.  Deep-trace truncation marks are served by a per-node
-memo (:meth:`Generalization._deep_marks`) that computes the same
-marked set as the direct walk at a fraction of the cost.
+has proved.  Deep-trace truncation is checked on demand: an op on the
+truncation frontier lies ``max_depth`` edges below the root, so its
+height is at most the root's height minus ``max_depth``.  The walk
+records the visited op positions passing that height test and, only
+if there are any, runs the frontier walk
+(:meth:`Generalization._deep_marks`) once at the end.  Steady-state
+loop expressions are shallow, so that walk almost never runs.
 
 All traversals are iterative (explicit stacks), so traces and depth
 bounds far beyond Python's recursion limit are safe.
@@ -156,7 +160,7 @@ class Generalization:
             # so a shallow trace cannot contain truncated occurrences —
             # the deep-mark walk is pure overhead for it.
             if self.fast:
-                state.truncated = self._truncation_frontier(trace)
+                state.truncated = self._deep_marks(trace)
             else:
                 self._mark_deep_nodes(trace, state)
         if self.expression is None:
@@ -183,7 +187,7 @@ class Generalization:
                 return self.expression, bindings
             state = _UpdateState()
             if trace.depth > self.max_depth:
-                state.truncated = self._truncation_frontier(trace)
+                state.truncated = self._deep_marks(trace)
             self.expression = self._merge(self.expression, trace, state)
         else:
             self.update(trace)
@@ -220,14 +224,6 @@ class Generalization:
                 continue
             for child in node.args:
                 stack.append((child, depth + 1))
-
-    def _truncation_frontier(self, trace: TraceNode):
-        """The truncated set of a deep trace, served in O(1) when the
-        trace carries the pool's distance index."""
-        levels = trace.levels
-        if levels is not None and len(levels) > self.max_depth:
-            return levels[self.max_depth]
-        return self._deep_marks(trace)
 
     def _deep_marks(self, trace: TraceNode) -> Set[int]:
         """The same marked set as :meth:`_mark_deep_nodes`, leaner.
@@ -333,10 +329,13 @@ class Generalization:
         is_multi)`` for variables, ``(2, float_value)`` for literals.
         Interpreting this list against a trace (one node stack, no
         pair memo, no ``id()`` calls) is the cheapest sound
-        verification: result-equivalent to the memoized walk because a
-        repeated (position, node) pair can only re-record the same
-        binding value.  Expressions whose tree unfolding exceeds
-        :data:`FLAT_LIMIT` positions keep the memoized walk instead.
+        verification.  It is result-equivalent to the memoized walk
+        because a multi-occurrence variable must bind the same value at
+        every position (or the walk bails): the value
+        :func:`collect_variable_values` keeps then cannot depend on
+        which repeated (position, node) pairs its memo skips.
+        Expressions whose tree unfolding exceeds :data:`FLAT_LIMIT`
+        positions keep the memoized walk instead.
         """
         expression = self.expression
         if self._flat_expr is expression and self._flat is not False:
@@ -384,27 +383,22 @@ class Generalization:
         variable-consistency rule, same truncation handling — except
         that instead of *building* the merged expression it *bails*
         the moment the merge would return anything but the existing
-        node.  Truncation is served in O(1) from the trace pool's
-        distance index when present; unpooled traces verify first and
-        then run one frontier walk over the recorded operator
-        positions.  Positions that are already variables are
+        node.  Truncation: an operator position whose height is at
+        most ``trace.depth - max_depth`` *could* lie on the truncation
+        frontier, so it is recorded as a suspect; after an otherwise
+        successful walk, one frontier walk decides whether any suspect
+        is truncated.  Deferring that bail changes no outcome (every
+        bail means "run the full merge").  The root never passes the
+        height test, and positions that are already variables are
         indifferent to truncation — the merge computes the same
         bounded-depth key either way.
         """
-        max_depth = self.max_depth
-        truncated: Optional[FrozenSet[int]] = None
-        collect_ops = False
-        if trace.depth > max_depth:
-            levels = trace.levels
-            if levels is not None and len(levels) > max_depth:
-                truncated = levels[max_depth]
-            else:
-                collect_ops = True
         program = self._flat_program()
         if program is None:
-            return self._fast_update_generic(trace, truncated, collect_ops)
+            return self._fast_update_generic(trace)
+        lim = trace.depth - self.max_depth
         eq_depth = self.equivalence_depth
-        op_idents: Set[int] = set()
+        suspects = []
         bindings: Dict[str, float] = {}
         var_keys: Dict[str, tuple] = {}
         nodes = [trace]
@@ -415,14 +409,12 @@ class Generalization:
             if tag == 0:
                 if node.kind != KIND_OP or node.op != entry[1]:
                     return None
-                if truncated is not None and node.ident in truncated:
-                    return None  # this expanded position is truncated
                 args = node.args
                 count = entry[2]
                 if len(args) != count:
                     return None
-                if collect_ops:
-                    op_idents.add(node.ident)
+                if node.depth <= lim:
+                    suspects.append(node.ident)
                 if count == 2:
                     nodes.append(args[1])
                     nodes.append(args[0])
@@ -432,21 +424,23 @@ class Generalization:
                     nodes.extend(args[::-1])
             elif tag == 1:
                 name = entry[1]
-                if node.kind == KIND_INPUT and node.op == name:
-                    bindings[name] = node.value
-                    continue
-                if entry[2]:  # multi-occurrence: keys must agree
-                    trace_key = structural_key(node, eq_depth)
-                    bound = var_keys.get(name)
-                    if bound is None:
-                        var_keys[name] = trace_key
-                    elif bound != trace_key:
-                        return None  # the variable would split
-                bindings[name] = node.value
+                value = node.value
+                if entry[2]:  # multi-occurrence: keys and values agree
+                    if node.kind != KIND_INPUT or node.op != name:
+                        trace_key = structural_key(node, eq_depth)
+                        bound = var_keys.get(name)
+                        if bound is None:
+                            var_keys[name] = trace_key
+                        elif bound != trace_key:
+                            return None  # the variable would split
+                    prev = bindings.get(name, value)
+                    if prev is not value and not _same_value(prev, value):
+                        return None  # collect's pick depends on order
+                bindings[name] = value
             else:
                 if node.kind != KIND_CONST or node.value != entry[1]:
                     return None
-        if collect_ops and self._frontier_hits(trace, op_idents):
+        if suspects and not self._deep_marks(trace).isdisjoint(suspects):
             return None  # an expanded position is truncated: full merge
         return bindings
 
@@ -483,7 +477,7 @@ class Generalization:
         if self.fast and self.expression is not None:
             state = _UpdateState()
             if node.depth > self.max_depth:
-                state.truncated = self._truncation_frontier(node)
+                state.truncated = self._deep_marks(node)
             self.expression = self._merge(self.expression, node, state)
         else:
             self.update(node)
@@ -511,7 +505,7 @@ class Generalization:
         program = self._flat_program()
         verifier = None
         if program is not None and len(program) <= self.VERIFIER_LIMIT:
-            verifier = _generate_verifier(program)
+            verifier = _generate_verifier(program, self.max_depth)
         self._verifier = verifier
         self._verifier_expr = self.expression
         return verifier
@@ -521,56 +515,47 @@ class Generalization:
     ) -> Optional[Dict[str, float]]:
         """Verify-and-collect over the pool's flat arrays.
 
-        Decision-for-decision identical to :meth:`_fast_update`; the
-        truncation frontier comes from the pool's distance index (or
-        :meth:`~repro.core.trace.TracePool.deep_marks` when the index
-        is capped below the depth bound).  Expressions too large for
-        the flat program materialize the node and reuse the node-based
-        generic walk.
+        Decision-for-decision identical to :meth:`_fast_update`, with
+        the same height-gated truncation check over ``pool.depths``
+        (suspects are confirmed by
+        :meth:`~repro.core.trace.TracePool.deep_marks`).  Expressions
+        too large for the flat program materialize the node and reuse
+        the node-based generic walk.
         """
-        max_depth = self.max_depth
-        truncated: Optional[FrozenSet[int]] = None
-        collect_ops = False
-        if pool.depths[ident] > max_depth:
-            levels = pool.levels[ident]
-            if levels is not None and len(levels) > max_depth:
-                truncated = levels[max_depth]
-            else:
-                collect_ops = True
         # Inline the warm case of _flat_program (one call per op).
         if self._flat_expr is self.expression and self._flat is not False:
             program = self._flat
         else:
             program = self._flat_program()
         if program is None:
-            node = pool.node(ident)
-            return self._fast_update_generic(node, truncated, collect_ops)
-        if not collect_ops:
-            expression = self.expression
-            verifier = None
-            if self._verifier_expr is expression:
-                verifier = self._verifier
-            elif self._steady_expr is not expression:
-                self._steady_expr = expression
-                self._steady_hits = 0
-            elif self._steady_hits >= self.VERIFIER_THRESHOLD:
-                verifier = self._compiled_verifier()
-            if verifier is not None:
-                bindings = verifier(
-                    pool.kinds, pool.ops, pool.args, pool.values,
-                    pool.structural_key_of, self.equivalence_depth,
-                    ident, truncated,
-                )
-                if bindings is not None and self.stats is not None:
-                    self.stats.antiunify_fast += 1
-                return bindings
+            return self._fast_update_generic(pool.node(ident))
+        depths = pool.depths
+        lim = depths[ident] - self.max_depth
+        expression = self.expression
+        verifier = None
+        if self._verifier_expr is expression:
+            verifier = self._verifier
+        elif self._steady_expr is not expression:
+            self._steady_expr = expression
+            self._steady_hits = 0
+        elif self._steady_hits >= self.VERIFIER_THRESHOLD:
+            verifier = self._compiled_verifier()
+        if verifier is not None:
+            bindings = verifier(
+                pool.kinds, pool.ops, pool.args, pool.values, depths,
+                pool.structural_key_of, self.equivalence_depth,
+                pool.deep_marks, ident, lim,
+            )
+            if bindings is not None and self.stats is not None:
+                self.stats.antiunify_fast += 1
+            return bindings
         eq_depth = self.equivalence_depth
         kinds = pool.kinds
         opsA = pool.ops
         argsA = pool.args
         valsA = pool.values
         skey = pool.structural_key_of
-        op_idents: Set[int] = set()
+        suspects = []
         bindings: Dict[str, float] = {}
         var_keys: Dict[str, tuple] = {}
         stack = [ident]
@@ -581,14 +566,12 @@ class Generalization:
             if tag == 0:
                 if kinds[cur] != P_OP or opsA[cur] != entry[1]:
                     return None
-                if truncated is not None and cur in truncated:
-                    return None  # this expanded position is truncated
                 cargs = argsA[cur]
                 count = entry[2]
                 if len(cargs) != count:
                     return None
-                if collect_ops:
-                    op_idents.add(cur)
+                if depths[cur] <= lim:
+                    suspects.append(cur)
                 if count == 2:
                     stack.append(cargs[1])
                     stack.append(cargs[0])
@@ -598,22 +581,24 @@ class Generalization:
                     stack.extend(cargs[::-1])
             elif tag == 1:
                 name = entry[1]
-                if kinds[cur] == P_INPUT and opsA[cur] == name:
-                    bindings[name] = valsA[cur]
-                    continue
-                if entry[2]:  # multi-occurrence: keys must agree
-                    trace_key = skey(cur, eq_depth)
-                    bound = var_keys.get(name)
-                    if bound is None:
-                        var_keys[name] = trace_key
-                    elif bound != trace_key:
-                        return None  # the variable would split
-                bindings[name] = valsA[cur]
+                value = valsA[cur]
+                if entry[2]:  # multi-occurrence: keys and values agree
+                    if kinds[cur] != P_INPUT or opsA[cur] != name:
+                        trace_key = skey(cur, eq_depth)
+                        bound = var_keys.get(name)
+                        if bound is None:
+                            var_keys[name] = trace_key
+                        elif bound != trace_key:
+                            return None  # the variable would split
+                    prev = bindings.get(name, value)
+                    if prev is not value and not _same_value(prev, value):
+                        return None  # collect's pick depends on order
+                bindings[name] = value
             else:
                 if kinds[cur] != P_CONST or valsA[cur] != entry[1]:
                     return None
-        if collect_ops and \
-                not pool.deep_marks(ident, max_depth).isdisjoint(op_idents):
+        if suspects and \
+                not pool.deep_marks(ident, self.max_depth).isdisjoint(suspects):
             return None  # an expanded position is truncated: full merge
         self._steady_hits += 1
         if self.stats is not None:
@@ -621,16 +606,15 @@ class Generalization:
         return bindings
 
     def _fast_update_generic(
-        self,
-        trace: TraceNode,
-        truncated: Optional[FrozenSet[int]],
-        collect_ops: bool,
+        self, trace: TraceNode
     ) -> Optional[Dict[str, float]]:
         """The pair-memoized fallback for expressions the flat program
-        cannot represent (oversized tree unfoldings)."""
+        cannot represent (oversized tree unfoldings), with the same
+        height-gated truncation check as :meth:`_fast_update`."""
         multi = self._multi_occurrence_names()
         eq_depth = self.equivalence_depth
-        op_idents: Set[int] = set()
+        lim = trace.depth - self.max_depth
+        suspects = []
         bindings: Dict[str, float] = {}
         var_keys: Dict[str, tuple] = {}
         seen: Set[Tuple[int, int]] = set()
@@ -646,30 +630,29 @@ class Generalization:
             cls = sym.__class__
             if cls is Var:
                 name = sym.name
-                kind = node.kind
-                if kind == KIND_INPUT and node.op == name:
-                    bindings[name] = node.value
-                    continue
-                if name in multi:
-                    trace_key = structural_key(node, eq_depth)
-                    bound = var_keys.get(name)
-                    if bound is None:
-                        var_keys[name] = trace_key
-                    elif bound != trace_key:
-                        return None  # the variable would split
-                bindings[name] = node.value
+                value = node.value
+                if name in multi:  # keys and values agree, as above
+                    if node.kind != KIND_INPUT or node.op != name:
+                        trace_key = structural_key(node, eq_depth)
+                        bound = var_keys.get(name)
+                        if bound is None:
+                            var_keys[name] = trace_key
+                        elif bound != trace_key:
+                            return None  # the variable would split
+                    prev = bindings.get(name, value)
+                    if prev is not value and not _same_value(prev, value):
+                        return None
+                bindings[name] = value
                 continue
             if cls is Op:
                 if node.kind != KIND_OP or node.op != sym.op:
                     return None
-                if truncated is not None and node.ident in truncated:
-                    return None  # this expanded position is truncated
                 sym_args = sym.args
                 node_args = node.args
                 if len(sym_args) != len(node_args):
                     return None
-                if collect_ops:
-                    op_idents.add(node.ident)
+                if node.depth <= lim:
+                    suspects.append(node.ident)
                 for index in range(len(sym_args) - 1, -1, -1):
                     stack.append((sym_args[index], node_args[index]))
                 continue
@@ -678,17 +661,9 @@ class Generalization:
                     return None
                 continue
             return None  # unexpected expression node: let the full walk decide
-        if collect_ops and self._frontier_hits(trace, op_idents):
+        if suspects and not self._deep_marks(trace).isdisjoint(suspects):
             return None  # an expanded position is truncated: full merge
         return bindings
-
-    def _frontier_hits(self, trace: TraceNode, op_idents: Set[int]) -> bool:
-        """Whether any of ``op_idents`` occurs at the truncation
-        frontier (depth ``max_depth + 1``) of ``trace`` — the only way
-        deep-trace truncation can invalidate a successful fast walk.
-        Only reached for unpooled traces (no distance index), so the
-        full frontier walk is acceptable here."""
-        return not self._deep_marks(trace).isdisjoint(op_idents)
 
     # ------------------------------------------------------------------
     # First trace: concrete -> symbolic, sharing-aware, depth-bounded
@@ -776,27 +751,40 @@ class Generalization:
         return memo[root_key]
 
 
-def _generate_verifier(program):
+def _same_value(a: float, b: float) -> bool:
+    """Bitwise float equality short of NaN payloads (``-0.0`` differs
+    from ``0.0``; a NaN equals nothing, so the caller bails)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _generate_verifier(program, max_depth):
     """Generate the straight-line verify-and-collect function of one
     flat program (see :meth:`Generalization._compiled_verifier`).
 
     The traversal stack is simulated at *generation* time, so the
-    emitted code is pure straight-line: one kind/op check and an
-    argument unpack per operator position, one dict store per variable
-    position, one constant compare per literal.  Multi-occurrence
-    variables keep the structural-key consistency check; non-finite
-    literals are not generatable (their interpreted compare is
-    always-False, which straight-line code happily mirrors, but the
-    interpreted walk is rare enough there).
+    emitted code is pure straight-line: one kind/op check, an argument
+    unpack and (below the root) one height test per operator position,
+    one dict store per variable position, one constant compare per
+    literal.  Positions passing the height test (``depths[n] <= lim``)
+    are truncation suspects, confirmed by one ``deep(root, max_depth)``
+    frontier walk at the end.  Multi-occurrence variables keep the
+    structural-key consistency check; non-finite literals are not
+    generatable (their interpreted compare is always-False, which
+    straight-line code happily mirrors, but the interpreted walk is
+    rare enough there).
     """
     lines = [
-        "def _verify(kinds, ops, argsA, vals, skey, eqd, root, truncated):",
+        "def _verify(kinds, ops, argsA, vals, depths, skey, eqd, deep,"
+        " root, lim):",
         "    b = {}",
     ]
     emit = lines.append
     has_multi = any(e[0] == 1 and e[2] for e in program)
     if has_multi:
         emit("    vk = {}")
+    has_suspects = sum(e[0] == 0 for e in program) > 1
+    if has_suspects:
+        emit("    s = ()")
     counter = 0
     stack = ["root"]
     for entry in program:
@@ -804,8 +792,6 @@ def _generate_verifier(program):
         tag = entry[0]
         if tag == 0:
             emit(f"    if kinds[{var}] != 0 or ops[{var}] != {entry[1]!r}:")
-            emit("        return None")
-            emit(f"    if truncated is not None and {var} in truncated:")
             emit("        return None")
             count = entry[2]
             args_var = f"a{counter}"
@@ -818,10 +804,13 @@ def _generate_verifier(program):
                 emit(f"    {children[0]}, = {args_var}")
             elif count > 1:
                 emit(f"    {', '.join(children)} = {args_var}")
+            if var != "root":
+                emit(f"    if depths[{var}] <= lim:")
+                emit(f"        s += ({var},)")
             stack.extend(reversed(children))
         elif tag == 1:
             name = entry[1]
-            if entry[2]:  # multi-occurrence: keys must agree
+            if entry[2]:  # multi-occurrence: keys and values agree
                 emit(f"    if kinds[{var}] != 1 or ops[{var}] != {name!r}:")
                 emit(f"        k = skey({var}, eqd)")
                 emit(f"        prev = vk.get({name!r})")
@@ -829,15 +818,24 @@ def _generate_verifier(program):
                 emit(f"            vk[{name!r}] = k")
                 emit("        elif prev != k:")
                 emit("            return None")
-            emit(f"    b[{name!r}] = vals[{var}]")
+                emit(f"    v = vals[{var}]")
+                emit(f"    p = b.get({name!r}, v)")
+                emit("    if p is not v and not _same_value(p, v):")
+                emit("        return None")
+                emit(f"    b[{name!r}] = v")
+            else:
+                emit(f"    b[{name!r}] = vals[{var}]")
         else:
             value = entry[1]
             if value != value or value in (math.inf, -math.inf):
                 return None  # non-finite literal: keep the interpreter
             emit(f"    if kinds[{var}] != 2 or vals[{var}] != {value!r}:")
             emit("        return None")
+    if has_suspects:
+        emit(f"    if s and not deep(root, {max_depth}).isdisjoint(s):")
+        emit("        return None")
     emit("    return b")
-    namespace: Dict[str, object] = {}
+    namespace: Dict[str, object] = {"_same_value": _same_value}
     exec("\n".join(lines), namespace)  # noqa: S102 — generated from our own AST
     return namespace["_verify"]
 

@@ -29,14 +29,12 @@ KIND_OPAQUE = "opaque"
 
 _leaf_counter = itertools.count()
 
-_EMPTY_FROZEN: frozenset = frozenset()
-
 
 class TraceNode:
     """An immutable node of the concrete-expression DAG."""
 
     __slots__ = ("kind", "op", "args", "value", "loc", "depth", "ident",
-                 "_keys", "levels")
+                 "_keys")
 
     def __init__(
         self,
@@ -56,13 +54,6 @@ class TraceNode:
         #: Lazy cache of structural keys by depth (nodes are immutable,
         #: so a key never changes once computed).
         self._keys: Optional[dict] = None
-        #: Optional per-distance descendant index maintained by
-        #: :class:`TracePool`: ``levels[d]`` is the frozenset of idents
-        #: of *operation* descendants at distance exactly ``d`` (0 =
-        #: the node itself).  Gives anti-unification its truncation
-        #: frontier — the nodes at depth ``max_depth + 1`` of a trace
-        #: rooted here are exactly ``levels[max_depth]`` — in O(1).
-        self.levels: Optional[tuple] = None
 
     def __repr__(self) -> str:
         if self.kind == KIND_OP:
@@ -211,7 +202,7 @@ class TracePool:
 
     The pool *is* the trace store: every trace is an integer ident
     indexing parallel flat arrays (kind, op name, argument idents,
-    value, source location, depth, distance index).  The hot path —
+    value, source location, depth).  The hot path —
     tracer callbacks, the kernel-result cache, the steady-state
     anti-unification walk — operates on idents and these arrays only;
     no :class:`TraceNode` objects are allocated per operation.
@@ -238,24 +229,18 @@ class TracePool:
       shadow *values* cached across runs keyed by the :attr:`epoch`
       counter.
 
-    The pool also maintains each op ident's ``levels`` distance index
-    (op descendants by exact distance, up to ``levels_depth``), which
-    hands the anti-unification walks their truncation frontier in O(1).
-    Depth bounds beyond ``levels_depth`` fall back to
-    :meth:`deep_marks`.
+    ``depths`` (the height of each ident's trace) doubles as the
+    anti-unification walks' truncation bound: an op ``max_depth`` edges
+    below a root has ``depths[op] <= depths[root] - max_depth``, so
+    only positions passing that test need the on-demand
+    :meth:`deep_marks` frontier walk.
     """
 
     __slots__ = ("kinds", "ops", "args", "values", "locs", "depths",
-                 "levels", "nodes", "epoch", "lanes",
-                 "_keys", "_consts", "_inputs", "_ints", "_ops_table",
-                 "_levels_depth", "_empty_tail")
+                 "nodes", "epoch", "lanes",
+                 "_keys", "_consts", "_inputs", "_ints", "_ops_table")
 
-    #: Cap on the per-ident distance index; configurations with a larger
-    #: ``max_expression_depth`` degrade to the walk, keeping per-ident
-    #: memory bounded.
-    MAX_LEVELS_DEPTH = 128
-
-    def __init__(self, levels_depth: int = 20) -> None:
+    def __init__(self) -> None:
         #: Parallel arrays indexed by ident.
         self.kinds: list = []
         self.ops: list = []          # op name / input name / None
@@ -263,7 +248,6 @@ class TracePool:
         self.values: list = []
         self.locs: list = []
         self.depths: list = []
-        self.levels: list = []       # distance index (op idents only)
         self.nodes: list = []        # lazily materialized TraceNodes
         #: Bumped by :meth:`begin_execution`; callers caching shadows
         #: of interned leaves key their caches by this.
@@ -277,9 +261,6 @@ class TracePool:
         self._inputs: dict = {}
         self._ints: dict = {}
         self._ops_table: dict = {}
-        depth = min(levels_depth, self.MAX_LEVELS_DEPTH)
-        self._levels_depth = depth
-        self._empty_tail = (frozenset(),) * depth
 
     def __len__(self) -> int:
         """Number of live entries (this execution's unique nodes)."""
@@ -299,7 +280,6 @@ class TracePool:
         self.values.clear()
         self.locs.clear()
         self.depths.clear()
-        self.levels.clear()
         self.nodes.clear()
         self._keys.clear()
         self._consts.clear()
@@ -348,7 +328,6 @@ class TracePool:
             depths.append(depths[arg_idents[0]] + 1)
         else:
             depths.append(1 + max(depths[a] for a in arg_idents))
-        self.levels.append(None)
         self.nodes.append(None)
         return ident
 
@@ -428,56 +407,7 @@ class TracePool:
         ident = self._ops_table[key] = self._append(
             P_OP, op, arg_idents, value, loc
         )
-        self.levels[ident] = self._build_levels(ident, arg_idents)
         return ident
-
-    def _build_levels(self, ident: int, arg_idents: tuple) -> tuple:
-        """The per-distance op-descendant index of a fresh op ident."""
-        head = (frozenset((ident,)),)
-        kinds = self.kinds
-        all_levels = self.levels
-        op_levels = [
-            all_levels[a] for a in arg_idents if kinds[a] == P_OP
-        ]
-        if not op_levels:
-            return head + self._empty_tail
-        depth = self._levels_depth
-        if len(op_levels) == 1:
-            # Chains (one op argument) shift the argument's index by
-            # one distance — a tuple slice, no set is rebuilt.
-            return head + op_levels[0][:depth]
-        if len(op_levels) == 2:
-            # A distance index has no gaps (an op at distance d implies
-            # op ancestors at every smaller distance), so each side's
-            # nonempty sets form a prefix: union while both prefixes
-            # run, then the deeper side passes through by slice.  The
-            # dominant shape — a loop accumulator merged with a shallow
-            # term — unions one distance and slices the rest.
-            left, right = op_levels
-            merged = []
-            k = 0
-            while k < depth:
-                ls = left[k]
-                rs = right[k]
-                if ls and rs:
-                    merged.append(ls | rs)
-                    k += 1
-                    continue
-                rest = left[k:depth] if ls else right[k:depth]
-                return head + tuple(merged) + rest
-            return head + tuple(merged)
-        merged = []
-        for distance in range(depth):
-            sets = [
-                levels[distance] for levels in op_levels if levels[distance]
-            ]
-            if not sets:
-                merged.append(_EMPTY_FROZEN)
-            elif len(sets) == 1:
-                merged.append(sets[0])
-            else:
-                merged.append(frozenset().union(*sets))
-        return head + tuple(merged)
 
     # ------------------------------------------------------------------
     # Ident-based walks (the hot-path views the fused pipeline uses)
@@ -545,9 +475,9 @@ class TracePool:
 
     def deep_marks(self, ident: int, max_depth: int) -> set:
         """Idents at the truncation frontier (depth ``max_depth + 1``)
-        of the trace rooted at ``ident`` — the array mirror of
-        :meth:`repro.core.antiunify.Generalization._deep_marks`, used
-        when the distance index is capped below the depth bound."""
+        of the trace rooted at ``ident``: the op idents some path of
+        exactly ``max_depth`` edges reaches — the array mirror of
+        :meth:`repro.core.antiunify.Generalization._deep_marks`."""
         marked: set = set()
         kinds = self.kinds
         if kinds[ident] != P_OP:
@@ -583,7 +513,7 @@ class TracePool:
         """Materialize the full structured node of ``ident`` (memoized).
 
         The node carries the *pool* ident (overriding the global leaf
-        counter), its pooled depth, and the distance index, so every
+        counter) and its pooled depth, so every
         consumer of materialized nodes — structural keys, escalator
         memos, merge memos — sees one consistent identity space.
         """
@@ -614,7 +544,6 @@ class TracePool:
                 loc=locs[cur],
             )
             node.ident = cur
-            node.levels = self.levels[cur]
             nodes[cur] = node
             stack.pop()
         return nodes[ident]

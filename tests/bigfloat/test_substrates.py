@@ -8,6 +8,7 @@ kernels wherever its provider cannot honour the request (no libraries,
 unsupported rounding mode, failed self-check).
 """
 
+import logging
 import math
 import random
 
@@ -20,6 +21,7 @@ from repro.bigfloat import (
     arith,
     available_substrates,
     get_backend,
+    substrate_fallbacks,
     substrate_provider,
 )
 from repro.bigfloat import backend as backend_mod
@@ -323,3 +325,51 @@ class TestCbrtRegression:
                          .to_float())
             expected = math.copysign(abs(value) ** (1.0 / 3.0), value)
             assert ours == pytest.approx(expected, rel=1e-14), value
+
+
+class TestFallbackReasons:
+    PROVIDERS = ["gmpy2", "mpmath"]
+
+    def test_failed_self_check_is_recorded_and_logged(
+        self, monkeypatch, caplog
+    ):
+        def broken(provider):
+            raise AssertionError(f"injected failure for {provider.name}")
+
+        monkeypatch.setattr(backend_mod, "_run_self_check", broken)
+        with caplog.at_level(logging.INFO, logger="repro.bigfloat"):
+            backend = backend_mod.NativeBackend()
+        assert backend.provider == "python"
+        assert sorted(backend.skipped) == self.PROVIDERS
+        for name, reason in backend.skipped.items():
+            # Either the library is absent or it loaded and failed.
+            assert reason.startswith(
+                ("ImportError: ", "ModuleNotFoundError: ")
+            ) or reason == (
+                f"self-check failed: AssertionError: "
+                f"injected failure for {name}"
+            )
+            assert f"skips {name}: {reason}" in caplog.text
+        x = BigFloat.from_float(2.5)
+        assert backend.apply("log", [x], CONTEXT).key() == \
+            PYTHON.apply("log", [x], CONTEXT).key()
+
+    def test_mpmath_self_check_failure_names_the_exception(
+        self, monkeypatch
+    ):
+        pytest.importorskip("mpmath")
+
+        def broken(provider):
+            raise ValueError("log disagrees")
+
+        monkeypatch.setattr(backend_mod, "_run_self_check", broken)
+        backend = backend_mod.NativeBackend()
+        assert backend.skipped["mpmath"] == \
+            "self-check failed: ValueError: log disagrees"
+
+    def test_accessor_lists_providers_tried_before_the_serving_one(self):
+        assert substrate_fallbacks("python") == {}
+        provider = substrate_provider("native")
+        tried = self.PROVIDERS[:self.PROVIDERS.index(provider)] \
+            if provider in self.PROVIDERS else self.PROVIDERS
+        assert sorted(substrate_fallbacks("native")) == tried

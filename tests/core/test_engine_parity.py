@@ -29,6 +29,39 @@ class TestCorpusParity:
             corpus_json("reference", policy)
 
 
+class TestDepthBoundParity:
+    """Parity at the expression-depth bounds of Figures 5c/5d.
+
+    The anti-unifier's truncation frontier moves with
+    ``max_expression_depth``; loop traces are far deeper than any of
+    these bounds, and 200 is far above every straight-line trace.
+    """
+
+    STRAIGHT_LINE = ("paper-csqrt-imag", "quad-root-sum", "kepler2")
+
+    @staticmethod
+    def depth_json(engine, policy, depth):
+        cores = [
+            core for core in load_corpus()
+            if core.properties.get("herbgrind-family") == "loops"
+            or core.name in TestDepthBoundParity.STRAIGHT_LINE
+        ]
+        config = AnalysisConfig(
+            precision_policy=policy, engine=engine,
+            max_expression_depth=depth,
+        )
+        session = AnalysisSession(
+            config=config, num_points=2, seed=13, result_cache_size=0
+        )
+        return results_to_json(session.analyze_batch(cores, workers=1))
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 200])
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    def test_byte_identical_at_depth_bound(self, policy, depth):
+        assert self.depth_json("compiled", policy, depth) == \
+            self.depth_json("reference", policy, depth)
+
+
 class TestBatchParity:
     def test_worker_pool_matches_sequential_reference(self):
         corpus = load_corpus()[:12]

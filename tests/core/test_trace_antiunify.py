@@ -256,3 +256,25 @@ class TestCollectVariableValues:
         assert isinstance(expr.args[1], Var)
         inner_x = expr.args[0].args[0].args[0].args[0]
         assert inner_x == expr.args[1]
+
+    def test_fast_path_bindings_match_collect(self):
+        """A variable bound to two values at once: the fast path must
+        report what ``collect_variable_values`` reports, not the value
+        its own walk happened to visit last."""
+        x = input_leaf(2.5, 1)
+        first = op_node("*", (op_node("-", (x, x), 0.0, None), x), 0.0, None)
+        y = input_leaf(2.5, 1)
+        second = op_node(
+            "*",
+            (op_node("-", (y, const_leaf(0.5)), 2.0, None), y),
+            5.0, None,
+        )
+        results = {}
+        for fast in (False, True):
+            g = Generalization(fast=fast)
+            g.update_with_bindings(first)
+            expr, bindings = g.update_with_bindings(second)
+            results[fast] = (str(expr), bindings)
+        # The x1 facing 0.5 keeps its name (one sub-tree per update).
+        assert results[False] == ("(* (- x1 x1) x1)", {"x1": 0.5})
+        assert results[True] == results[False]
