@@ -54,6 +54,7 @@ from repro.api.sampling import (
     sample_box,
     sample_inputs,
     sample_range,
+    sampler_precondition_errors,
 )
 from repro.api.session import AnalysisSession, ResultCache, request_digest
 from repro.api.store import ShardedResultStore
@@ -86,4 +87,5 @@ __all__ = [
     "sample_box",
     "sample_inputs",
     "sample_range",
+    "sampler_precondition_errors",
 ]

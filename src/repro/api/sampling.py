@@ -13,6 +13,7 @@ range itself, so values near zero remain reachable.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +31,31 @@ DEFAULT_RANGE = (-1e9, 1e9)
 #: Fraction of draws steered into static hotspot bands when a
 #: ``hotspots`` map is supplied (the rest keep baseline coverage).
 HOTSPOT_MIX = 0.5
+
+logger = logging.getLogger("repro.api.sampling")
+
+#: (program, exception type) -> :pre evaluations that raised; see
+#: :func:`sampler_precondition_errors`.
+_precondition_errors: Dict[Tuple[str, str], int] = {}
+
+
+def sampler_precondition_errors() -> Dict[Tuple[str, str], int]:
+    """How often evaluating a program's :pre raised, per exception type.
+
+    Keys are ``(program name, exception type name)``; counts cover the
+    whole process.  Such a draw is rejected like one that fails the
+    precondition, but is counted here rather than silently.
+    """
+    return dict(_precondition_errors)
+
+
+def _record_precondition_error(program: str, error: Exception) -> None:
+    key = (program, type(error).__name__)
+    count = _precondition_errors.get(key, 0)
+    if count == 0:
+        logger.info("%s: :pre evaluation raised %s: %s (draw rejected)",
+                    program, key[1], error)
+    _precondition_errors[key] = count + 1
 
 
 class EmptyRangeError(InvalidInputError):
@@ -200,7 +226,8 @@ def sample_inputs(
             env = dict(zip(core.arguments, point))
             try:
                 acceptable = bool(eval_double(core.pre, env))
-            except Exception:
+            except Exception as error:
+                _record_precondition_error(core.name or "<unnamed>", error)
                 acceptable = False
             if not acceptable:
                 rejections += 1

@@ -32,13 +32,13 @@ the range where relative bounds break down (subnormals).  Callers treat
 never guesses.
 
 When a kernel *can* certify that its result is the mathematically exact
-value (not merely within bound), it says so: the error-free cases (pure
-double addition, in-range pure double products, exact square roots, ...)
-keep drift at ``EXACT`` so loop counters and scale factors never force
-escalation.  Exactness claims additionally require the result to fit the
-full-precision oracle tier (see :func:`fits_precision`): a value the
-full tier would have to round may not be claimed exact, or reports could
-diverge between tiers.
+value (not merely within bound), it says so: the error-free cases (sums
+whose renormalization never rounds, in-range pure double products, exact
+square roots, ...) keep drift at ``EXACT`` so loop counters, accumulators
+and scale factors never force escalation.  Exactness claims additionally
+require the result to fit the full-precision oracle tier (see
+:func:`fits_precision`): a value the full tier would have to round may
+not be claimed exact, or reports could diverge between tiers.
 """
 
 from __future__ import annotations
@@ -135,7 +135,20 @@ def two_prod(a: float, b: float) -> Tuple[float, float]:
 def dd_add(
     xh: float, xl: float, yh: float, yl: float
 ) -> Optional[Tuple[float, float, bool]]:
-    """AccurateDWPlusDW: relative error <= 3u^2, valid under cancellation."""
+    """AccurateDWPlusDW: relative error <= 3u^2, valid under cancellation.
+
+    The result is flagged exact iff the kernel's two rounded sums
+    ``c = RN(sl + th)`` and ``w = RN(tl + vl)`` have zero TwoSum errors
+    ``ce`` and ``we``.  Its other steps (two TwoSums, two FastTwoSums)
+    are error-free under the preconditions its 3u^2 bound relies on
+    (Joldes, Muller & Popescu 2017, AccurateDWPlusDW), so
+    ``zh + zl == xh + xl + yh + yl - ce - we`` exactly.  Accumulators
+    such as ``acc + 0.1``, whose partial sums fit a double-double, thus
+    keep EXACT drift after ``acc`` grows a low word.  TwoSum is
+    error-free on subnormals too, so an exact sum needs no underflow
+    guard.  The error terms leave ``(zh, zl)`` unchanged: TwoSum's sum
+    is the same ``RN(a + b)`` as a plain add.
+    """
     # Zero operands first: the renormalization steps below run through
     # hardware additions like (-0.0) + (+0.0) that erase zero signs, so
     # the IEEE sign rules are applied on the raw components instead.
@@ -145,21 +158,33 @@ def dd_add(
         return yh, yl, True
     if yh == 0.0 and yl == 0.0:
         return xh, xl, True
-    sh, sl = two_sum(xh, yh)
+    # The TwoSum / FastTwoSum steps are spelled out inline: this is the
+    # hottest pair kernel, and six helper calls cost more than the
+    # arithmetic.  Same operations in the same order, so same results.
+    sh = xh + yh  # (sh, sl) = TwoSum(xh, yh)
     if sh - sh != 0.0:  # inf or nan: overflow, or nonfinite input
         return None
-    th, tl = two_sum(xl, yl)
-    c = sl + th
-    vh, vl = quick_two_sum(sh, c)
-    w = tl + vl
-    zh, zl = quick_two_sum(vh, w)
+    bb = sh - xh
+    sl = (xh - (sh - bb)) + (yh - bb)
+    th = xl + yl  # (th, tl) = TwoSum(xl, yl)
+    bb = th - xl
+    tl = (xl - (th - bb)) + (yl - bb)
+    c = sl + th  # (c, ce) = TwoSum(sl, th)
+    bb = c - sl
+    ce = (sl - (c - bb)) + (th - bb)
+    vh = sh + c  # (vh, vl) = FastTwoSum(sh, c)
+    vl = c - (vh - sh)
+    w = tl + vl  # (w, we) = TwoSum(tl, vl)
+    bb = w - tl
+    we = (tl - (w - bb)) + (vl - bb)
+    zh = vh + w  # (zh, zl) = FastTwoSum(vh, w)
+    zl = w - (zh - vh)
     if zh - zh != 0.0:
         return None
-    if xl == 0.0 and yl == 0.0:
-        # TwoSum is error-free: (sh, sl) is exactly xh + yh, and the
-        # remaining steps only renormalize it.  Exact cancellation comes
-        # out +0.0 here, matching the working tier's round-to-nearest
-        # cancellation rule.
+    if ce == 0.0 and we == 0.0:
+        # No rounding anywhere: (zh, zl) is exactly x + y.  Exact
+        # cancellation comes out +0.0 here, matching the working tier's
+        # round-to-nearest cancellation rule.
         return zh, zl, True
     if zh != 0.0 and -_TINY < zh < _TINY:
         # Inexact result in the deep-underflow range: the relative

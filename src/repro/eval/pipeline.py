@@ -16,6 +16,7 @@ sample points are drawn (Figure 5b):
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass, field
@@ -40,6 +41,8 @@ from repro.core.records import OpRecord
 from repro.eval.oracle import OracleVerdict, oracle_judge
 from repro.fpcore.ast import FPCore, free_variables
 from repro.improve import ImprovementResult, SearchSettings, improve_expression
+
+logger = logging.getLogger("repro.eval.pipeline")
 
 #: Blind sampling box used when characteristics are unavailable.
 DEFAULT_RANGE = (-1e9, 1e9)
@@ -122,6 +125,10 @@ class BenchmarkOutcome:
     reported_count: int
     best_improvement: Optional[ImprovementResult]
     improved_expression: Optional[str] = None
+    #: Improvement searches that raised, one
+    #: ``"<site>: <ExcType>: <message>"`` entry each; such a cause
+    #: counts as not improvable.
+    improvement_errors: List[str] = field(default_factory=list)
 
     @property
     def herbgrind_improvable(self) -> bool:
@@ -160,6 +167,7 @@ def evaluate_benchmark(
     causes = analysis.reported_root_causes()
     best: Optional[ImprovementResult] = None
     best_text: Optional[str] = None
+    errors: List[str] = []
     for record in causes[:max_causes]:
         expression = record.symbolic_expression
         if expression is None:
@@ -173,7 +181,12 @@ def evaluate_benchmark(
             result = improve_expression(
                 expression, variables, points, settings=settings
             )
-        except Exception:
+        except Exception as error:
+            site = record.loc or f"site {record.site_id}"
+            message = f"{site}: {type(error).__name__}: {error}"
+            logger.warning("improvement search failed in %s: %s",
+                           core.name or "<anonymous>", message)
+            errors.append(message)
             continue
         if best is None or result.improvement > best.improvement:
             best = result
@@ -189,6 +202,7 @@ def evaluate_benchmark(
         reported_count=len(causes),
         best_improvement=best,
         improved_expression=best_text,
+        improvement_errors=errors,
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the shared sampler and precondition-box extraction."""
 
+import logging
 import math
 import multiprocessing
 import random
@@ -12,6 +13,7 @@ from repro.api.sampling import (
     sample_box,
     sample_inputs,
     sample_range,
+    sampler_precondition_errors,
 )
 from repro.fpcore import parse_fpcore
 
@@ -153,6 +155,42 @@ class TestSampleInputs:
         c = sample_inputs(core, 8, seed=43)
         assert a == b
         assert a != c
+
+
+class TestPreconditionErrors:
+    def test_raising_pre_is_counted_and_logged_once(self, caplog):
+        # The clause names an unbound variable, so evaluating it raises
+        # on the half of the box where the `or` does not short-circuit.
+        raising = parse_fpcore(
+            "(FPCore half-raising (x)"
+            " :pre (and (<= -1 x 1) (or (< x 0) (< z 1))) x)"
+        )
+        rejecting = parse_fpcore(
+            "(FPCore half-rejecting (x) :pre (and (<= -1 x 1) (< x 0)) x)"
+        )
+        key = ("half-raising", "EvaluationError")
+        assert key not in sampler_precondition_errors()  # unique name
+        with caplog.at_level(logging.INFO, logger="repro.api.sampling"):
+            points = sample_inputs(raising, 20, seed=5)
+            again = sample_inputs(raising, 20, seed=5)
+        # A raising draw is rejected exactly like a failing one: the
+        # RNG sequence and the accepted points are unchanged.
+        assert points == again == sample_inputs(rejecting, 20, seed=5)
+        raised = sampler_precondition_errors()[key]
+        assert raised > 2 and raised % 2 == 0  # same draws both runs
+        logged = [r for r in caplog.records
+                  if r.name == "repro.api.sampling"
+                  and "half-raising" in r.getMessage()]
+        assert len(logged) == 1 and logged[0].levelno == logging.INFO
+        assert "EvaluationError" in logged[0].getMessage()
+
+    def test_plain_rejections_are_not_counted(self):
+        core = parse_fpcore(
+            "(FPCore never-raising (x) :pre (and (<= 0 x 10) (< 5 x)) x)"
+        )
+        sample_inputs(core, 20, seed=0)
+        assert not any(program == "never-raising"
+                       for program, __ in sampler_precondition_errors())
 
 
 def _sample_in_subprocess(args):

@@ -50,8 +50,10 @@ from repro.bigfloat.doubledouble import (
     dd_mul,
     dd_neg,
     dd_sqrt,
+    dd_sub,
     fits_precision,
     from_double,
+    quick_two_sum,
     two_prod,
     two_sum,
 )
@@ -204,8 +206,29 @@ class TestDirectedEdges:
         assert (zh, zl, exact) == (5.0, 1e-20, True)
 
     def test_exact_cancellation_is_positive_zero(self):
-        zh, zl, exact = dd_add(1.5, 0.0, -1.5, 0.0)
-        assert bits(zh) == bits(0.0) and zl == 0.0 and exact
+        tiny = math.ldexp(1.0, -60)
+        for zh, zl, exact in (dd_add(1.5, 0.0, -1.5, 0.0),
+                              dd_add(1.0, tiny, -1.0, -tiny),
+                              dd_sub(1.0, tiny, 1.0, tiny),
+                              dd_sub(-1.0, -tiny, -1.0, -tiny)):
+            assert bits(zh) == bits(0.0) and zl == 0.0 and exact
+
+    def test_tenth_accumulator_stays_exact(self):
+        # Every partial sum k * RN(0.1) fits a double-double, including
+        # the steps where the accumulator already carries a low word.
+        for kernel, step in ((dd_add, 0.1), (dd_sub, -0.1)):
+            hi, lo = 0.0, 0.0
+            for k in range(1, 5001):
+                hi, lo, exact = kernel(hi, lo, step, 0.0)
+                assert exact, (kernel, k, hi, lo)
+            assert frac(hi, lo) == 5000 * Fraction(0.1)
+            assert lo != 0.0
+
+    def test_rounded_pair_sum_is_not_exact(self):
+        # 1 + 2**-200 + 2**-400 needs more than 106 significant bits.
+        zh, zl, exact = dd_add(1.0, math.ldexp(1.0, -200),
+                               math.ldexp(1.0, -400), 0.0)
+        assert (zh, zl) == (1.0, math.ldexp(1.0, -200)) and not exact
 
     def test_zero_products_keep_ieee_sign(self):
         zh, zl, exact = dd_mul(-0.0, 0.0, 7.0, 0.0)
@@ -264,6 +287,46 @@ class TestDirectedEdges:
         assert bits(zh) == bits(0.0) and exact
 
 
+def accurate_dw_plus_dw(xh, xl, yh, yl):
+    """AccurateDWPlusDW with plain rounded sums for ``c`` and ``w``: the
+    pair the kernel must return for nonzero operands, whatever its flag
+    says."""
+    sh, sl = two_sum(xh, yh)
+    th, tl = two_sum(xl, yl)
+    c = sl + th
+    vh, vl = quick_two_sum(sh, c)
+    w = tl + vl
+    return quick_two_sum(vh, w)
+
+
+@st.composite
+def add_operands(draw):
+    """Two normalized pairs shaped toward the add kernel's exactness
+    corners: wide exponent gaps, subnormal components, and ``x + (-x)``
+    with nonzero (possibly perturbed) low words.  Integer significands
+    make exact sums common, so both flag outcomes are exercised."""
+
+    def pair(exponent):
+        hi = math.ldexp(draw(st.integers(-2 ** 53, 2 ** 53)), exponent)
+        lo = math.ldexp(draw(st.integers(-2 ** 20, 2 ** 20)),
+                        exponent - draw(st.integers(1, 60)))
+        return two_sum(hi, lo)
+
+    shape = draw(st.sampled_from(["gap", "subnormal", "negation"]))
+    if shape == "subnormal":
+        return (*pair(draw(st.integers(-1130, -1030))),
+                *pair(draw(st.integers(-1130, -1030))))
+    exponent = draw(st.integers(-900, 900))
+    xh, xl = pair(exponent)
+    if shape == "gap":
+        return (xh, xl, *pair(exponent - draw(st.integers(0, 160))))
+    yl = -xl
+    if draw(st.booleans()):
+        yl += math.ldexp(draw(st.integers(-2 ** 10, 2 ** 10)),
+                         exponent - draw(st.integers(54, 120)))
+    return (xh, xl, *two_sum(-xh, yl))
+
+
 class TestExactnessHonesty:
     """`exact=True` must mean bit-exact in Fraction arithmetic —
     sweeping the operand shapes most likely to produce a false claim."""
@@ -304,6 +367,26 @@ class TestExactnessHonesty:
                     assert frac(zh, zl) == truth, (op, xh, yh)
         # The sweep must actually exercise exact claims to mean much.
         assert all(count > 100 for count in claims.values()), claims
+
+    @given(add_operands())
+    @settings(max_examples=600)
+    def test_pair_sum_flags_never_lie(self, operands):
+        # The add kernel derives its flag from its own rounding errors,
+        # so pairs with low words can be claimed exact too; the pair it
+        # returns must still be the plain AccurateDWPlusDW result.
+        xh, xl, yh, yl = operands
+        for kernel, sign in ((dd_add, 1), (dd_sub, -1)):
+            outcome = kernel(xh, xl, yh, yl)
+            if outcome is None:
+                continue
+            zh, zl, exact = outcome
+            if exact:
+                truth = frac(xh, xl) + sign * frac(yh, yl)
+                assert frac(zh, zl) == truth, (kernel, operands)
+            if (xh, xl) != (0.0, 0.0) and (yh, yl) != (0.0, 0.0):
+                expected = accurate_dw_plus_dw(xh, xl, sign * yh, sign * yl)
+                assert (bits(zh), bits(zl)) == tuple(map(bits, expected)), \
+                    (kernel, operands)
 
 
 class TestFitsPrecision:

@@ -18,7 +18,7 @@ from repro.core import AnalysisConfig, analyze_program
 from repro.core.shadow import ShadowEscalator
 from repro.core import trace as trace_mod
 from repro.bigfloat.policy import AdaptivePrecisionPolicy
-from repro.fpcore import load_corpus, parse_fpcore
+from repro.fpcore import corpus_by_name, load_corpus, parse_fpcore
 from repro.machine import compile_fpcore
 
 FIXED = AnalysisConfig(shadow_precision=1000)
@@ -109,6 +109,30 @@ class TestEscalation:
         session = AnalysisSession(config=ADAPTIVE, num_points=4)
         result = session.analyze(source)
         assert result.raw.policy.stats["escalations"] == 0
+
+    def test_exact_accumulator_never_escalates(self):
+        # Every partial sum k * 0.1 fits a double-double exactly, so the
+        # pair kernel certifies each `+ 0.1` exact and the accumulator
+        # keeps EXACT drift: no rounding escalation, no working-tier
+        # re-execution (a low-word-only exactness test gave 74).
+        core = corpus_by_name()["loop-tenth-accumulate"]
+        hw_on, hw_off = (
+            AnalysisConfig(shadow_precision=1000,
+                           precision_policy="adaptive", hw_tier=flag)
+            for flag in (True, False)
+        )
+        reports = {}
+        for name, config in (("adaptive", hw_on), ("fixed", FIXED),
+                             ("hw-off", hw_off)):
+            result = AnalysisSession(config=config, num_points=8,
+                                     seed=0).analyze(core)
+            reports[name] = result.to_json()
+            if name == "adaptive":
+                residency = result.raw.tier_residency()
+        assert residency["hw_kernel_ops"] > 0
+        assert residency["escalation_rounding"] == 0
+        assert residency["working_certified"] == 0
+        assert reports["adaptive"] == reports["fixed"] == reports["hw-off"]
 
     def test_branch_divergence_matches_fixed(self):
         # The PID drift phenomenon reduced to a benchmark: t drifts

@@ -1,5 +1,7 @@
 """Tests for the Section 8.1 oracle and evaluation pipeline."""
 
+import logging
+
 import pytest
 
 from repro.core import AnalysisConfig
@@ -107,6 +109,38 @@ class TestEvaluateBenchmark:
         assert not outcome.oracle.has_significant_error
         assert not outcome.herbgrind_detected
         assert outcome.reported_count == 0
+
+    def test_improvement_errors_are_recorded(self, monkeypatch, caplog):
+        from repro.eval import pipeline
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("search exploded")
+
+        monkeypatch.setattr(pipeline, "improve_expression", broken)
+        core = parse_fpcore(
+            '(FPCore (x) :name "t" :pre (<= 1 x 1e12)'
+            " (- (sqrt (+ x 1)) (sqrt x)))"
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.eval.pipeline"):
+            outcome = evaluate_benchmark(core, config=FAST, num_points=10)
+        assert outcome.reported_count >= 1
+        assert not outcome.herbgrind_improvable
+        assert outcome.improvement_errors
+        for entry in outcome.improvement_errors:
+            site, exc_type, message = entry.split(": ", 2)
+            assert site and exc_type == "RuntimeError"
+            assert message == "search exploded"
+        warnings = [r for r in caplog.records
+                    if r.name == "repro.eval.pipeline"]
+        assert len(warnings) == len(outcome.improvement_errors)
+        assert all(r.levelno == logging.WARNING for r in warnings)
+
+    def test_clean_search_records_no_errors(self):
+        core = parse_fpcore(
+            '(FPCore (x) :name "c" :pre (<= 1 x 10) (* (+ x 1) 2))'
+        )
+        outcome = evaluate_benchmark(core, config=FAST, num_points=6)
+        assert outcome.improvement_errors == []
 
     def test_suite_summary_counts(self):
         corpus = [
