@@ -177,6 +177,7 @@ class HerbgrindBackend(AnalysisBackend):
             profile = analysis.stage_counters.to_dict()
             profile["kernel_cache_hits"] = analysis.kernel_cache_hits
             profile["kernel_cache_misses"] = analysis.kernel_cache_misses
+            profile["memo_hits"] = analysis.memo_hits
             profile["tier_residency"] = analysis.tier_residency()
             extra["pipeline_profile"] = profile
         return AnalysisResult(

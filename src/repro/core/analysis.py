@@ -86,6 +86,13 @@ def _batched_default() -> bool:
 _DEADLINE_CHECK_MASK = 255
 
 
+#: Trace-pool epoch cap.  One pool epoch normally spans a whole
+#: analysis, so idents (and every cache keyed by them) stay valid from
+#: one sampled point to the next; the pool is reset only at a run
+#: boundary, and only once it holds more than this many idents.
+POOL_EPOCH_IDENTS = 1 << 14
+
+
 #: Double-double kernels by operation (the generic analysis path);
 #: the fused/batched closures resolve from the same tables per site.
 _DD_UNARY = {"sqrt": dd_sqrt, "neg": dd_neg, "fabs": dd_abs}
@@ -221,6 +228,12 @@ class PipelineStageCounters:
     :attr:`EngineFeatures.profile` is set.  ``fused_ops`` counts
     operations analysed by site-compiled callbacks, ``generic_ops``
     those that went through the generic ``_analyse_operation`` walk.
+    Both count *executed* operations, as do the anti-unification and
+    characteristic counters.  The shadow-stage counters
+    (``kernel_evals``, ``trace_interned``, the error, compensation and
+    tier counters) count *computed* ones: a fused op whose ident is
+    memoized in the pool (:attr:`HerbgrindAnalysis.memo_hits`) skips
+    those stages.
     """
 
     __slots__ = ("fused_ops", "generic_ops", "kernel_evals",
@@ -307,6 +320,9 @@ class HerbgrindAnalysis(Tracer):
         #: BigFloat working tier (kernel bail-out or uncovered op).
         self.hw_kernel_ops = 0
         self.hw_promotions = 0
+        #: Fused operations served from the pool's per-ident memo
+        #: (their shadow stages skipped; see TracePool.memo).
+        self.memo_hits = 0
         #: Per-analysis resource budgets, or None (the common case —
         #: the per-op tick must cost nothing when no budget is set).
         self._guard: Optional[ResourceGuard] = (
@@ -358,15 +374,13 @@ class HerbgrindAnalysis(Tracer):
         #: Cached shadow state of interned constant leaves, reusable
         #: across executions because everything in it is
         #: value-determined; entries are (pool epoch, value bits,
-        #: shadow) and are refreshed per run with a new ident.
+        #: shadow) and get a new ident when the pool starts a new epoch.
         self._leaf_shadows: Dict[int, tuple] = {}
         #: Kernel-result cache: (op, operand trace idents) -> shadow
         #: real.  Sound because the pool interns entries (same idents
         #: => same shadow reals at the analysis context precision)
-        #: *within one execution*; the pool recycles idents every run,
-        #: so the per-run clear in :meth:`on_start` is load-bearing — a
-        #: stale entry under a recycled ident would alias a different
-        #: value.
+        #: within one pool epoch; it is cleared whenever the pool
+        #: starts a new epoch, since idents then restart from zero.
         self._kernel_cache: Optional[Dict[tuple, BigFloat]] = (
             {} if (self.pool is not None and self.features.kernel_cache)
             else None
@@ -543,55 +557,62 @@ class HerbgrindAnalysis(Tracer):
     # ------------------------------------------------------------------
 
     def on_start(self, interpreter: Interpreter) -> None:
-        self.runs += 1
         if self._guard is not None:
             self._guard.check_deadline()
-        self.escalator.reset()
-        if self.pool is not None:
-            # A previous run that aborted (MachineError, user
-            # interrupt) never reached on_finish; its pending idents
-            # are still valid against the current arrays — materialize
-            # them before the reset recycles every ident.
-            self._materialize_pending()
-            self.pool.begin_execution()
-        if self._kernel_cache is not None:
-            # Load-bearing: begin_execution() recycled every ident, so
-            # an entry surviving this clear could be hit by an
-            # unrelated value's recycled ident next run.
-            self._kernel_cache.clear()
+        self._begin_run()
 
     def on_batch_start(self, machine, lanes: int) -> None:
         """One uniform sub-batch of ``lanes`` lockstep points begins.
 
-        A sub-batch shares a single pool/escalator epoch: leaf idents
-        are value-keyed and memo entries are pure functions of their
-        idents, so lanes can only *warm* each other's caches, never
-        perturb each other's values.  ``runs`` still counts epochs here;
-        the batch driver pins it to the point count afterwards so the
-        externally observable run count matches the sequential loop.
+        The lanes run inside the current pool/escalator epoch like any
+        sequential run: leaf idents are value-keyed and memo entries
+        are pure functions of their idents, so lanes can only *warm*
+        each other's caches, never perturb each other's values.
+        ``runs`` counts sub-batches here; the batch driver pins it to
+        the point count afterwards so the externally observable run
+        count matches the sequential loop.
         """
-        self.runs += 1
-        self.escalator.begin_batch(lanes)
-        if self.pool is not None:
-            # Same pending sweep as on_start: an aborted predecessor's
-            # idents are still valid until the reset below.
-            self._materialize_pending()
-            self.pool.begin_batch(lanes)
-        if self._kernel_cache is not None:
-            self._kernel_cache.clear()
+        self._begin_run()
         self.batched_groups += 1
         self.batched_lanes += lanes
 
+    def _begin_run(self) -> None:
+        """A run boundary: keep the pool epoch unless it is full.
+
+        Idents stay valid across runs, so the pool, its memo column,
+        the kernel cache and the escalator memos — all keyed by idents
+        — persist for the whole analysis.  Only once the pool holds
+        more than :data:`POOL_EPOCH_IDENTS` idents are they reset, all
+        together.
+        """
+        self.runs += 1
+        pool = self.pool
+        if pool is None:
+            # Structured nodes never share idents across runs; the
+            # per-run reset only bounds the escalator's memory.
+            self.escalator.reset()
+            return
+        # A previous run that aborted (MachineError, user interrupt)
+        # never reached on_finish; its pending idents are still valid
+        # against the current arrays — materialize them first.
+        self._materialize_pending()
+        if len(pool) > POOL_EPOCH_IDENTS:
+            pool.begin_execution()
+            self.escalator.reset()
+            if self._kernel_cache is not None:
+                self._kernel_cache.clear()
+
     def on_finish(self, interpreter: Interpreter) -> None:
         """End of one execution: persist the structured view of every
-        record's last trace before the pool's idents are recycled.
+        record's last trace while its idents are valid (a later run may
+        start a new pool epoch, which reuses them).
 
         The materialization is capped one level past the expression
         depth bound — exactly what :meth:`OpRecord.node_locations`
         can observe — so its cost is bounded by the symbolic
         expressions, not the run's trace DAG.  Aborted runs (an
-        exception skips this callback) are swept by the next
-        :meth:`on_start` while their idents are still valid; only a
+        exception skips this callback) are swept at the next run start
+        while their idents are still valid; only a
         run aborted and never followed by another leaves its records'
         structured traces at the previous completed run's.
         """
@@ -625,11 +646,11 @@ class HerbgrindAnalysis(Tracer):
         # One dict hit in the warm case: a Const instruction always
         # produces the same value, so its shadow is a pure function of
         # the instruction (loop bodies replay these endlessly).  The
-        # entry is epoch-stamped: the pool recycles idents each run, so
-        # a stale shadow is re-interned (reusing its value-determined
-        # BigFloat state) instead of leaking a dead ident, and the bits
-        # in the key keep a recycled instruction id from aliasing a
-        # different constant.
+        # entry is epoch-stamped: when the pool starts a new epoch its
+        # idents restart, so a stale shadow is re-interned (reusing its
+        # value-determined BigFloat state) instead of leaking a dead
+        # ident, and the bits in the key keep a recycled instruction id
+        # from aliasing a different constant.
         epoch = pool.epoch
         bits = _double_bits(box.value)
         entry = self._leaf_shadows.get(id(instr))
@@ -993,9 +1014,11 @@ class HerbgrindAnalysis(Tracer):
             and self.backend.double_handlers.get(op) is fn_double
         )
         # Warm-path inlining of the pool's interning probe: the table
-        # object survives begin_execution (clear(), not reassignment).
+        # and memo objects survive begin_execution (clear(), not
+        # reassignment).
         ops_table = pool._ops_table
         new_op = pool.new_op
+        memo = pool.memo
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
         shadow_of = self._shadow
@@ -1019,45 +1042,6 @@ class HerbgrindAnalysis(Tracer):
                 sb = shadow_of(b)
             ta = sa.trace
             tb = sb.trace
-            # --- kernel stage -----------------------------------------
-            real = None
-            exact_op = False
-            if hw:
-                xa = sa.real
-                xb = sb.real
-                if type(xa) is DD and type(xb) is DD:
-                    if dd_kernel is not None:
-                        dd = dd_kernel(xa.hi, xa.lo, xb.hi, xb.lo)
-                        if dd is not None:
-                            real = DD(dd[0], dd[1])
-                            exact_op = dd[2]
-                            self.hw_kernel_ops += 1
-                    if real is None:
-                        promote(sa)
-                        promote(sb)
-                        self.hw_promotions += 1
-                elif type(xa) is DD or type(xb) is DD:
-                    promote(sa)
-                    promote(sb)
-                    self.hw_promotions += 1
-            if real is not None:
-                pass
-            elif cache is not None:
-                key = (op, ta, tb)
-                real = cache.get(key)
-                if real is None:
-                    real = (
-                        kernel2(sa.real, sb.real, context) if raw
-                        else kernel((sa.real, sb.real), context)
-                    )
-                    cache[key] = real
-                    self.kernel_cache_misses += 1
-                else:
-                    self.kernel_cache_hits += 1
-            elif raw:
-                real = kernel2(sa.real, sb.real, context)
-            else:
-                real = kernel((sa.real, sb.real), context)
             if record is None:
                 record = self._op_record(instr, op)
                 generalization = record.generalization
@@ -1065,100 +1049,154 @@ class HerbgrindAnalysis(Tracer):
                 bail_walk = generalization.bail_update_pooled
                 total_record = record.total_inputs.record_many
                 prob_record = record.problematic_inputs.record_many
-            # --- trace stage ------------------------------------------
-            value = result.value
+            # --- memo probe -------------------------------------------
+            # An ident this site already analysed replays its shadow,
+            # local error and compensation verdict (pure functions of
+            # the ident) and skips straight to the per-execution stages.
             node_key = (site, ta, tb)
             node = ops_table.get(node_key)
-            if node is None:
-                node = new_op(node_key, op, (ta, tb), value, loc)
-            if not escalates:
-                drift = EXACT
-            elif is_sub and ta == tb:
-                # x - x over the same shadowed value is exactly zero at
-                # every tier (see _analyse_operation).
-                drift = EXACT
-            elif type(real) is DD:
-                drift = propagate_hw(
-                    op, (sa.real, sb.real), (sa.drift, sb.drift), real,
-                    exact_op,
-                )
+            entry = memo[node] if node is not None else None
+            if entry is not None:
+                shadow, error_bits, passthrough = entry
+                self.memo_hits += 1
+                is_candidate = error_bits > threshold
             else:
-                drift = policy.propagate(
-                    op, [sa.real, sb.real], [sa.drift, sb.drift], real
-                )
-            shadow = new_shadow(real, node, empty, drift)
-            # --- error stage ------------------------------------------
-            ra = sa.rounded
-            if ra is None:
-                ra = rounded_of(sa)
-            rb = sb.rounded
-            if rb is None:
-                rb = rounded_of(sb)
-            if escalates:
-                exact_rounded = rounded_of(shadow)
-            else:
-                exact_rounded = real.to_float()
-                shadow.rounded = exact_rounded
-            if shortcut and ra == a.value and rb == b.value \
-                    and ra != 0.0 and rb != 0.0:
-                float_result = value
-            else:
-                float_result = fn_double(ra, rb)
-            if float_result == exact_rounded:
-                error_bits = 0.0
-            else:
-                error_bits = err_of(float_result, exact_rounded)
+                # --- kernel stage -------------------------------------
+                real = None
+                exact_op = False
+                if hw:
+                    xa = sa.real
+                    xb = sb.real
+                    if type(xa) is DD and type(xb) is DD:
+                        if dd_kernel is not None:
+                            dd = dd_kernel(xa.hi, xa.lo, xb.hi, xb.lo)
+                            if dd is not None:
+                                real = DD(dd[0], dd[1])
+                                exact_op = dd[2]
+                                self.hw_kernel_ops += 1
+                        if real is None:
+                            promote(sa)
+                            promote(sb)
+                            self.hw_promotions += 1
+                    elif type(xa) is DD or type(xb) is DD:
+                        promote(sa)
+                        promote(sb)
+                        self.hw_promotions += 1
+                if real is not None:
+                    pass
+                elif cache is not None:
+                    key = (op, ta, tb)
+                    real = cache.get(key)
+                    if real is None:
+                        real = (
+                            kernel2(sa.real, sb.real, context) if raw
+                            else kernel((sa.real, sb.real), context)
+                        )
+                        cache[key] = real
+                        self.kernel_cache_misses += 1
+                    else:
+                        self.kernel_cache_hits += 1
+                elif raw:
+                    real = kernel2(sa.real, sb.real, context)
+                else:
+                    real = kernel((sa.real, sb.real), context)
+                # --- trace stage --------------------------------------
+                value = result.value
+                if node is None:
+                    node = new_op(node_key, op, (ta, tb), value, loc)
+                if not escalates:
+                    drift = EXACT
+                elif is_sub and ta == tb:
+                    # x - x over the same shadowed value is exactly zero
+                    # at every tier (see _analyse_operation).
+                    drift = EXACT
+                elif type(real) is DD:
+                    drift = propagate_hw(
+                        op, (sa.real, sb.real), (sa.drift, sb.drift), real,
+                        exact_op,
+                    )
+                else:
+                    drift = policy.propagate(
+                        op, [sa.real, sb.real], [sa.drift, sb.drift], real
+                    )
+                shadow = new_shadow(real, node, empty, drift)
+                # --- error stage --------------------------------------
+                ra = sa.rounded
+                if ra is None:
+                    ra = rounded_of(sa)
+                rb = sb.rounded
+                if rb is None:
+                    rb = rounded_of(sb)
+                if escalates:
+                    exact_rounded = rounded_of(shadow)
+                else:
+                    exact_rounded = real.to_float()
+                    shadow.rounded = exact_rounded
+                if shortcut and ra == a.value and rb == b.value \
+                        and ra != 0.0 and rb != 0.0:
+                    float_result = value
+                else:
+                    float_result = fn_double(ra, rb)
+                if float_result == exact_rounded:
+                    error_bits = 0.0
+                else:
+                    error_bits = err_of(float_result, exact_rounded)
+                is_candidate = error_bits > threshold
+                # --- influence stage ----------------------------------
+                passthrough = None
+                if compensating and real.is_finite():
+                    # The compensation test (see
+                    # _compensation_passthrough), inlined up to its
+                    # real-valued equality: condition (b) — the output
+                    # must have *less* error than the passed-through
+                    # argument — reads errors cached on the shadows and
+                    # almost always fails with both argument errors at
+                    # zero, in which case the output error is never
+                    # even computed (out >= 0 = arg both ways).
+                    ea = sa.total_error
+                    if ea is None:
+                        ea = sa.total_error = (
+                            0.0 if a.value == ra else err_of(a.value, ra)
+                        )
+                    eb = sb.total_error
+                    if eb is None:
+                        eb = sb.total_error = (
+                            0.0 if b.value == rb else err_of(b.value, rb)
+                        )
+                    if ea > 0.0 or eb > 0.0:
+                        out_error = shadow.total_error
+                        if out_error is None:
+                            out_error = shadow.total_error = (
+                                0.0 if value == exact_rounded
+                                else err_of(value, exact_rounded)
+                            )
+                        if out_error < ea and \
+                                returns_arg(op, 0, sa, sb, shadow):
+                            passthrough = 0
+                        elif out_error < eb and \
+                                returns_arg(op, 1, sb, sa, shadow):
+                            passthrough = 1
+                if passthrough is not None:
+                    influences = (sa if passthrough == 0 else sb).influences
+                else:
+                    ia = sa.influences
+                    ib = sb.influences
+                    if ia:
+                        influences = (ia | ib) if ib else ia
+                    elif ib:
+                        influences = ib
+                    else:
+                        influences = empty
+                    if is_candidate and track:
+                        influences = influences | {record}
+                shadow.influences = influences
+            # record.record_execution(error_bits), inlined.
             record.executions += 1
             record.sum_local_error += error_bits
             if error_bits > record.max_local_error:
                 record.max_local_error = error_bits
-            is_candidate = error_bits > threshold
-            # --- influence stage --------------------------------------
-            passthrough = None
-            if compensating and real.is_finite():
-                # The compensation test (see _compensation_passthrough),
-                # inlined up to its real-valued equality: condition (b)
-                # — the output must have *less* error than the
-                # passed-through argument — reads errors cached on the
-                # shadows and almost always fails with both argument
-                # errors at zero, in which case the output error is
-                # never even computed (out >= 0 = arg both ways).
-                ea = sa.total_error
-                if ea is None:
-                    ea = sa.total_error = (
-                        0.0 if a.value == ra else err_of(a.value, ra)
-                    )
-                eb = sb.total_error
-                if eb is None:
-                    eb = sb.total_error = (
-                        0.0 if b.value == rb else err_of(b.value, rb)
-                    )
-                if ea > 0.0 or eb > 0.0:
-                    out_error = shadow.total_error
-                    if out_error is None:
-                        out_error = shadow.total_error = (
-                            0.0 if value == exact_rounded
-                            else err_of(value, exact_rounded)
-                        )
-                    if out_error < ea and returns_arg(op, 0, sa, sb, shadow):
-                        passthrough = 0
-                    elif out_error < eb and \
-                            returns_arg(op, 1, sb, sa, shadow):
-                        passthrough = 1
             if passthrough is not None:
                 record.compensations_detected += 1
-                influences = (sa if passthrough == 0 else sb).influences
-            else:
-                ia = sa.influences
-                ib = sb.influences
-                if ia:
-                    influences = (ia | ib) if ib else ia
-                elif ib:
-                    influences = ib
-                else:
-                    influences = empty
-                if is_candidate and track:
-                    influences = influences | {record}
             # --- expression + characteristics stage -------------------
             generalization = record.generalization
             if generalization.expression is not None:
@@ -1176,22 +1214,24 @@ class HerbgrindAnalysis(Tracer):
                 record.candidate_executions += 1
             if counters is not None:
                 counters.fused_ops += 1
-                counters.kernel_evals += 1
-                counters.trace_interned += 1
-                if error_bits == 0.0:
-                    counters.error_fast += 1
-                else:
-                    counters.error_exact += 1
-                if compensating:
-                    counters.compensation_checks += 1
                 counters.characteristic_updates += len(bindings)
-                if hw:
-                    if type(real) is DD:
-                        counters.hw_tier_ops += 1
+                if entry is None:
+                    counters.kernel_evals += 1
+                    counters.trace_interned += 1
+                    if error_bits == 0.0:
+                        counters.error_fast += 1
                     else:
-                        counters.working_tier_ops += 1
-            shadow.influences = influences
+                        counters.error_exact += 1
+                    if compensating:
+                        counters.compensation_checks += 1
+                    if hw:
+                        if type(real) is DD:
+                            counters.hw_tier_ops += 1
+                        else:
+                            counters.working_tier_ops += 1
             result.shadow = shadow
+            if entry is None:
+                memo[node] = (shadow, error_bits, passthrough)
         return run
 
     def _build_fused_unary(self, instr, op, kernel, kernel2,
@@ -1222,6 +1262,7 @@ class HerbgrindAnalysis(Tracer):
         )
         ops_table = pool._ops_table
         new_op = pool.new_op
+        memo = pool.memo
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
         shadow_of = self._shadow
@@ -1240,39 +1281,6 @@ class HerbgrindAnalysis(Tracer):
             if sa is None:
                 sa = shadow_of(a)
             ta = sa.trace
-            # --- kernel stage -----------------------------------------
-            real = None
-            exact_op = False
-            if hw:
-                xa = sa.real
-                if type(xa) is DD:
-                    if dd_kernel is not None:
-                        dd = dd_kernel(xa.hi, xa.lo)
-                        if dd is not None:
-                            real = DD(dd[0], dd[1])
-                            exact_op = dd[2]
-                            self.hw_kernel_ops += 1
-                    if real is None:
-                        promote(sa)
-                        self.hw_promotions += 1
-            if real is not None:
-                pass
-            elif cache is not None:
-                key = (op, ta)
-                real = cache.get(key)
-                if real is None:
-                    real = (
-                        kernel2(sa.real, context) if raw
-                        else kernel((sa.real,), context)
-                    )
-                    cache[key] = real
-                    self.kernel_cache_misses += 1
-                else:
-                    self.kernel_cache_hits += 1
-            elif raw:
-                real = kernel2(sa.real, context)
-            else:
-                real = kernel((sa.real,), context)
             if record is None:
                 record = self._op_record(instr, op)
                 generalization = record.generalization
@@ -1280,49 +1288,92 @@ class HerbgrindAnalysis(Tracer):
                 bail_walk = generalization.bail_update_pooled
                 total_record = record.total_inputs.record_many
                 prob_record = record.problematic_inputs.record_many
-            # --- trace stage ------------------------------------------
-            value = result.value
+            # --- memo probe (see _build_fused_binary) -----------------
             node_key = (site, ta)
             node = ops_table.get(node_key)
-            if node is None:
-                node = new_op(node_key, op, (ta,), value, loc)
-            if not escalates:
-                drift = EXACT
-            elif type(real) is DD:
-                drift = propagate_hw(
-                    op, (sa.real,), (sa.drift,), real, exact_op
-                )
+            entry = memo[node] if node is not None else None
+            if entry is not None:
+                shadow = entry[0]
+                error_bits = entry[1]
+                self.memo_hits += 1
+                is_candidate = error_bits > threshold
             else:
-                drift = policy.propagate(
-                    op, [sa.real], [sa.drift], real
-                )
-            shadow = new_shadow(real, node, empty, drift)
-            # --- error stage ------------------------------------------
-            ra = sa.rounded
-            if ra is None:
-                ra = rounded_of(sa)
-            if escalates:
-                exact_rounded = rounded_of(shadow)
-            else:
-                exact_rounded = real.to_float()
-                shadow.rounded = exact_rounded
-            if shortcut and ra == a.value and ra != 0.0:
-                float_result = value
-            else:
-                float_result = fn_double(ra)
-            if float_result == exact_rounded:
-                error_bits = 0.0
-            else:
-                error_bits = err_of(float_result, exact_rounded)
+                # --- kernel stage -------------------------------------
+                real = None
+                exact_op = False
+                if hw:
+                    xa = sa.real
+                    if type(xa) is DD:
+                        if dd_kernel is not None:
+                            dd = dd_kernel(xa.hi, xa.lo)
+                            if dd is not None:
+                                real = DD(dd[0], dd[1])
+                                exact_op = dd[2]
+                                self.hw_kernel_ops += 1
+                        if real is None:
+                            promote(sa)
+                            self.hw_promotions += 1
+                if real is not None:
+                    pass
+                elif cache is not None:
+                    key = (op, ta)
+                    real = cache.get(key)
+                    if real is None:
+                        real = (
+                            kernel2(sa.real, context) if raw
+                            else kernel((sa.real,), context)
+                        )
+                        cache[key] = real
+                        self.kernel_cache_misses += 1
+                    else:
+                        self.kernel_cache_hits += 1
+                elif raw:
+                    real = kernel2(sa.real, context)
+                else:
+                    real = kernel((sa.real,), context)
+                # --- trace stage --------------------------------------
+                value = result.value
+                if node is None:
+                    node = new_op(node_key, op, (ta,), value, loc)
+                if not escalates:
+                    drift = EXACT
+                elif type(real) is DD:
+                    drift = propagate_hw(
+                        op, (sa.real,), (sa.drift,), real, exact_op
+                    )
+                else:
+                    drift = policy.propagate(
+                        op, [sa.real], [sa.drift], real
+                    )
+                shadow = new_shadow(real, node, empty, drift)
+                # --- error stage --------------------------------------
+                ra = sa.rounded
+                if ra is None:
+                    ra = rounded_of(sa)
+                if escalates:
+                    exact_rounded = rounded_of(shadow)
+                else:
+                    exact_rounded = real.to_float()
+                    shadow.rounded = exact_rounded
+                if shortcut and ra == a.value and ra != 0.0:
+                    float_result = value
+                else:
+                    float_result = fn_double(ra)
+                if float_result == exact_rounded:
+                    error_bits = 0.0
+                else:
+                    error_bits = err_of(float_result, exact_rounded)
+                is_candidate = error_bits > threshold
+                # --- influence stage ----------------------------------
+                influences = sa.influences
+                if is_candidate and track:
+                    influences = influences | {record}
+                shadow.influences = influences
+            # record.record_execution(error_bits), inlined.
             record.executions += 1
             record.sum_local_error += error_bits
             if error_bits > record.max_local_error:
                 record.max_local_error = error_bits
-            is_candidate = error_bits > threshold
-            # --- influence stage --------------------------------------
-            influences = sa.influences
-            if is_candidate and track:
-                influences = influences | {record}
             # --- expression + characteristics stage -------------------
             generalization = record.generalization
             if generalization.expression is not None:
@@ -1340,20 +1391,22 @@ class HerbgrindAnalysis(Tracer):
                 record.candidate_executions += 1
             if counters is not None:
                 counters.fused_ops += 1
-                counters.kernel_evals += 1
-                counters.trace_interned += 1
-                if error_bits == 0.0:
-                    counters.error_fast += 1
-                else:
-                    counters.error_exact += 1
                 counters.characteristic_updates += len(bindings)
-                if hw:
-                    if type(real) is DD:
-                        counters.hw_tier_ops += 1
+                if entry is None:
+                    counters.kernel_evals += 1
+                    counters.trace_interned += 1
+                    if error_bits == 0.0:
+                        counters.error_fast += 1
                     else:
-                        counters.working_tier_ops += 1
-            shadow.influences = influences
+                        counters.error_exact += 1
+                    if hw:
+                        if type(real) is DD:
+                            counters.hw_tier_ops += 1
+                        else:
+                            counters.working_tier_ops += 1
             result.shadow = shadow
+            if entry is None:
+                memo[node] = (shadow, error_bits, None)
         return run
 
     def fused_const_callback(self, instr: isa.Instr):
@@ -2104,13 +2157,17 @@ class HerbgrindAnalysis(Tracer):
         negligible cost, so serving stats and ``--profile`` output can
         show where shadow work actually ran: ops served by the hardware
         pair kernels, pair arguments promoted to the working tier, and
-        roundings certified by each escalation rung.
+        roundings certified by each escalation rung.  ``memo_hits``
+        counts fused ops replayed from the pool's per-ident memo; like
+        ``hw_kernel_ops``, the tier and escalation counters count
+        *computed* shadows, which a memo hit does not recompute.
         """
         stats = self.policy.stats
         return {
             "hw_tier": int(self._hw),
             "hw_kernel_ops": self.hw_kernel_ops,
             "hw_promotions": self.hw_promotions,
+            "memo_hits": self.memo_hits,
             "working_certified": self.escalator.working_certified,
             "confirm_certified": self.escalator.confirm_certified,
             "full_recomputed_nodes": self.escalator.recomputed_nodes,

@@ -138,27 +138,20 @@ class ShadowEscalator:
         self._leaves[node if type(node) is int else node.ident] = real
 
     def reset(self) -> None:
-        """Drop the per-run memos.  Load-bearing under an ident pool:
-        the pool recycles idents every execution, so a stale memo or
-        leaf override could be hit by a recycled ident shadowing a
-        different value.  (It also bounds memory on escalation-heavy
-        workloads.)  Counters survive, they aggregate across runs."""
+        """Drop the ident-keyed memos and leaf overrides.
+
+        Under an ident pool the analysis calls this whenever the pool
+        starts a new epoch: idents then restart from zero, and a stale
+        entry would alias a different value.  Within an epoch an entry
+        stays valid across runs (and across the lanes of a batch),
+        because re-execution of an ident is a pure function of its
+        trace.  Without a pool it runs once per execution, which bounds
+        memory (structured nodes are never reused across runs).
+        Counters survive; they aggregate across runs."""
         self._memo.clear()
         self._confirm_memo.clear()
         self._working_memo.clear()
         self._leaves.clear()
-
-    def begin_batch(self, lanes: int) -> None:
-        """Open one memo epoch shared by ``lanes`` lockstep executions.
-
-        Safe — and deliberate — to share across lanes: memo and leaf
-        keys are trace idents, idents are value-keyed per epoch, and
-        re-execution of an ident is a pure function of the trace, so a
-        lane hitting another lane's memo entry reads exactly the value
-        it would have computed itself.  Escalating one lane therefore
-        cannot perturb any other lane's results, only warm the memo.
-        """
-        self.reset()
 
     def exact_real(self, shadow: ShadowValue) -> BigFloat:
         """The full-tier value of ``shadow`` (its real, if already exact)."""

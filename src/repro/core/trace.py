@@ -221,13 +221,32 @@ class TracePool:
       maximally shared across loop iterations,
     * opaque leaves are **never** interned: their structural identity
       is their ident (see :func:`structural_key`),
-    * :meth:`begin_execution` resets the whole store (arrays and
-      interning tables), so idents never leak across runs and memory is
-      bounded by one execution's unique nodes, not the sampled point
-      count.  Constant leaves are re-interned on first use each run —
-      one dict insert per constant site — and the analysis keeps their
-      shadow *values* cached across runs keyed by the :attr:`epoch`
-      counter.
+    * one epoch normally spans a whole analysis: idents stay valid
+      from one sampled point to the next, so a loop iteration that an
+      earlier point already executed interns to the same ident.
+      :meth:`begin_execution` resets the whole store (arrays and
+      interning tables) and bumps :attr:`epoch`; the analysis calls it
+      only at a run boundary, once the pool holds more than
+      ``repro.core.analysis.POOL_EPOCH_IDENTS`` entries.  Every
+      ident-keyed cache (the :attr:`memo` column, the kernel cache,
+      the escalator memos) resets with it.
+
+    ``memo`` holds, per op ident, the ``(shadow, local error bits,
+    compensation verdict)`` the fused pipeline computed for it, or
+    None.  Those are pure functions of the ident — same site, same
+    argument idents, hence the same real and float computation — so a
+    later execution of the ident replays them instead of re-running
+    the shadow pipeline.  A memoized shadow may afterwards be promoted
+    in place from a hardware pair to the working tier; a later hit
+    then starts from that working-tier real, which the hardware-tier
+    parity invariant makes invisible in the report bytes (only the
+    tier-residency counters see it).
+
+    Retained memory at the cap, measured with ``tracemalloc`` (Python
+    3.11, x86-64) on one run of each corpus loop sized to ~16,700
+    idents, both policies: 560–780 bytes per ident, 220–380 of them
+    the memo entry; the worst case (``loop-geometric``, adaptive) holds
+    13.0 MB, so an epoch peaks at roughly 13 MB plus one run's idents.
 
     ``depths`` (the height of each ident's trace) doubles as the
     anti-unification walks' truncation bound: an op ``max_depth`` edges
@@ -237,7 +256,7 @@ class TracePool:
     """
 
     __slots__ = ("kinds", "ops", "args", "values", "locs", "depths",
-                 "nodes", "epoch", "lanes",
+                 "nodes", "memo", "epoch",
                  "_keys", "_consts", "_inputs", "_ints", "_ops_table")
 
     def __init__(self) -> None:
@@ -249,12 +268,10 @@ class TracePool:
         self.locs: list = []
         self.depths: list = []
         self.nodes: list = []        # lazily materialized TraceNodes
+        self.memo: list = []         # fused-pipeline results, or None
         #: Bumped by :meth:`begin_execution`; callers caching shadows
         #: of interned leaves key their caches by this.
         self.epoch = 0
-        #: Lane count of the current epoch: 1 for a sequential run,
-        #: the sub-batch width when :meth:`begin_batch` opened it.
-        self.lanes = 1
         #: (ident * stride + depth) -> structural key, for op idents.
         self._keys: dict = {}
         self._consts: dict = {}
@@ -263,16 +280,16 @@ class TracePool:
         self._ops_table: dict = {}
 
     def __len__(self) -> int:
-        """Number of live entries (this execution's unique nodes)."""
+        """Number of live entries (this epoch's unique nodes)."""
         return len(self.kinds)
 
     def begin_execution(self) -> None:
-        """Start a fresh execution: reset every array and table.
+        """Start a fresh epoch: reset every array and table.
 
-        Idents must not leak between runs, and the arrays would
-        otherwise grow with the number of sampled points.  ``clear()``
-        (not reassignment) keeps the array/table objects identical, so
-        closures that pre-bound them stay valid.
+        Idents restart from zero, so every cache keyed by them must be
+        dropped at the same time.  ``clear()`` (not reassignment) keeps
+        the array/table objects identical, so closures that pre-bound
+        them stay valid.
         """
         self.kinds.clear()
         self.ops.clear()
@@ -281,27 +298,13 @@ class TracePool:
         self.locs.clear()
         self.depths.clear()
         self.nodes.clear()
+        self.memo.clear()
         self._keys.clear()
         self._consts.clear()
         self._inputs.clear()
         self._ints.clear()
         self._ops_table.clear()
         self.epoch += 1
-        self.lanes = 1
-
-    def begin_batch(self, lanes: int) -> None:
-        """Start one epoch shared by ``lanes`` lockstep executions.
-
-        The batched engine opens a single epoch per uniform sub-batch
-        rather than one per sample point: leaf idents are value-keyed
-        (``(site, bits)`` for constants, ``(site, index, bits)`` for
-        inputs) and op idents are argument-keyed, so lanes that agree
-        structurally share interned columns and the per-site constant
-        shadows are built once per batch instead of once per point.
-        Identical reset semantics to :meth:`begin_execution` otherwise.
-        """
-        self.begin_execution()
-        self.lanes = lanes
 
     # ------------------------------------------------------------------
     # Ident allocation
@@ -329,6 +332,7 @@ class TracePool:
         else:
             depths.append(1 + max(depths[a] for a in arg_idents))
         self.nodes.append(None)
+        self.memo.append(None)
         return ident
 
     def const_ident(

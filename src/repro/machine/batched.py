@@ -36,10 +36,11 @@ sequential per-point loop does.  Three mechanisms enforce the premise:
   sequential loop from scratch, reproducing exact sequential error
   semantics.
 
-Each sub-batch shares one tracer epoch (``on_batch_start`` /
-``on_batch_finish``): leaf idents are value-keyed and escalator memo
-entries are pure functions of their idents, so lanes only warm each
-other's caches.
+Each sub-batch is one tracer run (``on_batch_start`` /
+``on_batch_finish``) inside the analysis' trace-pool epoch: leaf idents
+are value-keyed and every ident-keyed memo entry is a pure function of
+its ident, so lanes — and earlier sub-batches — only warm each other's
+caches.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class BatchedProgram:
         return signatures
 
     def _run_group(self, points: List[List[float]]) -> List[List[float]]:
-        """One uniform sub-batch in lockstep; one tracer epoch."""
+        """One uniform sub-batch in lockstep; one tracer run."""
         n = len(points)
         st = _BatchState()
         st.n = n

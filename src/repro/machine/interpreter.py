@@ -100,7 +100,7 @@ class Tracer:
         """A batch of ``lanes`` lockstep executions is about to begin.
 
         Default: behave exactly like one sequential ``on_start`` — a
-        batch is one epoch shared by all its lanes.
+        batch is one run shared by all its lanes.
         """
         self.on_start(machine)
 

@@ -7,15 +7,18 @@ Two guards this suite pins:
   and repeated ``analyze_batch`` calls through one session never see a
   previous analysis' counts.
 * **Pool memory** — the ident-first :class:`~repro.core.trace.TracePool`
-  resets its flat arrays per execution: its live size after an analysis
-  is bounded by *one* run's unique nodes, and repeated batch iterations
-  do not grow it.
+  keeps one epoch across the runs of an analysis and resets only at a
+  run boundary once it holds more than ``POOL_EPOCH_IDENTS`` idents, so
+  its live size stays under that cap plus one run's unique nodes; the
+  pool, its memo column, the kernel cache and the escalator memos reset
+  together; and repeated batch iterations do not grow it.
 """
 
 import dataclasses
 
 from repro.api import AnalysisSession
 from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import analysis as analysis_mod
 from repro.core.analysis import HerbgrindAnalysis, PipelineStageCounters
 from repro.fpcore import parse_fpcore
 from repro.machine import compile_fpcore
@@ -25,10 +28,17 @@ LOOP = """(FPCore (x n) :name "iso-loop" :pre (and (<= 1 x 2) (<= 20 n 40))
                      [acc 0 (+ acc (/ (log x) i))])
       acc))"""
 
+STRAIGHT = """(FPCore (x y) :name "iso-straight" :pre (and (<= 1 x 2) (<= 2 y 4))
+    (- (sqrt (+ (* x x) y)) x))"""
+
 FAST = AnalysisConfig(shadow_precision=192)
 
 PROFILED = dataclasses.replace(
     EngineFeatures.for_engine("compiled"), profile=True
+)
+
+SEQUENTIAL = dataclasses.replace(
+    EngineFeatures.for_engine("compiled"), batched=False
 )
 
 
@@ -86,16 +96,81 @@ class TestPoolMemoryGuard:
         # holds only the final execution's entries.
         assert len(many.pool) == single_size
 
-    def test_pool_resets_between_different_points(self):
+    def test_pool_bounded_by_cap_plus_one_run(self, monkeypatch):
+        # Distinct straight-line points intern new input idents, and
+        # with them new op idents, every run.
+        program = compile_fpcore(parse_fpcore(STRAIGHT))
+        points = [[1.0 + i / 64.0, 2.0 + i / 32.0] for i in range(40)]
+        one_run = len(
+            analyze_program(program, points[:1], config=FAST)[0].pool
+        )
+        cap = 5 * one_run
+        monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", cap)
+        sizes = []
+        finish = HerbgrindAnalysis.on_finish
+
+        def spy(self, interpreter):
+            sizes.append(len(self.pool))
+            finish(self, interpreter)
+
+        monkeypatch.setattr(HerbgrindAnalysis, "on_finish", spy)
+        analysis, __ = analyze_program(
+            program, points, config=FAST, features=SEQUENTIAL
+        )
+        assert len(sizes) == len(points)
+        assert max(sizes) <= cap + one_run
+        assert max(sizes) > cap  # the cap was crossed, and then reset
+        assert analysis.pool.epoch > 1
+
+    def test_epoch_resets_only_at_run_boundaries(self, monkeypatch):
+        # Each point's run alone exceeds the cap; the pool must still
+        # hold every ident of the run in progress.
+        monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", 10)
+        epochs = []
+        start = HerbgrindAnalysis.on_start
+        finish = HerbgrindAnalysis.on_finish
+
+        def on_start(self, interpreter):
+            start(self, interpreter)
+            epochs.append(self.pool.epoch)
+
+        def on_finish(self, interpreter):
+            assert self.pool.epoch == epochs[-1]
+            finish(self, interpreter)
+
+        monkeypatch.setattr(HerbgrindAnalysis, "on_start", on_start)
+        monkeypatch.setattr(HerbgrindAnalysis, "on_finish", on_finish)
         points = [[1.5, 25.0], [1.25, 30.0], [1.75, 35.0]]
         analysis, __ = run_analysis(points)
-        biggest_run = 0
-        probe = HerbgrindAnalysis(FAST)
-        program = compile_fpcore(parse_fpcore(LOOP))
-        for point in points:
-            single, __ = analyze_program(program, [point], config=FAST)
-            biggest_run = max(biggest_run, len(single.pool))
-        assert len(analysis.pool) <= biggest_run
+        assert epochs == [0, 1, 2]
+        single, __ = run_analysis(points[-1:])
+        assert len(analysis.pool) == len(single.pool)
+
+    def test_caches_reset_together(self, monkeypatch):
+        monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", 10)
+        analysis, __ = run_analysis([[1.5, 25.0]])
+        pool = analysis.pool
+        escalator = analysis.escalator
+        assert len(pool) > 10
+        assert any(entry is not None for entry in pool.memo)
+        assert analysis._kernel_cache  # `log x` is a cached kernel
+        ident = len(pool) - 1
+        escalator._memo[ident] = escalator._working_memo[ident] = None
+        escalator._confirm_memo[ident] = escalator._leaves[ident] = None
+        analysis.on_start(None)
+        assert len(pool) == len(pool.memo) == len(pool.nodes) == 0
+        assert not analysis._kernel_cache
+        assert not (escalator._memo or escalator._working_memo
+                    or escalator._confirm_memo or escalator._leaves)
+
+    def test_caches_survive_below_cap(self):
+        analysis, __ = run_analysis([[1.5, 25.0]])
+        pool = analysis.pool
+        size = len(pool)
+        cached = dict(analysis._kernel_cache)
+        analysis.on_start(None)
+        assert len(pool) == size and pool.epoch == 0
+        assert analysis._kernel_cache == cached
 
     def test_batch_iterations_do_not_grow_pools(self):
         session = AnalysisSession(
@@ -111,6 +186,6 @@ class TestPoolMemoryGuard:
     def test_materialization_memo_cleared_per_run(self):
         analysis, __ = run_analysis([[1.5, 25.0], [1.25, 30.0]])
         pool = analysis.pool
-        # Whatever was materialized for reporting belongs to the final
-        # run only; the memo array has exactly the pool's length.
-        assert len(pool.nodes) == len(pool)
+        # The materialized-node and shadow-memo columns run parallel to
+        # the pool's arrays, for every ident of the current epoch.
+        assert len(pool.memo) == len(pool.nodes) == len(pool)
