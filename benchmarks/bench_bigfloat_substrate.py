@@ -19,9 +19,6 @@ Sections (all recorded in ``BENCH_bigfloat.json``):
 * **All kernel-bound corpus benchmarks** — and on every straight-line
   corpus benchmark containing a library kernel, dominant or not, so
   nothing is curated away.
-* **Kernel-result cache** — hits and speedup on loop benchmarks with
-  loop-invariant kernel arguments (the cache memoizes per operand
-  trace ident through the TracePool's hash-consing).
 * **Parity gate** — byte-identical ``AnalysisResult`` JSON for
   substrate x engine x policy over a corpus slice; the benchmark
   *fails* on any mismatch.
@@ -46,7 +43,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.api import AnalysisSession, results_to_json
 from repro.api.sampling import sample_inputs
 from repro.bigfloat import (
-    KERNEL_CACHE_OPERATIONS,
     BigFloat,
     Context,
     get_backend,
@@ -59,6 +55,18 @@ from repro.fpcore.printer import format_fpcore
 from repro.machine import compile_fpcore
 
 SHADOW_PRECISION = 1000
+
+#: Library kernels whose shadow evaluation costs far more than basic
+#: arithmetic at the shadow precision: the unit-cost table, the
+#: kernel-bound corpus selection and the null-kernel floor cover these.
+LIBRARY_KERNELS = frozenset(
+    {
+        "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+        "sin", "cos", "tan", "asin", "acos", "atan", "atan2",
+        "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+        "pow", "cbrt", "hypot",
+    }
+)
 
 #: The op-heavy straight-line suite: synthetic dense chains of library
 #: kernels over the inputs — straight-line programs whose cost is, by
@@ -119,21 +127,6 @@ SYNTHETIC_SUITE = [
            (+ (log1p (* 0.5 (* x y))) (+ (log2 (+ 1 (* x 2)))
            (+ (log10 (+ 2 (* y 3))) (pow (+ x y) 0.375))))))))""",
 ]
-
-#: Loop benchmarks with loop-invariant kernel arguments: the
-#: kernel-result cache computes each invariant shadow once per
-#: execution instead of once per iteration.
-CACHE_SUITE = [
-    """(FPCore (x n) :name "loop-invariant-log" :pre (and (<= 2 x 50) (<= 8 n 16))
-        (while (<= i n) ([i 1 (+ i 1)]
-                         [acc 0 (+ acc (/ (log (* x 3)) (+ i (log x))))])
-          acc))""",
-    """(FPCore (x n) :name "loop-invariant-pow" :pre (and (<= 1.5 x 4) (<= 8 n 16))
-        (while (<= i n) ([i 1 (+ i 1)]
-                         [acc 1 (+ acc (* (pow x 2.5) (/ 1 (+ i (sin x)))))])
-          acc))""",
-]
-
 
 def _steady_seconds(fn, repeat: int, min_sample_ms: float) -> float:
     """Best-of-``repeat`` wall-clock of ``fn``, with each sample batched
@@ -196,7 +189,7 @@ def _null_kernel_apply():
     one = BigFloat.from_float(1.0)
 
     def apply(op, args, context=None):
-        if op in KERNEL_CACHE_OPERATIONS:
+        if op in LIBRARY_KERNELS:
             return one
         return real_apply(op, args, context)
 
@@ -218,7 +211,7 @@ def bench_kernel_unit_costs(repeat: int, min_sample_ms: float) -> Dict:
     from repro.bigfloat.functions import arity
 
     table = {}
-    for op in sorted(KERNEL_CACHE_OPERATIONS) + ["+", "*", "/", "sqrt"]:
+    for op in sorted(LIBRARY_KERNELS) + ["+", "*", "/", "sqrt"]:
         args = bounded.get(op, operands[min(2, arity(op))])
         t_py = _steady_seconds(
             lambda: python.apply(op, args, context), repeat, min_sample_ms
@@ -242,7 +235,7 @@ def kernel_bound_corpus(corpus) -> List:
         if "(while" in text:
             continue
         if any(f"({op} " in text or f"({op})" in text
-               for op in KERNEL_CACHE_OPERATIONS):
+               for op in LIBRARY_KERNELS):
             selected.append(core)
     return selected
 
@@ -337,47 +330,6 @@ def bench_straightline(
     return headline, corpus_dominated, secondary
 
 
-def bench_kernel_cache(points: int, seed: int, repeat: int,
-                       min_sample_ms: float) -> Dict:
-    """Loop-invariant kernel memoization: hits and wall-clock win."""
-    from repro.core.analysis import EngineFeatures
-
-    rows = {}
-    for source in CACHE_SUITE:
-        core = parse_fpcore(source)
-        pts = sample_inputs(core, points, seed=seed)
-        program = compile_fpcore(core)
-        config = AnalysisConfig(shadow_precision=SHADOW_PRECISION)
-        with_cache = EngineFeatures.for_engine("compiled")
-        without_cache = EngineFeatures(
-            threaded_interpreter=True, trace_pool=True, fast_antiunify=True,
-            kernel_cache=False,
-        )
-        analysis, __ = analyze_program(
-            program, pts, config=config, features=with_cache
-        )
-        t_on = _steady_seconds(
-            lambda: analyze_program(
-                program, pts, config=config, features=with_cache
-            ),
-            repeat, min_sample_ms,
-        )
-        t_off = _steady_seconds(
-            lambda: analyze_program(
-                program, pts, config=config, features=without_cache
-            ),
-            repeat, min_sample_ms,
-        )
-        rows[core.name] = {
-            "cache_hits": analysis.kernel_cache_hits,
-            "cache_misses": analysis.kernel_cache_misses,
-            "with_cache_ms": round(t_on * 1000, 3),
-            "without_cache_ms": round(t_off * 1000, 3),
-            "speedup": round(t_off / t_on, 2),
-        }
-    return rows
-
-
 def bench_parity(corpus, points: int, seed: int) -> Dict:
     """Byte-identical reports across substrate x engine x policy."""
     combos = [
@@ -466,14 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"({len(dominated['members'])} members); all kernel-bound "
           f"median: {secondary['median_speedup']}x "
           f"({len(secondary['members'])} members)")
-
-    print("kernel-result cache (loop-invariant kernels)...")
-    report["kernel_cache"] = bench_kernel_cache(
-        max(2, args.points // 2), args.seed, args.repeat, args.min_sample_ms
-    )
-    for name, row in report["kernel_cache"].items():
-        print(f"  {name}: {row['cache_hits']} hits, "
-              f"{row['speedup']}x with cache")
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

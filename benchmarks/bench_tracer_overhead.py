@@ -12,15 +12,11 @@ the compiled fast path that attacks all three layers and emits
   microseconds per floating-point operation.
 * **End-to-end wall-clock** — the interpreter-bound corpus suite (the
   loop benchmarks plus the most operation-heavy straight-line
-  benchmarks) per engine configuration, with **per-layer attribution**:
+  benchmarks) per engine stack, with **per-stack attribution**:
 
-  - ``dispatch``   — threaded-code interpreter only,
-  - ``trace_alloc`` — + ident-interning trace pool,
-  - ``antiunify``  — + steady-state anti-unification fast path
-    (the PR-3 stack),
-  - ``kernel_cache`` — + transcendental kernel-result memoization
-    (the PR-4 stack),
-  - ``fused``      — + site-compiled per-op pipeline callbacks,
+  - ``reference``  — the reference engine (every fast layer off),
+  - ``sequential`` — the compiled engine with lockstep batching off
+    (trace pool, fused per-op pipeline, steady-state anti-unification),
   - ``batched``    — + lockstep multi-point execution (= the full
     compiled engine; loop benchmarks fall back per-point, so the
     batched gain concentrates in the straight-line suite).
@@ -30,9 +26,10 @@ the compiled fast path that attacks all three layers and emits
   synthetic kernel-bound straight-line core where shadow arithmetic
   dominates tracing, with per-tier residency counters and
   promotion/escalation rates from the hw-on run.
-* **Parity gate** — byte-identical ``AnalysisResult`` JSON between
-  every configuration and the reference engine, under both precision
-  policies.  Any mismatch fails the run.
+* **Parity gate** — identical analysis signatures across the three
+  stacks, and byte-identical ``AnalysisResult`` JSON between the
+  compiled and reference engines, under both precision policies.  Any
+  mismatch fails the run.
 * **Live baseline** (optional, ``--baseline-rev``; default the PR-4
   commit) — checks out the baseline tree in a temporary git worktree
   and times *its* analysis on the same suite/points/seed, so the
@@ -68,29 +65,29 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import AnalysisSession, results_to_json
-from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import AnalysisConfig, analyze_program
 from repro.fpcore import load_corpus
 from repro.fpcore.parser import parse_fpcore
 from repro.fpcore.printer import format_fpcore
 from repro.machine import CompiledProgram, Interpreter, compile_fpcore
 from repro.api.sampling import sample_inputs
 
-#: Layer stack, innermost first; each entry adds one fast-path layer.
-#: "antiunify" is the PR-3 stack, "kernel_cache" the PR-4 stack,
-#: "fused" adds the site-compiled per-op pipeline, and "batched" runs
-#: all sample points in lockstep through it (the full compiled
-#: engine).
+#: The engine stacks, slowest first: (label, engine, batched).  The
+#: reference engine runs no fast layer; the compiled engine runs them
+#: all, with lockstep batching off ("sequential") or on ("batched", the
+#: default compiled engine).
 LAYERS = (
-    ("reference", EngineFeatures(False, False, False)),
-    ("dispatch", EngineFeatures(True, False, False)),
-    ("trace_alloc", EngineFeatures(True, True, False)),
-    ("antiunify", EngineFeatures(True, True, True)),
-    ("kernel_cache", EngineFeatures(True, True, True, kernel_cache=True)),
-    ("fused", EngineFeatures(True, True, True, kernel_cache=True,
-                             fused_pipeline=True)),
-    ("batched", EngineFeatures(True, True, True, kernel_cache=True,
-                               fused_pipeline=True, batched=True)),
+    ("reference", "reference", False),
+    ("sequential", "compiled", False),
+    ("batched", "compiled", True),
 )
+
+
+def run_stack(program, sampled, stack, policy: str = "fixed"):
+    """``analyze_program`` under one :data:`LAYERS` stack."""
+    __, engine, batched = stack
+    config = AnalysisConfig(engine=engine, precision_policy=policy)
+    return analyze_program(program, sampled, config=config, batched=batched)
 
 
 def select_suites(corpus, points: int, seed: int, size: int):
@@ -185,34 +182,30 @@ def bench_native_overhead(suite, points: int, seed: int, repeat: int) -> Dict:
 
 
 def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
-    """Per-benchmark, per-layer steady-state analysis times.
+    """Per-benchmark, per-stack steady-state analysis times.
 
-    Repetitions are *interleaved* across the layer configurations
-    (reference, dispatch, ... all timed once per round, best-of-rounds
-    reported) so slow drift in machine load hits every configuration
-    equally instead of skewing the ratios.
+    Repetitions are *interleaved* across the stacks (reference,
+    sequential, batched all timed once per round, best-of-rounds
+    reported) so slow drift in machine load hits every stack equally
+    instead of skewing the ratios.
     """
     per_benchmark = []
     for core in suite:
         program = compile_fpcore(core)
         sampled = sample_inputs(core, points, seed=seed)
-        config = AnalysisConfig()
         best: Dict[str, float] = {}
-        for label, features in LAYERS:  # warm every configuration once
-            analyze_program(
-                program, sampled, config=config, features=features
-            )
+        for stack in LAYERS:  # warm every stack once
+            run_stack(program, sampled, stack)
         for __ in range(max(1, repeat)):
-            for label, features in LAYERS:
+            for stack in LAYERS:
                 start = time.perf_counter()
-                analyze_program(
-                    program, sampled, config=config, features=features
-                )
+                run_stack(program, sampled, stack)
                 elapsed = time.perf_counter() - start
+                label = stack[0]
                 if label not in best or elapsed < best[label]:
                     best[label] = elapsed
         row = {"benchmark": core.name}
-        for label, __features in LAYERS:
+        for label, *__ in LAYERS:
             row[label + "_seconds"] = round(best[label], 4)
         outer = LAYERS[-1][0]
         row["speedup_vs_reference"] = round(
@@ -222,7 +215,7 @@ def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
     speedups = [row["speedup_vs_reference"] for row in per_benchmark]
     attribution = {}
     previous = "reference"
-    for label, __ in LAYERS[1:]:
+    for label, *__ in LAYERS[1:]:
         gains = [
             row[previous + "_seconds"] / max(row[label + "_seconds"], 1e-9)
             for row in per_benchmark
@@ -245,12 +238,12 @@ def bench_layers(suite, points: int, seed: int, repeat: int) -> Dict:
 def bench_batched_per_op(suite, points: int, seed: int, repeat: int) -> Dict:
     """Straight-line per-op cost, batched on vs off.
 
-    The headline number for lockstep execution: the same full fused
-    stack, with only the batched layer toggled, on the suite where it
-    actually engages (loop benchmarks fall back per-point).
+    The headline number for lockstep execution: the compiled engine,
+    with only the batched layer toggled, on the suite where it actually
+    engages (loop benchmarks fall back per-point).
     """
-    on = LAYERS[-1][1]
-    off = LAYERS[-2][1]
+    on = LAYERS[-1]
+    off = LAYERS[-2]
     total_ops = 0
     seconds = {"batched": 0.0, "unbatched": 0.0}
     for core in suite:
@@ -260,17 +253,13 @@ def bench_batched_per_op(suite, points: int, seed: int, repeat: int) -> Dict:
         for point in sampled:
             compiled.run(point)
             total_ops += compiled.stats.float_ops + compiled.stats.library_calls
-        config = AnalysisConfig()
-        for label, features in (("batched", on), ("unbatched", off)):
-            analyze_program(  # warm caches outside the timed region
-                program, sampled, config=config, features=features
-            )
+        for label, stack in (("batched", on), ("unbatched", off)):
+            # Warm caches outside the timed region.
+            run_stack(program, sampled, stack)
             best = None
             for __ in range(max(1, repeat)):
                 start = time.perf_counter()
-                analyze_program(
-                    program, sampled, config=config, features=features
-                )
+                run_stack(program, sampled, stack)
                 elapsed = time.perf_counter() - start
                 best = elapsed if best is None else min(best, elapsed)
             seconds[label] += best
@@ -370,19 +359,17 @@ def bench_hw_tier(points: int, seed: int, repeat: int) -> Dict:
 
 
 def bench_parity(suite, points: int, seed: int) -> Dict:
-    """Byte-identical JSON across every layer stack and both policies."""
+    """Identical results across the three stacks and both policies."""
     failures = []
     for policy in ("fixed", "adaptive"):
         baseline = None
-        for label, features in LAYERS:
+        for stack in LAYERS:
+            label = stack[0]
             serialized = []
             for core in suite:
                 program = compile_fpcore(core)
                 sampled = sample_inputs(core, points, seed=seed)
-                config = AnalysisConfig(precision_policy=policy)
-                analysis, __ = analyze_program(
-                    program, sampled, config=config, features=features
-                )
+                analysis, __ = run_stack(program, sampled, stack, policy)
                 serialized.append(_signature_json(analysis))
             blob = "\n".join(serialized)
             if baseline is None:

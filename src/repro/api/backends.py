@@ -86,9 +86,7 @@ class HerbgrindBackend(AnalysisBackend):
     name = "herbgrind"
 
     def run(self, program, points, request):
-        import dataclasses
-
-        from repro.core.analysis import EngineFeatures, analyze_program
+        from repro.core.analysis import analyze_program
         from repro.core.report import root_cause_report
         from repro.resilience import faults as _faults
         from repro.resilience.errors import EngineFault
@@ -99,28 +97,20 @@ class HerbgrindBackend(AnalysisBackend):
             # gating on the compiled engine guarantees the ladder's
             # reference rung converges.
             _faults.trip("backend.flaky", EngineFault)
-        # The engine's default layer stack — including lockstep
-        # batching when the compiled engine is selected (overridable
-        # via REPRO_BATCHED=0).  Results are contractually identical
-        # across every stack; the layers only change the cost.
-        # ``request.features`` (internal — the degradation ladder's
-        # sequential rung) overrides the default stack.
-        features = request.features
-        if request.profile:
-            # Same engine layers, plus the per-stage attribution
-            # counters (results are unchanged; only extra[] grows).
-            features = dataclasses.replace(
-                features if features is not None
-                else EngineFeatures.for_engine(request.config.engine),
-                profile=True,
-            )
+        # The engine's stack: every layer on for the compiled engine,
+        # including lockstep batching unless ``request.batched`` (the
+        # degradation ladder's sequential rung) or REPRO_BATCHED=0
+        # turns it off.  ``profile`` adds the per-stage attribution
+        # counters.  Results are contractually identical either way;
+        # the switches only change the cost and extra[].
         analysis, __ = analyze_program(
             program,
             points,
             config=request.config,
             wrap_libraries=request.wrap_libraries,
             libm=request.libm,
-            features=features,
+            batched=request.batched,
+            profile=request.profile,
         )
         causes = []
         for record in analysis.candidate_records():
@@ -175,8 +165,6 @@ class HerbgrindBackend(AnalysisBackend):
         extra["tier_residency"] = analysis.tier_residency()
         if request.profile:
             profile = analysis.stage_counters.to_dict()
-            profile["kernel_cache_hits"] = analysis.kernel_cache_hits
-            profile["kernel_cache_misses"] = analysis.kernel_cache_misses
             profile["memo_hits"] = analysis.memo_hits
             profile["tier_residency"] = analysis.tier_residency()
             extra["pipeline_profile"] = profile

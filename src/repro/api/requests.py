@@ -57,6 +57,10 @@ class AnalysisRequest:
 
     ``points`` overrides sampling when given; otherwise ``num_points``
     inputs are drawn from the benchmark's :pre box with ``seed``.
+    ``config.engine`` picks one of two engine stacks (every fast layer
+    on, or the reference interpreter with none); ``profile`` and the
+    internal ``batched`` are the only other engine switches, and
+    neither changes the result.
     """
 
     core: FPCore
@@ -75,13 +79,14 @@ class AnalysisRequest:
     #: Optional libm override (a dict of IR functions).  In-process
     #: only: it is not serialized and cannot cross a worker boundary.
     libm: Any = field(default=None, compare=False, repr=False)
-    #: Optional :class:`~repro.core.analysis.EngineFeatures` override.
-    #: Internal — the degradation ladder uses it to turn single layers
-    #: off (batched → sequential) without touching the config.  Never
-    #: serialized and excluded from the digest: the feature stack is
-    #: contractually result-invisible, so two requests differing only
-    #: here *should* share a digest.
-    features: Any = field(default=None, compare=False, repr=False)
+    #: Batched lockstep execution on the compiled engine: None follows
+    #: the engine default (on unless ``REPRO_BATCHED`` disables it).
+    #: Internal — the degradation ladder's sequential rung sets it to
+    #: False without touching the config.  Never serialized and
+    #: excluded from the digest: batching is contractually
+    #: result-invisible, so two requests differing only here *should*
+    #: share a digest.
+    batched: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(

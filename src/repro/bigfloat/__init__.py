@@ -45,7 +45,6 @@ from repro.bigfloat import arith, constants, transcendental
 from repro.bigfloat.doubledouble import DD_KERNELS, DoubleDouble
 from repro.bigfloat.backend import (
     ALL_SUBSTRATES,
-    KERNEL_CACHE_OPERATIONS,
     KernelBackend,
     available_substrates,
     get_backend,
@@ -66,7 +65,6 @@ from repro.bigfloat.policy import (
 __all__ = [
     "ALL_OPERATIONS",
     "ALL_SUBSTRATES",
-    "KERNEL_CACHE_OPERATIONS",
     "KernelBackend",
     "available_substrates",
     "get_backend",

@@ -63,20 +63,6 @@ SUBSTRATE_PYTHON = "python"
 SUBSTRATE_NATIVE = "native"
 ALL_SUBSTRATES = (SUBSTRATE_PYTHON, SUBSTRATE_NATIVE)
 
-#: Operations expensive enough that the analysis memoizes their shadow
-#: results per (operation, operand trace idents) within one execution —
-#: see the kernel-result cache in :mod:`repro.core.analysis`.  The
-#: basic arithmetic ops are deliberately absent: at shadow precisions a
-#: multiply costs about as much as the cache probe itself.
-KERNEL_CACHE_OPERATIONS = frozenset(
-    {
-        "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
-        "sin", "cos", "tan", "asin", "acos", "atan", "atan2",
-        "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
-        "pow", "cbrt", "hypot",
-    }
-)
-
 
 class KernelBackend:
     """One substrate: a full ⟦f⟧_R dispatch plus the ⟦f⟧_F handlers.

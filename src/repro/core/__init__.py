@@ -13,7 +13,6 @@ the configuration knobs every Section 8 experiment sweeps (``config``).
 """
 
 from repro.core.analysis import (
-    EngineFeatures,
     HerbgrindAnalysis,
     analyze_program,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "AnalysisReport",
     "ENGINE_COMPILED",
     "ENGINE_REFERENCE",
-    "EngineFeatures",
     "CHARACTERISTICS_NONE",
     "CHARACTERISTICS_RANGE",
     "CHARACTERISTICS_REPRESENTATIVE",

@@ -29,12 +29,11 @@ from __future__ import annotations
 import operator
 import os
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigfloat import BigFloat, make_policy
 from repro.bigfloat import arith
-from repro.bigfloat.backend import KERNEL_CACHE_OPERATIONS, get_backend
+from repro.bigfloat.backend import get_backend
 from repro.bigfloat.doubledouble import (
     DD_KERNELS,
     DoubleDouble,
@@ -110,10 +109,11 @@ class ResourceGuard:
     ``deadline_seconds`` and/or ``op_budget``; :meth:`tick` is called
     once per analysed operation and raises a
     :class:`~repro.resilience.errors.ResourceExhausted` subclass when a
-    budget is spent.  The degradation ladder classifies those like any
-    substrate/engine failure, so a runaway analysis degrades (or fails
-    cleanly through every rung) instead of monopolizing a worker until
-    the pool's coarse kill-timeout fires.
+    budget is spent, so a runaway analysis fails cleanly instead of
+    monopolizing a worker until the pool's coarse kill-timeout fires.
+    A spent deadline degrades down the ladder like any engine failure;
+    a spent op budget propagates at once, since every rung analyses
+    the same operations.
 
     The guard deliberately disables the batched layer (see
     ``HerbgrindAnalysis._batched``): budgets need per-op granularity,
@@ -158,74 +158,12 @@ class ResourceGuard:
             )
 
 
-@dataclass(frozen=True)
-class EngineFeatures:
-    """The independent layers of the compiled fast path.
-
-    ``AnalysisConfig.engine`` maps to all-on ("compiled") or all-off
-    ("reference"); the benchmark harness toggles layers individually
-    for per-layer overhead attribution.  Every combination produces
-    identical analysis results.
-    """
-
-    #: Execute through :class:`repro.machine.compiled.CompiledProgram`.
-    threaded_interpreter: bool = True
-    #: Intern traces as integer idents through a
-    #: :class:`~repro.core.trace.TracePool` (structured nodes are then
-    #: materialized lazily — at anti-unification bail-outs, escalation
-    #: re-execution, and report time).
-    trace_pool: bool = True
-    #: Use the steady-state anti-unification fast path.
-    fast_antiunify: bool = True
-    #: Memoize transcendental shadow results per (operation, operand
-    #: trace idents) within one execution — loop-invariant log/pow/trig
-    #: shadows are computed once per run.  Requires the trace pool (the
-    #: idents come from its hash-consing); defaults off so explicitly
-    #: constructed layer combinations keep their PR-3 meaning.
-    kernel_cache: bool = False
-    #: Run the per-operation analysis through site-compiled fused
-    #: pipeline callbacks: one closure per (site, config), pre-binding
-    #: the record, the resolved ⟦f⟧_R kernel and ⟦f⟧_F handler, and the
-    #: policy flags, which the compiled engine invokes directly instead
-    #: of the generic ``on_op`` path.  Requires the trace pool and the
-    #: fast anti-unification walk; the reference interpreter ignores it
-    #: (the oracle stays on the unfused path).  Defaults off so
-    #: explicitly constructed layer combinations keep their PR-3/PR-4
-    #: meaning.
-    fused_pipeline: bool = False
-    #: Count per-stage pipeline events (shadow resolution, kernel
-    #: evaluations, trace interning, error fast path, anti-unify
-    #: verdicts, characteristic updates) on
-    #: :attr:`HerbgrindAnalysis.stage_counters` for attribution.  Off
-    #: by default: the counters cost real time on the hot path.
-    profile: bool = False
-    #: Execute all sample points in lockstep through the batched engine
-    #: (:class:`repro.machine.batched.BatchedProgram`): SoA register
-    #: columns, one fused per-site callback invocation covering the
-    #: whole batch, and branch-signature grouping that splits divergent
-    #: lanes into uniform sub-batches (singletons degrade to one-lane
-    #: batches).  Loops, memory traffic, and user calls fall back to
-    #: the sequential per-point path.  Requires the fused pipeline (and
-    #: with it the pool + fast anti-unify); reports are byte-identical
-    #: either way — the parity suite pins batched-on vs batched-off.
-    batched: bool = False
-
-    @classmethod
-    def for_engine(cls, engine: str) -> "EngineFeatures":
-        on = engine == ENGINE_COMPILED
-        return cls(
-            threaded_interpreter=on, trace_pool=on, fast_antiunify=on,
-            kernel_cache=on, fused_pipeline=on,
-            batched=on and _batched_default(),
-        )
-
-
 class PipelineStageCounters:
     """Per-stage attribution counters of the per-operation pipeline.
 
     One instance per analysis (:attr:`HerbgrindAnalysis.stage_counters`),
-    reset at construction, populated only when
-    :attr:`EngineFeatures.profile` is set.  ``fused_ops`` counts
+    reset at construction, populated only when the analysis is built
+    with ``profile=True``.  ``fused_ops`` counts
     operations analysed by site-compiled callbacks, ``generic_ops``
     those that went through the generic ``_analyse_operation`` walk.
     Both count *executed* operations, as do the anti-unification and
@@ -272,13 +210,16 @@ class HerbgrindAnalysis(Tracer):
     def __init__(
         self,
         config: Optional[AnalysisConfig] = None,
-        features: Optional[EngineFeatures] = None,
+        batched: Optional[bool] = None,
+        profile: bool = False,
     ) -> None:
         self.config = config if config is not None else AnalysisConfig()
-        self.features = (
-            features if features is not None
-            else EngineFeatures.for_engine(self.config.engine)
-        )
+        #: The compiled engine: every fast layer on — the trace pool,
+        #: the site-compiled fused pipeline, the steady-state
+        #: anti-unification walk and (unless switched off) batched
+        #: lockstep execution.  The reference engine turns every layer
+        #: off; it is the oracle the parity suites compare against.
+        self.compiled = self.config.engine == ENGINE_COMPILED
         self.policy = make_policy(
             self.config.precision_policy,
             full_precision=self.config.shadow_precision,
@@ -336,31 +277,23 @@ class HerbgrindAnalysis(Tracer):
         self._sites: Dict[int, isa.Instr] = {}  # keeps instr ids stable
         self._site_counter = 0
         self.runs = 0
-        #: Ident-interning pool (compiled engine); None disables it.
-        #: When present, every :attr:`ShadowValue.trace` is an integer
-        #: ident into the pool's flat arrays; structured nodes are
-        #: materialized lazily.
-        self.pool = (
-            trace_mod.TracePool()
-            if self.features.trace_pool else None
-        )
+        #: Ident-interning pool (compiled engine only; None on the
+        #: reference engine).  When present, every
+        #: :attr:`ShadowValue.trace` is an integer ident into the pool's
+        #: flat arrays; structured nodes are materialized lazily.
+        self.pool = trace_mod.TracePool() if self.compiled else None
         self.escalator = ShadowEscalator(
             self.policy, backend=self.backend, pool=self.pool
         )
-        #: Site-compiled pipeline enabled (requires the pool and the
-        #: fast anti-unification walk, which the fused walk is).
-        self._fused = bool(
-            self.features.fused_pipeline
-            and self.pool is not None
-            and self.features.fast_antiunify
-        )
-        #: Batched lockstep execution enabled (rides on the fused
-        #: pipeline: the batch callbacks are its per-lane loops).  A
-        #: resource guard forces the sequential path: budgets need
+        if batched is None:
+            batched = _batched_default()
+        #: Batched lockstep execution enabled (compiled engine only:
+        #: the batch callbacks are the fused pipeline's per-lane loops).
+        #: A resource guard forces the sequential path: budgets need
         #: per-op ticks, and the parity invariant makes the downgrade
         #: invisible in the report bytes.
         self._batched = bool(
-            self.features.batched and self._fused and self._guard is None
+            batched and self.compiled and self._guard is None
         )
         #: Batch-orchestration introspection (not serialized): uniform
         #: sub-batches executed and lanes covered by them.  Zero when
@@ -368,26 +301,14 @@ class HerbgrindAnalysis(Tracer):
         self.batched_groups = 0
         self.batched_lanes = 0
         #: Per-stage attribution counters (populated under
-        #: ``features.profile``), fresh per analysis.
+        #: ``profile``), fresh per analysis.
         self.stage_counters = PipelineStageCounters()
-        self._profile = self.features.profile
+        self._profile = profile
         #: Cached shadow state of interned constant leaves, reusable
         #: across executions because everything in it is
         #: value-determined; entries are (pool epoch, value bits,
         #: shadow) and get a new ident when the pool starts a new epoch.
         self._leaf_shadows: Dict[int, tuple] = {}
-        #: Kernel-result cache: (op, operand trace idents) -> shadow
-        #: real.  Sound because the pool interns entries (same idents
-        #: => same shadow reals at the analysis context precision)
-        #: within one pool epoch; it is cleared whenever the pool
-        #: starts a new epoch, since idents then restart from zero.
-        self._kernel_cache: Optional[Dict[tuple, BigFloat]] = (
-            {} if (self.pool is not None and self.features.kernel_cache)
-            else None
-        )
-        #: Aggregate cache statistics (benchmark attribution).
-        self.kernel_cache_hits = 0
-        self.kernel_cache_misses = 0
 
     # ------------------------------------------------------------------
     # Record lookup
@@ -404,7 +325,6 @@ class HerbgrindAnalysis(Tracer):
                 op=op,
                 loc=getattr(instr, "loc", None),
                 config=self.config,
-                fast_antiunify=self.features.fast_antiunify,
             )
             if self._profile:
                 # Anti-unify verdicts are counted at the Generalization
@@ -579,9 +499,9 @@ class HerbgrindAnalysis(Tracer):
     def _begin_run(self) -> None:
         """A run boundary: keep the pool epoch unless it is full.
 
-        Idents stay valid across runs, so the pool, its memo column,
-        the kernel cache and the escalator memos — all keyed by idents
-        — persist for the whole analysis.  Only once the pool holds
+        Idents stay valid across runs, so the pool, its memo column
+        and the escalator memos — all keyed by idents — persist for the
+        whole analysis.  Only once the pool holds
         more than :data:`POOL_EPOCH_IDENTS` idents are they reset, all
         together.
         """
@@ -599,8 +519,6 @@ class HerbgrindAnalysis(Tracer):
         if len(pool) > POOL_EPOCH_IDENTS:
             pool.begin_execution()
             self.escalator.reset()
-            if self._kernel_cache is not None:
-                self._kernel_cache.clear()
 
     def on_finish(self, interpreter: Interpreter) -> None:
         """End of one execution: persist the structured view of every
@@ -771,23 +689,7 @@ class HerbgrindAnalysis(Tracer):
             # sees uniform argument types.
             real_result, exact_op = self._hw_apply(op, shadows)
         real_args = [s.real for s in shadows]
-        cache = self._kernel_cache
-        if real_result is not None:
-            pass
-        elif cache is not None and op in KERNEL_CACHE_OPERATIONS:
-            # Transcendental kernels are memoized per (op, operand
-            # idents): the pool interns traces, so identical idents
-            # imply identical shadow reals, and a loop-invariant
-            # log/pow/trig shadow is computed once per execution.
-            cache_key = (op,) + tuple(s.trace for s in shadows)
-            real_result = cache.get(cache_key)
-            if real_result is None:
-                real_result = self._apply(op, real_args, self.context)
-                cache[cache_key] = real_result
-                self.kernel_cache_misses += 1
-            else:
-                self.kernel_cache_hits += 1
-        else:
+        if real_result is None:
             try:
                 real_result = self._apply(op, real_args, self.context)
             except KeyError:
@@ -943,7 +845,7 @@ class HerbgrindAnalysis(Tracer):
         bound after their lazy creation, policy flags are constants,
         and traces stay integer idents end to end.
         """
-        if not self._fused or arity not in (1, 2):
+        if not self.compiled or arity not in (1, 2):
             return None
         try:
             kernel = self.backend.handler(op)
@@ -990,11 +892,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         compensating = config.detect_compensation and op in ("+", "-")
         is_sub = op == "-"
         threshold = config.local_error_threshold
@@ -1084,18 +981,6 @@ class HerbgrindAnalysis(Tracer):
                         self.hw_promotions += 1
                 if real is not None:
                     pass
-                elif cache is not None:
-                    key = (op, ta, tb)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, sb.real, context) if raw
-                            else kernel((sa.real, sb.real), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
                 elif raw:
                     real = kernel2(sa.real, sb.real, context)
                 else:
@@ -1243,11 +1128,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         threshold = config.local_error_threshold
         track = config.track_influences
         counters = self.stage_counters if self._profile else None
@@ -1315,18 +1195,6 @@ class HerbgrindAnalysis(Tracer):
                             self.hw_promotions += 1
                 if real is not None:
                     pass
-                elif cache is not None:
-                    key = (op, ta)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, context) if raw
-                            else kernel((sa.real,), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
                 elif raw:
                     real = kernel2(sa.real, context)
                 else:
@@ -1417,7 +1285,7 @@ class HerbgrindAnalysis(Tracer):
         the warm per-iteration path is two compares and an attribute
         store.
         """
-        if not self._fused:
+        if not self.compiled:
             return None
         pool = self.pool
         site = id(instr)
@@ -1461,7 +1329,7 @@ class HerbgrindAnalysis(Tracer):
 
     def fused_branch_callback(self, instr: isa.Branch):
         """A per-site branch-spot callback (see ``on_branch``)."""
-        if not self._fused:
+        if not self.compiled:
             return None
         try:
             nan_result = instr.pred == "ne"
@@ -1551,11 +1419,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         compensating = config.detect_compensation and op in ("+", "-")
         is_sub = op == "-"
         threshold = config.local_error_threshold
@@ -1639,18 +1502,6 @@ class HerbgrindAnalysis(Tracer):
                         self.hw_promotions += 1
                 if real is not None:
                     pass
-                elif cache is not None:
-                    key = (op, ta, tb)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, sb.real, context) if raw
-                            else kernel((sa.real, sb.real), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
                 elif raw:
                     real = kernel2(sa.real, sb.real, context)
                 else:
@@ -1785,11 +1636,6 @@ class HerbgrindAnalysis(Tracer):
         context = self.context
         escalates = self._escalates
         policy = self.policy
-        cache = (
-            self._kernel_cache
-            if self._kernel_cache is not None
-            and op in KERNEL_CACHE_OPERATIONS else None
-        )
         threshold = config.local_error_threshold
         track = config.track_influences
         counters = self.stage_counters if self._profile else None
@@ -1856,18 +1702,6 @@ class HerbgrindAnalysis(Tracer):
                             self.hw_promotions += 1
                 if real is not None:
                     pass
-                elif cache is not None:
-                    key = (op, ta)
-                    real = cache.get(key)
-                    if real is None:
-                        real = (
-                            kernel2(sa.real, context) if raw
-                            else kernel((sa.real,), context)
-                        )
-                        cache[key] = real
-                        self.kernel_cache_misses += 1
-                    else:
-                        self.kernel_cache_hits += 1
                 elif raw:
                     real = kernel2(sa.real, context)
                 else:
@@ -2253,20 +2087,24 @@ def analyze_program(
     wrap_libraries: bool = True,
     libm: Optional[Dict[str, isa.Function]] = None,
     max_steps: int = 50_000_000,
-    features: Optional[EngineFeatures] = None,
+    batched: Optional[bool] = None,
+    profile: bool = False,
 ) -> Tuple[HerbgrindAnalysis, List[List[float]]]:
     """Run the analysis over a program on several input sets.
 
     Returns the analysis (records aggregated across runs, as Herbgrind
     aggregates across a whole execution) plus each run's outputs.
 
-    ``config.engine`` selects the execution engine ("compiled" by
-    default); ``features`` overrides the individual fast-path layers
-    for overhead attribution (benchmarks only).
+    ``config.engine`` selects the execution engine: "compiled" (the
+    default) runs every fast layer, "reference" none.  Two switches
+    remain, both result-invisible: ``batched`` turns the compiled
+    engine's lockstep execution on or off (None: on unless
+    ``REPRO_BATCHED`` disables it), and ``profile`` populates
+    :attr:`HerbgrindAnalysis.stage_counters`.
     """
-    analysis = HerbgrindAnalysis(config, features=features)
+    analysis = HerbgrindAnalysis(config, batched=batched, profile=profile)
     outputs: List[List[float]] = []
-    if analysis.features.threaded_interpreter:
+    if analysis.compiled:
         from repro.machine.compiled import CompiledProgram
 
         if _faults.active():
@@ -2298,7 +2136,9 @@ def analyze_program(
                     # behaviour (partial aggregation, then the raise)
                     # from scratch.
                     batch_outputs = None
-                    analysis = HerbgrindAnalysis(config, features=features)
+                    analysis = HerbgrindAnalysis(
+                        config, batched=batched, profile=profile
+                    )
                 if batch_outputs is not None:
                     # Sequential execution bumps ``runs`` once per
                     # point; batching bumps it once per uniform

@@ -30,25 +30,26 @@ one old variable faces two different new sub-trees, it splits.
 Symbolic expressions reuse the FPCore AST (Num/Var/Op), which is also
 how they are reported and fed to the improver.
 
-**The steady-state fast path** (``fast=True``, the compiled engine):
+**The steady-state fast path** (the compiled engine's pooled traces):
 in loops, almost every update leaves the symbolic expression unchanged
 — the site saw this shape before and only the leaf values moved.  The
 fast path runs one allocation-free walk of the *existing* expression
-against the incoming trace that simultaneously (a) verifies the
-expression already generalizes the trace — operator by operator,
-constant by constant, with variable-consistency checked through the
-same bounded-depth structural keys the full walk uses — and (b)
-collects the per-variable values in exactly the order
+against the incoming trace's pool arrays that simultaneously (a)
+verifies the expression already generalizes the trace — operator by
+operator, constant by constant, with variable-consistency checked
+through the same bounded-depth structural keys the full walk uses —
+and (b) collects the per-variable values in exactly the order
 :func:`collect_variable_values` would.  Any discrepancy bails out to
-the unmodified full walk, so results are *identical* to the reference
+the unmodified full merge, so results are *identical* to the reference
 path by construction; the fast path only skips work whose outcome it
 has proved.  Deep-trace truncation is checked on demand: an op on the
 truncation frontier lies ``max_depth`` edges below the root, so its
 height is at most the root's height minus ``max_depth``.  The walk
 records the visited op positions passing that height test and, only
 if there are any, runs the frontier walk
-(:meth:`Generalization._deep_marks`) once at the end.  Steady-state
-loop expressions are shallow, so that walk almost never runs.
+(:meth:`~repro.core.trace.TracePool.deep_marks`) once at the end.
+Steady-state loop expressions are shallow, so that walk almost never
+runs.
 
 All traversals are iterative (explicit stacks), so traces and depth
 bounds far beyond Python's recursion limit are safe.
@@ -59,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.trace import (
     KIND_CONST,
@@ -101,9 +102,6 @@ class Generalization:
     #: configuration of Section 8.2).
     max_depth: int = 20
     expression: Expr = None  # None until the first trace arrives
-    #: Enable the steady-state fast path and the memoized deep-mark
-    #: computation (the compiled engine; results are identical).
-    fast: bool = False
     #: Optional per-stage counter sink (a
     #: :class:`repro.core.analysis.PipelineStageCounters`); when set,
     #: every update records its verdict (``antiunify_fast`` /
@@ -111,16 +109,9 @@ class Generalization:
     #: generic callers report uniformly.
     stats: object = None
     _fresh: itertools.count = field(default_factory=itertools.count)
-    #: Cache of which variable names occur more than once in
-    #: ``expression`` (fast-path consistency checking), keyed by the
-    #: expression object it was computed for.
-    _multi_expr: object = field(default=None, init=False, repr=False)
-    _multi_names: Optional[FrozenSet[str]] = field(
-        default=None, init=False, repr=False
-    )
     #: Flat pre-order verification program compiled from ``expression``
     #: (fast path); False = not compiled yet / expression changed,
-    #: None = expression too large or unusual, use the generic walk.
+    #: None = expression too large or unusual, use the full merge.
     _flat: object = field(default=False, init=False, repr=False)
     _flat_expr: object = field(default=None, init=False, repr=False)
     #: Site-compiled verifier: the flat program unrolled into one
@@ -138,8 +129,8 @@ class Generalization:
     _steady_hits: int = field(default=0, init=False, repr=False)
 
     #: Positions cap for the flattened (tree-unfolded) expression; a
-    #: heavily shared expression DAG falls back to the generic
-    #: pair-memoized walk instead of unrolling.
+    #: heavily shared expression DAG bails to the full merge instead
+    #: of unrolling.
     FLAT_LIMIT = 4096
 
     #: Entry cap for the generated straight-line verifier; larger
@@ -159,10 +150,11 @@ class Generalization:
             # A node's depth-from-root never exceeds the root's height,
             # so a shallow trace cannot contain truncated occurrences —
             # the deep-mark walk is pure overhead for it.
-            if self.fast:
-                state.truncated = self._deep_marks(trace)
-            else:
-                self._mark_deep_nodes(trace, state)
+            self._mark_deep_nodes(trace, state)
+        return self._apply(trace, state)
+
+    def _apply(self, trace: TraceNode, state: _UpdateState) -> Expr:
+        """The first-trace / full-merge step under a marked ``state``."""
         if self.expression is None:
             self.expression = self._initial(trace, state)
         else:
@@ -172,25 +164,10 @@ class Generalization:
     def update_with_bindings(
         self, trace: TraceNode
     ) -> Tuple[Expr, Dict[str, float]]:
-        """Anti-unify ``trace`` and collect its per-variable values.
-
-        Equivalent to :meth:`update` followed by
-        :func:`collect_variable_values`, but in fast mode the two walks
-        fuse into one — and skip the merge entirely — whenever the
-        expression provably already generalizes the trace.
-        """
-        if self.fast and self.expression is not None:
-            bindings = self._fast_update(trace)
-            if bindings is not None:
-                if self.stats is not None:
-                    self.stats.antiunify_fast += 1
-                return self.expression, bindings
-            state = _UpdateState()
-            if trace.depth > self.max_depth:
-                state.truncated = self._deep_marks(trace)
-            self.expression = self._merge(self.expression, trace, state)
-        else:
-            self.update(trace)
+        """Anti-unify ``trace`` and collect its per-variable values:
+        :meth:`update` followed by :func:`collect_variable_values` (the
+        reference engine's merge-only path)."""
+        self.update(trace)
         if self.stats is not None:
             self.stats.antiunify_merge += 1
         bindings = {}
@@ -226,7 +203,8 @@ class Generalization:
                 stack.append((child, depth + 1))
 
     def _deep_marks(self, trace: TraceNode) -> Set[int]:
-        """The same marked set as :meth:`_mark_deep_nodes`, leaner.
+        """The same marked set as :meth:`_mark_deep_nodes`, leaner (the
+        pooled bail-out's merge).
 
         A node is marked exactly when it occurs at depth
         ``max_depth + 1`` through some path of expandable ancestors —
@@ -298,29 +276,9 @@ class Generalization:
         return Var(name)
 
     # ------------------------------------------------------------------
-    # The steady-state fast path: one fused verify-and-collect walk
+    # The steady-state fast path: one fused verify-and-collect walk over
+    # the pool's flat arrays (no materialized nodes)
     # ------------------------------------------------------------------
-
-    def _multi_occurrence_names(self) -> FrozenSet[str]:
-        """Variable names appearing at more than one position of the
-        current expression.  Only these need structural-key consistency
-        checks in the fast path: a single-occurrence variable cannot
-        face two conflicting sub-trees within one update."""
-        expression = self.expression
-        if self._multi_expr is expression and self._multi_names is not None:
-            return self._multi_names
-        counts: Dict[str, int] = {}
-        stack = [expression]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                counts[node.name] = counts.get(node.name, 0) + 1
-            elif isinstance(node, Op):
-                stack.extend(node.args)
-        names = frozenset(n for n, c in counts.items() if c > 1)
-        self._multi_expr = expression
-        self._multi_names = names
-        return names
 
     def _flat_program(self):
         """The expression compiled to a flat pre-order check list.
@@ -335,7 +293,7 @@ class Generalization:
         :func:`collect_variable_values` keeps then cannot depend on
         which repeated (position, node) pairs its memo skips.
         Expressions whose tree unfolding exceeds :data:`FLAT_LIMIT`
-        positions keep the memoized walk instead.
+        positions get None: the caller bails to the full merge.
         """
         expression = self.expression
         if self._flat_expr is expression and self._flat is not False:
@@ -357,7 +315,7 @@ class Generalization:
             elif cls is Num:
                 entries.append((2, node.as_float()))
             else:
-                entries = None  # give the generic walk the oddity
+                entries = None  # give the full merge the oddity
                 break
             if entries is not None and len(entries) > self.FLAT_LIMIT:
                 entries = None
@@ -368,85 +326,9 @@ class Generalization:
                 (1, entry[1], entry[1] in multi) if entry[0] == 1 else entry
                 for entry in entries
             ]
-            self._multi_expr = expression
-            self._multi_names = multi
         self._flat = flat
         self._flat_expr = expression
         return flat
-
-    def _fast_update(self, trace: TraceNode) -> Optional[Dict[str, float]]:
-        """Verify the expression already generalizes ``trace``; on
-        success return the variable bindings, else None (caller falls
-        back to the full merge).
-
-        The check mirrors the full merge decision-for-decision — same
-        variable-consistency rule, same truncation handling — except
-        that instead of *building* the merged expression it *bails*
-        the moment the merge would return anything but the existing
-        node.  Truncation: an operator position whose height is at
-        most ``trace.depth - max_depth`` *could* lie on the truncation
-        frontier, so it is recorded as a suspect; after an otherwise
-        successful walk, one frontier walk decides whether any suspect
-        is truncated.  Deferring that bail changes no outcome (every
-        bail means "run the full merge").  The root never passes the
-        height test, and positions that are already variables are
-        indifferent to truncation — the merge computes the same
-        bounded-depth key either way.
-        """
-        program = self._flat_program()
-        if program is None:
-            return self._fast_update_generic(trace)
-        lim = trace.depth - self.max_depth
-        eq_depth = self.equivalence_depth
-        suspects = []
-        bindings: Dict[str, float] = {}
-        var_keys: Dict[str, tuple] = {}
-        nodes = [trace]
-        pop = nodes.pop
-        for entry in program:
-            node = pop()
-            tag = entry[0]
-            if tag == 0:
-                if node.kind != KIND_OP or node.op != entry[1]:
-                    return None
-                args = node.args
-                count = entry[2]
-                if len(args) != count:
-                    return None
-                if node.depth <= lim:
-                    suspects.append(node.ident)
-                if count == 2:
-                    nodes.append(args[1])
-                    nodes.append(args[0])
-                elif count == 1:
-                    nodes.append(args[0])
-                else:
-                    nodes.extend(args[::-1])
-            elif tag == 1:
-                name = entry[1]
-                value = node.value
-                if entry[2]:  # multi-occurrence: keys and values agree
-                    if node.kind != KIND_INPUT or node.op != name:
-                        trace_key = structural_key(node, eq_depth)
-                        bound = var_keys.get(name)
-                        if bound is None:
-                            var_keys[name] = trace_key
-                        elif bound != trace_key:
-                            return None  # the variable would split
-                    prev = bindings.get(name, value)
-                    if prev is not value and not _same_value(prev, value):
-                        return None  # collect's pick depends on order
-                bindings[name] = value
-            else:
-                if node.kind != KIND_CONST or node.value != entry[1]:
-                    return None
-        if suspects and not self._deep_marks(trace).isdisjoint(suspects):
-            return None  # an expanded position is truncated: full merge
-        return bindings
-
-    # ------------------------------------------------------------------
-    # The ident-based fast path (pooled traces, no materialized nodes)
-    # ------------------------------------------------------------------
 
     def update_with_bindings_pooled(
         self, pool, ident: int
@@ -458,9 +340,9 @@ class Generalization:
         the arrays — no :class:`TraceNode` is materialized.  Any
         discrepancy materializes the node once and falls back to the
         unmodified full merge, so results are identical to the
-        node-based path by construction.
+        reference merge by construction.
         """
-        if self.fast and self.expression is not None:
+        if self.expression is not None:
             bindings = self._fast_update_pooled(pool, ident)
             if bindings is not None:
                 return self.expression, bindings
@@ -474,13 +356,10 @@ class Generalization:
         plus value collection.  Callers that already ran (and failed)
         :meth:`_fast_update_pooled` jump straight here."""
         node = pool.node(ident)
-        if self.fast and self.expression is not None:
-            state = _UpdateState()
-            if node.depth > self.max_depth:
-                state.truncated = self._deep_marks(node)
-            self.expression = self._merge(self.expression, node, state)
-        else:
-            self.update(node)
+        state = _UpdateState()
+        if node.depth > self.max_depth:
+            state.truncated = self._deep_marks(node)
+        self._apply(node, state)
         if self.stats is not None:
             self.stats.antiunify_merge += 1
         bindings = {}
@@ -513,14 +392,25 @@ class Generalization:
     def _fast_update_pooled(
         self, pool, ident: int
     ) -> Optional[Dict[str, float]]:
-        """Verify-and-collect over the pool's flat arrays.
+        """Verify the expression already generalizes the trace
+        ``ident``; on success return the variable bindings, else None
+        (the caller falls back to the full merge).
 
-        Decision-for-decision identical to :meth:`_fast_update`, with
-        the same height-gated truncation check over ``pool.depths``
-        (suspects are confirmed by
-        :meth:`~repro.core.trace.TracePool.deep_marks`).  Expressions
-        too large for the flat program materialize the node and reuse
-        the node-based generic walk.
+        The check mirrors the full merge decision-for-decision — same
+        variable-consistency rule, same truncation handling — except
+        that instead of *building* the merged expression it *bails*
+        the moment the merge would return anything but the existing
+        node.  Truncation: an operator position whose height is at
+        most ``depths[ident] - max_depth`` *could* lie on the
+        truncation frontier, so it is recorded as a suspect; after an
+        otherwise successful walk, one frontier walk
+        (:meth:`~repro.core.trace.TracePool.deep_marks`) decides
+        whether any suspect is truncated.  Deferring that bail changes
+        no outcome (every bail means "run the full merge").  The root
+        never passes the height test, and positions that are already
+        variables are indifferent to truncation — the merge computes
+        the same bounded-depth key either way.  Expressions too large
+        for the flat program bail straight away.
         """
         # Inline the warm case of _flat_program (one call per op).
         if self._flat_expr is self.expression and self._flat is not False:
@@ -528,7 +418,7 @@ class Generalization:
         else:
             program = self._flat_program()
         if program is None:
-            return self._fast_update_generic(pool.node(ident))
+            return None
         depths = pool.depths
         lim = depths[ident] - self.max_depth
         expression = self.expression
@@ -603,66 +493,6 @@ class Generalization:
         self._steady_hits += 1
         if self.stats is not None:
             self.stats.antiunify_fast += 1
-        return bindings
-
-    def _fast_update_generic(
-        self, trace: TraceNode
-    ) -> Optional[Dict[str, float]]:
-        """The pair-memoized fallback for expressions the flat program
-        cannot represent (oversized tree unfoldings), with the same
-        height-gated truncation check as :meth:`_fast_update`."""
-        multi = self._multi_occurrence_names()
-        eq_depth = self.equivalence_depth
-        lim = trace.depth - self.max_depth
-        suspects = []
-        bindings: Dict[str, float] = {}
-        var_keys: Dict[str, tuple] = {}
-        seen: Set[Tuple[int, int]] = set()
-        # Pre-order, left-to-right (reversed pushes), matching both the
-        # merge's variable-binding order and collect's last-one-wins.
-        stack = [(self.expression, trace)]
-        while stack:
-            sym, node = stack.pop()
-            key = (id(sym), node.ident)
-            if key in seen:
-                continue
-            seen.add(key)
-            cls = sym.__class__
-            if cls is Var:
-                name = sym.name
-                value = node.value
-                if name in multi:  # keys and values agree, as above
-                    if node.kind != KIND_INPUT or node.op != name:
-                        trace_key = structural_key(node, eq_depth)
-                        bound = var_keys.get(name)
-                        if bound is None:
-                            var_keys[name] = trace_key
-                        elif bound != trace_key:
-                            return None  # the variable would split
-                    prev = bindings.get(name, value)
-                    if prev is not value and not _same_value(prev, value):
-                        return None
-                bindings[name] = value
-                continue
-            if cls is Op:
-                if node.kind != KIND_OP or node.op != sym.op:
-                    return None
-                sym_args = sym.args
-                node_args = node.args
-                if len(sym_args) != len(node_args):
-                    return None
-                if node.depth <= lim:
-                    suspects.append(node.ident)
-                for index in range(len(sym_args) - 1, -1, -1):
-                    stack.append((sym_args[index], node_args[index]))
-                continue
-            if cls is Num:
-                if node.kind != KIND_CONST or sym.as_float() != node.value:
-                    return None
-                continue
-            return None  # unexpected expression node: let the full walk decide
-        if suspects and not self._deep_marks(trace).isdisjoint(suspects):
-            return None  # an expanded position is truncated: full merge
         return bindings
 
     # ------------------------------------------------------------------

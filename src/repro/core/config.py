@@ -133,7 +133,9 @@ class AnalysisConfig:
 
     #: Budget of analysed floating-point operations for one analysis;
     #: ``None`` (the default) is unlimited.  When spent, the guard
-    #: raises :class:`~repro.resilience.errors.OpBudgetExceeded`.
+    #: raises :class:`~repro.resilience.errors.OpBudgetExceeded`,
+    #: which the degradation ladder does not retry: every rung
+    #: analyses the same operations.
     op_budget: Optional[int] = None
 
     def __post_init__(self) -> None:

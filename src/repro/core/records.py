@@ -52,15 +52,11 @@ class OpRecord:
     #: The pool ident of the most recent trace, awaiting end-of-run
     #: materialization (compiled engine only; None otherwise).
     pending_trace: Optional[int] = None
-    #: Route generalization through the steady-state fast path (the
-    #: compiled engine; results are identical to the reference walk).
-    fast_antiunify: bool = False
 
     def __post_init__(self) -> None:
         self.generalization = Generalization(
             equivalence_depth=self.config.equivalence_depth,
             max_depth=self.config.max_expression_depth,
-            fast=self.fast_antiunify,
         )
         self.total_inputs = CharacteristicsTable(self.config)
         self.problematic_inputs = CharacteristicsTable(self.config)

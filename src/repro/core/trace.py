@@ -203,7 +203,7 @@ class TracePool:
     The pool *is* the trace store: every trace is an integer ident
     indexing parallel flat arrays (kind, op name, argument idents,
     value, source location, depth).  The hot path —
-    tracer callbacks, the kernel-result cache, the steady-state
+    tracer callbacks, the shadow memo, the steady-state
     anti-unification walk — operates on idents and these arrays only;
     no :class:`TraceNode` objects are allocated per operation.
     Structured nodes are materialized *lazily* (:meth:`node`,
@@ -228,8 +228,8 @@ class TracePool:
       interning tables) and bumps :attr:`epoch`; the analysis calls it
       only at a run boundary, once the pool holds more than
       ``repro.core.analysis.POOL_EPOCH_IDENTS`` entries.  Every
-      ident-keyed cache (the :attr:`memo` column, the kernel cache,
-      the escalator memos) resets with it.
+      ident-keyed cache (the :attr:`memo` column, the escalator memos)
+      resets with it.
 
     ``memo`` holds, per op ident, the ``(shadow, local error bits,
     compensation verdict)`` the fused pipeline computed for it, or

@@ -2,15 +2,18 @@
 
 :class:`DegradableError` and its subclasses mark a failure that a less
 accelerated configuration can plausibly avoid — a crashed substrate
-kernel, a fast-path engine fault, an exhausted per-analysis resource
-budget.  The ladder (:mod:`repro.resilience.ladder`) catches exactly
-this family (plus :class:`repro.machine.interpreter.MachineError`) and
-retries the analysis down the stack; anything else is a caller bug and
-propagates untouched.
+kernel, a fast-path engine fault, a spent wall-clock deadline.  The
+ladder (:mod:`repro.resilience.ladder`) catches exactly this family
+(plus :class:`repro.machine.interpreter.MachineError`) and retries the
+analysis down the stack; anything else is a caller bug and propagates
+untouched.
 
 :class:`InvalidInputError` is the opposite case: the request itself is
 wrong, so every rung would fail the same way.  It is raised before the
 ladder runs and the serving layer answers it with HTTP 400.
+:class:`OpBudgetExceeded` is not degradable either: every rung
+analyses the same operations, so a spent op budget would be spent
+again on each.
 
 Everything is stdlib-only and import-light: the analysis hot path
 imports this module at startup.
@@ -51,14 +54,18 @@ class FaultInjected(DegradableError):
     specific class (see :func:`repro.resilience.faults.trip`)."""
 
 
-class ResourceExhausted(DegradableError):
+class ResourceExhausted(Exception):
     """A per-analysis resource guard fired (:class:`ResourceGuard` in
     :mod:`repro.core.analysis`)."""
 
 
-class AnalysisDeadlineExceeded(ResourceExhausted):
-    """``AnalysisConfig.deadline_seconds`` elapsed mid-analysis."""
+class AnalysisDeadlineExceeded(ResourceExhausted, DegradableError):
+    """``AnalysisConfig.deadline_seconds`` elapsed mid-analysis.
+    Degradable: it depends on wall-clock time, which a retry may
+    spend differently."""
 
 
 class OpBudgetExceeded(ResourceExhausted):
-    """``AnalysisConfig.op_budget`` analysed operations were spent."""
+    """``AnalysisConfig.op_budget`` analysed operations were spent.
+    Not degradable: every ladder rung analyses the same operations
+    (the parity invariant), so each would exhaust the budget again."""

@@ -87,9 +87,9 @@ def classify(exc: BaseException) -> Optional[str]:
 
 
 def _batched_possible(request) -> bool:
-    """Whether the request's default feature stack batches at all."""
-    if request.features is not None:
-        return bool(request.features.batched)
+    """Whether the request's compiled engine batches at all."""
+    if request.batched is not None:
+        return request.batched
     from repro.core.analysis import _batched_default
 
     return _batched_default()
@@ -146,18 +146,18 @@ class DegradationLadder:
         derived = dataclasses.replace(
             request, config=request.config.with_(**changes)
         )
-        # An explicit feature override belongs to the configuration it
-        # was built for; a degraded rung re-derives its default stack.
-        derived.features = None
+        # An explicit batched override belongs to the configuration it
+        # was built for; a degraded rung re-derives the engine default.
+        derived.batched = None
         return derived
 
     @staticmethod
     def _working_tier_request(request):
         """The same request with only the hardware tier turned off.
 
-        Unlike :meth:`_derived` this keeps an explicit feature override:
+        Unlike :meth:`_derived` this keeps an explicit batched override:
         the hardware tier is pure shadow policy, orthogonal to the
-        engine feature stack.
+        engine's execution.
         """
         return dataclasses.replace(
             request, config=request.config.with_(hw_tier=False)
@@ -166,15 +166,7 @@ class DegradationLadder:
     @staticmethod
     def _sequential_request(request):
         """The same request with only the batched layer turned off."""
-        from repro.core.analysis import EngineFeatures
-
-        base = (
-            request.features if request.features is not None
-            else EngineFeatures.for_engine(request.config.engine)
-        )
-        derived = dataclasses.replace(request)
-        derived.features = dataclasses.replace(base, batched=False)
-        return derived
+        return dataclasses.replace(request, batched=False)
 
     # ------------------------------------------------------------------
     # Driving

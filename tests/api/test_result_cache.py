@@ -100,6 +100,18 @@ class TestRequestDigest:
         assert rebuilt.config.engine == "reference"
         assert request_digest(rebuilt) == request_digest(request)
 
+    def test_batched_switch_stays_out_of_the_digest(self):
+        # Batching is result-invisible, so the internal switch is never
+        # serialized and two requests differing only there share a
+        # digest (and a cache entry).
+        import dataclasses
+
+        session = AnalysisSession(config=FAST, num_points=4)
+        request = session.request(ERRONEOUS)
+        sequential = dataclasses.replace(request, batched=False)
+        assert "batched" not in sequential.to_dict()
+        assert request_digest(sequential) == request_digest(request)
+
     def test_varies_with_result_schema_version(self, monkeypatch):
         # A schema bump must invalidate persisted entries.
         import repro.api.session as session_mod

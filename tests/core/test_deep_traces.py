@@ -15,6 +15,7 @@ import pytest
 from repro.core import AnalysisConfig, analyze_program
 from repro.core.antiunify import Generalization, collect_variable_values
 from repro.core.trace import (
+    TracePool,
     const_leaf,
     input_leaf,
     node_count,
@@ -32,6 +33,31 @@ def chain(depth, leaf=None, op="+", salt=0.0):
             op, (node, const_leaf(0.5)), float(level) + salt, loc=f"l:{level}"
         )
     return node
+
+
+def pooled_chain(pool, depth, salt=0.0):
+    """:func:`chain` interned in ``pool``; returns the root ident.  The
+    salt picks the op sites, so chains differing only in their values
+    stay distinct entries."""
+    ident = pool.input_ident(1.0, 0)
+    half = pool.const_ident(0.5)
+    base = int(salt * 4) << 32
+    for level in range(depth - 1):
+        ident = pool.op_ident(
+            "+", (ident, half), float(level) + salt, loc=f"l:{level}",
+            site=base + level,
+        )
+    return ident
+
+
+def update(site, depth, pool=None, salt=0.0):
+    """One update with bindings: the pooled (compiled engine) walk when
+    ``pool`` is given, the reference merge over nodes otherwise."""
+    if pool is not None:
+        return site.update_with_bindings_pooled(
+            pool, pooled_chain(pool, depth, salt)
+        )
+    return site.update_with_bindings(chain(depth, salt=salt))
 
 
 DEEP = sys.getrecursionlimit() * 3
@@ -57,47 +83,44 @@ class TestIterativeTraversals:
         collect_variable_values(expression, node, out)
         assert out["x0"] == 1.0
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_initial_and_merge_with_huge_depth_bound(self, fast):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_initial_and_merge_with_huge_depth_bound(self, pooled):
         # max_depth at the trace's own scale: _initial and _merge must
         # walk the whole chain without recursing.
-        site = Generalization(max_depth=DEEP + 1, fast=fast)
-        first = site.update(chain(DEEP))
+        pool = TracePool() if pooled else None
+        site = Generalization(max_depth=DEEP + 1)
+        first, __ = update(site, DEEP, pool)
         assert first is not None
-        merged, bindings = site.update_with_bindings(chain(DEEP, salt=0.25))
+        merged, bindings = update(site, DEEP, pool, salt=0.25)
         assert merged is not None
         assert bindings["x0"] == 1.0
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_deep_trace_with_default_bound(self, fast):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_deep_trace_with_default_bound(self, pooled):
         # The everyday case: a trace far beyond max_depth=20.
-        site = Generalization(fast=fast)
-        site.update(chain(DEEP))
-        expression, bindings = site.update_with_bindings(
-            chain(DEEP, salt=0.25)
-        )
+        pool = TracePool() if pooled else None
+        site = Generalization()
+        update(site, DEEP, pool)
+        expression, bindings = update(site, DEEP, pool, salt=0.25)
         assert expression is not None
         assert "x0" not in bindings  # the input sits beyond the bound
 
 
 class TestBoundaryParity:
-    """Fast and reference walks agree exactly at the truncation bound."""
+    """Pooled and reference walks agree exactly at the truncation
+    bound."""
 
     @pytest.mark.parametrize("depth", [18, 19, 20, 21, 22, 40])
     def test_expression_identical_at_and_past_the_bound(self, depth):
         for salts in ([0.0, 0.0], [0.0, 0.25], [0.25, 0.5, 0.25]):
-            sites = {
-                fast: Generalization(max_depth=20, fast=fast)
-                for fast in (False, True)
-            }
+            pool = TracePool()
+            reference = Generalization(max_depth=20)
+            pooled = Generalization(max_depth=20)
             for salt in salts:
-                results = {}
-                for fast, site in sites.items():
-                    results[fast] = site.update_with_bindings(
-                        chain(depth, salt=salt)
-                    )
-                assert str(results[True][0]) == str(results[False][0])
-                assert results[True][1] == results[False][1]
+                expected = update(reference, depth, salt=salt)
+                got = update(pooled, depth, pool, salt=salt)
+                assert str(got[0]) == str(expected[0])
+                assert got[1] == expected[1]
 
 
 class TestDeepLoopPrograms:

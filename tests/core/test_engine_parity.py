@@ -3,14 +3,14 @@
 The acceptance bar of the compiled engine is *byte-identical*
 ``AnalysisResult`` JSON against the reference engine — across the
 whole corpus, under both precision policies, through the batch API,
-and for every individual fast-path layer (threaded interpreter, trace
-pool, steady-state anti-unification).
+and for every setting of the compiled engine's two switches (batched
+lockstep execution and the profile counters).
 """
 
 import pytest
 
 from repro.api import AnalysisSession, results_to_json
-from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import AnalysisConfig, analyze_program
 from repro.fpcore import load_corpus
 
 
@@ -100,30 +100,15 @@ def analysis_signature(analysis):
 
 
 class TestLayerAttribution:
-    """Each fast-path layer alone must preserve results exactly."""
+    """Every setting of the compiled engine's two switches must match
+    the reference engine exactly, under both precision policies."""
 
-    LAYERS = [
-        EngineFeatures(True, False, False),   # dispatch only
-        EngineFeatures(False, True, False),   # trace pool only
-        EngineFeatures(False, False, True),   # fast anti-unify only
-        EngineFeatures(True, True, True),     # PR-3 stack
-        EngineFeatures(True, True, True, kernel_cache=True),  # PR-4 stack
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True),  # fused per-site pipeline
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, profile=True),  # + counters
-        EngineFeatures(True, True, True, fused_pipeline=True),  # no kcache
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, batched=True),  # PR-7 stack
-        EngineFeatures(True, True, True, kernel_cache=True,
-                       fused_pipeline=True, batched=True,
-                       profile=True),  # batched + counters
-        EngineFeatures(True, True, True, fused_pipeline=True,
-                       batched=True),  # batched without kernel cache
-    ]
-
-    @pytest.mark.parametrize("features", LAYERS)
-    def test_each_layer_is_report_identical(self, features):
+    @pytest.mark.parametrize("profile", [False, True],
+                             ids=["counters-off", "counters-on"])
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["sequential", "batched"])
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    def test_each_stack_is_report_identical(self, policy, batched, profile):
         from repro.fpcore.printer import format_fpcore
         from repro.machine import compile_fpcore
         from repro.api.sampling import sample_inputs
@@ -131,16 +116,39 @@ class TestLayerAttribution:
         corpus = load_corpus()
         chosen = [c for c in corpus if "(while" in format_fpcore(c)][:2] \
             + corpus[:4]
-        baseline_features = EngineFeatures(False, False, False)
+        reference = AnalysisConfig(engine="reference", precision_policy=policy)
+        compiled = AnalysisConfig(engine="compiled", precision_policy=policy)
         for core in chosen:
             program = compile_fpcore(core)
             points = sample_inputs(core, 3, seed=3)
-            base, __ = analyze_program(
-                program, points, features=baseline_features
+            base, __ = analyze_program(program, points, config=reference)
+            fast, __ = analyze_program(
+                program, points, config=compiled, batched=batched,
+                profile=profile,
             )
-            fast, __ = analyze_program(program, points, features=features)
             assert analysis_signature(fast) == analysis_signature(base), \
-                f"{core.name} diverged under {features}"
+                f"{core.name} diverged (batched={batched}, profile={profile})"
+            if profile:
+                counters = fast.stage_counters
+                assert counters.fused_ops + counters.generic_ops > 0
+
+
+class TestReferenceStack:
+    def test_reference_engine_runs_no_fast_layer(self):
+        # The oracle: no trace pool, no site-compiled callbacks, no
+        # batching — whatever switches the caller passes.
+        from repro.core import HerbgrindAnalysis
+        from repro.machine import isa
+
+        analysis = HerbgrindAnalysis(
+            AnalysisConfig(engine="reference"), batched=True, profile=True
+        )
+        instr = isa.FloatOp("r", "+", ("a", "b"))
+        assert analysis.pool is None
+        assert analysis.fused_site_callback(instr, "+", 2) is None
+        assert analysis.batch_site_callback(
+            instr, "+", 2, False, lambda a, b: a + b
+        ) is None
 
 
 class TestBatchedParity:

@@ -3,21 +3,19 @@
 Two guards this suite pins:
 
 * **Counter freshness** — every ``HerbgrindAnalysis`` starts with zero
-  engine counters (kernel-cache hits/misses, pipeline stage counters),
+  engine counters (memo hits, pipeline stage counters),
   and repeated ``analyze_batch`` calls through one session never see a
   previous analysis' counts.
 * **Pool memory** — the ident-first :class:`~repro.core.trace.TracePool`
   keeps one epoch across the runs of an analysis and resets only at a
   run boundary once it holds more than ``POOL_EPOCH_IDENTS`` idents, so
   its live size stays under that cap plus one run's unique nodes; the
-  pool, its memo column, the kernel cache and the escalator memos reset
-  together; and repeated batch iterations do not grow it.
+  pool, its memo column and the escalator memos reset together; and
+  repeated batch iterations do not grow it.
 """
 
-import dataclasses
-
 from repro.api import AnalysisSession
-from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import AnalysisConfig, analyze_program
 from repro.core import analysis as analysis_mod
 from repro.core.analysis import HerbgrindAnalysis, PipelineStageCounters
 from repro.fpcore import parse_fpcore
@@ -33,25 +31,27 @@ STRAIGHT = """(FPCore (x y) :name "iso-straight" :pre (and (<= 1 x 2) (<= 2 y 4)
 
 FAST = AnalysisConfig(shadow_precision=192)
 
-PROFILED = dataclasses.replace(
-    EngineFeatures.for_engine("compiled"), profile=True
-)
-
-SEQUENTIAL = dataclasses.replace(
-    EngineFeatures.for_engine("compiled"), batched=False
-)
+#: Compiled-engine switches: the profile counters on, or batching off.
+PROFILED = {"profile": True}
+SEQUENTIAL = {"batched": False}
 
 
-def run_analysis(points, features=PROFILED):
+def run_analysis(points, switches=PROFILED):
     program = compile_fpcore(parse_fpcore(LOOP))
-    return analyze_program(program, points, config=FAST, features=features)
+    return analyze_program(program, points, config=FAST, **switches)
 
 
 class TestCounterReset:
     def test_fresh_analysis_has_zero_counters(self):
         analysis = HerbgrindAnalysis(FAST)
-        assert analysis.kernel_cache_hits == 0
-        assert analysis.kernel_cache_misses == 0
+        assert analysis.memo_hits == 0
+        assert all(
+            value == 0 for value in analysis.stage_counters.to_dict().values()
+        )
+
+    def test_counters_stay_zero_without_profile(self):
+        analysis, __ = run_analysis([[1.5, 25.0]], switches={})
+        assert analysis.memo_hits > 0  # always-on, unlike the stages
         assert all(
             value == 0 for value in analysis.stage_counters.to_dict().values()
         )
@@ -62,8 +62,7 @@ class TestCounterReset:
         second, __ = run_analysis(points)
         assert first.stage_counters.to_dict() == \
             second.stage_counters.to_dict()
-        assert first.kernel_cache_hits == second.kernel_cache_hits
-        assert first.kernel_cache_misses == second.kernel_cache_misses
+        assert first.memo_hits == second.memo_hits
         assert second.stage_counters.to_dict()["fused_ops"] > 0
 
     def test_stage_counters_reset_method(self):
@@ -115,7 +114,7 @@ class TestPoolMemoryGuard:
 
         monkeypatch.setattr(HerbgrindAnalysis, "on_finish", spy)
         analysis, __ = analyze_program(
-            program, points, config=FAST, features=SEQUENTIAL
+            program, points, config=FAST, **SEQUENTIAL
         )
         assert len(sizes) == len(points)
         assert max(sizes) <= cap + one_run
@@ -153,13 +152,11 @@ class TestPoolMemoryGuard:
         escalator = analysis.escalator
         assert len(pool) > 10
         assert any(entry is not None for entry in pool.memo)
-        assert analysis._kernel_cache  # `log x` is a cached kernel
         ident = len(pool) - 1
         escalator._memo[ident] = escalator._working_memo[ident] = None
         escalator._confirm_memo[ident] = escalator._leaves[ident] = None
         analysis.on_start(None)
         assert len(pool) == len(pool.memo) == len(pool.nodes) == 0
-        assert not analysis._kernel_cache
         assert not (escalator._memo or escalator._working_memo
                     or escalator._confirm_memo or escalator._leaves)
 
@@ -167,10 +164,10 @@ class TestPoolMemoryGuard:
         analysis, __ = run_analysis([[1.5, 25.0]])
         pool = analysis.pool
         size = len(pool)
-        cached = dict(analysis._kernel_cache)
+        memo = list(pool.memo)
         analysis.on_start(None)
         assert len(pool) == size and pool.epoch == 0
-        assert analysis._kernel_cache == cached
+        assert pool.memo == memo
 
     def test_batch_iterations_do_not_grow_pools(self):
         session = AnalysisSession(

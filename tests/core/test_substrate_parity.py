@@ -3,8 +3,7 @@
 The acceptance bar of the pluggable BigFloat substrate is
 *byte-identical* ``AnalysisResult`` JSON across ``substrate`` x
 ``engine`` x ``precision_policy`` over the whole corpus, plus a
-substrate-aware result-cache digest and a result-preserving
-kernel-result cache.
+substrate-aware result-cache digest.
 """
 
 import pytest
@@ -13,10 +12,9 @@ from repro.api import AnalysisSession, results_to_json
 from repro.api.requests import AnalysisRequest
 from repro.api.session import request_digest
 from repro.bigfloat import substrate_provider
-from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import AnalysisConfig
 from repro.core.config import AnalysisConfig as Config
-from repro.fpcore import load_corpus, parse_fpcore
-from repro.machine import compile_fpcore
+from repro.fpcore import load_corpus
 
 
 def corpus_json(substrate: str, engine: str = "compiled",
@@ -69,60 +67,6 @@ class TestDigest:
     def test_unknown_substrate_rejected_at_config_time(self):
         with pytest.raises(ValueError):
             Config(substrate="mpfr")
-
-
-class TestKernelCache:
-    LOOP = """(FPCore (x n) :name "cache-loop"
-        (while (<= i n) ([i 1 (+ i 1)]
-                         [acc 0 (+ acc (/ (log x) i))])
-          acc))"""
-
-    def analyse(self, kernel_cache: bool):
-        program = compile_fpcore(parse_fpcore(self.LOOP))
-        features = EngineFeatures(
-            threaded_interpreter=True, trace_pool=True,
-            fast_antiunify=True, kernel_cache=kernel_cache,
-        )
-        return analyze_program(
-            program, [[7.5, 12.0], [3.25, 9.0]],
-            config=AnalysisConfig(), features=features,
-        )
-
-    def test_loop_invariant_kernel_hits(self):
-        analysis, __ = self.analyse(kernel_cache=True)
-        # log x is loop-invariant: one miss per execution, the other
-        # iterations hit.
-        assert analysis.kernel_cache_misses == 2
-        assert analysis.kernel_cache_hits >= 18
-
-    def test_cache_off_by_default_without_pool(self):
-        program = compile_fpcore(parse_fpcore(self.LOOP))
-        features = EngineFeatures(
-            threaded_interpreter=False, trace_pool=False,
-            fast_antiunify=False, kernel_cache=True,
-        )
-        analysis, __ = analyze_program(
-            program, [[7.5, 12.0]], config=AnalysisConfig(),
-            features=features,
-        )
-        assert analysis.kernel_cache_hits == 0
-        assert analysis.kernel_cache_misses == 0
-
-    def test_cache_is_result_invisible(self):
-        with_cache, outputs_on = self.analyse(kernel_cache=True)
-        without, outputs_off = self.analyse(kernel_cache=False)
-        assert outputs_on == outputs_off
-        on = {r.site_id: (r.executions, r.max_local_error,
-                          r.sum_local_error)
-              for r in with_cache.op_records.values()}
-        off = {r.site_id: (r.executions, r.max_local_error,
-                           r.sum_local_error)
-               for r in without.op_records.values()}
-        assert on == off
-
-    def test_for_engine_enables_cache_only_when_compiled(self):
-        assert EngineFeatures.for_engine("compiled").kernel_cache
-        assert not EngineFeatures.for_engine("reference").kernel_cache
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 from repro.core.antiunify import Generalization, collect_variable_values
 from repro.core.trace import (
+    TracePool,
     const_leaf,
     input_leaf,
     node_count,
@@ -258,9 +259,9 @@ class TestCollectVariableValues:
         assert inner_x == expr.args[1]
 
     def test_fast_path_bindings_match_collect(self):
-        """A variable bound to two values at once: the fast path must
-        report what ``collect_variable_values`` reports, not the value
-        its own walk happened to visit last."""
+        """A variable bound to two values at once: the pooled fast path
+        must report what ``collect_variable_values`` reports, not the
+        value its own walk happened to visit last."""
         x = input_leaf(2.5, 1)
         first = op_node("*", (op_node("-", (x, x), 0.0, None), x), 0.0, None)
         y = input_leaf(2.5, 1)
@@ -269,12 +270,26 @@ class TestCollectVariableValues:
             (op_node("-", (y, const_leaf(0.5)), 2.0, None), y),
             5.0, None,
         )
-        results = {}
-        for fast in (False, True):
-            g = Generalization(fast=fast)
-            g.update_with_bindings(first)
-            expr, bindings = g.update_with_bindings(second)
-            results[fast] = (str(expr), bindings)
+        g = Generalization()
+        g.update_with_bindings(first)
+        expr, bindings = g.update_with_bindings(second)
+        reference = (str(expr), bindings)
         # The x1 facing 0.5 keeps its name (one sub-tree per update).
-        assert results[False] == ("(* (- x1 x1) x1)", {"x1": 0.5})
-        assert results[True] == results[False]
+        assert reference == ("(* (- x1 x1) x1)", {"x1": 0.5})
+
+        pool = TracePool()
+        px = pool.input_ident(2.5, 1)
+        pfirst = pool.op_ident(
+            "*", (pool.op_ident("-", (px, px), 0.0, site=1), px), 0.0,
+            site=2,
+        )
+        psecond = pool.op_ident(
+            "*",
+            (pool.op_ident("-", (px, pool.const_ident(0.5)), 2.0, site=3),
+             px),
+            5.0, site=4,
+        )
+        g = Generalization()
+        g.update_with_bindings_pooled(pool, pfirst)
+        expr, bindings = g.update_with_bindings_pooled(pool, psecond)
+        assert (str(expr), bindings) == reference

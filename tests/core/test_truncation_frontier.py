@@ -10,16 +10,18 @@ look for frontier positions among the ops whose height is at most
 after an otherwise successful walk.
 
 These tests feed random pooled DAGs (shared sub-traces, up to a few
-times ``max_depth`` deep) to every fast path — the interpreted
-flat walk and the generated verifier, over the pool's arrays and over
-materialized nodes, plus the pair-memoized generic walk — and check:
+times ``max_depth`` deep) to the fast path — the interpreted flat walk
+and the generated verifier over the pool's arrays — and to a pooled
+site whose flat program is disabled (``FLAT_LIMIT = 0``), and check:
 
 * expressions and bindings equal those of the reference
-  (``fast=False``) generalization fed the materialized nodes,
+  generalization fed the materialized nodes (the merge-only walk),
 * each fast update succeeds exactly when a brute-force oracle says it
   should: the expression matches the trace and no op position it
   expands is on the frontier, computed as the set of ops some path of
-  exactly ``max_depth`` edges reaches.
+  exactly ``max_depth`` edges reaches,
+* an expression too large for the flat program never takes the fast
+  path: it bails straight to the full merge.
 """
 
 import itertools
@@ -227,24 +229,23 @@ def mask_sequences(max_size):
 
 
 def variants(max_depth, eq_depth):
-    """The reference and every fast path, keyed by name.
+    """The reference, the pooled fast path, and a pooled site whose
+    every expression is oversized, keyed by name.
 
-    ``generic`` variants disable the flat program (``FLAT_LIMIT = 0``),
-    which routes their fast updates through the pair-memoized walk.
+    ``oversized`` disables the flat program (``FLAT_LIMIT = 0``), so
+    its pooled updates must bail to the full merge every time.
     """
     sites = {}
-    for name, fast, pooled, generic in (
-        ("reference", False, False, False),
-        ("nodes", True, False, False),
-        ("pooled", True, True, False),
-        ("generic-nodes", True, False, True),
-        ("generic-pooled", True, True, True),
+    for name, pooled, oversized in (
+        ("reference", False, False),
+        ("pooled", True, False),
+        ("oversized", True, True),
     ):
         site = Generalization(
-            equivalence_depth=eq_depth, max_depth=max_depth, fast=fast,
+            equivalence_depth=eq_depth, max_depth=max_depth,
             stats=_Counters(),
         )
-        if generic:
+        if oversized:
             site.FLAT_LIMIT = 0
         sites[name] = (site, pooled)
     return sites
@@ -273,7 +274,9 @@ def feed(sites, pool, root, max_depth, eq_depth):
         else:
             results[name] = site.update_with_bindings(node)
         fast = site.stats.antiunify_merge == merges
-        if name != "reference" and expect_fast is not None:
+        if name == "oversized":
+            assert not fast, name
+        elif name != "reference" and expect_fast is not None:
             assert fast == expect_fast, name
     reference = results.pop("reference")
     for name, (expr, bindings) in results.items():

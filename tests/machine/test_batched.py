@@ -19,18 +19,15 @@ import textwrap
 import pytest
 
 from repro.bigfloat.functions import DOUBLE_HANDLERS
-from repro.core import AnalysisConfig, EngineFeatures, analyze_program
+from repro.core import AnalysisConfig, HerbgrindAnalysis, analyze_program
 from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
 from repro.machine import BatchedProgram, Tracer, compile_fpcore
 from repro.machine.interpreter import MachineError
 
-BATCHED = EngineFeatures(
-    True, True, True, kernel_cache=True, fused_pipeline=True, batched=True
-)
-SEQUENTIAL = EngineFeatures(
-    True, True, True, kernel_cache=True, fused_pipeline=True, batched=False
-)
+#: The compiled engine with lockstep batching forced on / off.
+BATCHED = {"batched": True}
+SEQUENTIAL = {"batched": False}
 
 STRAIGHT = parse_fpcore("(FPCore (x y) (- (+ x y) x))")
 BRANCHY = parse_fpcore(
@@ -67,10 +64,10 @@ def run_both(core, points, policy="adaptive"):
     config = AnalysisConfig(precision_policy=policy)
     program = compile_fpcore(core)
     batched, out_b = analyze_program(
-        program, points, config=config, features=BATCHED
+        program, points, config=config, **BATCHED
     )
     sequential, out_s = analyze_program(
-        program, points, config=config, features=SEQUENTIAL
+        program, points, config=config, **SEQUENTIAL
     )
     assert out_b == out_s
     assert batched.runs == sequential.runs == len(points)
@@ -168,11 +165,11 @@ class TestErrorFallback:
         config = AnalysisConfig()
         with pytest.raises(MachineError) as batched_err:
             analyze_program(
-                program, [[1.0, 2.0], [1.0]], features=BATCHED
+                program, [[1.0, 2.0], [1.0]], **BATCHED
             )
         with pytest.raises(MachineError) as sequential_err:
             analyze_program(
-                program, [[1.0, 2.0], [1.0]], features=SEQUENTIAL
+                program, [[1.0, 2.0], [1.0]], **SEQUENTIAL
             )
         assert str(batched_err.value) == str(sequential_err.value)
 
@@ -181,13 +178,28 @@ class TestEnvironmentSwitch:
     def test_repro_batched_off_disables_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
         assert not _batched_default()
-        assert not EngineFeatures.for_engine("compiled").batched
+        assert not HerbgrindAnalysis(AnalysisConfig())._batched
+
+    def test_explicit_switch_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BATCHED", "0")
+        assert HerbgrindAnalysis(AnalysisConfig(), batched=True)._batched
+        monkeypatch.delenv("REPRO_BATCHED", raising=False)
+        assert not HerbgrindAnalysis(
+            AnalysisConfig(), batched=False
+        )._batched
+
+    def test_resource_guard_forces_sequential(self):
+        # Budgets need per-op ticks, which only the sequential path has.
+        guarded = AnalysisConfig(op_budget=10 ** 9)
+        assert not HerbgrindAnalysis(guarded, batched=True)._batched
 
     def test_repro_batched_on_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BATCHED", raising=False)
         assert _batched_default()
-        assert EngineFeatures.for_engine("compiled").batched
-        assert not EngineFeatures.for_engine("reference").batched
+        assert HerbgrindAnalysis(AnalysisConfig())._batched
+        assert not HerbgrindAnalysis(
+            AnalysisConfig(engine="reference")
+        )._batched
 
 
 class TestImportFootprint:
@@ -269,10 +281,10 @@ def raw_bits(rows):
 def run_both_bitwise(core, points, config):
     program = compile_fpcore(core)
     batched, out_b = analyze_program(
-        program, points, config=config, features=BATCHED
+        program, points, config=config, **BATCHED
     )
     sequential, out_s = analyze_program(
-        program, points, config=config, features=SEQUENTIAL
+        program, points, config=config, **SEQUENTIAL
     )
     assert raw_bits(out_b) == raw_bits(out_s)
     assert batched.runs == sequential.runs == len(points)

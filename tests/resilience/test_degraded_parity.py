@@ -128,13 +128,26 @@ class TestSerializationContract:
 
 
 class TestResourceGuards:
-    def test_op_budget_exhausts_every_rung(self):
+    def test_op_budget_propagates_after_one_attempt(self, monkeypatch):
+        # Every rung analyses the same operations, so the ladder must
+        # not retry a spent op budget: one analysis, then the raise.
+        from repro.core import analysis as analysis_mod
+
+        attempts = []
+        analyze = analysis_mod.analyze_program
+
+        def counting(*args, **kwargs):
+            attempts.append(kwargs["config"].engine)
+            return analyze(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "analyze_program", counting)
         session = AnalysisSession(
             config=AnalysisConfig(op_budget=1), num_points=2,
             result_cache_size=0,
         )
         with pytest.raises(OpBudgetExceeded):
             session.analyze(load_corpus()[0])
+        assert attempts == ["compiled"]
 
     def test_generous_guard_is_invisible_in_the_bytes(self):
         clean, __ = _corpus_json(engine="compiled")

@@ -7,6 +7,7 @@ from repro.api import AnalysisSession
 from repro.core import AnalysisConfig
 from repro.machine.interpreter import MachineError
 from repro.resilience.errors import (
+    AnalysisDeadlineExceeded,
     EngineFault,
     KernelFault,
     OpBudgetExceeded,
@@ -26,6 +27,13 @@ from repro.resilience.ladder import (
 CORE = "(FPCore (x) :name \"t\" :pre (<= 1 x 2) (+ x 1))"
 
 
+@pytest.fixture(autouse=True)
+def _default_batching(monkeypatch):
+    """Plan from the engine default: whether the sequential rung exists
+    depends on ``REPRO_BATCHED``, which a test leg may set."""
+    monkeypatch.delenv("REPRO_BATCHED", raising=False)
+
+
 def _request(**config_fields):
     config = AnalysisConfig(shadow_precision=96, **config_fields)
     return AnalysisSession(config=config, num_points=2).request(CORE)
@@ -35,8 +43,14 @@ class TestClassify:
     def test_degradable_errors(self):
         assert classify(KernelFault("k")) == "KernelFault"
         assert classify(EngineFault("e")) == "EngineFault"
-        assert classify(OpBudgetExceeded("b")) == "OpBudgetExceeded"
+        assert classify(AnalysisDeadlineExceeded("d")) == \
+            "AnalysisDeadlineExceeded"
         assert classify(MachineError("m")) == "MachineError"
+
+    def test_op_budget_is_not_degradable(self):
+        # Every rung analyses the same operations, so a retry would
+        # exhaust the budget again.
+        assert classify(OpBudgetExceeded("b")) is None
 
     def test_foreign_errors_are_not_ours(self):
         assert classify(ValueError("v")) is None
@@ -70,7 +84,7 @@ class TestPlanning:
         working = plan[RUNG_WORKING_TIER]
         assert working.config.hw_tier is False
         assert working.config == request.config.with_(hw_tier=False)
-        assert working.features is request.features
+        assert working.batched is request.batched
         # Every rung below it keeps the hardware tier off (cumulative).
         assert plan[RUNG_SEQUENTIAL].config.hw_tier is False
         assert plan[RUNG_REFERENCE].config.hw_tier is False
@@ -91,8 +105,16 @@ class TestPlanning:
         plan = dict(DegradationLadder(enabled=True).plan(request))
         sequential = plan[RUNG_SEQUENTIAL]
         assert sequential.config == request.config
-        assert sequential.features is not None
-        assert sequential.features.batched is False
+        assert sequential.batched is False
+
+    def test_engine_rungs_drop_the_batched_override(self):
+        # The override belongs to the compiled engine it was set for;
+        # the reference rung and below re-derive the engine default.
+        request = _request(engine="compiled", substrate="native")
+        plan = dict(DegradationLadder(enabled=True).plan(request))
+        assert plan[RUNG_SEQUENTIAL].batched is False
+        assert plan[RUNG_REFERENCE].batched is None
+        assert plan[RUNG_PYTHON_SUBSTRATE].batched is None
 
     def test_bottom_configuration_has_no_ladder(self):
         request = _request(engine="reference", substrate="python",
@@ -127,7 +149,7 @@ class _Recorder:
 
     @staticmethod
     def _key(request):
-        if request.features is not None and not request.features.batched:
+        if request.batched is False:
             return RUNG_SEQUENTIAL
         config = request.config
         if config.engine == "compiled":
@@ -172,6 +194,23 @@ class TestDriver:
         with pytest.raises(ValueError):
             run_with_ladder(_request(engine="compiled"), execute,
                             enabled=True)
+        assert execute.calls == ["initial"]
+
+    def test_spent_deadline_degrades(self):
+        # A deadline depends on wall-clock time, so unlike the op
+        # budget it is retried on the next rung.
+        execute = _Recorder({"initial": AnalysisDeadlineExceeded("late")})
+        result = run_with_ladder(_request(engine="compiled"), execute,
+                                 enabled=True)
+        assert execute.calls == ["initial", RUNG_SEQUENTIAL]
+        assert result.extra["degradation"]["rung"] == RUNG_SEQUENTIAL
+
+    def test_op_budget_propagates_after_one_attempt(self):
+        request = _request(engine="compiled", substrate="native",
+                           precision_policy="adaptive")
+        execute = _Recorder({"initial": OpBudgetExceeded("spent")})
+        with pytest.raises(OpBudgetExceeded):
+            run_with_ladder(request, execute, enabled=True)
         assert execute.calls == ["initial"]
 
     def test_dry_ladder_reraises_last_failure(self):
