@@ -8,7 +8,6 @@ queued, shipped to worker processes, and replayed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -40,10 +39,27 @@ def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
     ``REPRO_HWTIER`` default may differ between client and worker
     without splitting the cache.
     """
-    data = dataclasses.asdict(config)
-    for optional_field in ("deadline_seconds", "op_budget", "hw_tier"):
-        if data.get(optional_field) is None:
-            data.pop(optional_field, None)
+    data = {
+        "shadow_precision": config.shadow_precision,
+        "engine": config.engine,
+        "precision_policy": config.precision_policy,
+        "substrate": config.substrate,
+        "working_precision": config.working_precision,
+        "escalation_guard_bits": config.escalation_guard_bits,
+        "local_error_threshold": config.local_error_threshold,
+        "output_error_threshold": config.output_error_threshold,
+        "max_expression_depth": config.max_expression_depth,
+        "equivalence_depth": config.equivalence_depth,
+        "input_characteristics": config.input_characteristics,
+        "detect_compensation": config.detect_compensation,
+        "track_influences": config.track_influences,
+    }
+    if config.hw_tier is not None:
+        data["hw_tier"] = config.hw_tier
+    if config.deadline_seconds is not None:
+        data["deadline_seconds"] = config.deadline_seconds
+    if config.op_budget is not None:
+        data["op_budget"] = config.op_budget
     return data
 
 

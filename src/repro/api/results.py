@@ -20,7 +20,7 @@ worker pool (the ``analyze_batch`` parity guarantee).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Bump when the serialized shape changes incompatibly.
@@ -37,7 +37,12 @@ class ErrorStats:
     average_bits: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return {
+            "executions": self.executions,
+            "erroneous": self.erroneous,
+            "max_bits": self.max_bits,
+            "average_bits": self.average_bits,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ErrorStats":
@@ -75,9 +80,19 @@ class RootCauseResult:
         return f"(FPCore ({arguments}){pre}\n  {self.expression})"
 
     def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["local_error"] = self.local_error.to_dict()
-        return data
+        example = self.example_problematic
+        return {
+            "site_id": self.site_id,
+            "op": self.op,
+            "loc": self.loc,
+            "expression": self.expression,
+            "variables": list(self.variables),
+            "precondition_clauses": list(self.precondition_clauses),
+            "problematic_clauses": list(self.problematic_clauses),
+            "example_problematic": None if example is None else dict(example),
+            "compensations_detected": self.compensations_detected,
+            "local_error": self.local_error.to_dict(),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RootCauseResult":
@@ -98,9 +113,13 @@ class SpotResult:
     root_cause_sites: List[int] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        data["error"] = self.error.to_dict()
-        return data
+        return {
+            "site_id": self.site_id,
+            "kind": self.kind,
+            "loc": self.loc,
+            "error": self.error.to_dict(),
+            "root_cause_sites": list(self.root_cause_sites),
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SpotResult":
@@ -134,6 +153,15 @@ class AnalysisResult:
     (e.g. a ``HerbgrindAnalysis``) when the analysis ran in-process; it
     is never serialized and is ``None`` for results that crossed a
     process boundary.
+
+    ``stored_json`` is the canonical ``to_json()`` text of a result
+    read from or written to a result store
+    (:class:`repro.api.session.ResultCache` binds it), so a warm hit
+    serializes as the stored bytes instead of re-serializing.  Like
+    ``raw`` it is invisible to equality; it is never an ``__init__``
+    argument, so ``dataclasses.replace`` does not carry it to a
+    different result.  A bound result is a snapshot: a caller that
+    mutates one must reset ``stored_json`` to None.
     """
 
     benchmark: str
@@ -147,6 +175,9 @@ class AnalysisResult:
     extra: Dict[str, Any] = field(default_factory=dict)
     schema_version: int = RESULT_SCHEMA_VERSION
     raw: Any = field(default=None, compare=False, repr=False)
+    stored_json: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def detected(self) -> bool:
@@ -193,6 +224,8 @@ class AnalysisResult:
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
+        if indent == 2 and self.stored_json is not None:
+            return self.stored_json
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod

@@ -54,10 +54,18 @@ def request_digest(request: AnalysisRequest) -> str:
     schema bump invalidates persisted cache entries instead of
     serving stale shapes.
     """
-    payload = request.to_dict()
-    payload["result_schema_version"] = RESULT_SCHEMA_VERSION
+    return payload_digest(request.to_dict())
+
+
+def payload_digest(payload: Dict[str, Any]) -> str:
+    """:func:`request_digest` of a request's ``to_dict()`` form.
+
+    For callers that need the dict anyway (the serving path ships it
+    to a worker); ``payload`` is not modified.
+    """
+    keyed = dict(payload, result_schema_version=RESULT_SCHEMA_VERSION)
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
+        json.dumps(keyed, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
 
@@ -95,12 +103,14 @@ class ResultCache:
             self._memory.move_to_end(key)
             return result
         if self.store is not None:
-            text = self.store.get_text(key)
-            if text is not None:
-                try:
-                    result = AnalysisResult.from_json(text)
-                except (ValueError, KeyError, TypeError):
-                    return None  # corrupt entry: treat as a miss
+            # One parse validates and decodes the entry; one that is
+            # corrupt or of the wrong shape is quarantined and misses.
+            entry = self.store.load(key, AnalysisResult.from_json)
+            if entry is not None:
+                text, result = entry
+                # The stored bytes are this result's to_json(): a warm
+                # hit is served from them, never re-serialized.
+                result.stored_json = text
                 self._insert(key, result)
                 return result
         return None
@@ -108,10 +118,12 @@ class ResultCache:
     def put(self, key: str, result: AnalysisResult) -> None:
         self._insert(key, result)
         if self.store is not None:
+            text = result.to_json()
+            result.stored_json = text
             # A failed disk write is never fatal: the result was
             # computed, the caller gets it, the entry is just a miss
             # next time (mirrors get()'s corrupt-entry handling).
-            self.store.put_text(key, result.to_json())
+            self.store.put_text(key, text)
 
     def _insert(self, key: str, result: AnalysisResult) -> None:
         if self.capacity == 0:

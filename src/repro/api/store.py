@@ -20,21 +20,23 @@ Safety properties:
 * **Crash tolerance.**  A failed write never raises out of
   :meth:`put_text`; the entry is simply a miss next time.  Stray
   ``.tmp`` files from a killed writer are ignored by readers.
-* **Corruption quarantine.**  Every read is validated (non-empty,
-  parseable JSON) before it is served.  A zero-byte or truncated entry
-  — a killed writer on a filesystem without atomic rename, a torn NFS
-  write, bit rot — is renamed to a ``<entry>.json.quarantine`` sidecar
-  (kept for inspection, invisible to readers) and reported as a miss,
-  so the caller recomputes and rewrites; the store **never raises** on
-  corrupt data.  The ``store.read.*`` / ``store.write.*`` fault seams
-  (:mod:`repro.resilience.faults`) inject exactly these failures for
-  the chaos suite.
+* **Corruption quarantine.**  Every read is validated (parseable
+  JSON, or whatever the caller's decoder accepts) before it is
+  served.  A zero-byte or truncated entry — a killed writer on a
+  filesystem without atomic rename, a torn NFS write, bit rot — or
+  one the decoder rejects is renamed to a ``<entry>.json.quarantine``
+  sidecar (kept for inspection, invisible to readers) and reported as
+  a miss, so the caller recomputes and rewrites; the store **never
+  raises** on corrupt data.  The ``store.read.*`` / ``store.write.*``
+  fault seams (:mod:`repro.resilience.faults`) inject exactly these
+  failures for the chaos suite.
 
-The store deals only in digest → JSON *text*.  Parsing and schema
-checks stay with the callers (:class:`repro.api.session.ResultCache`,
-:mod:`repro.serve.service`), which also lets the serving path ship the
-stored bytes verbatim — a warm response is byte-identical to the cold
-one by construction.
+The store deals only in digest → JSON *text*.  Schema checks stay
+with the callers: :meth:`ShardedResultStore.load` runs a caller's
+decoder as the read's one parse (:class:`repro.api.session.ResultCache`
+decodes straight to an ``AnalysisResult``), and the serving path
+(:mod:`repro.serve.service`) ships the stored bytes verbatim — a warm
+response is byte-identical to the cold one by construction.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import logging
 import os
 import re
 import tempfile
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from repro.resilience import faults as _faults
 
@@ -55,6 +57,8 @@ _DIGEST_RE = re.compile(r"\A[0-9a-f]{64}\Z")
 
 #: Hex characters of the digest used as the shard directory name.
 SHARD_PREFIX_LEN = 2
+
+T = TypeVar("T")
 
 
 def is_digest(text: str) -> bool:
@@ -109,13 +113,29 @@ class ShardedResultStore:
         by a killed writer) is quarantined to a sidecar and treated as
         a miss — corruption never raises and never gets served.
         """
+        entry = self.load(digest, json.loads)
+        return None if entry is None else entry[0]
+
+    def load(self, digest: str,
+             decode: Callable[[str], T]) -> Optional[Tuple[str, T]]:
+        """``(text, decode(text))`` for ``digest``, or None on a miss.
+
+        ``decode`` is the read's validation and its only parse: an
+        entry it rejects with ``ValueError`` (an empty or torn JSON
+        document), ``KeyError`` or ``TypeError`` (valid JSON of the
+        wrong shape) is quarantined like any corrupt entry and reads
+        as a miss.
+        """
         path = self.path(digest)
         text = self._read(path)
         if text is not None:
-            if self._valid(text):
+            try:
+                value = decode(text)
+            except (ValueError, KeyError, TypeError):
+                self._quarantine(path, digest)
+            else:
                 self.hits += 1
-                return text
-            self._quarantine(path, digest)
+                return text, value
         self.misses += 1
         return None
 
@@ -149,17 +169,6 @@ class ShardedResultStore:
             # torn read, exercised like real on-disk corruption.
             text = _faults.corrupt_text("store.read", text)
         return text
-
-    @staticmethod
-    def _valid(text: str) -> bool:
-        """Whether ``text`` is a non-empty, parseable JSON document."""
-        if not text:
-            return False
-        try:
-            json.loads(text)
-        except (json.JSONDecodeError, ValueError):
-            return False
-        return True
 
     def _quarantine(self, path: str, digest: str) -> None:
         """Move a corrupt entry to its ``.quarantine`` sidecar.

@@ -144,9 +144,12 @@ def _add_magnitudes(
         )
         msb_a, msb_b = msb_b, msb_a
     gap = msb_a - msb_b
-    if gap > context.precision + _MAX_ALIGN_SLACK:
+    if gap > context.precision + _MAX_ALIGN_SLACK and msb_b <= exp_a:
         # Far path: b only matters as a direction hint strictly below the
         # rounding precision, so pad a out and fold b into one sticky bit.
+        # b must also lie below a's last bit: a wider than the precision
+        # (a double at 35 bits, an fma's exact product) keeps bits below
+        # the rounding point, and b can carry into them.
         pad = context.precision + 4
         shifted = man_a << pad
         exp = exp_a - pad

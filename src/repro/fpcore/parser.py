@@ -67,11 +67,22 @@ def tokenize(source: str) -> Iterator[str]:
 SExpr = Union[str, List["SExpr"]]
 
 
+#: Deepest parenthesis nesting a source may have.  Parsing, printing,
+#: compiling and analysing an expression all recurse on its depth, so
+#: a deeper input would exhaust the interpreter's recursion limit
+#: somewhere past the parser; it is refused here, as a syntax error.
+MAX_NESTING_DEPTH = 256
+
+
 def _read_sexprs(tokens: List[str]) -> List[SExpr]:
     result: List[SExpr] = []
     stack: List[List[SExpr]] = []
     for token in tokens:
         if token == "(":
+            if len(stack) == MAX_NESTING_DEPTH:
+                raise FPCoreSyntaxError(
+                    f"nesting deeper than {MAX_NESTING_DEPTH} levels"
+                )
             stack.append([])
         elif token == ")":
             if not stack:

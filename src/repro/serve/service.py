@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.requests import AnalysisRequest
 from repro.api.results import RESULT_SCHEMA_VERSION
-from repro.api.session import request_digest
+from repro.api.session import payload_digest
 from repro.api.store import ShardedResultStore, is_digest
 from repro.serve.pool import (
     AnalysisTimeout,
@@ -246,8 +246,8 @@ class AnalysisService:
             )
             self._log(outcome, started)
             return outcome
-        digest = request_digest(request)
-        outcome = await self._analyze_digest(digest, request.to_dict())
+        payload = request.to_dict()
+        outcome = await self._analyze_digest(payload_digest(payload), payload)
         self._log(outcome, started)
         return outcome
 
@@ -474,7 +474,8 @@ class AnalysisService:
                     400, error_body("invalid_request", message)
                 )
                 continue
-            digest = request_digest(request)
+            payload = request.to_dict()
+            digest = payload_digest(payload)
             owners = slots.setdefault(digest, [])
             if owners:  # duplicate within the batch: computed once
                 self.counters.dedupe_hits += 1
@@ -484,7 +485,7 @@ class AnalysisService:
                     outcomes[index] = warm
                     owners.append(index)
                     continue
-                pending.append((digest, request.to_dict()))
+                pending.append((digest, payload))
             owners.append(index)
 
         if pending:

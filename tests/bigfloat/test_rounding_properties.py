@@ -8,7 +8,7 @@ comparison tool relies on when it perturbs rounding.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bigfloat import (
@@ -88,6 +88,9 @@ class TestBracketProperty:
 class TestAdditionBracket:
     @given(finite, finite, precisions)
     @settings(max_examples=200)
+    # y's mantissa is wider than the precision, and x carries into the
+    # bits of y below the rounding point.
+    @example(997.0, 1.9372344152685596e16, 35)
     def test_add_bracket(self, x, y, precision):
         exact = Fraction(x) + Fraction(y)
         down = arith.add(

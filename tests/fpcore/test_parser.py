@@ -21,7 +21,7 @@ from repro.fpcore import (
     parse_fpcore,
     parse_fpcores,
 )
-from repro.fpcore.parser import parse_number, tokenize
+from repro.fpcore.parser import MAX_NESTING_DEPTH, parse_number, tokenize
 
 
 class TestTokenizer:
@@ -190,6 +190,42 @@ class TestPrinterRoundtrip:
         text = format_fpcore(core, multiline=True)
         assert text.startswith("(FPCore (x)\n")
         assert parse_fpcore(text).body == core.body
+
+
+def _nested(levels):
+    """An FPCore whose parentheses nest exactly ``levels`` deep: the
+    (FPCore ...) form around a chain of ``levels - 1`` additions."""
+    chain = levels - 1
+    return ("(FPCore (x) :pre (<= 1 x 2) "
+            + "(+ 1 " * chain + "x" + ")" * chain + ")")
+
+
+class TestNestingBound:
+    """Parsing, printing, compiling and analysing all recurse on an
+    expression's depth; inputs past ``MAX_NESTING_DEPTH`` are refused
+    as syntax errors instead of exhausting the recursion limit."""
+
+    def test_the_bound_itself_parses_and_analyzes(self):
+        from repro.api import AnalysisSession
+        from repro.core import AnalysisConfig
+
+        source = _nested(MAX_NESTING_DEPTH)
+        text = format_fpcore(parse_fpcore(source))
+        assert format_fpcore(parse_fpcore(text)) == text
+        result = AnalysisSession(
+            config=AnalysisConfig(shadow_precision=96), num_points=2,
+        ).analyze(source)
+        assert result.num_points == 2
+        assert result.max_output_error == 0.0
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING_DEPTH + 1, 2000])
+    def test_deeper_input_is_a_syntax_error(self, levels):
+        with pytest.raises(FPCoreSyntaxError, match="nesting deeper"):
+            parse_fpcore(_nested(levels))
+
+    def test_deep_expression_text_is_a_syntax_error(self):
+        with pytest.raises(FPCoreSyntaxError, match="nesting deeper"):
+            parse_expr("(- " * 2000 + "x" + ")" * 2000)
 
 
 @st.composite

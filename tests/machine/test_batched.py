@@ -229,6 +229,9 @@ class TestImportFootprint:
             assert "numpy" not in sys.modules, "numpy was imported"
         """)
         env = dict(os.environ)
+        # The run must batch even on a test leg that switches batching
+        # off with REPRO_BATCHED.
+        env.pop("REPRO_BATCHED", None)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])

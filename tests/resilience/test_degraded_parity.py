@@ -40,6 +40,13 @@ def _corpus_json(points=2, seed=13, degrade=None, **config_fields):
 
 
 class TestEngineFaultParity:
+    @pytest.fixture(autouse=True)
+    def _default_batching(self, monkeypatch):
+        """Both tests walk the ladder through the sequential rung, which
+        exists only while batching is on; a test leg may switch it off
+        with ``REPRO_BATCHED``."""
+        monkeypatch.delenv("REPRO_BATCHED", raising=False)
+
     def test_compiled_engine_fault_converges_byte_identical(self):
         clean, __ = _corpus_json(engine="compiled")
         with faults.injected("engine.compiled.raise"):
@@ -74,6 +81,12 @@ class TestKernelFaultParity:
 
 
 class TestPolicyFaultParity:
+    @pytest.fixture(autouse=True)
+    def _default_hw_tier(self, monkeypatch):
+        """The working-tier rung exists only while the hardware tier is
+        on; a test leg may switch it off with ``REPRO_HWTIER``."""
+        monkeypatch.delenv("REPRO_HWTIER", raising=False)
+
     def test_hw_tier_fault_lands_on_working_tier_rung(self):
         clean, __ = _corpus_json(
             engine="compiled", precision_policy="adaptive"

@@ -28,10 +28,12 @@ CORE = "(FPCore (x) :name \"t\" :pre (<= 1 x 2) (+ x 1))"
 
 
 @pytest.fixture(autouse=True)
-def _default_batching(monkeypatch):
-    """Plan from the engine default: whether the sequential rung exists
-    depends on ``REPRO_BATCHED``, which a test leg may set."""
+def _engine_defaults(monkeypatch):
+    """Plan from the engine defaults: whether the sequential and
+    working-tier rungs exist depends on ``REPRO_BATCHED`` and
+    ``REPRO_HWTIER``, which a test leg may set."""
     monkeypatch.delenv("REPRO_BATCHED", raising=False)
+    monkeypatch.delenv("REPRO_HWTIER", raising=False)
 
 
 def _request(**config_fields):

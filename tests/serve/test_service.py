@@ -73,6 +73,25 @@ class TestSinglePath:
         assert json.loads(outcome.body)["error"]["type"] == \
             "invalid_request"
 
+    def test_too_deeply_nested_core_is_structured_400(self):
+        depth = 2000
+        core = ("(FPCore (x) :pre (<= 1 x 2) "
+                + "(+ 1 " * depth + "x" + ")" * depth + ")")
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcome = await _closed(
+                service, service.analyze_payload({"core": core})
+            )
+            return outcome, service.counters
+
+        outcome, counters = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert "FPCoreSyntaxError" in error["message"]
+        assert counters.invalid == 1 and counters.computed == 0
+
     def test_analysis_failure_is_structured_500_with_digest(self):
         # Parses as a request but the compiler rejects the free `y`.
         bad = {"core": "(FPCore (x) (+ x y))", "num_points": 2,
@@ -245,8 +264,10 @@ class TestStats:
         assert stats["tier_residency"]["hw_kernel_ops"] == 0
 
     def test_stats_aggregate_hw_tier_residency(self):
+        # hw_tier set explicitly: a test leg may switch the default off
+        # with REPRO_HWTIER.
         config = AnalysisConfig(
-            shadow_precision=96, precision_policy="adaptive"
+            shadow_precision=96, precision_policy="adaptive", hw_tier=True
         )
         session = AnalysisSession(config=config, num_points=3)
         request = session.request(CLEAN)
