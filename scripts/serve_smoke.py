@@ -14,7 +14,9 @@ on every push:
 * SIGKILLing an analysis worker mid-replay loses zero requests: the
   pool respawns the worker and client retries absorb the structured
   500s, with every body still byte-identical,
-* SIGTERM drains gracefully and the process exits 0.
+* SIGTERM drains gracefully and the process exits 0, with an idle
+  keep-alive connection still open (the drain closes it rather than
+  waiting on it).
 
 Usage:  PYTHONPATH=src python scripts/serve_smoke.py [--slice 6]
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import http.client
 import os
 import random
 import signal
@@ -204,13 +207,33 @@ def main(argv=None) -> int:
                 print("warning: no /proc worker scan; chaos kill "
                       "skipped", file=sys.stderr)
             client.close()
+            # An idle keep-alive connection, parked between requests,
+            # stays open across SIGTERM: the drain must close it
+            # rather than wait on it.
+            idle = http.client.HTTPConnection("127.0.0.1", port,
+                                              timeout=60)
+            idle.request("GET", "/v1/health")
+            response = idle.getresponse()
+            response.read()
+            assert response.status == 200, response.status
+            assert response.getheader("Connection") == "keep-alive"
         except BaseException:
             process.kill()
             process.wait()
             raise
 
         process.send_signal(signal.SIGTERM)
-        rc = process.wait(timeout=60)
+        try:
+            rc = process.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+            print("FAIL: server did not exit within 60 s of SIGTERM "
+                  "with an idle keep-alive connection open",
+                  file=sys.stderr)
+            return 1
+        finally:
+            idle.close()
         if rc != 0:
             print(f"FAIL: server exited {rc} on SIGTERM", file=sys.stderr)
             return 1
@@ -220,7 +243,7 @@ def main(argv=None) -> int:
     print(f"serve smoke ok: {len(requests)} benchmarks cold+warm, "
           f"dedupe_hits={stats['dedupe_hits']}, "
           f"computed={stats['computed']}, {chaos_note}, "
-          f"graceful SIGTERM exit")
+          f"graceful SIGTERM exit with an idle keep-alive connection")
     return 0
 
 

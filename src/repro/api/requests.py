@@ -15,17 +15,64 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.core.config import AnalysisConfig
 from repro.fpcore.ast import FPCore
 from repro.fpcore.parser import parse_fpcore
-from repro.fpcore.printer import format_fpcore
 
 #: Accepted benchmark spellings for convenience constructors.
 CoreLike = Union[FPCore, str]
+
+#: Bound on :data:`PARSED_CORES`: a long-lived server sees an unbounded
+#: stream of distinct programs, so the table resets (interning is an
+#: optimization, not a semantic) rather than growing monotonically.
+PARSED_CORE_LIMIT = 1024
+
+
+class _CoreTable:
+    """Parsed cores by source text, shared by every request of a process.
+
+    A served hit re-sends a program the process has already parsed; the
+    table turns its parse into a dict lookup.  Cores are immutable, so
+    one instance can serve every request that names the same text.  A
+    source that fails to parse raises and is never cached.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.hits = 0
+        self.misses = 0
+        self._cores: Dict[str, FPCore] = {}
+
+    def parse(self, text: str) -> FPCore:
+        if not isinstance(text, str):
+            return parse_fpcore(text)  # the parser's own error
+        core = self._cores.get(text)
+        if core is not None:
+            self.hits += 1
+            return core
+        self.misses += 1
+        core = parse_fpcore(text)
+        if len(self._cores) >= self.limit:
+            self._cores.clear()
+        self._cores[text] = core
+        return core
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "entries": len(self._cores),
+            "capacity": self.limit,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+
+#: The process-wide parse table :func:`coerce_core` and
+#: :meth:`AnalysisRequest.from_dict` read.
+PARSED_CORES = _CoreTable(PARSED_CORE_LIMIT)
 
 
 def coerce_core(core: CoreLike) -> FPCore:
     """Accept an :class:`FPCore` or FPCore source text."""
     if isinstance(core, FPCore):
         return core
-    return parse_fpcore(core)
+    return PARSED_CORES.parse(core)
 
 
 def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
@@ -140,7 +187,7 @@ class AnalysisRequest:
                 "run this request in-process (workers=1)"
             )
         data = {
-            "core": format_fpcore(self.core),
+            "core": self.core.canonical_text,
             "backend": self.backend,
             "num_points": self.num_points,
             "seed": self.seed,
@@ -160,7 +207,7 @@ class AnalysisRequest:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AnalysisRequest":
         return cls(
-            core=parse_fpcore(data["core"]),
+            core=PARSED_CORES.parse(data["core"]),
             backend=data.get("backend", "herbgrind"),
             num_points=data.get("num_points", 16),
             seed=data.get("seed", 0),

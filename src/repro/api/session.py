@@ -40,7 +40,6 @@ from repro.api.sampling import sample_inputs
 from repro.api.store import ShardedResultStore
 from repro.core.config import AnalysisConfig
 from repro.fpcore.ast import FPCore
-from repro.fpcore.printer import format_fpcore
 from repro.machine import isa
 from repro.machine.compiler import compile_fpcore
 
@@ -160,10 +159,34 @@ def _run_request(
     return run_with_ladder(request, execute, enabled=degrade)
 
 
+#: Bound on :data:`_WORKER_PROGRAMS`; the table resets when full.
+WORKER_PROGRAM_LIMIT = 256
+
+#: Compiled programs by canonical source text, per process: a serve
+#: pool worker or ``analyze_batch`` worker that gets the same program
+#: at many seeds compiles it once.  An ``isa.Program`` keeps no
+#: analysis state, which ``AnalysisSession.compiled`` relies on too.
+#: The key adds the core's name, which names the program's locations
+#: and which the text omits when it contains a space.
+_WORKER_PROGRAMS: Dict[Tuple[str, Optional[str]], isa.Program] = {}
+
+
+def _worker_program(core: FPCore) -> isa.Program:
+    key = (core.canonical_text, core.name)
+    program = _WORKER_PROGRAMS.get(key)
+    if program is None:
+        # A program that fails to compile raises and is never cached.
+        program = compile_fpcore(core)
+        if len(_WORKER_PROGRAMS) >= WORKER_PROGRAM_LIMIT:
+            _WORKER_PROGRAMS.clear()
+        _WORKER_PROGRAMS[key] = program
+    return program
+
+
 def _execute(request: AnalysisRequest,
              degrade: Optional[bool] = None) -> AnalysisResult:
-    """Run one request from scratch (no caches) — the worker path."""
-    program = compile_fpcore(request.core)
+    """Run one request without result caches — the worker path."""
+    program = _worker_program(request.core)
     points = request.points
     if points is None:
         points = sample_inputs(
@@ -241,13 +264,10 @@ class AnalysisSession:
     # Caches
     # ------------------------------------------------------------------
 
-    def _key(self, core: FPCore) -> str:
-        return format_fpcore(core)
-
     def compiled(self, core: CoreLike) -> isa.Program:
         """The compiled program for ``core``, cached by source text."""
         core = coerce_core(core)
-        key = self._key(core)
+        key = core.canonical_text
         program = self._programs.get(key)
         if program is None:
             self.cache_misses += 1
@@ -268,7 +288,7 @@ class AnalysisSession:
         core = coerce_core(core)
         count = self.num_points if count is None else count
         seed = self.seed if seed is None else seed
-        key = (self._key(core), count, seed)
+        key = (core.canonical_text, count, seed)
         points = self._points.get(key)
         if points is None:
             self.cache_misses += 1

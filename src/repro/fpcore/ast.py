@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
 #: Operators whose result is boolean.
@@ -217,6 +218,18 @@ class FPCore:
     properties: Dict[str, object] = field(default_factory=dict, compare=False)
 
     def __str__(self) -> str:
+        return self.canonical_text
+
+    @cached_property
+    def canonical_text(self) -> str:
+        """``format_fpcore(self)``, printed once per core.
+
+        The request digest, the worker payload and every per-program
+        cache key read it, so a core reused across requests is printed
+        once.  The cache lives in the instance ``__dict__``: it takes no
+        part in equality, hashing or ``repr``, and ``dataclasses.replace``
+        builds a core without it.
+        """
         from repro.fpcore.printer import format_fpcore
 
         return format_fpcore(self)

@@ -13,6 +13,7 @@ from repro.machine.builder import FunctionBuilder
 from repro.machine.compiled import CompiledProgram
 from repro.machine.compiler import (
     CompileError,
+    UnboundVariableError,
     UnknownFunctionError,
     compile_expression,
     compile_fpcore,
@@ -30,6 +31,7 @@ from repro.machine.values import FloatBox
 __all__ = [
     "BatchedProgram",
     "CompileError",
+    "UnboundVariableError",
     "UnknownFunctionError",
     "CompiledProgram",
     "ExecutionStats",

@@ -62,6 +62,17 @@ class UnknownFunctionError(CompileError, InvalidInputError):
         self.function = function
 
 
+class UnboundVariableError(CompileError, InvalidInputError):
+    """A reference to a variable that is neither an argument nor bound
+    by an enclosing ``let`` or ``while``.  Like an unknown function, it
+    is wrong in every engine configuration, so it is a client error."""
+
+    def __init__(self, program: str, variable: str) -> None:
+        super().__init__(f"{program}: unbound variable {variable}")
+        self.program = program
+        self.variable = variable
+
+
 class _ExprCompiler:
     def __init__(self, builder: FunctionBuilder, loc_prefix: str,
                  program: str) -> None:
@@ -92,7 +103,7 @@ class _ExprCompiler:
             try:
                 return env[expr.name]
             except KeyError:
-                raise CompileError(f"unbound variable {expr.name}") from None
+                raise UnboundVariableError(self.program, expr.name) from None
         if isinstance(expr, Op):
             if expr.op in COMPARISON_OPS or expr.op in BOOLEAN_OPS:
                 raise CompileError(

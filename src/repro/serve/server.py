@@ -18,7 +18,8 @@ POST   ``/v1/batch``         ``{"requests": [...]}`` → per-request
                              work-stealing
 GET    ``/v1/result/<d>``    stored result for a digest, 404 on a miss
 GET    ``/v1/health``        liveness (``ok`` / ``draining``)
-GET    ``/v1/stats``         service + pool + store counters
+GET    ``/v1/stats``         service, parse-table, pool and store
+                             counters
 ====== ===================== ==========================================
 
 Multiple server processes may share one ``--store-dir``; the store's
@@ -153,7 +154,10 @@ class ReproServer:
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[asyncio.Task] = set()
-        self._draining = asyncio.Event()
+        #: Connection tasks parked between keep-alive requests, waiting
+        #: for the next one; stop() cancels exactly these.
+        self._parked: Set[asyncio.Task] = set()
+        self._draining = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,18 +179,19 @@ class ReproServer:
         """Graceful shutdown: stop listening, drain, release the pool.
 
         With ``drain`` (default), connections mid-request get their
-        responses; connections idle between keep-alive requests close
-        immediately (each handler races its read against the draining
-        event, so nobody waits on a silent client).  Without ``drain``,
-        connection tasks are cancelled and queued pool work is dropped.
+        responses; connections parked between keep-alive requests are
+        cancelled and close immediately, so nobody waits on a silent
+        client.  Without ``drain``, every connection task is cancelled
+        and queued pool work is dropped.
         """
-        self._draining.set()
+        self._draining = True
         if self._server is not None:
             self._server.close()
         connections = list(self._connections)
-        if not drain:
-            for task in connections:
-                task.cancel()
+        # A drain cancels the parked connections; the ones mid-request
+        # finish and close after their reply.
+        for task in list(self._parked) if drain else connections:
+            task.cancel()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
         if self._server is not None:
@@ -204,6 +209,11 @@ class ReproServer:
             await self._serve_connection(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; nothing to tell it
+        except asyncio.CancelledError:
+            # stop() cancelled it: end normally, since some asyncio
+            # versions report a cancelled connection task as an error.
+            if not self._draining:
+                raise
         finally:
             self._connections.discard(task)
             writer.close()
@@ -213,7 +223,7 @@ class ReproServer:
                 pass
 
     async def _serve_connection(self, reader, writer) -> None:
-        while True:
+        while not self._draining:
             try:
                 request = await self._next_request(reader)
             except _BadRequest as exc:
@@ -231,35 +241,25 @@ class ReproServer:
                 # the worst spot for a client (work done, answer lost).
                 writer.transport.abort()
                 return
-            keep_alive = request.keep_alive and not self._draining.is_set()
+            keep_alive = request.keep_alive and not self._draining
             writer.write(_render(outcome, keep_alive))
             await writer.drain()
             if not keep_alive:
                 return
 
     async def _next_request(self, reader) -> Optional[_HttpRequest]:
-        """One parsed request, or None once idle *and* draining.
+        """The next request, read while the connection is parked.
 
-        The read races the draining event so graceful shutdown never
-        blocks on a keep-alive connection parked between requests; a
-        request already in flight when draining starts still wins the
-        race and gets served.
+        Parked connections are the ones :meth:`stop` cancels, so a
+        drain never waits on a silent keep-alive client; a request
+        already being routed is no longer parked and gets its reply.
         """
-        if self._draining.is_set():
-            return None
-        read = asyncio.ensure_future(_read_request(reader))
-        drained = asyncio.ensure_future(self._draining.wait())
-        await asyncio.wait(
-            {read, drained}, return_when=asyncio.FIRST_COMPLETED
-        )
-        drained.cancel()
-        if not read.done():
-            read.cancel()
-            try:
-                await read
-            except (asyncio.CancelledError, _BadRequest):
-                return None
-        return await read
+        task = asyncio.current_task()
+        self._parked.add(task)
+        try:
+            return await _read_request(reader)
+        finally:
+            self._parked.discard(task)
 
     # ------------------------------------------------------------------
     # Routing

@@ -11,6 +11,10 @@ tests drive it directly.  One request flows::
   :class:`~repro.api.store.ShardedResultStore` is answered from the
   stored canonical JSON text — byte-identical to the cold response by
   construction, at microseconds instead of the engine's per-op floor.
+  Validation and the digest skip the FPCore parser and printer for a
+  program the process has seen: the parse comes from
+  :data:`~repro.api.requests.PARSED_CORES` and the canonical text is
+  cached on the core.
 * **In-flight dedupe**: concurrent identical requests coalesce on a
   digest-keyed ``asyncio.Future`` — exactly one computation runs, and
   every waiter (including failures) receives that one outcome.
@@ -20,8 +24,9 @@ tests drive it directly.  One request flows::
   as 500 — always as structured JSON ``{"error": {type, message,
   digest}}``, never a hung or silently closed connection.
 
-Every request emits one structured log line (digest, outcome, queue
-depth, wall-clock) on the ``repro.serve`` logger.
+With INFO enabled, every request emits one structured log line
+(digest, outcome, queue depth, wall-clock) on the ``repro.serve``
+logger.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.requests import AnalysisRequest
+from repro.api.requests import PARSED_CORES, AnalysisRequest
 from repro.api.results import RESULT_SCHEMA_VERSION
 from repro.api.session import payload_digest
 from repro.api.store import ShardedResultStore, is_digest
@@ -516,13 +521,14 @@ class AnalysisService:
             200 if errors == 0 else 207, body, None,
             SOURCE_COMPUTED if pending else SOURCE_STORE,
         )
-        logger.info(
-            "batch requests=%d unique=%d warm=%d computed=%d errors=%d "
-            "queue=%d wall_ms=%.2f",
-            len(raw_requests), len(slots), len(slots) - len(pending),
-            len(pending), errors, self.pool.stats()["queue_depth"],
-            (time.monotonic() - started) * 1000.0,
-        )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "batch requests=%d unique=%d warm=%d computed=%d "
+                "errors=%d queue=%d wall_ms=%.2f",
+                len(raw_requests), len(slots), len(slots) - len(pending),
+                len(pending), errors, self.pool.stats()["queue_depth"],
+                (time.monotonic() - started) * 1000.0,
+            )
         return result
 
     async def _run_shard(
@@ -612,6 +618,7 @@ class AnalysisService:
             "quarantined_digests": len(self._quarantined),
             "degraded_rungs": dict(self._degraded_rungs),
             "tier_residency": dict(self._tier_residency),
+            "programs": PARSED_CORES.stats(),
             "pool": self.pool.stats(),
             "store": self.store.stats() if self.store is not None else None,
         }
@@ -636,6 +643,10 @@ class AnalysisService:
         )
 
     def _log(self, outcome: ServeOutcome, started: float) -> None:
+        # pool.stats() takes the lock the dispatcher threads take too:
+        # build the line only when it is written.
+        if not logger.isEnabledFor(logging.INFO):
+            return
         logger.info(
             "analyze digest=%s outcome=%s status=%d queue=%d wall_ms=%.2f",
             outcome.digest or "-", outcome.source, outcome.status,

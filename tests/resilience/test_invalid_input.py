@@ -1,8 +1,9 @@
 """Programs the analysis rejects fail once, with a structured error.
 
-An unknown function or an empty :pre range is wrong at every rung of
-the degradation ladder, so retrying it down the stack only multiplies
-the cost of the same failure.  Both are caught before the ladder runs,
+An unknown function, an unbound variable or an empty :pre range is
+wrong at every rung of the degradation ladder, so retrying it down the
+stack only multiplies the cost of the same failure.  Each is caught
+before the ladder runs,
 raise a non-degradable :class:`InvalidInputError` that names the
 program, and reach a served client as HTTP 400 ``invalid_request``.
 """
@@ -20,13 +21,18 @@ from repro.api import AnalysisSession, EmptyRangeError, sample_inputs
 from repro.api.session import _execute
 from repro.core import AnalysisConfig
 from repro.fpcore import parse_fpcore
-from repro.machine import UnknownFunctionError, compile_fpcore
+from repro.machine import (
+    UnboundVariableError,
+    UnknownFunctionError,
+    compile_fpcore,
+)
 from repro.resilience.errors import DegradableError, InvalidInputError
 from repro.resilience.ladder import classify
 from repro.serve.service import AnalysisService
 
 FAST = AnalysisConfig(shadow_precision=96)
 UNKNOWN = '(FPCore (x) :name "calls-foo" (+ 1 (foo x)))'
+UNBOUND = '(FPCore (x) :name "free-z" (let ([a 1]) (+ a z)))'
 EMPTY = '(FPCore (x y) :name "backwards" :pre (and (<= 0 y 1) (<= 5 x 1))' \
     ' (+ x y))'
 
@@ -89,6 +95,47 @@ class TestUnknownFunction:
         compile_fpcore(parse_fpcore(
             "(FPCore (x y) (+ (atan2 (fmax x y) (hypot x y)) (fma x y 1)))"
         ))
+
+
+class TestUnboundVariable:
+    def test_rejected_at_compile_time(self):
+        with pytest.raises(UnboundVariableError) as caught:
+            compile_fpcore(parse_fpcore(UNBOUND))
+        error = caught.value
+        assert (error.program, error.variable) == ("free-z", "z")
+        assert str(error) == "free-z: unbound variable z"
+        assert isinstance(error, ValueError)
+        assert isinstance(error, InvalidInputError)
+        assert classify(error) is None
+
+    def test_worker_path_fails_once(self, counted, caplog):
+        request = AnalysisSession(config=FAST, num_points=2).request(UNBOUND)
+        with caplog.at_level(logging.WARNING, logger="repro.resilience"):
+            with pytest.raises(UnboundVariableError):
+                _execute(request, degrade=True)
+        assert counted == {"compile": 1, "run": 0}
+        assert not caplog.records
+
+    def test_served_request_gets_400_invalid_request(self):
+        payload = {"core": UNBOUND, "num_points": 2,
+                   "config": {"shadow_precision": 96}}
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                outcome = await service.analyze_payload(payload)
+                return outcome, service.stats()
+            finally:
+                await service.close()
+
+        outcome, stats = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert error["message"] == \
+            "UnboundVariableError: free-z: unbound variable z"
+        assert stats["service"]["analysis_errors"] == 0
+        assert stats["service"]["degraded"] == 0
 
 
 class TestEmptyPreRange:

@@ -109,6 +109,26 @@ class ServerHarness:
         return ServeClient(port=self.port)
 
 
+class BrokenBackend:
+    """A backend whose every run fails with a non-input error."""
+
+    def run(self, program, points, request):
+        raise RuntimeError("backend exploded")
+
+
+@pytest.fixture()
+def broken_backend(monkeypatch):
+    """Register :class:`BrokenBackend` as ``"broken"`` for one test.
+
+    Register it before the pool starts: forked workers inherit the
+    registry as it was at the fork.
+    """
+    from repro.api import backends
+
+    monkeypatch.setitem(backends._REGISTRY, "broken", BrokenBackend)
+    return "broken"
+
+
 @pytest.fixture()
 def selective_worker():
     """The directive-aware worker main (tests/ has no package path)."""

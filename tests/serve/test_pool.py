@@ -86,16 +86,53 @@ class TestDispatch:
         assert tag == "ok"
         assert text == expected
 
-    def test_analysis_failure_is_a_reply_not_an_exception(self):
-        # A free variable the compiler rejects: the worker answers
-        # ("error", ...) and stays alive for the next task.
-        bad = {"core": "(FPCore (x) (+ x y))", "num_points": 2}
+    def test_worker_compiles_each_program_once(self, tmp_path,
+                                                monkeypatch):
+        # The worker inherits this patch through the fork and logs each
+        # compilation to a file the test can read back.
+        import repro.api.session as session_module
+
+        log = tmp_path / "compiles.log"
+        real = session_module.compile_fpcore
+
+        def logged(core, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{core.name}\n")
+            return real(core, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "compile_fpcore", logged)
+        monkeypatch.setattr(session_module, "_WORKER_PROGRAMS", {})
+        session = AnalysisSession(config=FAST, num_points=3)
+        requests = [session.request(CORE, seed=seed) for seed in range(1, 5)]
+        expected = [session.analyze(r).to_json() for r in requests]
+        log.write_text("")  # the in-process session compiled it too
+        with WorkerPool(workers=1) as pool:
+            texts = []
+            for request in requests:
+                [reply] = pool.submit([request.to_dict()]).result(
+                    timeout=120
+                )
+                assert reply[0] == "ok"
+                texts.append(reply[1])
+        assert texts == expected
+        assert log.read_text().splitlines() == ["t"]
+
+    def test_analysis_failure_is_a_reply_not_an_exception(
+        self, broken_backend
+    ):
+        # A backend that raises: the worker answers ("error", ...) and
+        # stays alive for the next task.  A free variable the compiler
+        # rejects is a client error, answered ("invalid", ...).
+        bad = {"core": CORE, "num_points": 2, "backend": broken_backend}
+        unbound = {"core": "(FPCore (x) (+ x y))", "num_points": 2}
         good = {"core": CORE, "num_points": 2,
                 "config": {"shadow_precision": 96}}
         with WorkerPool(workers=1) as pool:
             [reply] = pool.submit([bad]).result(timeout=60)
             assert reply[0] == "error"
-            assert reply[1]  # the exception type name
+            assert reply[1] == "RuntimeError"
+            [reply] = pool.submit([unbound]).result(timeout=60)
+            assert reply[:2] == ("invalid", "UnboundVariableError")
             [reply] = pool.submit([good]).result(timeout=120)
             assert reply[0] == "ok"
             assert pool.stats()["crashes"] == 0

@@ -12,10 +12,12 @@ The headline guarantees pinned here:
 * multiple server processes share one store directory.
 """
 
+import asyncio
 import concurrent.futures
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -24,6 +26,8 @@ from repro.api.store import ShardedResultStore
 from repro.bigfloat.backend import substrate_provider
 from repro.core import AnalysisConfig
 from repro.serve import ServeError, WorkerPool
+from repro.serve.server import ReproServer
+from repro.serve.service import AnalysisService
 
 CORE = "(FPCore (x) :name \"t\" :pre (<= 1e16 x 1e17) (- (+ x 1) x))"
 CLEAN = "(FPCore (x) :name \"ok\" :pre (<= 1 x 2) (+ x 1))"
@@ -254,6 +258,94 @@ class TestGracefulShutdown:
             )
             conn.request("GET", "/v1/health")
             conn.getresponse()
+
+    def test_parked_connection_does_not_delay_drain(
+        self, harness_factory, selective_worker, caplog
+    ):
+        pool = WorkerPool(workers=1, timeout=None,
+                          worker_main=selective_worker)
+        harness = harness_factory(pool=pool)
+        # Connection one: one keep-alive request, then parked idle.
+        parked = http.client.HTTPConnection(
+            "127.0.0.1", harness.port, timeout=30
+        )
+        parked.request("GET", "/v1/health")
+        reply = parked.getresponse()
+        reply.read()
+        assert reply.status == 200
+        assert reply.getheader("Connection") == "keep-alive"
+        # Connection two: a slow request in flight when the drain starts.
+        request = _session().request(SLOW)
+        outcome = {}
+
+        def fire():
+            with harness.client() as client:
+                outcome["status"] = client.analyze(request).status
+
+        thread = threading.Thread(target=fire)
+        thread.start()
+        for _ in range(200):
+            if harness.service.pool.stats()["active"] > 0:
+                break
+            threading.Event().wait(0.01)
+        started = time.monotonic()
+        harness.stop(drain=True)
+        elapsed = time.monotonic() - started
+        thread.join(timeout=60)
+        assert outcome == {"status": 200}
+        # The drain waited for the in-flight request only: the parked
+        # connection was closed, not waited on.
+        assert elapsed < 15
+        parked.sock.settimeout(5)
+        assert parked.sock.recv(1) == b""
+        parked.close()
+        # The cancelled connection ended quietly, not as an error.
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+
+
+class TestConnectionLoop:
+    def test_keep_alive_requests_create_no_tasks(self):
+        # One task per connection, none per request: the read loop
+        # awaits each request directly.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def factory(loop, coro, **kwargs):
+                created.append(getattr(coro, "__qualname__", repr(coro)))
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            service = AnalysisService(workers=1)
+            server = ReproServer(service)
+            _, port = await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+
+            async def health():
+                writer.write(b"GET /v1/health HTTP/1.1\r\n"
+                             b"Host: x\r\n\r\n")
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int(head.split(b"Content-Length: ")[1]
+                             .split(b"\r\n")[0])
+                await reader.readexactly(length)
+                return head.split(b" ")[1]
+
+            # The first round trip proves the connection task exists.
+            statuses = [await health()]
+            loop.set_task_factory(factory)
+            for _ in range(5):
+                statuses.append(await health())
+            loop.set_task_factory(None)
+            writer.close()
+            await server.stop(drain=True)
+            return statuses, created
+
+        statuses, created = asyncio.run(scenario())
+        assert statuses == [b"200"] * 6
+        assert created == []
 
 
 def test_native_substrate_resolution_is_visible():

@@ -3,10 +3,13 @@ structured errors, and batch sharding — driven directly as coroutines."""
 
 import asyncio
 import json
+import logging
 
 import pytest
 
+import repro.api.requests as requests_module
 from repro.api import AnalysisSession, request_digest
+from repro.api.requests import PARSED_CORE_LIMIT, PARSED_CORES
 from repro.api.store import ShardedResultStore
 from repro.core import AnalysisConfig
 from repro.serve.service import AnalysisService
@@ -92,9 +95,31 @@ class TestSinglePath:
         assert "FPCoreSyntaxError" in error["message"]
         assert counters.invalid == 1 and counters.computed == 0
 
-    def test_analysis_failure_is_structured_500_with_digest(self):
-        # Parses as a request but the compiler rejects the free `y`.
+    def test_unbound_variable_is_structured_400_with_digest(self):
+        # Parses as a request but the compiler rejects the free `y`: a
+        # client error, answered once and never retried.
         bad = {"core": "(FPCore (x) (+ x y))", "num_points": 2,
+               "config": {"shadow_precision": 96}}
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcome = await _closed(service, service.analyze_payload(bad))
+            return outcome, service.counters
+
+        outcome, counters = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert error["digest"] == outcome.digest
+        assert "UnboundVariableError" in error["message"]
+        assert "unbound variable y" in error["message"]
+        assert counters.invalid == 1 and counters.analysis_errors == 0
+
+    def test_analysis_failure_is_structured_500_with_digest(
+        self, broken_backend
+    ):
+        # A valid request whose analysis raises a non-input error.
+        bad = {"core": CLEAN, "num_points": 2, "backend": broken_backend,
                "config": {"shadow_precision": 96}}
 
         async def scenario():
@@ -106,7 +131,7 @@ class TestSinglePath:
         error = json.loads(outcome.body)["error"]
         assert error["type"] == "analysis_error"
         assert error["digest"] == outcome.digest
-        assert error["message"]  # carries the exception type + text
+        assert error["message"] == "RuntimeError: backend exploded"
 
     def test_lookup_digest(self, tmp_path):
         request = _request()
@@ -153,8 +178,8 @@ class TestDedupe:
         assert sources.count("computed") == 1
         assert sources.count("dedupe") == n - 1
 
-    def test_waiters_see_the_failure_too(self):
-        bad = {"core": "(FPCore (x) (+ x y))", "num_points": 2,
+    def test_waiters_see_the_failure_too(self, broken_backend):
+        bad = {"core": CLEAN, "num_points": 2, "backend": broken_backend,
                "config": {"shadow_precision": 96}}
 
         async def scenario():
@@ -240,6 +265,103 @@ class TestBatch:
         a, b = asyncio.run(scenario())
         assert a.status == 400
         assert b.status == 400
+
+
+class TestParseFreeHits:
+    """A program the process has seen is never parsed again."""
+
+    def test_hits_and_new_seeds_skip_the_parser(self, monkeypatch):
+        source = CORE.replace('"t"', '"parse-free"')
+        first = _request(source)
+        reseeded = _request(source, seed=99)
+        expected = [_expected_json(first), _expected_json(reseeded)]
+
+        def refuse(text):
+            raise AssertionError("the parser was reached")
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                cold = await service.analyze_payload(first.to_dict())
+                monkeypatch.setattr(requests_module, "parse_fpcore",
+                                    refuse)
+                hit = await service.analyze_payload(first.to_dict())
+                fresh = await service.analyze_payload(reseeded.to_dict())
+                return cold, hit, fresh, service.stats()
+            finally:
+                await service.close()
+
+        cold, hit, fresh, stats = asyncio.run(scenario())
+        assert (cold.status, cold.source) == (200, "computed")
+        assert (hit.status, hit.source) == (200, "memory")
+        assert (fresh.status, fresh.source) == (200, "computed")
+        assert [hit.body, fresh.body] == expected
+        assert stats["programs"]["hits"] >= 2
+        assert stats["programs"]["entries"] <= \
+            stats["programs"]["capacity"] == PARSED_CORE_LIMIT
+
+    def test_malformed_body_reaches_the_parser_every_time(
+        self, monkeypatch
+    ):
+        calls = []
+        real = requests_module.parse_fpcore
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(requests_module, "parse_fpcore", counting)
+        bad = {"core": "(FPCore (x) (+ x 1)"}
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            return await _closed(service, asyncio.gather(
+                service.analyze_payload(dict(bad)),
+                service.analyze_payload(dict(bad)),
+            ))
+
+        outcomes = asyncio.run(scenario())
+        assert [o.status for o in outcomes] == [400, 400]
+        assert calls == [bad["core"], bad["core"]]
+        assert len(PARSED_CORES._cores) <= PARSED_CORE_LIMIT
+        assert bad["core"] not in PARSED_CORES._cores
+
+
+class TestLogGuard:
+    def _hit(self, monkeypatch):
+        request = _request()
+        calls = []
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                await service.analyze_payload(request.to_dict())
+                real = service.pool.stats
+                monkeypatch.setattr(
+                    service.pool, "stats",
+                    lambda: calls.append(1) or real(),
+                )
+                await service.analyze_payload(request.to_dict())
+                await service.analyze_batch_payload(
+                    {"requests": [request.to_dict()]}
+                )
+            finally:
+                await service.close()
+
+        asyncio.run(scenario())
+        return calls
+
+    def test_no_pool_stats_with_info_off(self, monkeypatch, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.serve")
+        assert self._hit(monkeypatch) == []
+
+    def test_lines_written_with_info_on(self, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="repro.serve")
+        assert len(self._hit(monkeypatch)) == 2
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(m.startswith("analyze digest=") and
+                   "outcome=memory" in m for m in messages)
+        assert any(m.startswith("batch requests=1") for m in messages)
 
 
 class TestStats:
