@@ -48,7 +48,6 @@ from repro.bigfloat.rounding import ROUND_NEAREST_EVEN
 from repro.core.config import ENGINE_COMPILED, AnalysisConfig, resolve_hw_tier
 from repro.core.localerror import rounded_local_error, rounded_total_error
 from repro.ieee.error import bits_of_error_fast
-from repro.ieee.float32 import to_single
 from repro.ieee.float64 import double_to_bits as _double_bits
 from repro.core.records import (
     OpRecord,
@@ -93,7 +92,7 @@ POOL_EPOCH_IDENTS = 1 << 14
 
 
 #: Double-double kernels by operation (the generic analysis path);
-#: the fused/batched closures resolve from the same tables per site.
+#: the site steps resolve from the same tables per site.
 _DD_UNARY = {"sqrt": dd_sqrt, "neg": dd_neg, "fabs": dd_abs}
 _DD_GENERIC = dict(DD_KERNELS)
 _DD_GENERIC.update(_DD_UNARY)
@@ -164,14 +163,15 @@ class PipelineStageCounters:
     One instance per analysis (:attr:`HerbgrindAnalysis.stage_counters`),
     reset at construction, populated only when the analysis is built
     with ``profile=True``.  ``fused_ops`` counts
-    operations analysed by site-compiled callbacks, ``generic_ops``
-    those that went through the generic ``_analyse_operation`` walk.
-    Both count *executed* operations, as do the anti-unification and
-    characteristic counters.  The shadow-stage counters
-    (``kernel_evals``, ``trace_interned``, the error, compensation and
-    tier counters) count *computed* ones: a fused op whose ident is
-    memoized in the pool (:attr:`HerbgrindAnalysis.memo_hits`) skips
-    those stages.
+    operations analysed by the site steps — sequential and batched
+    lanes alike — and ``generic_ops`` those that went through the
+    generic ``_analyse_operation`` walk.  Both count *executed*
+    operations, as do the anti-unification and characteristic
+    counters.  The shadow-stage counters (``kernel_evals``,
+    ``trace_interned``, the error, compensation and tier counters)
+    count *computed* ones: a site-step op whose ident is memoized in
+    the pool (:attr:`HerbgrindAnalysis.memo_hits`, batched lanes
+    included) skips those stages.
     """
 
     __slots__ = ("fused_ops", "generic_ops", "kernel_evals",
@@ -261,8 +261,9 @@ class HerbgrindAnalysis(Tracer):
         #: BigFloat working tier (kernel bail-out or uncovered op).
         self.hw_kernel_ops = 0
         self.hw_promotions = 0
-        #: Fused operations served from the pool's per-ident memo
-        #: (their shadow stages skipped; see TracePool.memo).
+        #: Site-step operations (sequential or batched lanes) served
+        #: from the pool's per-ident memo (their shadow stages skipped;
+        #: see TracePool.memo).
         self.memo_hits = 0
         #: Per-analysis resource budgets, or None (the common case —
         #: the per-op tick must cost nothing when no budget is set).
@@ -288,7 +289,7 @@ class HerbgrindAnalysis(Tracer):
         if batched is None:
             batched = _batched_default()
         #: Batched lockstep execution enabled (compiled engine only:
-        #: the batch callbacks are the fused pipeline's per-lane loops).
+        #: the batched engine loops its lanes through the site steps).
         #: A resource guard forces the sequential path: budgets need
         #: per-op ticks, and the parity invariant makes the downgrade
         #: invisible in the report bytes.
@@ -410,22 +411,14 @@ class HerbgrindAnalysis(Tracer):
     def _shadow(self, box: FloatBox) -> ShadowValue:
         shadow = box.shadow
         if shadow is None:
-            pool = self.pool
-            leaf = (
-                pool.opaque_ident(box.value) if pool is not None
-                else trace_mod.opaque_leaf(box.value)
-            )
-            shadow = ShadowValue(
-                self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
-            )
-            box.shadow = shadow
+            shadow = box.shadow = self.opaque_shadow(box.value)
         return shadow
 
-    def _opaque_shadow_value(self, value: float) -> ShadowValue:
-        """The unboxed mirror of :meth:`_shadow`'s miss path: an opaque
-        leaf for a float that reached the analysis without a shadow
-        (batched columns store the shadow next to the value instead of
-        on a box, so the lazy fill-in happens in the column)."""
+    def opaque_shadow(self, value: float) -> ShadowValue:
+        """An opaque leaf for a float that reached the analysis without
+        a shadow (a bitcast result).  The engines store it where the
+        value lives — on the box, or in the batched lane column — so
+        later consumers share it."""
         pool = self.pool
         leaf = (
             pool.opaque_ident(value) if pool is not None
@@ -827,23 +820,27 @@ class HerbgrindAnalysis(Tracer):
 
     # ------------------------------------------------------------------
     # The site-compiled fused pipeline (the compiled engine's per-op
-    # hot path): one closure per (site, config), built at program
-    # compile time, updating flat per-site state in a single pass.
+    # hot path): one step per (site, config), built at program compile
+    # time, updating flat per-site state in a single pass.  The
+    # sequential and the batched engine call the same steps.
     # ------------------------------------------------------------------
 
     def fused_site_callback(self, instr: isa.Instr, op: str, arity: int,
                             single: bool = False):
-        """A per-site fused analysis callback, or None for the generic path.
+        """A per-site analysis step, or None for the generic path.
 
-        The compiled engine calls this once per instruction at compile
-        time; the returned closure replaces the ``on_op``/``on_library``
-        dispatch for that site.  The closure mirrors
-        :meth:`_analyse_operation` decision-for-decision — the
-        engine-parity suite enforces byte-identical reports — with the
-        per-op costs paid once per site instead: the ⟦f⟧_R kernel and
-        ⟦f⟧_F handler are pre-resolved, the record and its tables are
-        bound after their lazy creation, policy flags are constants,
-        and traces stay integer idents end to end.
+        The engines call this once per instruction at compile time;
+        the returned step replaces the ``on_op``/``on_library``
+        dispatch for that site.  It takes unboxed arguments —
+        ``step(sa, sb, av, bv, value)`` or ``step(sa, av, value)``:
+        the argument shadows (never None), the argument machine values
+        and the machine result — and returns the result's shadow.  The
+        step mirrors :meth:`_analyse_operation` decision-for-decision —
+        the engine-parity suite enforces byte-identical reports — with
+        the per-op costs paid once per site instead: the ⟦f⟧_R kernel
+        and ⟦f⟧_F handler are pre-resolved, the record and its tables
+        are bound after their lazy creation, policy flags are
+        constants, and traces stay integer idents end to end.
         """
         if not self.compiled or arity not in (1, 2):
             return None
@@ -874,13 +871,13 @@ class HerbgrindAnalysis(Tracer):
             tick = guard.tick
             inner = callback
             if arity == 2:
-                def callback(a, b, result):  # noqa: F811 — guarded shim
+                def callback(sa, sb, av, bv, value):  # noqa: F811
                     tick()
-                    return inner(a, b, result)
+                    return inner(sa, sb, av, bv, value)
             else:
-                def callback(a, result):  # noqa: F811 — guarded shim
+                def callback(sa, av, value):  # noqa: F811
                     tick()
-                    return inner(a, result)
+                    return inner(sa, av, value)
         return callback
 
     def _build_fused_binary(self, instr, op, kernel, kernel2,
@@ -918,7 +915,6 @@ class HerbgrindAnalysis(Tracer):
         memo = pool.memo
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
-        shadow_of = self._shadow
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
@@ -929,14 +925,8 @@ class HerbgrindAnalysis(Tracer):
         total_record = None
         prob_record = None
 
-        def run(a, b, result):
+        def run(sa, sb, av, bv, value):
             nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            sa = a.shadow
-            if sa is None:
-                sa = shadow_of(a)
-            sb = b.shadow
-            if sb is None:
-                sb = shadow_of(b)
             ta = sa.trace
             tb = sb.trace
             if record is None:
@@ -986,7 +976,6 @@ class HerbgrindAnalysis(Tracer):
                 else:
                     real = kernel((sa.real, sb.real), context)
                 # --- trace stage --------------------------------------
-                value = result.value
                 if node is None:
                     node = new_op(node_key, op, (ta, tb), value, loc)
                 if not escalates:
@@ -1017,7 +1006,7 @@ class HerbgrindAnalysis(Tracer):
                 else:
                     exact_rounded = real.to_float()
                     shadow.rounded = exact_rounded
-                if shortcut and ra == a.value and rb == b.value \
+                if shortcut and ra == av and rb == bv \
                         and ra != 0.0 and rb != 0.0:
                     float_result = value
                 else:
@@ -1041,12 +1030,12 @@ class HerbgrindAnalysis(Tracer):
                     ea = sa.total_error
                     if ea is None:
                         ea = sa.total_error = (
-                            0.0 if a.value == ra else err_of(a.value, ra)
+                            0.0 if av == ra else err_of(av, ra)
                         )
                     eb = sb.total_error
                     if eb is None:
                         eb = sb.total_error = (
-                            0.0 if b.value == rb else err_of(b.value, rb)
+                            0.0 if bv == rb else err_of(bv, rb)
                         )
                     if ea > 0.0 or eb > 0.0:
                         out_error = shadow.total_error
@@ -1114,9 +1103,9 @@ class HerbgrindAnalysis(Tracer):
                             counters.hw_tier_ops += 1
                         else:
                             counters.working_tier_ops += 1
-            result.shadow = shadow
             if entry is None:
                 memo[node] = (shadow, error_bits, passthrough)
+            return shadow
         return run
 
     def _build_fused_unary(self, instr, op, kernel, kernel2,
@@ -1145,7 +1134,6 @@ class HerbgrindAnalysis(Tracer):
         memo = pool.memo
         raw = kernel2 is not None
         empty = EMPTY_INFLUENCES
-        shadow_of = self._shadow
         rounded_of = self._rounded
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
@@ -1155,11 +1143,8 @@ class HerbgrindAnalysis(Tracer):
         total_record = None
         prob_record = None
 
-        def run(a, result):
+        def run(sa, av, value):
             nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            sa = a.shadow
-            if sa is None:
-                sa = shadow_of(a)
             ta = sa.trace
             if record is None:
                 record = self._op_record(instr, op)
@@ -1200,7 +1185,6 @@ class HerbgrindAnalysis(Tracer):
                 else:
                     real = kernel((sa.real,), context)
                 # --- trace stage --------------------------------------
-                value = result.value
                 if node is None:
                     node = new_op(node_key, op, (ta,), value, loc)
                 if not escalates:
@@ -1223,7 +1207,7 @@ class HerbgrindAnalysis(Tracer):
                 else:
                     exact_rounded = real.to_float()
                     shadow.rounded = exact_rounded
-                if shortcut and ra == a.value and ra != 0.0:
+                if shortcut and ra == av and ra != 0.0:
                     float_result = value
                 else:
                     float_result = fn_double(ra)
@@ -1272,9 +1256,9 @@ class HerbgrindAnalysis(Tracer):
                             counters.hw_tier_ops += 1
                         else:
                             counters.working_tier_ops += 1
-            result.shadow = shadow
             if entry is None:
                 memo[node] = (shadow, error_bits, None)
+            return shadow
         return run
 
     def fused_const_callback(self, instr: isa.Instr):
@@ -1328,7 +1312,8 @@ class HerbgrindAnalysis(Tracer):
         return run
 
     def fused_branch_callback(self, instr: isa.Branch):
-        """A per-site branch-spot callback (see ``on_branch``)."""
+        """A per-site branch-spot step (see ``on_branch``):
+        ``step(left_shadow, right_shadow, taken)``, shadows never None."""
         if not self.compiled:
             return None
         try:
@@ -1338,17 +1323,10 @@ class HerbgrindAnalysis(Tracer):
             return None  # unknown predicate: generic path reports it
         escalates = self._escalates
         track = self.config.track_influences
-        shadow_of = self._shadow
         record = None
 
-        def run(lhs, rhs, taken):
+        def run(left, right, taken):
             nonlocal record
-            left = lhs.shadow
-            if left is None:
-                left = shadow_of(lhs)
-            right = rhs.shadow
-            if right is None:
-                right = shadow_of(rhs)
             if record is None:
                 record = self._spot_record(instr, SPOT_BRANCH)
             if escalates:
@@ -1371,468 +1349,6 @@ class HerbgrindAnalysis(Tracer):
                     record.influences |= left.influences | right.influences
         return run
 
-    # ------------------------------------------------------------------
-    # Batched column callbacks (the batched engine's per-site hot path):
-    # the fused pipeline's per-lane loops, amortizing the per-site setup
-    # — record lookup, kernel resolution, policy flags, table probes —
-    # across every lane of a uniform sub-batch.  Lanes are processed in
-    # ascending order inside every closure; combined with the engine's
-    # revisit-free instruction gate this makes the per-record event
-    # order identical to the sequential loop, which is what keeps the
-    # batched reports byte-identical.
-    # ------------------------------------------------------------------
-
-    def batch_site_callback(self, instr: isa.Instr, op: str, arity: int,
-                            single: bool, machine_fn):
-        """A per-site batch analysis callback, or None for the per-lane
-        path (see :meth:`Tracer.batch_site_callback`).
-
-        Unlike the fused sequential callbacks, the batch closures also
-        compute the *machine* result per lane (through ``machine_fn``,
-        the engine's ⟦f⟧_F handler for this site) so the engine never
-        boxes a float on the batched hot path.
-        """
-        if not self._batched or arity not in (1, 2) or machine_fn is None:
-            return None
-        try:
-            kernel = self.backend.handler(op)
-        except KeyError:
-            return None  # unknown to ⟦f⟧_R: the per-lane opaque path
-        fn_double = DOUBLE_HANDLERS.get(op)
-        if fn_double is None:
-            return None
-        kernel2 = self.backend.positional_handler(op, arity)
-        if arity == 2:
-            return self._build_batch_binary(
-                instr, op, kernel, kernel2, fn_double, single, machine_fn
-            )
-        return self._build_batch_unary(
-            instr, op, kernel, kernel2, fn_double, single, machine_fn
-        )
-
-    def _build_batch_binary(self, instr, op, kernel, kernel2,
-                            fn_double, single, machine_fn):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        compensating = config.detect_compensation and op in ("+", "-")
-        is_sub = op == "-"
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
-        hw = self._hw
-        dd_kernel = DD_KERNELS.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
-        )
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        opaque_of = self._opaque_shadow_value
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        returns_arg = self._returns_argument
-        narrow = to_single
-        record = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
-
-        def run(avals, ashads, bvals, bshads):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
-            n = len(avals)
-            rvals = [0.0] * n
-            rshads = [None] * n
-            for i in range(n):
-                av = avals[i]
-                bv = bvals[i]
-                sa = ashads[i]
-                if sa is None:
-                    # Lazy opaque fill-in, written back into the column
-                    # so later consumers share it (the unboxed mirror
-                    # of the box-shadow sharing in the sequential path).
-                    sa = ashads[i] = opaque_of(av)
-                sb = bshads[i]
-                if sb is None:
-                    sb = bshads[i] = opaque_of(bv)
-                value = machine_fn(av, bv)
-                if single:
-                    value = narrow(value)
-                rvals[i] = value
-                ta = sa.trace
-                tb = sb.trace
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    xb = sb.real
-                    if type(xa) is DD and type(xb) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo, xb.hi, xb.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            promote(sb)
-                            self.hw_promotions += 1
-                    elif type(xa) is DD or type(xb) is DD:
-                        promote(sa)
-                        promote(sb)
-                        self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif raw:
-                    real = kernel2(sa.real, sb.real, context)
-                else:
-                    real = kernel((sa.real, sb.real), context)
-                # --- trace stage --------------------------------------
-                node_key = (site, ta, tb)
-                node = ops_table.get(node_key)
-                if node is None:
-                    node = new_op(node_key, op, (ta, tb), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif is_sub and ta == tb:
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real, sb.real), (sa.drift, sb.drift),
-                        real, exact_op,
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real, sb.real], [sa.drift, sb.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                rb = sb.rounded
-                if rb is None:
-                    rb = rounded_of(sb)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and rb == bv \
-                        and ra != 0.0 and rb != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra, rb)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                record.executions += 1
-                record.sum_local_error += error_bits
-                if error_bits > record.max_local_error:
-                    record.max_local_error = error_bits
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                passthrough = None
-                if compensating and real.is_finite():
-                    ea = sa.total_error
-                    if ea is None:
-                        ea = sa.total_error = (
-                            0.0 if av == ra else err_of(av, ra)
-                        )
-                    eb = sb.total_error
-                    if eb is None:
-                        eb = sb.total_error = (
-                            0.0 if bv == rb else err_of(bv, rb)
-                        )
-                    if ea > 0.0 or eb > 0.0:
-                        out_error = shadow.total_error
-                        if out_error is None:
-                            out_error = shadow.total_error = (
-                                0.0 if value == exact_rounded
-                                else err_of(value, exact_rounded)
-                            )
-                        if out_error < ea and \
-                                returns_arg(op, 0, sa, sb, shadow):
-                            passthrough = 0
-                        elif out_error < eb and \
-                                returns_arg(op, 1, sb, sa, shadow):
-                            passthrough = 1
-                if passthrough is not None:
-                    record.compensations_detected += 1
-                    influences = (sa if passthrough == 0 else sb).influences
-                else:
-                    ia = sa.influences
-                    ib = sb.influences
-                    if ia:
-                        influences = (ia | ib) if ib else ia
-                    elif ib:
-                        influences = ib
-                    else:
-                        influences = empty
-                    if is_candidate and track:
-                        influences = influences | {record}
-                # --- expression + characteristics stage ---------------
-                generalization = record.generalization
-                if generalization.expression is not None:
-                    bindings = fast_walk(pool, node)
-                else:
-                    bindings = None
-                if bindings is None:
-                    __, bindings = bail_walk(pool, node)
-                record.pending_trace = node
-                total_record(bindings)
-                if is_candidate and passthrough is None:
-                    prob_record(bindings)
-                    if record.example_problematic is None and bindings:
-                        record.example_problematic = dict(bindings)
-                    record.candidate_executions += 1
-                if counters is not None:
-                    counters.fused_ops += 1
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    if compensating:
-                        counters.compensation_checks += 1
-                    counters.characteristic_updates += len(bindings)
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-                shadow.influences = influences
-                rshads[i] = shadow
-            return rvals, rshads
-        return run
-
-    def _build_batch_unary(self, instr, op, kernel, kernel2,
-                           fn_double, single, machine_fn):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
-        hw = self._hw
-        dd_kernel = _DD_UNARY.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
-        )
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        opaque_of = self._opaque_shadow_value
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        narrow = to_single
-        record = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
-
-        def run(avals, ashads):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
-            n = len(avals)
-            rvals = [0.0] * n
-            rshads = [None] * n
-            for i in range(n):
-                av = avals[i]
-                sa = ashads[i]
-                if sa is None:
-                    sa = ashads[i] = opaque_of(av)
-                value = machine_fn(av)
-                if single:
-                    value = narrow(value)
-                rvals[i] = value
-                ta = sa.trace
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    if type(xa) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif raw:
-                    real = kernel2(sa.real, context)
-                else:
-                    real = kernel((sa.real,), context)
-                # --- trace stage --------------------------------------
-                node_key = (site, ta)
-                node = ops_table.get(node_key)
-                if node is None:
-                    node = new_op(node_key, op, (ta,), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real,), (sa.drift,), real, exact_op
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real], [sa.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and ra != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                record.executions += 1
-                record.sum_local_error += error_bits
-                if error_bits > record.max_local_error:
-                    record.max_local_error = error_bits
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                influences = sa.influences
-                if is_candidate and track:
-                    influences = influences | {record}
-                # --- expression + characteristics stage ---------------
-                generalization = record.generalization
-                if generalization.expression is not None:
-                    bindings = fast_walk(pool, node)
-                else:
-                    bindings = None
-                if bindings is None:
-                    __, bindings = bail_walk(pool, node)
-                record.pending_trace = node
-                total_record(bindings)
-                if is_candidate:
-                    prob_record(bindings)
-                    if record.example_problematic is None and bindings:
-                        record.example_problematic = dict(bindings)
-                    record.candidate_executions += 1
-                if counters is not None:
-                    counters.fused_ops += 1
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    counters.characteristic_updates += len(bindings)
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-                shadow.influences = influences
-                rshads[i] = shadow
-            return rvals, rshads
-        return run
-
-    def batch_branch_callback(self, instr: isa.Branch):
-        """A per-site batch branch-spot callback: the fused branch
-        update looped over the lanes of a uniform sub-batch (every lane
-        took the same direction — the engine guarantees it — but each
-        lane's *real* direction is decided per lane).  Returns None when
-        batching is off; the engine then loops the sequential hook."""
-        if not self._batched:
-            return None
-        try:
-            nan_result = instr.pred == "ne"
-            comparer = _BIG_PREDICATES[instr.pred]
-        except KeyError:
-            return None
-        escalates = self._escalates
-        track = self.config.track_influences
-        opaque_of = self._opaque_shadow_value
-        record = None
-
-        def run(lvals, lshads, rvals, rshads, taken):
-            nonlocal record
-            if record is None:
-                record = self._spot_record(instr, SPOT_BRANCH)
-            n = len(lvals)
-            for i in range(n):
-                left = lshads[i]
-                if left is None:
-                    left = lshads[i] = opaque_of(lvals[i])
-                right = rshads[i]
-                if right is None:
-                    right = rshads[i] = opaque_of(rvals[i])
-                if escalates:
-                    left_real, right_real = self._comparable(left, right)
-                else:
-                    left_real = left.real
-                    right_real = right.real
-                if left_real.is_nan() or right_real.is_nan():
-                    real_taken = nan_result
-                else:
-                    real_taken = comparer(left_real, right_real)
-                record.executions += 1
-                if real_taken != taken:
-                    record.sum_error += 1.0
-                    if record.max_error < 1.0:
-                        record.max_error = 1.0
-                    record.erroneous += 1
-                    if track:
-                        record.influences |= (
-                            left.influences | right.influences
-                        )
-        return run
-
     def _compensation_passthrough(
         self,
         op: str,
@@ -1853,8 +1369,8 @@ class HerbgrindAnalysis(Tracer):
         carries error (the output's error cannot be below zero), so
         the real-valued equality of (a) is rarely reached.  Pure
         reordering of a conjunction — the verdict is unchanged.  Takes
-        the machine values raw (not boxed); the fused and batched
-        closures inline this prefix and share :meth:`_returns_argument`.
+        the machine values raw (not boxed); the binary site step
+        inlines this prefix and shares :meth:`_returns_argument`.
         """
         if not result_shadow.real.is_finite():
             return None
@@ -1992,7 +1508,8 @@ class HerbgrindAnalysis(Tracer):
         show where shadow work actually ran: ops served by the hardware
         pair kernels, pair arguments promoted to the working tier, and
         roundings certified by each escalation rung.  ``memo_hits``
-        counts fused ops replayed from the pool's per-ident memo; like
+        counts site-step ops, sequential or batched, replayed from the
+        pool's per-ident memo; like
         ``hw_kernel_ops``, the tier and escalation counters count
         *computed* shadows, which a memo hit does not recompute.
         """
@@ -2114,7 +1631,7 @@ def analyze_program(
         if analysis._batched and len(input_sets) > 1:
             from repro.machine.batched import BatchedProgram
 
-            batched = BatchedProgram.compile(
+            lockstep = BatchedProgram.compile(
                 program,
                 analysis,
                 wrap_libraries=wrap_libraries,
@@ -2122,14 +1639,14 @@ def analyze_program(
                 max_steps=max_steps,
                 double_handlers=analysis.backend.double_handlers,
             )
-            if batched is not None:
+            if lockstep is not None:
                 if _faults.active():
                     # Chaos seam: a batched-layer failure.  The
                     # ladder's sequential rung (batched=False) never
                     # reaches it.
                     _faults.trip("engine.batched.raise", EngineFault)
                 try:
-                    batch_outputs = batched.run_points(input_sets)
+                    batch_outputs = lockstep.run_points(input_sets)
                 except MachineError:
                     # A lane failed after aggregation began; discard
                     # the dirty analysis and reproduce the sequential

@@ -1,14 +1,17 @@
 """Lockstep batched execution: all sample points through one pass.
 
 The analysis driver re-runs a program once per sample point, paying
-dispatch, trace interning, anti-unification, and shadow bookkeeping N
-times.  :class:`BatchedProgram` runs all N points *in lockstep* instead:
-registers become SoA columns (a flat list of machine values plus a
-parallel list of per-lane shadows per slot), and every analysis site is
-visited once per batch with one fused callback invocation covering all
-lanes (see ``HerbgrindAnalysis.batch_site_callback``), so the per-site
-setup — record lookup, kernel resolution, policy flags, interning-table
-probes — is paid once per sub-batch instead of once per point.
+instruction dispatch and boxing N times.  :class:`BatchedProgram` runs
+all N points *in lockstep* instead: registers become SoA columns (a
+flat list of machine values plus a parallel list of per-lane shadows
+per slot), and every instruction is dispatched once per batch.  A float
+op or wrapped library call loops its lanes inside one closure: each
+lane's machine value comes from the site's ⟦f⟧_F handler (narrowed for
+single-precision sites) and its shadow from the same per-site analysis
+step the sequential compiled engine calls
+(``HerbgrindAnalysis.fused_site_callback``), unboxed, so no lane
+allocates a :class:`FloatBox` and both engines share one copy of the
+per-op pipeline, including its per-ident shadow memo.
 
 Byte-identical reports are the non-negotiable contract, and they follow
 from an ordering argument: event order is only observable *per record*
@@ -304,46 +307,9 @@ class BatchedProgram:
             machine_fn = self.double_handlers.get(instr.op)
             if machine_fn is None:
                 raise _Ineligible(f"unknown operation {instr.op!r}")
-            srcs = [slot(s) for s in instr.srcs]
-            d = slot(instr.dst)
-            batch_cb = self.tracer.batch_site_callback(
-                instr, instr.op, len(srcs), instr.single, machine_fn
-            )
-            if batch_cb is not None and len(srcs) == 2:
-                a, b = srcs
-
-                def step(st, _a=a, _b=b, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    vb = st.vals[_b]
-                    sa = st.shads[_a]
-                    sb = st.shads[_b]
-                    if va is None or vb is None \
-                            or sa is _INT or sb is _INT:
-                        raise MachineError(
-                            "float op on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa, vb, sb)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            if batch_cb is not None and len(srcs) == 1:
-                a = srcs[0]
-
-                def step(st, _a=a, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    sa = st.shads[_a]
-                    if va is None or sa is _INT:
-                        raise MachineError(
-                            "float op on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            return self._per_lane_op(
-                instr, instr.op, srcs, d, machine_fn, instr.single,
+            return self._site_op(
+                instr, instr.op, [slot(s) for s in instr.srcs],
+                slot(instr.dst), machine_fn, instr.single,
                 self._hook("on_op"), nxt,
             )
 
@@ -357,46 +323,9 @@ class BatchedProgram:
             machine_fn = self.double_handlers.get(name)
             if machine_fn is None:
                 raise _Ineligible(f"unknown library {name!r}")
-            srcs = [slot(s) for s in instr.args]
-            d = slot(instr.dst)
-            batch_cb = self.tracer.batch_site_callback(
-                instr, name, len(srcs), False, machine_fn
-            )
-            if batch_cb is not None and len(srcs) == 2:
-                a, b = srcs
-
-                def step(st, _a=a, _b=b, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    vb = st.vals[_b]
-                    sa = st.shads[_a]
-                    sb = st.shads[_b]
-                    if va is None or vb is None \
-                            or sa is _INT or sb is _INT:
-                        raise MachineError(
-                            "library call on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa, vb, sb)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            if batch_cb is not None and len(srcs) == 1:
-                a = srcs[0]
-
-                def step(st, _a=a, _d=d, _cb=batch_cb, _n=nxt):
-                    va = st.vals[_a]
-                    sa = st.shads[_a]
-                    if va is None or sa is _INT:
-                        raise MachineError(
-                            "library call on a non-float register"
-                        )
-                    rv, rs = _cb(va, sa)
-                    st.vals[_d] = rv
-                    st.shads[_d] = rs
-                    return _n
-                return step
-            return self._per_lane_op(
-                instr, name, srcs, d, machine_fn, False,
+            return self._site_op(
+                instr, name, [slot(s) for s in instr.args],
+                slot(instr.dst), machine_fn, False,
                 self._hook("on_library"), nxt,
             )
 
@@ -583,11 +512,12 @@ class BatchedProgram:
                 raise _Ineligible(f"unknown label {instr.target!r}")
             if target <= index:
                 raise _Ineligible("backward branch (loop)")
-            batch_cb = self.tracer.batch_branch_callback(instr)
+            site_cb = self.tracer.fused_branch_callback(instr)
             on_branch = self._hook("on_branch")
 
             def step(st, _l=lhs, _r=rhs, _p=pred, _t=target,
-                     _cb=batch_cb, _g=on_branch, _i=instr, _n=nxt):
+                     _cb=site_cb, _o=self.tracer.opaque_shadow,
+                     _g=on_branch, _i=instr, _n=nxt):
                 lv = st.vals[_l]
                 rv = st.vals[_r]
                 ls = st.shads[_l]
@@ -607,7 +537,14 @@ class BatchedProgram:
                             "batched lanes diverged at a branch"
                         )
                 if _cb is not None:
-                    _cb(lv, ls, rv, rs, taken)
+                    for i in range(n):
+                        left = ls[i]
+                        if left is None:
+                            left = ls[i] = _o(lv[i])
+                        right = rs[i]
+                        if right is None:
+                            right = rs[i] = _o(rv[i])
+                        _cb(left, right, taken)
                 elif _g is not None:
                     for i in range(n):
                         lbox = FloatBox(lv[i])
@@ -691,13 +628,88 @@ class BatchedProgram:
         # PackedOp, Load, Store, IntBranch, Ret, user calls: sequential.
         raise _Ineligible(f"unsupported instruction {type(instr).__name__}")
 
+    def _site_op(self, instr, op, srcs, d, machine_fn, single, hook, nxt):
+        """A float op or wrapped library call: each lane's machine value
+        through ``machine_fn`` and its shadow through the tracer's site
+        step (see :meth:`Tracer.fused_site_callback`), lanes in
+        ascending order.  A missing argument shadow is filled in with an
+        opaque leaf written back into the column, so later consumers
+        share it as they would share a box.  Sites without a step
+        (arity outside 1-2, kernels unknown to ⟦f⟧_R, non-analysis
+        tracers) loop the lanes through the sequential hook instead."""
+        site_cb = self.tracer.fused_site_callback(
+            instr, op, len(srcs), single
+        )
+        if site_cb is None:
+            return self._per_lane_op(
+                instr, op, srcs, d, machine_fn, single, hook, nxt
+            )
+        opaque = self.tracer.opaque_shadow
+        if len(srcs) == 2:
+            a, b = srcs
+
+            def step(st, _a=a, _b=b, _d=d, _fn=machine_fn, _single=single,
+                     _cb=site_cb, _o=opaque, _n=nxt):
+                avals = st.vals[_a]
+                bvals = st.vals[_b]
+                ashads = st.shads[_a]
+                bshads = st.shads[_b]
+                if avals is None or bvals is None \
+                        or ashads is _INT or bshads is _INT:
+                    raise MachineError("float op on a non-float register")
+                n = st.n
+                rv = [0.0] * n
+                rs = [None] * n
+                for i in range(n):
+                    av = avals[i]
+                    bv = bvals[i]
+                    sa = ashads[i]
+                    if sa is None:
+                        sa = ashads[i] = _o(av)
+                    sb = bshads[i]
+                    if sb is None:
+                        sb = bshads[i] = _o(bv)
+                    value = _fn(av, bv)
+                    if _single:
+                        value = to_single(value)
+                    rv[i] = value
+                    rs[i] = _cb(sa, sb, av, bv, value)
+                st.vals[_d] = rv
+                st.shads[_d] = rs
+                return _n
+            return step
+        a = srcs[0]
+
+        def step(st, _a=a, _d=d, _fn=machine_fn, _single=single,
+                 _cb=site_cb, _o=opaque, _n=nxt):
+            avals = st.vals[_a]
+            ashads = st.shads[_a]
+            if avals is None or ashads is _INT:
+                raise MachineError("float op on a non-float register")
+            n = st.n
+            rv = [0.0] * n
+            rs = [None] * n
+            for i in range(n):
+                av = avals[i]
+                sa = ashads[i]
+                if sa is None:
+                    sa = ashads[i] = _o(av)
+                value = _fn(av)
+                if _single:
+                    value = to_single(value)
+                rv[i] = value
+                rs[i] = _cb(sa, av, value)
+            st.vals[_d] = rv
+            st.shads[_d] = rs
+            return _n
+        return step
+
     def _per_lane_op(self, instr, op, srcs, d, machine_fn, single,
                      hook, nxt):
-        """Generic fallback for sites without a batch callback (arity
-        outside 1-2, kernels unknown to ⟦f⟧_R, non-analysis tracers):
-        loop the lanes through the sequential hook with temporary
-        boxes.  Lane order is ascending, so aggregation order still
-        matches the sequential loop."""
+        """Generic fallback for sites without a site step: loop the
+        lanes through the sequential hook with temporary boxes.  Lane
+        order is ascending, so aggregation order still matches the
+        sequential loop."""
         def step(st, _srcs=tuple(srcs), _d=d, _fn=machine_fn,
                  _single=single, _cb=hook, _i=instr, _op=op, _n=nxt):
             cols = []

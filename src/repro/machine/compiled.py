@@ -140,6 +140,20 @@ def _error_step(message: str) -> Callable:
     return step
 
 
+def _shadow_filler(opaque_shadow: Callable) -> Callable:
+    """The fill-in for a site-step argument without a shadow: the
+    tracer's opaque shadow, stored on the box so later consumers share
+    it (see :meth:`Tracer.opaque_shadow`).  A plain closure, not a
+    method: the compiled steps hold it, and a reference back to the
+    program would make every program a reference cycle."""
+
+    def fill(box: FloatBox):
+        shadow = box.shadow = opaque_shadow(box.value)
+        return shadow
+
+    return fill
+
+
 class CompiledProgram:
     """A program compiled to threaded code for one tracer.
 
@@ -191,6 +205,7 @@ class CompiledProgram:
         self._on_float_to_int = hook("on_float_to_int")
         self._on_branch = hook("on_branch")
         self._on_out = hook("on_out")
+        self._fill_shadow = _shadow_filler(self.tracer.opaque_shadow)
         self._entry = self._compile_function(
             program.function(program.entry)
         )
@@ -440,13 +455,13 @@ class CompiledProgram:
             site_cb = self.tracer.fused_branch_callback(instr)
             if site_cb is not None:
                 def step(st, _l=lhs, _r=rhs, _p=pred, _t=target, _n=nxt,
-                         _scb=site_cb):
+                         _scb=site_cb, _f=self._fill_shadow):
                     r = st.regs
                     a = r[_l]
                     b = r[_r]
                     taken = _p(a.value, b.value)
                     st.branches += 1
-                    _scb(a, b, taken)
+                    _scb(a.shadow or _f(a), b.shadow or _f(b), taken)
                     return _t if taken else _n
                 return step
 
@@ -545,52 +560,46 @@ class CompiledProgram:
         on_op = self._on_op
         single = instr.single
         # Site-compiled analysis pipeline: the tracer may hand back a
-        # fused per-site callback, compiled once per (site, config),
-        # that replaces the generic on_op dispatch entirely.
+        # per-site step, compiled once per (site, config), that replaces
+        # the generic on_op dispatch entirely.
         site_cb = self.tracer.fused_site_callback(
             instr, instr.op, len(src_slots), single
         )
-        if site_cb is not None and len(src_slots) == 2 and not single:
+        if site_cb is not None and len(src_slots) == 2:
             s0, s1 = src_slots
 
             def step(st, _s0=s0, _s1=s1, _d=dst, _fn=fn, _n=nxt,
-                     _scb=site_cb):
+                     _scb=site_cb, _f=self._fill_shadow, _single=single):
                 r = st.regs
                 a = r[_s0]
                 b = r[_s1]
-                box = FloatBox(_fn(a.value, b.value))
-                r[_d] = box
-                st.float_ops += 1
-                _scb(a, b, box)
-                return _n
-            return step
-        if site_cb is not None and len(src_slots) == 1:
-
-            def step(st, _s0=src_slots[0], _d=dst, _fn=fn, _n=nxt,
-                     _scb=site_cb, _single=single):
-                r = st.regs
-                a = r[_s0]
-                value = _fn(a.value)
+                av = a.value
+                bv = b.value
+                value = _fn(av, bv)
                 if _single:
                     value = to_single(value)
                 box = FloatBox(value)
                 r[_d] = box
                 st.float_ops += 1
-                _scb(a, box)
+                box.shadow = _scb(
+                    a.shadow or _f(a), b.shadow or _f(b), av, bv, value
+                )
                 return _n
             return step
-        if site_cb is not None and len(src_slots) == 2:
-            s0, s1 = src_slots
+        if site_cb is not None:
 
-            def step(st, _s0=s0, _s1=s1, _d=dst, _fn=fn, _n=nxt,
-                     _scb=site_cb):
+            def step(st, _s0=src_slots[0], _d=dst, _fn=fn, _n=nxt,
+                     _scb=site_cb, _f=self._fill_shadow, _single=single):
                 r = st.regs
                 a = r[_s0]
-                b = r[_s1]
-                box = FloatBox(to_single(_fn(a.value, b.value)))
+                av = a.value
+                value = _fn(av)
+                if _single:
+                    value = to_single(value)
+                box = FloatBox(value)
                 r[_d] = box
                 st.float_ops += 1
-                _scb(a, b, box)
+                box.shadow = _scb(a.shadow or _f(a), av, value)
                 return _n
             return step
         if len(src_slots) == 2 and not single:
@@ -700,29 +709,36 @@ class CompiledProgram:
             if site_cb is not None and len(arg_slots) == 1:
 
                 def step(st, _s0=arg_slots[0], _d=dst, _fn=fn, _n=nxt,
-                         _scb=site_cb):
+                         _scb=site_cb, _f=self._fill_shadow):
                     r = st.regs
                     a = r[_s0]
-                    box = FloatBox(_fn(a.value))
+                    av = a.value
+                    value = _fn(av)
+                    box = FloatBox(value)
                     r[_d] = box
                     st.calls += 1
                     st.library_calls += 1
-                    _scb(a, box)
+                    box.shadow = _scb(a.shadow or _f(a), av, value)
                     return _n
                 return step
-            if site_cb is not None and len(arg_slots) == 2:
+            if site_cb is not None:
                 s0, s1 = arg_slots
 
                 def step(st, _s0=s0, _s1=s1, _d=dst, _fn=fn, _n=nxt,
-                         _scb=site_cb):
+                         _scb=site_cb, _f=self._fill_shadow):
                     r = st.regs
                     a = r[_s0]
                     b = r[_s1]
-                    box = FloatBox(_fn(a.value, b.value))
+                    av = a.value
+                    bv = b.value
+                    value = _fn(av, bv)
+                    box = FloatBox(value)
                     r[_d] = box
                     st.calls += 1
                     st.library_calls += 1
-                    _scb(a, b, box)
+                    box.shadow = _scb(
+                        a.shadow or _f(a), b.shadow or _f(b), av, bv, value
+                    )
                     return _n
                 return step
 

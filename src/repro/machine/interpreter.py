@@ -46,17 +46,22 @@ class Tracer:
 
     def fused_site_callback(self, instr: isa.Instr, op: str, arity: int,
                             single: bool = False):
-        """A per-site fused analysis callback, or None for the generic path.
+        """A per-site analysis step, or None for the generic path.
 
-        The compiled engine queries this once per float-op / wrapped
-        library-call instruction at compile time; a non-None return
-        replaces the per-event ``on_op``/``on_library`` dispatch for
-        that site with a direct call to the returned closure
-        (``callback(*arg_boxes, result_box)``), whose result cannot be
-        overridden.  The base tracer — and with it every analysis that
-        does not site-compile — returns None, and the reference
-        interpreter never asks: it is the unfused oracle the compiled
-        pipeline is checked against.
+        The compiled and batched engines query this once per float-op /
+        wrapped library-call instruction at compile time.  A non-None
+        return replaces the per-event ``on_op``/``on_library`` dispatch
+        for that site.  The engine computes the machine result itself
+        and calls the step with unboxed arguments —
+        ``step(sa, sb, av, bv, value)`` or ``step(sa, av, value)``:
+        argument shadows, argument values, result value — filling a
+        missing argument shadow with :meth:`opaque_shadow` first.  The
+        step returns the result's shadow, which the compiled engine
+        stores on the result box and the batched engine in the lane's
+        column; the result value cannot be overridden.  The base tracer
+        — and with it every analysis that does not site-compile —
+        returns None, and the reference interpreter never asks: it is
+        the unfused oracle the site steps are checked against.
         """
         return None
 
@@ -68,32 +73,16 @@ class Tracer:
 
     def fused_branch_callback(self, instr: isa.Branch):
         """A per-site fused replacement for ``on_branch``
-        (``callback(lhs_box, rhs_box, taken)``), or None for the
-        generic dispatch.  Same contract as
-        :meth:`fused_site_callback`."""
+        (``step(left_shadow, right_shadow, taken)``, missing shadows
+        filled as for :meth:`fused_site_callback`), or None for the
+        generic dispatch.  The batched engine calls it once per lane."""
         return None
 
-    def batch_site_callback(self, instr: isa.Instr, op: str, arity: int,
-                            single: bool, machine_fn):
-        """A per-site batch analysis callback, or None for the per-lane path.
-
-        The batched engine queries this once per float-op / wrapped
-        library-call instruction at compile time.  A non-None return is
-        called with SoA columns — ``callback(avals, ashads[, bvals,
-        bshads])`` for value/shadow columns per operand — and must
-        return ``(result_values, result_shadows)`` columns, computing
-        the machine result per lane through ``machine_fn`` itself so
-        per-site setup is paid once per batch rather than once per
-        lane.  The base tracer returns None, which makes the batched
-        engine fall back to per-lane dispatch through the sequential
-        hooks.
-        """
-        return None
-
-    def batch_branch_callback(self, instr: isa.Branch):
-        """A per-site batch replacement for ``on_branch``
-        (``callback(lvals, lshads, rvals, rshads, taken)`` over SoA
-        columns), or None to loop the sequential hook per lane."""
+    def opaque_shadow(self, value: float):
+        """The shadow of a float that reaches a site step without one
+        (a bitcast result).  The engine stores it on the box or in the
+        lane column, so later consumers share it.  Only asked for by
+        engines running steps this tracer returned."""
         return None
 
     def on_batch_start(self, machine, lanes: int) -> None:

@@ -145,9 +145,11 @@ class TestReferenceStack:
         )
         instr = isa.FloatOp("r", "+", ("a", "b"))
         assert analysis.pool is None
+        assert not analysis._batched
         assert analysis.fused_site_callback(instr, "+", 2) is None
-        assert analysis.batch_site_callback(
-            instr, "+", 2, False, lambda a, b: a + b
+        assert analysis.fused_const_callback(isa.Const("c", 1.5)) is None
+        assert analysis.fused_branch_callback(
+            isa.Branch("lt", "a", "b", "L")
         ) is None
 
 

@@ -6,7 +6,7 @@ lane pattern — uniform batches, divergent branches splitting the lanes
 into sub-batches, loop programs falling back entirely, and the
 degenerate one-lane batch — and for every lane value, down to signed
 zeros, NaN, subnormals and wide double-double operands on every
-operation the batch closures handle.
+operation the batched lane loops handle.
 """
 
 import math
@@ -22,7 +22,13 @@ from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig, HerbgrindAnalysis, analyze_program
 from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
-from repro.machine import BatchedProgram, Tracer, compile_fpcore
+from repro.machine import (
+    BatchedProgram,
+    FunctionBuilder,
+    Program,
+    Tracer,
+    compile_fpcore,
+)
 from repro.machine.interpreter import MachineError
 
 #: The compiled engine with lockstep batching forced on / off.
@@ -205,7 +211,7 @@ class TestEnvironmentSwitch:
 class TestImportFootprint:
     def test_batched_adaptive_analysis_never_imports_numpy(self):
         # A fresh interpreter, since other test modules import NumPy as
-        # an oracle.  The batch closures loop lanes in pure Python, so
+        # an oracle.  The batched engine loops lanes in pure Python, so
         # neither the library, the server, nor an adaptive batched
         # run with the double-double tier may load NumPy.
         script = textwrap.dedent("""
@@ -245,7 +251,7 @@ class TestImportFootprint:
 
 # Adversarial lane values: signed zeros, infinities, NaN, subnormals,
 # the edges of the normal range, the Dekker splitting limit, and values
-# an ulp apart.  The batch closures loop these lanes through the same
+# an ulp apart.  The batched engine loops these lanes through the same
 # scalar handlers and double-double kernels as the sequential engine,
 # so every lane must come out bit for bit the same.
 EDGE_VALUES = [
@@ -360,3 +366,69 @@ class TestEdgeLanes:
         ]
         for config in CONFIGS.values():
             run_both_bitwise(core, points, config)
+
+
+def run_three_ways(program, points, policy):
+    """Reference, compiled sequential and compiled batched analyses."""
+    reference, out_r = analyze_program(
+        program, points,
+        config=AnalysisConfig(precision_policy=policy, engine="reference"),
+    )
+    config = AnalysisConfig(precision_policy=policy)
+    sequential, out_s = analyze_program(
+        program, points, config=config, **SEQUENTIAL
+    )
+    batched, out_b = analyze_program(
+        program, points, config=config, **BATCHED
+    )
+    assert raw_bits(out_r) == raw_bits(out_s) == raw_bits(out_b)
+    assert signature(reference) == signature(sequential) \
+        == signature(batched)
+    assert batched.batched_lanes == len(points)
+    return reference, sequential, batched
+
+
+class TestSharedSiteSteps:
+    """Both compiled engines run the same per-site steps, so they share
+    the per-ident memo and the lazily created opaque shadows."""
+
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    def test_batched_lanes_use_the_memo(self, policy):
+        # The third point repeats the first: both of its operations
+        # replay their memoized shadows, in either engine.
+        points = [[1.5, 1e16], [2.25, 1e17], [1.5, 1e16]]
+        __, sequential, batched = run_three_ways(
+            compile_fpcore(STRAIGHT), points, policy
+        )
+        assert sequential.memo_hits == 2
+        assert batched.memo_hits == sequential.memo_hits
+
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    def test_opaque_shadow_is_shared_by_its_consumers(self, policy):
+        # z is a bitcast of x, so it reaches the analysis unshadowed;
+        # it feeds two binary ops and one unary op.  (z + y) - z
+        # cancels a large z against a small y, which makes the
+        # subtraction a candidate.
+        fn = FunctionBuilder("main")
+        x = fn.read()
+        y = fn.read()
+        z = fn.bitcast_to_float(fn.bitcast_to_int(x))
+        total = fn.op("+", z, y, loc="sum")
+        fn.out(fn.op("-", total, z, loc="cancel"))
+        fn.out(fn.op("sqrt", z, loc="root"))
+        fn.halt()
+        program = Program()
+        program.add(fn.build())
+        points = [[1e16, 1.5], [1e17, 2.25], [1e16, 3.0], [4e16, 0.5]]
+        for analysis in run_three_ways(program, points, policy):
+            by_loc = {
+                record.loc: record for record in analysis.op_records.values()
+            }
+            assert by_loc["cancel"].candidate_executions > 0
+            leaves = [
+                by_loc["sum"].last_trace.args[0],
+                by_loc["cancel"].last_trace.args[1],
+                by_loc["root"].last_trace.args[0],
+            ]
+            assert all(leaf.kind == "opaque" for leaf in leaves)
+            assert len({leaf.ident for leaf in leaves}) == 1

@@ -6,8 +6,10 @@ instruction-level half of the engine-parity guarantee (the analysis
 half lives in ``tests/core/test_engine_parity.py``).
 """
 
+import gc
 import math
 import struct
+import weakref
 
 import pytest
 
@@ -392,6 +394,31 @@ class TestReuseAcrossRuns:
         first = stats_tuple(compiled.stats)
         compiled.run([2.0])
         assert stats_tuple(compiled.stats) == first
+
+    def test_analysed_program_is_freed_without_the_cycle_collector(self):
+        # The site steps hold the tracer's shadow fill-in, never the
+        # program: a cycle through the program would keep each
+        # analysis (pool, memo, shadows) alive until a full collection.
+        from repro.core import AnalysisConfig, HerbgrindAnalysis
+
+        fn = FunctionBuilder("main")
+        x = fn.bitcast_to_float(fn.bitcast_to_int(fn.read()))
+        total = fn.op("+", x, fn.read())
+        fn.branch("lt", total, x, "done")
+        fn.out(fn.op("sqrt", fn.call("exp", total)))
+        fn.label("done")
+        fn.halt()
+        gc.disable()
+        try:
+            compiled = CompiledProgram(
+                program_of(fn), tracer=HerbgrindAnalysis(AnalysisConfig())
+            )
+            compiled.run([1.5, 2.0])
+            program_ref = weakref.ref(compiled)
+            del compiled
+            assert program_ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCorpusParity:
