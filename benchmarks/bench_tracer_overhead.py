@@ -86,8 +86,9 @@ LAYERS = (
 def run_stack(program, sampled, stack, policy: str = "fixed"):
     """``analyze_program`` under one :data:`LAYERS` stack."""
     __, engine, batched = stack
-    config = AnalysisConfig(engine=engine, precision_policy=policy)
-    return analyze_program(program, sampled, config=config, batched=batched)
+    config = AnalysisConfig(engine=engine, precision_policy=policy,
+                            batched=batched)
+    return analyze_program(program, sampled, config=config)
 
 
 def select_suites(corpus, points: int, seed: int, size: int):

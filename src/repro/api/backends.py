@@ -97,19 +97,16 @@ class HerbgrindBackend(AnalysisBackend):
             # gating on the compiled engine guarantees the ladder's
             # reference rung converges.
             _faults.trip("backend.flaky", EngineFault)
-        # The engine's stack: every layer on for the compiled engine,
-        # including lockstep batching unless ``request.batched`` (the
-        # degradation ladder's sequential rung) or REPRO_BATCHED=0
-        # turns it off.  ``profile`` adds the per-stage attribution
-        # counters.  Results are contractually identical either way;
-        # the switches only change the cost and extra[].
+        # The config's execution plan picks the engine stack;
+        # ``profile`` adds the per-stage attribution counters.  Results
+        # are contractually identical either way; the switches only
+        # change the cost and extra[].
         analysis, __ = analyze_program(
             program,
             points,
             config=request.config,
             wrap_libraries=request.wrap_libraries,
             libm=request.libm,
-            batched=request.batched,
             profile=request.profile,
         )
         causes = []

@@ -78,13 +78,10 @@ def coerce_core(core: CoreLike) -> FPCore:
 def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
     """A plain-dict form of an :class:`AnalysisConfig`.
 
-    Resource-guard fields — and the tri-state ``hw_tier`` override —
-    are emitted only when set: default requests keep their historical
-    digests (the same rule ``profile`` follows on the request itself).
-    An unset ``hw_tier`` *must* stay out of the digest for a second
-    reason: the hardware tier is result-invisible, so the ambient
-    ``REPRO_HWTIER`` default may differ between client and worker
-    without splitting the cache.
+    Resource-guard fields are emitted only when set (the same rule
+    ``profile`` follows on the request itself).  The execution plan
+    (:data:`~repro.core.config.PLAN_FIELDS`) is always emitted, so a
+    worker runs the plan it was asked for; the digest leaves it out.
     """
     data = {
         "shadow_precision": config.shadow_precision,
@@ -100,9 +97,9 @@ def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
         "input_characteristics": config.input_characteristics,
         "detect_compensation": config.detect_compensation,
         "track_influences": config.track_influences,
+        "hw_tier": config.hw_tier,
+        "batched": config.batched,
     }
-    if config.hw_tier is not None:
-        data["hw_tier"] = config.hw_tier
     if config.deadline_seconds is not None:
         data["deadline_seconds"] = config.deadline_seconds
     if config.op_budget is not None:
@@ -120,10 +117,9 @@ class AnalysisRequest:
 
     ``points`` overrides sampling when given; otherwise ``num_points``
     inputs are drawn from the benchmark's :pre box with ``seed``.
-    ``config.engine`` picks one of two engine stacks (every fast layer
-    on, or the reference interpreter with none); ``profile`` and the
-    internal ``batched`` are the only other engine switches, and
-    neither changes the result.
+    How the analysis runs is ``config``'s execution plan
+    (:data:`~repro.core.config.PLAN_FIELDS`); ``profile`` is the only
+    other engine switch, and none of them changes the report.
     """
 
     core: FPCore
@@ -142,14 +138,6 @@ class AnalysisRequest:
     #: Optional libm override (a dict of IR functions).  In-process
     #: only: it is not serialized and cannot cross a worker boundary.
     libm: Any = field(default=None, compare=False, repr=False)
-    #: Batched lockstep execution on the compiled engine: None follows
-    #: the engine default (on unless ``REPRO_BATCHED`` disables it).
-    #: Internal — the degradation ladder's sequential rung sets it to
-    #: False without touching the config.  Never serialized and
-    #: excluded from the digest: batching is contractually
-    #: result-invisible, so two requests differing only here *should*
-    #: share a digest.
-    batched: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def build(

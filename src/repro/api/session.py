@@ -12,9 +12,12 @@ per-benchmark and every serialized list is deterministically ordered
 Result caching: every fully specified request has a stable digest —
 the SHA-256 of its canonical JSON serialization, which covers the
 benchmark source, backend, sampling parameters (or explicit points),
-the whole :class:`AnalysisConfig`, library wrapping, and the result
-schema version.  Identical work is skipped: in-memory hits return the
-original :class:`AnalysisResult` object (``raw`` intact), and an
+the :class:`AnalysisConfig` minus its execution plan
+(:data:`~repro.core.config.PLAN_FIELDS`), library wrapping, and the
+result schema version.  Every plan yields the same bytes, so a request
+is answered by an entry any plan computed.  Identical work is skipped:
+in-memory hits return the original :class:`AnalysisResult` object
+(``raw`` intact), and an
 optional on-disk store (``cache_dir``) persists results in the sharded
 ``<digest[:2]>/<digest>.json`` layout of
 :class:`repro.api.store.ShardedResultStore` — the same store format
@@ -38,7 +41,7 @@ from repro.api.requests import AnalysisRequest, CoreLike, coerce_core
 from repro.api.results import RESULT_SCHEMA_VERSION, AnalysisResult
 from repro.api.sampling import sample_inputs
 from repro.api.store import ShardedResultStore
-from repro.core.config import AnalysisConfig
+from repro.core.config import PLAN_FIELDS, AnalysisConfig
 from repro.fpcore.ast import FPCore
 from repro.machine import isa
 from repro.machine.compiler import compile_fpcore
@@ -49,7 +52,8 @@ RequestLike = Union[CoreLike, AnalysisRequest]
 def request_digest(request: AnalysisRequest) -> str:
     """The stable cache key of a fully specified request.
 
-    Covers the whole request *and* the result schema version, so a
+    Covers the request minus its config's execution plan, which never
+    changes the result bytes, *and* the result schema version, so a
     schema bump invalidates persisted cache entries instead of
     serving stale shapes.
     """
@@ -62,7 +66,10 @@ def payload_digest(payload: Dict[str, Any]) -> str:
     For callers that need the dict anyway (the serving path ships it
     to a worker); ``payload`` is not modified.
     """
-    keyed = dict(payload, result_schema_version=RESULT_SCHEMA_VERSION)
+    config = {key: value for key, value in payload["config"].items()
+              if key not in PLAN_FIELDS}
+    keyed = dict(payload, config=config,
+                 result_schema_version=RESULT_SCHEMA_VERSION)
     return hashlib.sha256(
         json.dumps(keyed, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -166,13 +173,11 @@ WORKER_PROGRAM_LIMIT = 256
 #: pool worker or ``analyze_batch`` worker that gets the same program
 #: at many seeds compiles it once.  An ``isa.Program`` keeps no
 #: analysis state, which ``AnalysisSession.compiled`` relies on too.
-#: The key adds the core's name, which names the program's locations
-#: and which the text omits when it contains a space.
-_WORKER_PROGRAMS: Dict[Tuple[str, Optional[str]], isa.Program] = {}
+_WORKER_PROGRAMS: Dict[str, isa.Program] = {}
 
 
 def _worker_program(core: FPCore) -> isa.Program:
-    key = (core.canonical_text, core.name)
+    key = core.canonical_text
     program = _WORKER_PROGRAMS.get(key)
     if program is None:
         # A program that fails to compile raises and is never cached.
@@ -247,7 +252,6 @@ class AnalysisSession:
         ) = (
             collections.OrderedDict()
         )
-        self._cores: Dict[str, FPCore] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         #: Full-result cache; ``result_cache_size=0`` disables the
@@ -273,7 +277,6 @@ class AnalysisSession:
             self.cache_misses += 1
             program = compile_fpcore(core)
             self._programs[key] = program
-            self._cores[key] = core
         else:
             self.cache_hits += 1
         return program
@@ -306,7 +309,6 @@ class AnalysisSession:
     def clear_caches(self) -> None:
         self._programs.clear()
         self._points.clear()
-        self._cores.clear()
         if self._results is not None:
             self._results.clear()
         self.cache_hits = 0

@@ -46,15 +46,10 @@ def _read_source(argument: str) -> str:
     return argument
 
 
-def _hw_tier_override(args: argparse.Namespace):
-    """``--hw-tier on/off`` as the config's tri-state override."""
-    choice = getattr(args, "hw_tier", None)
-    if choice is None:
-        return None
-    return choice == "on"
-
-
 def _session(args: argparse.Namespace, **config_fields) -> AnalysisSession:
+    if getattr(args, "hw_tier", None) is not None:
+        # Unset, the config's default follows REPRO_HWTIER.
+        config_fields["hw_tier"] = args.hw_tier == "on"
     config = AnalysisConfig(
         shadow_precision=args.precision,
         precision_policy=getattr(args, "precision_policy", "fixed"),
@@ -63,7 +58,6 @@ def _session(args: argparse.Namespace, **config_fields) -> AnalysisSession:
         substrate=getattr(args, "substrate", "python"),
         deadline_seconds=getattr(args, "deadline", None),
         op_budget=getattr(args, "op_budget", None),
-        hw_tier=_hw_tier_override(args),
         **config_fields,
     )
     return AnalysisSession(

@@ -27,7 +27,6 @@ study's prose describes).
 from __future__ import annotations
 
 import operator
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,15 +66,6 @@ from repro.resilience.errors import (
     EngineFault,
     OpBudgetExceeded,
 )
-
-
-def _batched_default() -> bool:
-    """Default state of the batched layer: on, unless ``REPRO_BATCHED``
-    forces it off (the CI fallback leg sets ``REPRO_BATCHED=0`` so the
-    per-point path stays green)."""
-    return os.environ.get("REPRO_BATCHED", "1").strip().lower() not in (
-        "0", "false", "off"
-    )
 
 
 #: Operations between deadline checks: ``time.monotonic()`` per op
@@ -210,15 +200,14 @@ class HerbgrindAnalysis(Tracer):
     def __init__(
         self,
         config: Optional[AnalysisConfig] = None,
-        batched: Optional[bool] = None,
         profile: bool = False,
     ) -> None:
         self.config = config if config is not None else AnalysisConfig()
         #: The compiled engine: every fast layer on — the trace pool,
         #: the site-compiled fused pipeline, the steady-state
-        #: anti-unification walk and (unless switched off) batched
-        #: lockstep execution.  The reference engine turns every layer
-        #: off; it is the oracle the parity suites compare against.
+        #: anti-unification walk and (unless ``config.batched`` is off)
+        #: batched lockstep execution.  The reference engine turns every
+        #: layer off; it is the oracle the parity suites compare against.
         self.compiled = self.config.engine == ENGINE_COMPILED
         self.policy = make_policy(
             self.config.precision_policy,
@@ -243,7 +232,7 @@ class HerbgrindAnalysis(Tracer):
         #: Hardware (double-double) shadow tier enabled: adaptive policy
         #: only, round-to-nearest only (the pair kernels' IEEE tie and
         #: signed-zero behaviour assumes it), and not switched off by
-        #: config/``REPRO_HWTIER``.  Reports are byte-identical either
+        #: ``config.hw_tier``.  Reports are byte-identical either
         #: way — the tier only changes which rung certifies a decision.
         self._hw = bool(
             self._escalates
@@ -286,15 +275,13 @@ class HerbgrindAnalysis(Tracer):
         self.escalator = ShadowEscalator(
             self.policy, backend=self.backend, pool=self.pool
         )
-        if batched is None:
-            batched = _batched_default()
         #: Batched lockstep execution enabled (compiled engine only:
         #: the batched engine loops its lanes through the site steps).
         #: A resource guard forces the sequential path: budgets need
         #: per-op ticks, and the parity invariant makes the downgrade
         #: invisible in the report bytes.
-        self._batched = bool(
-            batched and self.compiled and self._guard is None
+        self._batched = (
+            self.config.batched and self.compiled and self._guard is None
         )
         #: Batch-orchestration introspection (not serialized): uniform
         #: sub-batches executed and lanes covered by them.  Zero when
@@ -1604,7 +1591,6 @@ def analyze_program(
     wrap_libraries: bool = True,
     libm: Optional[Dict[str, isa.Function]] = None,
     max_steps: int = 50_000_000,
-    batched: Optional[bool] = None,
     profile: bool = False,
 ) -> Tuple[HerbgrindAnalysis, List[List[float]]]:
     """Run the analysis over a program on several input sets.
@@ -1612,14 +1598,13 @@ def analyze_program(
     Returns the analysis (records aggregated across runs, as Herbgrind
     aggregates across a whole execution) plus each run's outputs.
 
-    ``config.engine`` selects the execution engine: "compiled" (the
-    default) runs every fast layer, "reference" none.  Two switches
-    remain, both result-invisible: ``batched`` turns the compiled
-    engine's lockstep execution on or off (None: on unless
-    ``REPRO_BATCHED`` disables it), and ``profile`` populates
-    :attr:`HerbgrindAnalysis.stage_counters`.
+    ``config``'s execution plan selects the engine: "compiled" (the
+    default) runs every fast layer, lockstep batching too unless
+    ``config.batched`` is off; "reference" runs none.  ``profile``
+    populates :attr:`HerbgrindAnalysis.stage_counters`.  None of these
+    changes the report.
     """
-    analysis = HerbgrindAnalysis(config, batched=batched, profile=profile)
+    analysis = HerbgrindAnalysis(config, profile=profile)
     outputs: List[List[float]] = []
     if analysis.compiled:
         from repro.machine.compiled import CompiledProgram
@@ -1642,8 +1627,8 @@ def analyze_program(
             if lockstep is not None:
                 if _faults.active():
                     # Chaos seam: a batched-layer failure.  The
-                    # ladder's sequential rung (batched=False) never
-                    # reaches it.
+                    # ladder's sequential rung (config.batched off)
+                    # never reaches it.
                     _faults.trip("engine.batched.raise", EngineFault)
                 try:
                     batch_outputs = lockstep.run_points(input_sets)
@@ -1653,9 +1638,7 @@ def analyze_program(
                     # behaviour (partial aggregation, then the raise)
                     # from scratch.
                     batch_outputs = None
-                    analysis = HerbgrindAnalysis(
-                        config, batched=batched, profile=profile
-                    )
+                    analysis = HerbgrindAnalysis(config, profile=profile)
                 if batch_outputs is not None:
                     # Sequential execution bumps ``runs`` once per
                     # point; batching bumps it once per uniform

@@ -16,11 +16,19 @@ experiments can sweep them:
 * ``substrate`` — which BigFloat kernel substrate evaluates the
   shadow reals (:mod:`repro.bigfloat.backend`); "python" is the
   dependency-free reference, "native" uses gmpy2/mpmath when present.
+
+``engine``, the precision-policy fields, ``substrate``, ``hw_tier`` and
+``batched`` form the execution plan (:data:`PLAN_FIELDS`): they decide
+how the shadows are computed, never what the report says.  The parity
+suites hold every plan to the same bytes, so the result digest leaves
+the plan out.  :func:`env_switch` is the one reader of the environment
+switches that pick a plan's defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 #: Input-characteristic configurations (paper Section 4.4: the system is
@@ -42,6 +50,32 @@ ALL_CHARACTERISTICS = (
 ENGINE_COMPILED = "compiled"
 ENGINE_REFERENCE = "reference"
 ALL_ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
+
+#: The execution plan: the fields that choose how an analysis runs
+#: (engine, precision tiers, kernel substrate, batching) but not what
+#: it reports.  Requests that differ only here share a result digest.
+PLAN_FIELDS = (
+    "engine",
+    "precision_policy",
+    "substrate",
+    "working_precision",
+    "escalation_guard_bits",
+    "hw_tier",
+    "batched",
+)
+
+
+def env_switch(name: str) -> bool:
+    """The environment switch ``name``: on unless set to "0"/"false"/"off".
+
+    The only reader of ``REPRO_BATCHED`` and ``REPRO_HWTIER`` (the
+    defaults of :attr:`AnalysisConfig.batched` and
+    :attr:`AnalysisConfig.hw_tier`) and ``REPRO_DEGRADE`` (the
+    degradation ladder's default, :mod:`repro.resilience.ladder`).
+    """
+    return os.environ.get(name, "1").strip().lower() not in (
+        "0", "false", "off"
+    )
 
 
 @dataclass(frozen=True)
@@ -114,13 +148,22 @@ class AnalysisConfig:
     #: arithmetic as compensated double-double pairs
     #: (:mod:`repro.bigfloat.doubledouble`) and escalate to the
     #: BigFloat working tier on any decision the hardware pair cannot
-    #: certify.  ``None`` (the default) resolves from the
-    #: ``REPRO_HWTIER`` environment variable (on unless it is "0"); the
-    #: field is serialized only when explicitly set, so default request
-    #: digests are unchanged.  Ignored by the "fixed" policy and by
-    #: non-round-to-nearest roundings, and reports are byte-identical
-    #: either way (the hw-tier parity suite enforces it).
-    hw_tier: Optional[bool] = None
+    #: certify.  Defaults to on unless ``REPRO_HWTIER`` switches it
+    #: off.  Ignored by the "fixed" policy and by non-round-to-nearest
+    #: roundings, and reports are byte-identical either way (the
+    #: hw-tier parity suite enforces it).
+    hw_tier: bool = field(
+        default_factory=lambda: env_switch("REPRO_HWTIER")
+    )
+
+    #: Batched lockstep execution of the compiled engine: every sampled
+    #: point runs through the program together.  Defaults to on unless
+    #: ``REPRO_BATCHED`` switches it off; a resource guard forces it
+    #: off, and the reference engine never batches.  Reports are
+    #: byte-identical either way (the engine-parity suite enforces it).
+    batched: bool = field(
+        default_factory=lambda: env_switch("REPRO_BATCHED")
+    )
 
     #: Wall-clock budget of one analysis, in seconds; ``None`` (the
     #: default) is unlimited.  When set, a :class:`ResourceGuard`
@@ -160,6 +203,9 @@ class AnalysisConfig:
                 f"unknown substrate: {self.substrate!r} "
                 f"(known: {', '.join(ALL_SUBSTRATES)})"
             )
+        for switch in ("hw_tier", "batched"):
+            if not isinstance(getattr(self, switch), bool):
+                raise ValueError(f"{switch} must be true or false")
         if self.working_precision < 64:
             raise ValueError("working precision must be >= 64 bits")
         if self.escalation_guard_bits < 8:
@@ -193,16 +239,6 @@ class AnalysisConfig:
 
 
 def resolve_hw_tier(config: AnalysisConfig) -> bool:
-    """Effective hardware-tier switch for ``config``.
-
-    The tier only exists under the adaptive policy; an unset field
-    defers to the ``REPRO_HWTIER`` environment variable (the CI
-    kill-switch), defaulting to on.
-    """
-    import os
-
-    if config.precision_policy != "adaptive":
-        return False
-    if config.hw_tier is not None:
-        return bool(config.hw_tier)
-    return os.environ.get("REPRO_HWTIER", "1") != "0"
+    """Effective hardware-tier switch: the tier exists only under the
+    adaptive policy."""
+    return config.precision_policy == "adaptive" and config.hw_tier

@@ -58,11 +58,17 @@ def format_fpcore(core: FPCore, multiline: bool = False) -> str:
     the shape of the report in the paper's Section 3.
     """
     parts: List[str] = ["FPCore"]
-    if core.name and " " not in core.name and core.properties.get("name") != core.name:
-        parts.append(core.name)
+    properties = core.properties
+    if core.name and properties.get("name") != core.name:
+        if " " in core.name:
+            # Not a symbol: the name travels as the :name property, so
+            # the text (and every key derived from it) keeps it.
+            properties = dict(properties, name=core.name)
+        else:
+            parts.append(core.name)
     parts.append("(" + " ".join(core.arguments) + ")")
     property_chunks: List[str] = []
-    for key, value in core.properties.items():
+    for key, value in properties.items():
         if isinstance(value, Expr):
             rendered = format_expr(value)
         elif isinstance(value, str) and (" " in value or not value):

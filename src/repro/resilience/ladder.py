@@ -1,55 +1,56 @@
 """The graceful-degradation ladder over the accelerated analysis stack.
 
 The standing parity invariant (PRs 2–7) — corpus reports byte-identical
-across engine × precision-policy × substrate × batched layers — makes
-every fast layer an *untrusted accelerator with a verified fallback*: a
-slower configuration produces the same bytes.  The ladder turns that
-invariant into availability.  On a classified failure
+across every execution plan (:data:`~repro.core.config.PLAN_FIELDS`:
+engine × precision policy × substrate × batched × hardware tier) —
+makes every fast layer an *untrusted accelerator with a verified
+fallback*: a slower plan produces the same bytes.  The ladder turns
+that invariant into availability.  On a classified failure
 (:class:`~repro.resilience.errors.DegradableError` or
 :class:`~repro.machine.interpreter.MachineError`) it retries the
-analysis down the stack, one rung at a time, cumulatively::
+analysis down the stack, one rung at a time.  Each rung is one config
+change, kept by every rung below it::
 
-    initial        the request as given
-    working-tier   hardware double-double shadow tier off
-    sequential     batched lockstep off (compiled engine kept)
-    reference      compiled engine -> reference interpreter
-    python-substrate   native kernels -> the pure-python reference
-    fixed-policy   adaptive precision tiers -> fixed full precision
+    initial            the request as given
+    working-tier       hw_tier=False
+    sequential         batched=False
+    reference-engine   engine="reference"
+    python-substrate   substrate="python"
+    fixed-policy       precision_policy="fixed"
 
-Rungs a request already sits on are skipped (a reference-engine,
-python-substrate, fixed-policy request has no ladder below it), and a
-non-degradable exception propagates immediately from whatever rung
-raised it.  The winning rung records its path in
-``result.extra["degradation"]`` — visible to in-process callers and
-the serving stats, but **stripped from the serialized JSON**
-(:meth:`AnalysisResult.to_dict`) so a degraded result stays
+A rung whose change leaves the plan that actually runs unchanged is
+skipped (a reference-engine, python-substrate, fixed-policy request
+has no ladder below it), and a non-degradable exception propagates
+immediately from whatever rung raised it.  Every rung keeps the
+request's digest, which leaves the plan out.  The winning rung records
+its path in ``result.extra["degradation"]`` — visible to in-process
+callers and the serving stats, but **stripped from the serialized
+JSON** (:meth:`AnalysisResult.to_dict`) so a degraded result stays
 byte-identical to the clean run, which is the whole point.
 
-``REPRO_DEGRADE=0`` (or ``AnalysisSession(degrade=False)`` /
-``herbgrind-py analyze --no-degrade``) disables the ladder: the first
-failure propagates, which is what you want when *debugging* the fast
-path rather than serving traffic over it.
+``REPRO_DEGRADE=0`` (read by :func:`repro.core.config.env_switch`), or
+``AnalysisSession(degrade=False)`` / ``herbgrind-py analyze
+--no-degrade``, disables the ladder: the first failure propagates,
+which is what you want when *debugging* the fast path rather than
+serving traffic over it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (
     ENGINE_COMPILED,
     ENGINE_REFERENCE,
+    env_switch,
     resolve_hw_tier,
 )
 from repro.machine.interpreter import MachineError
 from repro.resilience.errors import DegradableError
 
 logger = logging.getLogger("repro.resilience")
-
-#: Environment kill-switch for the ladder (on unless "0"/"false"/"off").
-ENV_VAR = "REPRO_DEGRADE"
 
 #: Rung names, in ladder order.
 RUNG_INITIAL = "initial"
@@ -59,12 +60,13 @@ RUNG_REFERENCE = "reference-engine"
 RUNG_PYTHON_SUBSTRATE = "python-substrate"
 RUNG_FIXED_POLICY = "fixed-policy"
 
-LADDER_ORDER = (
-    RUNG_WORKING_TIER,
-    RUNG_SEQUENTIAL,
-    RUNG_REFERENCE,
-    RUNG_PYTHON_SUBSTRATE,
-    RUNG_FIXED_POLICY,
+#: The ladder, top to bottom: each rung's config change.
+LADDER = (
+    (RUNG_WORKING_TIER, {"hw_tier": False}),
+    (RUNG_SEQUENTIAL, {"batched": False}),
+    (RUNG_REFERENCE, {"engine": ENGINE_REFERENCE}),
+    (RUNG_PYTHON_SUBSTRATE, {"substrate": "python"}),
+    (RUNG_FIXED_POLICY, {"precision_policy": "fixed"}),
 )
 
 
@@ -72,9 +74,7 @@ def degradation_enabled(override: Optional[bool] = None) -> bool:
     """The effective ladder switch: explicit override, else the env."""
     if override is not None:
         return override
-    return os.environ.get(ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "off"
-    )
+    return env_switch("REPRO_DEGRADE")
 
 
 def classify(exc: BaseException) -> Optional[str]:
@@ -86,13 +86,16 @@ def classify(exc: BaseException) -> Optional[str]:
     return None
 
 
-def _batched_possible(request) -> bool:
-    """Whether the request's compiled engine batches at all."""
-    if request.batched is not None:
-        return request.batched
-    from repro.core.analysis import _batched_default
-
-    return _batched_default()
+def _runs(config) -> Tuple:
+    """The plan ``config`` actually runs: the hardware tier exists only
+    under the adaptive policy, batching only on the compiled engine."""
+    return (
+        resolve_hw_tier(config),
+        config.batched and config.engine == ENGINE_COMPILED,
+        config.engine,
+        config.substrate,
+        config.precision_policy,
+    )
 
 
 class DegradationLadder:
@@ -101,72 +104,22 @@ class DegradationLadder:
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self.enabled = degradation_enabled(enabled)
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-
     def plan(self, request) -> List[Tuple[str, Any]]:
         """The (rung name, degraded request) sequence below ``request``.
 
-        Rungs are cumulative: each keeps every downgrade of the rungs
-        above it, so the bottom rung is the slowest, most trusted
-        configuration (reference engine, python substrate, fixed
-        policy) regardless of where the failure struck.
+        Rungs are cumulative, so the bottom rung is the slowest, most
+        trusted configuration (reference engine, python substrate,
+        fixed policy) regardless of where the failure struck.
         """
         rungs: List[Tuple[str, Any]] = []
         config = request.config
-        changes: Dict[str, Any] = {}
-        base = request
-        if resolve_hw_tier(config):
-            # The hardware shadow tier sits below the working tier; a
-            # fault there degrades to BigFloat working-tier shadows
-            # first, keeping every layer above intact.
-            changes["hw_tier"] = False
-            base = self._working_tier_request(request)
-            rungs.append((RUNG_WORKING_TIER, base))
-        if config.engine == ENGINE_COMPILED:
-            if _batched_possible(request):
-                rungs.append((RUNG_SEQUENTIAL,
-                              self._sequential_request(base)))
-            changes["engine"] = ENGINE_REFERENCE
-            rungs.append((RUNG_REFERENCE,
-                          self._derived(request, dict(changes))))
-        if config.substrate != "python":
-            changes["substrate"] = "python"
-            rungs.append((RUNG_PYTHON_SUBSTRATE,
-                          self._derived(request, dict(changes))))
-        if config.precision_policy != "fixed":
-            changes["precision_policy"] = "fixed"
-            rungs.append((RUNG_FIXED_POLICY,
-                          self._derived(request, dict(changes))))
+        for rung, change in LADDER:
+            degraded = config.with_(**change)
+            if _runs(degraded) != _runs(config):
+                config = degraded
+                rungs.append((rung, dataclasses.replace(
+                    request, config=config)))
         return rungs
-
-    @staticmethod
-    def _derived(request, changes: Dict[str, Any]):
-        derived = dataclasses.replace(
-            request, config=request.config.with_(**changes)
-        )
-        # An explicit batched override belongs to the configuration it
-        # was built for; a degraded rung re-derives the engine default.
-        derived.batched = None
-        return derived
-
-    @staticmethod
-    def _working_tier_request(request):
-        """The same request with only the hardware tier turned off.
-
-        Unlike :meth:`_derived` this keeps an explicit batched override:
-        the hardware tier is pure shadow policy, orthogonal to the
-        engine's execution.
-        """
-        return dataclasses.replace(
-            request, config=request.config.with_(hw_tier=False)
-        )
-
-    @staticmethod
-    def _sequential_request(request):
-        """The same request with only the batched layer turned off."""
-        return dataclasses.replace(request, batched=False)
 
     # ------------------------------------------------------------------
     # Driving

@@ -27,7 +27,9 @@ The task payload is a **list of request dicts** (a shard); the future
 resolves to a list of reply tuples, one per request, in order:
 ``("ok", result_json_text)``, ``("invalid", error_type, message)`` for
 a program or input the analysis rejects
-(:class:`~repro.resilience.errors.InvalidInputError`), or
+(:class:`~repro.resilience.errors.InvalidInputError`),
+``("op_budget", error_type, message)`` for an analysis that spent its
+``op_budget`` (:class:`~repro.resilience.errors.OpBudgetExceeded`), or
 ``("error", error_type, message)``.
 Analysis failures are therefore *data*, not pool exceptions — only
 infrastructure failures (timeout, crash, rejection) surface as
@@ -76,8 +78,8 @@ def _analysis_worker_main(conn) -> None:
     ``analyze_batch`` workers use — and serializes each result with
     ``to_json()`` so the serving layer ships bytes identical to an
     in-process ``AnalysisSession``.  Any exception an analysis raises
-    becomes an ``("invalid", ...)`` or ``("error", type, message)``
-    reply; only process death is a crash.
+    becomes an ``("invalid", ...)``, ``("op_budget", ...)`` or
+    ``("error", type, message)`` reply; only process death is a crash.
 
     A result with process-local metadata — a degradation record the
     ladder produced, or precision-tier residency counters — gains a
@@ -95,7 +97,7 @@ def _analysis_worker_main(conn) -> None:
     from repro.api.requests import AnalysisRequest
     from repro.api.session import _execute
     from repro.resilience import faults as _faults
-    from repro.resilience.errors import InvalidInputError
+    from repro.resilience.errors import InvalidInputError, OpBudgetExceeded
 
     while True:
         try:
@@ -127,6 +129,8 @@ def _analysis_worker_main(conn) -> None:
                     replies.append(("ok", result.to_json()))
             except InvalidInputError as exc:
                 replies.append(("invalid", type(exc).__name__, str(exc)))
+            except OpBudgetExceeded as exc:
+                replies.append(("op_budget", type(exc).__name__, str(exc)))
             except Exception as exc:  # noqa: BLE001 — reply, don't die
                 replies.append(("error", type(exc).__name__, str(exc)))
         try:

@@ -50,6 +50,7 @@ _LINE_LIMIT = 64 * 1024
 _STATUS_TEXT = {
     200: "OK", 207: "Multi-Status", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
+    422: "Unprocessable Content",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }

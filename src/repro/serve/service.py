@@ -21,8 +21,9 @@ tests drive it directly.  One request flows::
 * **Cold path**: misses go to the supervised
   :class:`~repro.serve.pool.WorkerPool`; queue saturation surfaces as
   HTTP 429, shutdown as 503, per-request timeouts as 504, worker death
-  as 500 — always as structured JSON ``{"error": {type, message,
-  digest}}``, never a hung or silently closed connection.
+  as 500, a spent ``op_budget`` as 422 — always as structured JSON
+  ``{"error": {type, message, digest}}``, never a hung or silently
+  closed connection.
 
 With INFO enabled, every request emits one structured log line
 (digest, outcome, queue depth, wall-clock) on the ``repro.serve``
@@ -116,6 +117,8 @@ class ServiceCounters:
     crashes: int = 0
     rejected: int = 0
     invalid: int = 0
+    #: Analyses that spent their ``op_budget`` (answered 422).
+    op_budget_exceeded: int = 0
     #: Successes the degradation ladder rescued on a lower rung.
     degraded: int = 0
     #: Requests refused because their digest is poison-quarantined.
@@ -390,6 +393,14 @@ class AnalysisService:
             return ServeOutcome(
                 400, error_body("invalid_request",
                                 f"{error_type}: {message}", digest),
+                digest,
+            )
+        if kind == "op_budget":
+            # Deterministic: every plan analyses the same operations,
+            # so a retry spends the same budget.  Not poison either.
+            self.counters.op_budget_exceeded += 1
+            return ServeOutcome(
+                422, error_body("op_budget_exceeded", message, digest),
                 digest,
             )
         self.counters.analysis_errors += 1

@@ -153,13 +153,64 @@ class TestWorkerCompileTable:
             assert len(session_module._WORKER_PROGRAMS) <= 3
         assert WORKER_PROGRAM_LIMIT >= 1
 
-    def test_same_text_with_different_names_compiles_apart(self, compiles):
-        # The text omits a name with a space in it, but the name labels
-        # the program's locations, so it is part of the key.
+    def test_same_body_with_different_names_compiles_apart(self, compiles):
+        # The name labels the program's locations; a name with a space
+        # in it travels as the :name property, so the text keys it.
         core = parse_fpcore("(FPCore (x) (+ x 1))")
         first = dataclasses.replace(core, name="a b")
         second = dataclasses.replace(core, name="c d")
-        assert first.canonical_text == second.canonical_text
+        assert first.canonical_text != second.canonical_text
         assert session_module._worker_program(first) is not \
             session_module._worker_program(second)
+        assert session_module._worker_program(first) is \
+            session_module._worker_program(first)
         assert len(compiles) == 2
+
+
+#: One body under two names that are not FPCore symbols.
+BODY = parse_fpcore("(FPCore (x) :pre (<= 1 x 2) (- (sqrt (+ x 1)) (sqrt x)))")
+NAMED = [dataclasses.replace(BODY, name=name)
+         for name in ("first prog", "second prog")]
+
+
+class TestNamesWithSpaces:
+    """A name that is not a symbol prints as the :name property, so two
+    such names never share a canonical text, a digest or a program."""
+
+    def test_name_prints_as_the_name_property(self):
+        first, second = NAMED
+        assert ':name "first prog"' in first.canonical_text
+        assert first.canonical_text != second.canonical_text
+        reparsed = parse_fpcore(first.canonical_text)
+        assert reparsed.name == "first prog"
+        assert reparsed.canonical_text == first.canonical_text
+
+    def _check(self, results):
+        for core, result in zip(NAMED, results):
+            assert result.benchmark == core.name
+            text = result.to_json()
+            other = ({c.name for c in NAMED} - {core.name}).pop()
+            assert f"{core.name}.c:" in text
+            assert other not in text
+
+    def test_caching_session_keeps_each_name(self):
+        session = AnalysisSession(config=FAST, num_points=3)
+        digests = {request_digest(session.request(core)) for core in NAMED}
+        assert len(digests) == 2
+        self._check([session.analyze(core) for core in NAMED])
+        assert session.result_hits == 0
+
+    def test_uncached_session_keeps_each_name(self):
+        session = AnalysisSession(config=FAST, num_points=3,
+                                  result_cache_size=0)
+        self._check([session.analyze(core) for core in NAMED])
+        assert session.cache_stats()["programs"] == 2
+
+    def test_worker_batch_matches_in_process(self):
+        session = AnalysisSession(config=FAST, num_points=3,
+                                  result_cache_size=0)
+        parallel = session.analyze_batch(NAMED, workers=2)
+        self._check(parallel)
+        sequential = session.analyze_batch(NAMED, workers=1)
+        assert [r.to_json() for r in parallel] == \
+            [r.to_json() for r in sequential]

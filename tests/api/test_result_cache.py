@@ -1,5 +1,6 @@
 """Tests for session-level result caching (LRU + on-disk store)."""
 
+import dataclasses
 import json
 import os
 
@@ -14,6 +15,7 @@ from repro.api import (
     results_to_json,
 )
 from repro.core import AnalysisConfig
+from repro.core.config import PLAN_FIELDS
 
 ERRONEOUS = "(FPCore (x) :name \"t\" :pre (<= 1e16 x 1e17) (- (+ x 1) x))"
 CLEAN = "(FPCore (x) :name \"ok\" :pre (<= 1 x 2) (+ x 1))"
@@ -70,16 +72,17 @@ class TestRequestDigest:
                 ERRONEOUS, config=FAST.with_(local_error_threshold=6.0)
             )
         ) != base
+        # The precision policy is part of the execution plan, which
+        # every policy computes to the same bytes: one digest.
         assert request_digest(
             session.request(
                 ERRONEOUS, config=FAST.with_(precision_policy="adaptive")
             )
-        ) != base
+        ) == base
 
-    def test_varies_with_engine(self):
-        # Engines are report-identical, but cached results from
-        # different engines must still never alias: the digest covers
-        # the engine choice like every other config knob.
+    def test_shared_across_engines(self):
+        # Engines are report-identical, so a result either engine
+        # computed answers both: the digest leaves the engine out.
         session = AnalysisSession(config=FAST, num_points=4)
         compiled = request_digest(
             session.request(ERRONEOUS, config=FAST.with_(engine="compiled"))
@@ -87,7 +90,7 @@ class TestRequestDigest:
         reference = request_digest(
             session.request(ERRONEOUS, config=FAST.with_(engine="reference"))
         )
-        assert compiled != reference
+        assert compiled == reference
 
     def test_engine_roundtrips_through_request_serialization(self):
         from repro.api import AnalysisRequest
@@ -101,16 +104,16 @@ class TestRequestDigest:
         assert request_digest(rebuilt) == request_digest(request)
 
     def test_batched_switch_stays_out_of_the_digest(self):
-        # Batching is result-invisible, so the internal switch is never
-        # serialized and two requests differing only there share a
-        # digest (and a cache entry).
-        import dataclasses
-
+        # Batching is result-invisible: the switch is serialized, so a
+        # worker runs the plan it was asked for, but two requests
+        # differing only there share a digest (and a cache entry).
         session = AnalysisSession(config=FAST, num_points=4)
-        request = session.request(ERRONEOUS)
-        sequential = dataclasses.replace(request, batched=False)
-        assert "batched" not in sequential.to_dict()
-        assert request_digest(sequential) == request_digest(request)
+        batched = session.request(ERRONEOUS, config=FAST.with_(batched=True))
+        sequential = session.request(
+            ERRONEOUS, config=FAST.with_(batched=False)
+        )
+        assert sequential.to_dict()["config"]["batched"] is False
+        assert request_digest(sequential) == request_digest(batched)
 
     def test_varies_with_result_schema_version(self, monkeypatch):
         # A schema bump must invalidate persisted entries.
@@ -124,6 +127,101 @@ class TestRequestDigest:
             session_mod.RESULT_SCHEMA_VERSION + 1,
         )
         assert request_digest(request) != before
+
+
+#: One value away from the default for every execution-plan field.
+PLAN_CHANGES = {
+    "engine": "reference",
+    "precision_policy": "adaptive",
+    "substrate": "native",
+    "working_precision": 160,
+    "escalation_guard_bits": 24,
+    "hw_tier": False,
+    "batched": False,
+}
+
+#: One value away from the default for every other config field.
+OTHER_CHANGES = {
+    "shadow_precision": 256,
+    "local_error_threshold": 6.0,
+    "output_error_threshold": 6.0,
+    "max_expression_depth": 7,
+    "equivalence_depth": 3,
+    "input_characteristics": "range",
+    "detect_compensation": False,
+    "track_influences": False,
+    "deadline_seconds": 30.0,
+    "op_budget": 10 ** 9,
+}
+
+
+class TestPlanSharing:
+    """Requests that differ only in the execution plan share one digest
+    and therefore one memory and one store entry."""
+
+    def test_the_tables_cover_every_config_field(self):
+        assert set(PLAN_CHANGES) == set(PLAN_FIELDS)
+        fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
+        assert set(PLAN_CHANGES) | set(OTHER_CHANGES) == fields
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CHANGES))
+    def test_plan_fields_share_one_digest(self, name):
+        session = AnalysisSession(config=FAST, num_points=4)
+        base = session.request(ERRONEOUS)
+        changed = session.request(
+            ERRONEOUS, config=FAST.with_(**{name: PLAN_CHANGES[name]})
+        )
+        assert changed.to_dict()["config"][name] == PLAN_CHANGES[name]
+        assert request_digest(changed) == request_digest(base)
+
+    def test_all_plan_fields_at_once_share_one_digest(self):
+        session = AnalysisSession(config=FAST, num_points=4)
+        changed = session.request(
+            ERRONEOUS, config=FAST.with_(**PLAN_CHANGES)
+        )
+        assert request_digest(changed) == \
+            request_digest(session.request(ERRONEOUS))
+
+    @pytest.mark.parametrize("name", sorted(OTHER_CHANGES))
+    def test_other_fields_still_split_the_digest(self, name):
+        session = AnalysisSession(config=FAST, num_points=4)
+        changed = session.request(
+            ERRONEOUS, config=FAST.with_(**{name: OTHER_CHANGES[name]})
+        )
+        assert request_digest(changed) != \
+            request_digest(session.request(ERRONEOUS))
+
+    @pytest.mark.parametrize("value", [None, 0, "off"])
+    @pytest.mark.parametrize("name", ["hw_tier", "batched"])
+    def test_plan_switches_must_be_bools(self, name, value):
+        # A payload's config arrives from outside: a null switch would
+        # otherwise silently read as off.
+        with pytest.raises(ValueError, match=name):
+            AnalysisConfig(**{name: value})
+
+    def test_adaptive_request_is_served_from_a_fixed_store_entry(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.api.session as session_module
+
+        cache_dir = str(tmp_path / "results")
+        fixed = AnalysisSession(config=FAST, num_points=4,
+                                cache_dir=cache_dir)
+        cold = fixed.analyze(ERRONEOUS)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the backend ran on a store hit")
+
+        monkeypatch.setattr(session_module, "_run_request", no_run)
+        adaptive = AnalysisSession(
+            config=FAST.with_(precision_policy="adaptive"), num_points=4,
+            cache_dir=cache_dir,
+        )
+        warm = adaptive.analyze(ERRONEOUS)
+        assert adaptive.result_hits == 1
+        assert adaptive.result_misses == 0
+        assert warm.to_json() == cold.to_json()
+        assert len(_disk_entries(cache_dir)) == 1
 
 
 class TestMemoryCache:

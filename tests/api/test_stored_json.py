@@ -92,6 +92,8 @@ class TestExplicitToDict:
 
 
 class TestConfigToDict:
+    #: The plan switches default from the environment.
+    DEFAULT = AnalysisConfig()
     #: Every field away from its default, the optional ones set.
     FULL = AnalysisConfig(
         shadow_precision=512, engine="reference",
@@ -100,7 +102,8 @@ class TestConfigToDict:
         local_error_threshold=3.5, output_error_threshold=2.5,
         max_expression_depth=7, equivalence_depth=3,
         input_characteristics="range", detect_compensation=False,
-        track_influences=False, hw_tier=False, deadline_seconds=12.5,
+        track_influences=False, hw_tier=not DEFAULT.hw_tier,
+        batched=not DEFAULT.batched, deadline_seconds=12.5,
         op_budget=10 ** 6,
     )
 
@@ -108,13 +111,16 @@ class TestConfigToDict:
         _assert_every_field_set(self.FULL)
         assert config_to_dict(self.FULL) == dataclasses.asdict(self.FULL)
 
-    def test_default_config_omits_only_unset_optionals(self):
+    def test_default_config_omits_only_unset_guards(self):
+        # The plan switches are always shipped (a worker runs the plan
+        # it was asked for); only the unset guards stay out.
         config = AnalysisConfig()
         expected = {name: value
                     for name, value in dataclasses.asdict(config).items()
                     if value is not None}
         assert config_to_dict(config) == expected
-        assert not {"hw_tier", "deadline_seconds", "op_budget"} \
+        assert {"hw_tier", "batched"} <= set(config_to_dict(config))
+        assert not {"deadline_seconds", "op_budget"} \
             & set(config_to_dict(config))
 
     def test_payload_digest_matches_and_leaves_payload_alone(self):

@@ -117,14 +117,14 @@ class TestLayerAttribution:
         chosen = [c for c in corpus if "(while" in format_fpcore(c)][:2] \
             + corpus[:4]
         reference = AnalysisConfig(engine="reference", precision_policy=policy)
-        compiled = AnalysisConfig(engine="compiled", precision_policy=policy)
+        compiled = AnalysisConfig(engine="compiled", precision_policy=policy,
+                                  batched=batched)
         for core in chosen:
             program = compile_fpcore(core)
             points = sample_inputs(core, 3, seed=3)
             base, __ = analyze_program(program, points, config=reference)
             fast, __ = analyze_program(
-                program, points, config=compiled, batched=batched,
-                profile=profile,
+                program, points, config=compiled, profile=profile,
             )
             assert analysis_signature(fast) == analysis_signature(base), \
                 f"{core.name} diverged (batched={batched}, profile={profile})"
@@ -141,7 +141,7 @@ class TestReferenceStack:
         from repro.machine import isa
 
         analysis = HerbgrindAnalysis(
-            AnalysisConfig(engine="reference"), batched=True, profile=True
+            AnalysisConfig(engine="reference", batched=True), profile=True
         )
         instr = isa.FloatOp("r", "+", ("a", "b"))
         assert analysis.pool is None
@@ -192,8 +192,10 @@ class TestHwTierParity:
 
     @staticmethod
     def sweep(hw_tier, engine="compiled"):
+        # hw_tier None: the config's default, which REPRO_HWTIER sets.
+        plan = {} if hw_tier is None else {"hw_tier": hw_tier}
         config = AnalysisConfig(
-            precision_policy="adaptive", engine=engine, hw_tier=hw_tier,
+            precision_policy="adaptive", engine=engine, **plan,
         )
         session = AnalysisSession(
             config=config, num_points=2, seed=13, result_cache_size=0,

@@ -31,9 +31,8 @@ STRAIGHT = """(FPCore (x y) :name "iso-straight" :pre (and (<= 1 x 2) (<= 2 y 4)
 
 FAST = AnalysisConfig(shadow_precision=192)
 
-#: Compiled-engine switches: the profile counters on, or batching off.
+#: The profile counters on.
 PROFILED = {"profile": True}
-SEQUENTIAL = {"batched": False}
 
 
 def run_analysis(points, switches=PROFILED):
@@ -114,7 +113,7 @@ class TestPoolMemoryGuard:
 
         monkeypatch.setattr(HerbgrindAnalysis, "on_finish", spy)
         analysis, __ = analyze_program(
-            program, points, config=FAST, **SEQUENTIAL
+            program, points, config=FAST.with_(batched=False)
         )
         assert len(sizes) == len(points)
         assert max(sizes) <= cap + one_run

@@ -2,8 +2,8 @@
 
 The acceptance bar of the pluggable BigFloat substrate is
 *byte-identical* ``AnalysisResult`` JSON across ``substrate`` x
-``engine`` x ``precision_policy`` over the whole corpus, plus a
-substrate-aware result-cache digest.
+``engine`` x ``precision_policy`` over the whole corpus, so one
+result-cache digest serves every substrate.
 """
 
 import pytest
@@ -50,11 +50,13 @@ class TestCorpusParity:
 
 
 class TestDigest:
-    def test_substrate_is_in_the_request_digest(self):
+    def test_substrate_stays_out_of_the_request_digest(self):
+        # Substrates are byte-identical (TestCorpusParity), so a result
+        # either one computed answers both.
         core = "(FPCore (x) (sqrt (+ x 1)))"
         python = AnalysisRequest.build(core, config=Config(substrate="python"))
         native = AnalysisRequest.build(core, config=Config(substrate="native"))
-        assert request_digest(python) != request_digest(native)
+        assert request_digest(python) == request_digest(native)
 
     def test_substrate_round_trips_through_json(self):
         request = AnalysisRequest.build(

@@ -20,7 +20,6 @@ import pytest
 
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig, HerbgrindAnalysis, analyze_program
-from repro.core.analysis import _batched_default
 from repro.fpcore.parser import parse_fpcore
 from repro.machine import (
     BatchedProgram,
@@ -30,10 +29,6 @@ from repro.machine import (
     compile_fpcore,
 )
 from repro.machine.interpreter import MachineError
-
-#: The compiled engine with lockstep batching forced on / off.
-BATCHED = {"batched": True}
-SEQUENTIAL = {"batched": False}
 
 STRAIGHT = parse_fpcore("(FPCore (x y) (- (+ x y) x))")
 BRANCHY = parse_fpcore(
@@ -70,10 +65,10 @@ def run_both(core, points, policy="adaptive"):
     config = AnalysisConfig(precision_policy=policy)
     program = compile_fpcore(core)
     batched, out_b = analyze_program(
-        program, points, config=config, **BATCHED
+        program, points, config=config.with_(batched=True)
     )
     sequential, out_s = analyze_program(
-        program, points, config=config, **SEQUENTIAL
+        program, points, config=config.with_(batched=False)
     )
     assert out_b == out_s
     assert batched.runs == sequential.runs == len(points)
@@ -168,14 +163,15 @@ class TestErrorFallback:
         # surfaces mid-batch; the driver must reproduce the
         # sequential behaviour (raise on the short lane).
         program = compile_fpcore(STRAIGHT)
-        config = AnalysisConfig()
         with pytest.raises(MachineError) as batched_err:
             analyze_program(
-                program, [[1.0, 2.0], [1.0]], **BATCHED
+                program, [[1.0, 2.0], [1.0]],
+                config=AnalysisConfig(batched=True),
             )
         with pytest.raises(MachineError) as sequential_err:
             analyze_program(
-                program, [[1.0, 2.0], [1.0]], **SEQUENTIAL
+                program, [[1.0, 2.0], [1.0]],
+                config=AnalysisConfig(batched=False),
             )
         assert str(batched_err.value) == str(sequential_err.value)
 
@@ -183,25 +179,23 @@ class TestErrorFallback:
 class TestEnvironmentSwitch:
     def test_repro_batched_off_disables_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert not _batched_default()
+        assert AnalysisConfig().batched is False
         assert not HerbgrindAnalysis(AnalysisConfig())._batched
 
     def test_explicit_switch_overrides_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert HerbgrindAnalysis(AnalysisConfig(), batched=True)._batched
+        assert HerbgrindAnalysis(AnalysisConfig(batched=True))._batched
         monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert not HerbgrindAnalysis(
-            AnalysisConfig(), batched=False
-        )._batched
+        assert not HerbgrindAnalysis(AnalysisConfig(batched=False))._batched
 
     def test_resource_guard_forces_sequential(self):
         # Budgets need per-op ticks, which only the sequential path has.
-        guarded = AnalysisConfig(op_budget=10 ** 9)
-        assert not HerbgrindAnalysis(guarded, batched=True)._batched
+        guarded = AnalysisConfig(op_budget=10 ** 9, batched=True)
+        assert not HerbgrindAnalysis(guarded)._batched
 
     def test_repro_batched_on_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert _batched_default()
+        assert AnalysisConfig().batched is True
         assert HerbgrindAnalysis(AnalysisConfig())._batched
         assert not HerbgrindAnalysis(
             AnalysisConfig(engine="reference")
@@ -290,10 +284,10 @@ def raw_bits(rows):
 def run_both_bitwise(core, points, config):
     program = compile_fpcore(core)
     batched, out_b = analyze_program(
-        program, points, config=config, **BATCHED
+        program, points, config=config.with_(batched=True)
     )
     sequential, out_s = analyze_program(
-        program, points, config=config, **SEQUENTIAL
+        program, points, config=config.with_(batched=False)
     )
     assert raw_bits(out_b) == raw_bits(out_s)
     assert batched.runs == sequential.runs == len(points)
@@ -376,10 +370,10 @@ def run_three_ways(program, points, policy):
     )
     config = AnalysisConfig(precision_policy=policy)
     sequential, out_s = analyze_program(
-        program, points, config=config, **SEQUENTIAL
+        program, points, config=config.with_(batched=False)
     )
     batched, out_b = analyze_program(
-        program, points, config=config, **BATCHED
+        program, points, config=config.with_(batched=True)
     )
     assert raw_bits(out_r) == raw_bits(out_s) == raw_bits(out_b)
     assert signature(reference) == signature(sequential) \

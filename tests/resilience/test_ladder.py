@@ -3,7 +3,7 @@ retry driver — unit-level, with stub executors."""
 
 import pytest
 
-from repro.api import AnalysisSession
+from repro.api import AnalysisSession, request_digest
 from repro.core import AnalysisConfig
 from repro.machine.interpreter import MachineError
 from repro.resilience.errors import (
@@ -86,7 +86,6 @@ class TestPlanning:
         working = plan[RUNG_WORKING_TIER]
         assert working.config.hw_tier is False
         assert working.config == request.config.with_(hw_tier=False)
-        assert working.batched is request.batched
         # Every rung below it keeps the hardware tier off (cumulative).
         assert plan[RUNG_SEQUENTIAL].config.hw_tier is False
         assert plan[RUNG_REFERENCE].config.hw_tier is False
@@ -106,17 +105,20 @@ class TestPlanning:
         request = _request(engine="compiled")
         plan = dict(DegradationLadder(enabled=True).plan(request))
         sequential = plan[RUNG_SEQUENTIAL]
-        assert sequential.config == request.config
-        assert sequential.batched is False
+        assert sequential.config == request.config.with_(batched=False)
 
-    def test_engine_rungs_drop_the_batched_override(self):
-        # The override belongs to the compiled engine it was set for;
-        # the reference rung and below re-derive the engine default.
+    def test_engine_rungs_keep_batching_off(self):
+        # Rungs are config changes, cumulative like every other one;
+        # the reference engine never batches either way.
         request = _request(engine="compiled", substrate="native")
         plan = dict(DegradationLadder(enabled=True).plan(request))
-        assert plan[RUNG_SEQUENTIAL].batched is False
-        assert plan[RUNG_REFERENCE].batched is None
-        assert plan[RUNG_PYTHON_SUBSTRATE].batched is None
+        assert plan[RUNG_REFERENCE].config.batched is False
+        assert plan[RUNG_PYTHON_SUBSTRATE].config.batched is False
+
+    def test_batching_off_skips_the_sequential_rung(self):
+        request = _request(engine="compiled", batched=False)
+        plan = dict(DegradationLadder(enabled=True).plan(request))
+        assert list(plan) == [RUNG_REFERENCE]
 
     def test_bottom_configuration_has_no_ladder(self):
         request = _request(engine="reference", substrate="python",
@@ -129,6 +131,16 @@ class TestPlanning:
             assert degraded.name == request.name
             assert degraded.seed == request.seed
             assert degraded.num_points == request.num_points
+
+    def test_every_rung_keeps_the_digest(self):
+        # A rung changes only the execution plan, which the digest
+        # leaves out: a degraded result answers the original request.
+        request = _request(engine="compiled", substrate="native",
+                           precision_policy="adaptive")
+        plan = DegradationLadder(enabled=True).plan(request)
+        assert len(plan) == 5
+        for _, degraded in plan:
+            assert request_digest(degraded) == request_digest(request)
 
 
 class _Recorder:
@@ -151,10 +163,10 @@ class _Recorder:
 
     @staticmethod
     def _key(request):
-        if request.batched is False:
-            return RUNG_SEQUENTIAL
         config = request.config
         if config.engine == "compiled":
+            if config.batched is False:
+                return RUNG_SEQUENTIAL
             if config.hw_tier is False:
                 return RUNG_WORKING_TIER
             return "initial"

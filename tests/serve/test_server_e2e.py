@@ -47,26 +47,32 @@ class TestRoundTripParity:
         harness = harness_factory(
             store=ShardedResultStore(str(tmp_path)), workers=2
         )
+        # The plans share one digest, so each leg draws its own seed:
+        # otherwise every leg after the first is a warm hit and only
+        # one plan ever runs in a worker.
+        plans = [(engine, policy, substrate)
+                 for engine in ("compiled", "reference")
+                 for policy in ("fixed", "adaptive")
+                 for substrate in ("python", "native")]
         with harness.client() as client:
-            for engine in ("compiled", "reference"):
-                for policy in ("fixed", "adaptive"):
-                    for substrate in ("python", "native"):
-                        config = AnalysisConfig(
-                            shadow_precision=256, engine=engine,
-                            precision_policy=policy, substrate=substrate,
-                        )
-                        session = _session(config)
-                        request = session.request(CORE)
-                        expected = session.analyze(request).to_json()
-                        reply = client.analyze(request)
-                        label = (engine, policy, substrate)
-                        assert reply.status == 200, label
-                        assert reply.text == expected, label
-                        assert reply.digest == request_digest(request)
-                        # And again, warm: same bytes from the store.
-                        warm = client.analyze(request)
-                        assert warm.text == expected, label
-                        assert warm.source in ("memory", "store")
+            for seed, (engine, policy, substrate) in enumerate(plans):
+                config = AnalysisConfig(
+                    shadow_precision=256, engine=engine,
+                    precision_policy=policy, substrate=substrate,
+                )
+                session = _session(config)
+                request = session.request(CORE, seed=seed)
+                expected = session.analyze(request).to_json()
+                reply = client.analyze(request)
+                label = (engine, policy, substrate)
+                assert (reply.status, reply.source) == (200, "computed"), \
+                    label
+                assert reply.text == expected, label
+                assert reply.digest == request_digest(request)
+                # And again, warm: same bytes from the store.
+                warm = client.analyze(request)
+                assert warm.text == expected, label
+                assert warm.source in ("memory", "store")
 
     def test_get_result_and_health_and_stats(
         self, harness_factory, tmp_path
@@ -204,6 +210,18 @@ class TestConcurrency:
             assert client.analyze(session.request(CLEAN)).status == 200
             assert client.stats()["service"]["timeouts"] == 1
 
+
+    def test_spent_op_budget_is_structured_422(self, harness_factory):
+        harness = harness_factory(workers=1)
+        request = _session(FAST.with_(op_budget=1)).request(CORE)
+        with harness.client() as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.analyze(request)
+            assert excinfo.value.status == 422
+            assert excinfo.value.error_type == "op_budget_exceeded"
+            assert excinfo.value.digest == request_digest(request)
+            assert not excinfo.value.transient
+            assert client.stats()["service"]["op_budget_exceeded"] == 1
 
 class TestMultiProcessStore:
     def test_two_servers_share_one_store(self, harness_factory, tmp_path):

@@ -133,6 +133,54 @@ class TestSinglePath:
         assert error["digest"] == outcome.digest
         assert error["message"] == "RuntimeError: backend exploded"
 
+    def test_adaptive_post_is_a_memory_hit_after_a_fixed_post(self):
+        # The precision policy is part of the execution plan, which the
+        # digest leaves out: one entry answers both plans.
+        fixed = _request()
+        adaptive = _request(config=FAST.with_(precision_policy="adaptive"))
+        assert adaptive.to_dict() != fixed.to_dict()
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            first = await service.analyze_payload(fixed.to_dict())
+            second = await service.analyze_payload(adaptive.to_dict())
+            await service.close()
+            return first, second, service.counters
+
+        first, second, counters = asyncio.run(scenario())
+        assert (first.status, first.source) == (200, "computed")
+        assert (second.status, second.source) == (200, "memory")
+        assert second.digest == first.digest
+        assert second.body == first.body
+        assert counters.computed == 1
+
+    def test_spent_op_budget_is_structured_422_and_not_quarantined(self):
+        # Deterministic: every rerun spends the same budget, so it is
+        # neither an analysis error nor a poison request.
+        spent = _request(config=FAST.with_(op_budget=1))
+        requests = 4  # one past the default poison threshold
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcomes = []
+            for _ in range(requests):
+                outcomes.append(
+                    await service.analyze_payload(spent.to_dict())
+                )
+            await service.close()
+            return outcomes, service
+
+        outcomes, service = asyncio.run(scenario())
+        for outcome in outcomes:
+            assert outcome.status == 422
+            error = json.loads(outcome.body)["error"]
+            assert error["type"] == "op_budget_exceeded"
+            assert error["digest"] == outcome.digest == request_digest(spent)
+        counters = service.counters
+        assert counters.op_budget_exceeded == requests
+        assert counters.analysis_errors == 0 and counters.quarantined == 0
+        assert service.stats()["quarantined_digests"] == 0
+
     def test_lookup_digest(self, tmp_path):
         request = _request()
 
@@ -229,6 +277,28 @@ class TestBatch:
         assert results[3]["error"]["type"] == "invalid_request"
         assert counters.computed == 2  # the pre-warm + the clean core
         assert counters.dedupe_hits == 1
+
+    def test_spent_op_budget_is_a_422_entry(self):
+        spent = _request(config=FAST.with_(op_budget=1))
+        clean = _request(CLEAN)
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcome = await service.analyze_batch_payload(
+                {"requests": [spent.to_dict(), clean.to_dict()]}
+            )
+            await service.close()
+            return outcome, service.counters
+
+        outcome, counters = asyncio.run(scenario())
+        envelope = json.loads(outcome.body)
+        assert outcome.status == 207 and envelope["errors"] == 1
+        error = envelope["results"][0]["error"]
+        assert error["type"] == "op_budget_exceeded"
+        assert error["digest"] == request_digest(spent)
+        assert envelope["results"][1]["benchmark"] == "ok"
+        assert counters.op_budget_exceeded == 1
+        assert counters.analysis_errors == 0
 
     def test_batch_shards_steal_across_workers(self):
         requests = [_request(CLEAN, seed=i) for i in range(6)]
