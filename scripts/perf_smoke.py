@@ -10,6 +10,7 @@ unless that line reads ``"correct": true`` with ``"failed": 0``::
 
     python3 scripts/perf_smoke.py
     python3 scripts/perf_smoke.py --workload serve-mixed --seconds 10
+    python3 scripts/perf_smoke.py --workload loops --seconds 5
 
 Arguments are passed through to ``perfbench/run.py``.  Exit status: 0
 when correct, 1 otherwise.

@@ -163,6 +163,7 @@ class HerbgrindBackend(AnalysisBackend):
         if request.profile:
             profile = analysis.stage_counters.to_dict()
             profile["memo_hits"] = analysis.memo_hits
+            profile["tail_replays"] = analysis.tail_replays
             profile["tier_residency"] = analysis.tier_residency()
             extra["pipeline_profile"] = profile
         return AnalysisResult(

@@ -156,12 +156,15 @@ class PipelineStageCounters:
     operations analysed by the site steps — sequential and batched
     lanes alike — and ``generic_ops`` those that went through the
     generic ``_analyse_operation`` walk.  Both count *executed*
-    operations, as do the anti-unification and characteristic
-    counters.  The shadow-stage counters (``kernel_evals``,
+    operations.  The shadow-stage counters (``kernel_evals``,
     ``trace_interned``, the error, compensation and tier counters)
     count *computed* ones: a site-step op whose ident is memoized in
     the pool (:attr:`HerbgrindAnalysis.memo_hits`, batched lanes
-    included) skips those stages.
+    included) skips those stages.  ``antiunify_fast``,
+    ``antiunify_merge`` and ``characteristic_updates`` count walks
+    actually run: a memo hit whose site expression is unchanged since
+    the ident's last walk (:attr:`HerbgrindAnalysis.tail_replays`)
+    skips the walk and the characteristic updates too.
     """
 
     __slots__ = ("fused_ops", "generic_ops", "kernel_evals",
@@ -254,6 +257,11 @@ class HerbgrindAnalysis(Tracer):
         #: from the pool's per-ident memo (their shadow stages skipped;
         #: see TracePool.memo).
         self.memo_hits = 0
+        #: Memo hits that also replayed the per-execution tail: the
+        #: anti-unification walk and the characteristic updates were
+        #: skipped because the site's expression had not changed since
+        #: the ident's last walk (see _build_fused_binary).
+        self.tail_replays = 0
         #: Per-analysis resource budgets, or None (the common case —
         #: the per-op tick must cost nothing when no budget is set).
         self._guard: Optional[ResourceGuard] = (
@@ -907,13 +915,15 @@ class HerbgrindAnalysis(Tracer):
         err_of = bits_of_error_fast
         returns_arg = self._returns_argument
         record = None
+        generalization = None
         fast_walk = None
         bail_walk = None
         total_record = None
         prob_record = None
 
         def run(sa, sb, av, bv, value):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
+            nonlocal record, generalization, fast_walk, bail_walk
+            nonlocal total_record, prob_record
             ta = sa.trace
             tb = sb.trace
             if record is None:
@@ -931,8 +941,29 @@ class HerbgrindAnalysis(Tracer):
             node = ops_table.get(node_key)
             entry = memo[node] if node is not None else None
             if entry is not None:
-                shadow, error_bits, passthrough = entry
+                shadow, error_bits, passthrough, walked = entry
                 self.memo_hits += 1
+                if walked is generalization.expression:
+                    # --- tail replay ----------------------------------
+                    # The ident's last walk ran against this very
+                    # expression object on the fast path with no NaN
+                    # binding: the walk would return the same bindings,
+                    # and re-adding them to the input summaries
+                    # changes nothing a report reads.  Only the
+                    # per-execution counts move.
+                    record.executions += 1
+                    record.sum_local_error += error_bits
+                    if error_bits > record.max_local_error:
+                        record.max_local_error = error_bits
+                    if passthrough is not None:
+                        record.compensations_detected += 1
+                    elif error_bits > threshold:
+                        record.candidate_executions += 1
+                    record.pending_trace = node
+                    self.tail_replays += 1
+                    if counters is not None:
+                        counters.fused_ops += 1
+                    return shadow
                 is_candidate = error_bits > threshold
             else:
                 # --- kernel stage -------------------------------------
@@ -1059,13 +1090,13 @@ class HerbgrindAnalysis(Tracer):
             if passthrough is not None:
                 record.compensations_detected += 1
             # --- expression + characteristics stage -------------------
-            generalization = record.generalization
-            if generalization.expression is not None:
-                bindings = fast_walk(pool, node)
-            else:
-                bindings = None
+            walked = generalization.expression
+            bindings = fast_walk(pool, node) if walked is not None else None
             if bindings is None:
                 __, bindings = bail_walk(pool, node)
+                walked = None
+            else:
+                walked = _replayable(walked, bindings)
             record.pending_trace = node
             total_record(bindings)
             if is_candidate and passthrough is None:
@@ -1090,8 +1121,7 @@ class HerbgrindAnalysis(Tracer):
                             counters.hw_tier_ops += 1
                         else:
                             counters.working_tier_ops += 1
-            if entry is None:
-                memo[node] = (shadow, error_bits, passthrough)
+            memo[node] = (shadow, error_bits, passthrough, walked)
             return shadow
         return run
 
@@ -1125,13 +1155,15 @@ class HerbgrindAnalysis(Tracer):
         new_shadow = ShadowValue
         err_of = bits_of_error_fast
         record = None
+        generalization = None
         fast_walk = None
         bail_walk = None
         total_record = None
         prob_record = None
 
         def run(sa, av, value):
-            nonlocal record, fast_walk, bail_walk, total_record, prob_record
+            nonlocal record, generalization, fast_walk, bail_walk
+            nonlocal total_record, prob_record
             ta = sa.trace
             if record is None:
                 record = self._op_record(instr, op)
@@ -1148,6 +1180,19 @@ class HerbgrindAnalysis(Tracer):
                 shadow = entry[0]
                 error_bits = entry[1]
                 self.memo_hits += 1
+                if entry[3] is generalization.expression:
+                    # --- tail replay (see _build_fused_binary) --------
+                    record.executions += 1
+                    record.sum_local_error += error_bits
+                    if error_bits > record.max_local_error:
+                        record.max_local_error = error_bits
+                    if error_bits > threshold:
+                        record.candidate_executions += 1
+                    record.pending_trace = node
+                    self.tail_replays += 1
+                    if counters is not None:
+                        counters.fused_ops += 1
+                    return shadow
                 is_candidate = error_bits > threshold
             else:
                 # --- kernel stage -------------------------------------
@@ -1214,13 +1259,13 @@ class HerbgrindAnalysis(Tracer):
             if error_bits > record.max_local_error:
                 record.max_local_error = error_bits
             # --- expression + characteristics stage -------------------
-            generalization = record.generalization
-            if generalization.expression is not None:
-                bindings = fast_walk(pool, node)
-            else:
-                bindings = None
+            walked = generalization.expression
+            bindings = fast_walk(pool, node) if walked is not None else None
             if bindings is None:
                 __, bindings = bail_walk(pool, node)
+                walked = None
+            else:
+                walked = _replayable(walked, bindings)
             record.pending_trace = node
             total_record(bindings)
             if is_candidate:
@@ -1243,8 +1288,7 @@ class HerbgrindAnalysis(Tracer):
                             counters.hw_tier_ops += 1
                         else:
                             counters.working_tier_ops += 1
-            if entry is None:
-                memo[node] = (shadow, error_bits, None)
+            memo[node] = (shadow, error_bits, None, walked)
             return shadow
         return run
 
@@ -1496,9 +1540,11 @@ class HerbgrindAnalysis(Tracer):
         pair kernels, pair arguments promoted to the working tier, and
         roundings certified by each escalation rung.  ``memo_hits``
         counts site-step ops, sequential or batched, replayed from the
-        pool's per-ident memo; like
-        ``hw_kernel_ops``, the tier and escalation counters count
-        *computed* shadows, which a memo hit does not recompute.
+        pool's per-ident memo, and ``tail_replays`` those of them that
+        also skipped the anti-unification walk and the characteristic
+        updates; like ``hw_kernel_ops``, the tier and escalation
+        counters count *computed* shadows, which a memo hit does not
+        recompute.
         """
         stats = self.policy.stats
         return {
@@ -1506,6 +1552,7 @@ class HerbgrindAnalysis(Tracer):
             "hw_kernel_ops": self.hw_kernel_ops,
             "hw_promotions": self.hw_promotions,
             "memo_hits": self.memo_hits,
+            "tail_replays": self.tail_replays,
             "working_certified": self.escalator.working_certified,
             "confirm_certified": self.escalator.confirm_certified,
             "full_recomputed_nodes": self.escalator.recomputed_nodes,
@@ -1551,6 +1598,18 @@ class HerbgrindAnalysis(Tracer):
             r for r in self.spot_records.values() if r.kind == SPOT_OUTPUT
         ]
         return max((r.max_error for r in outputs), default=0.0)
+
+
+def _replayable(expression, bindings) -> object:
+    """What a site step stores beside a memo entry after a fast walk
+    against ``expression``: the expression itself, so later hits of
+    the ident replay the tail while it is unchanged, or None when a
+    binding is NaN (a summary's ``nan_count`` is cumulative, so those
+    bindings are recorded again at every execution)."""
+    for value in bindings.values():
+        if value != value:
+            return None
+    return expression
 
 
 #: Branch predicates over (non-NaN) shadow reals; BigFloat comparisons

@@ -83,7 +83,14 @@ class RangeSummary(InputSummary):
     def __init__(self) -> None:
         self.low = math.inf
         self.high = -math.inf
+        #: NaN values recorded, rendered by :meth:`describe`; the
+        #: compiled engine never skips recording a NaN binding.
         self.nan_count = 0
+        #: Non-NaN values recorded.  Not an execution count: a memo
+        #: hit that replays its tail (see
+        #: ``HerbgrindAnalysis.tail_replays``) does not record its
+        #: bindings again, so readers only test it against zero
+        #: (this module's renderings, ``repro.eval.pipeline``).
         self.count = 0
 
     def add(self, value: float) -> None:

@@ -236,7 +236,12 @@ class TracePool:
     None.  Those are pure functions of the ident — same site, same
     argument idents, hence the same real and float computation — so a
     later execution of the ident replays them instead of re-running
-    the shadow pipeline.  A memoized shadow may afterwards be promoted
+    the shadow pipeline.  A fourth element is the site's symbolic
+    expression object the ident's last anti-unification walk verified
+    on the fast path with no NaN binding, or None: while the site's
+    expression is still that object, the walk would return the same
+    bindings, so a hit also skips the walk and the characteristic
+    updates (a *tail replay*).  A memoized shadow may afterwards be promoted
     in place from a hardware pair to the working tier; a later hit
     then starts from that working-tier real, which the hardware-tier
     parity invariant makes invisible in the report bytes (only the

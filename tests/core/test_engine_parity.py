@@ -87,8 +87,8 @@ def analysis_signature(analysis):
             record.candidate_executions, record.max_local_error,
             record.sum_local_error, record.compensations_detected,
             str(record.symbolic_expression),
-            sorted(record.total_inputs.describe())
-            if hasattr(record.total_inputs, "describe") else None,
+            sorted(record.total_inputs.describe().items()),
+            sorted(record.problematic_inputs.describe().items()),
         ))
     for spot in sorted(analysis.spot_records.values(), key=lambda s: s.site_id):
         rows.append((

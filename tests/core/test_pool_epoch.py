@@ -12,13 +12,22 @@ not notice: this suite checks them byte for byte against
   nothing is ever replayed across points), and
 * the reference engine, which has no pool and no memo at all,
 
-under both precision policies, on the corpus loops and two test-only
-unstable loops (not in the corpus, so no benchmark baseline moves):
+under both precision policies, on the corpus loops and four
+test-only loops (not in the corpus, so no benchmark baseline moves):
 the recurrence E_n = 1 - n E_{n-1} for the integrals of x^n e^{x-1}
 over [0, 1], whose subtraction becomes a candidate root cause past
-about 180 iterations, and repeated sqrt-then-square (unary sites).
+about 180 iterations, repeated sqrt-then-square (unary sites), a
+loop whose value turns NaN after one iteration, and a loop whose
+symbolic expression changes at a later point.
 Point sets repeat, ascend, descend and shuffle trip counts, so memo
 hits come from earlier points of either shorter or longer runs.
+
+A memo hit whose site expression is unchanged since the ident's last
+walk also replays the per-execution tail (no anti-unification walk,
+no characteristic updates).  That leaves the input summaries' rendered
+text (``describe()``, which no result JSON carries) as the place a
+wrong replay would show, so :class:`TestTailReplay` compares those
+texts too, under every ``input_characteristics`` setting.
 """
 
 from __future__ import annotations
@@ -32,9 +41,16 @@ from hypothesis import strategies as st
 from repro.api import AnalysisSession
 from repro.core import AnalysisConfig, analyze_program
 from repro.core import analysis as analysis_mod
+from repro.core.config import (
+    CHARACTERISTICS_NONE,
+    CHARACTERISTICS_RANGE,
+    CHARACTERISTICS_REPRESENTATIVE,
+    CHARACTERISTICS_SIGN_SPLIT,
+)
 from repro.fpcore import parse_fpcore
 from repro.fpcore.corpus import families
 from repro.machine import compile_fpcore
+from repro.resilience import faults
 from repro.resilience.errors import OpBudgetExceeded
 
 RECURRENCE = """(FPCore (n) :name "recurrence-integral"
@@ -49,11 +65,30 @@ SQRT_SQUARE = """(FPCore (x n) :name "sqrt-then-square"
   (let ([r (while* (< k n) ([k 0 (+ k 1)] [y x (sqrt y)]) y)])
     (while* (< j n) ([j 0 (+ j 1)] [z r (* z z)]) z)))"""
 
+#: inf, then inf * 0.5 - inf = NaN: from the second iteration on, the
+#: variable bound at the `*` and `-` sites is NaN, which a range
+#: summary counts (``nan_count``) at every execution.
+NAN_LOOP = """(FPCore (x n) :name "nan-loop"
+  (while* (< k n) ([k 0 (+ k 1)] [y (/ x 0) (- (* y 0.5) y)]) y))"""
+
+CHARACTERISTICS = [CHARACTERISTICS_NONE, CHARACTERISTICS_REPRESENTATIVE,
+                   CHARACTERISTICS_RANGE, CHARACTERISTICS_SIGN_SPLIT]
+
+#: Under x >= 0 both arguments of the `+` are the same value, so its
+#: expression reads (+ v0 v0); the first x < 0 point splits v0.  A
+#: later x >= 0 point re-executes the first point's idents, which were
+#: walked against the old expression, so they must not replay their
+#: tail: the new variable has never seen their values.
+SPLIT_LATE = """(FPCore (x n) :name "split-late"
+  (while* (< k n) ([k 0 (+ k 1)] [y x (+ y (if (< x 0) (- y 0) y))]) y))"""
+
 LOOPS = {core.name: core for core in families()["loops"]}
 
 PROGRAMS = dict(LOOPS)
 PROGRAMS["recurrence-integral"] = parse_fpcore(RECURRENCE)
 PROGRAMS["sqrt-then-square"] = parse_fpcore(SQRT_SQUARE)
+PROGRAMS["nan-loop"] = parse_fpcore(NAN_LOOP)
+PROGRAMS["split-late"] = parse_fpcore(SPLIT_LATE)
 
 #: Trip counts per program.  The recurrence's straddle the iteration
 #: (about 183) from which its subtraction's local error passes the
@@ -64,6 +99,8 @@ TRIPS = {
     "loop-harmonic": [10, 24, 37, 50],
     "recurrence-integral": [150, 186, 200, 215],
     "sqrt-then-square": [8, 20, 35, 50],
+    "nan-loop": [10, 20, 20, 30],
+    "split-late": [8, 15, 20, 25],
 }
 
 
@@ -71,6 +108,12 @@ def make_points(name, trips):
     if name == "sqrt-then-square":
         # Mostly one x, so the sqrt chains are shared across points.
         return [[3.0 if i % 3 == 2 else 2.0, float(n)]
+                for i, n in enumerate(trips)]
+    if name == "nan-loop":
+        return [[1.5, float(n)] for n in trips]
+    if name == "split-late":
+        # The second point alone takes the x < 0 arm.
+        return [[-1.5 if i == 1 else 1.5, float(n)]
                 for i, n in enumerate(trips)]
     return [[float(n)] for n in trips]
 
@@ -150,6 +193,8 @@ def test_recurrence_has_replayed_candidates():
     # Three fused binary sites per iteration, all 200 of the first
     # point's iterations replayed by the second.
     assert analysis.memo_hits >= 3 * 200
+    # The expressions are settled by then, so hits replay their tail.
+    assert analysis.tail_replays > 0
     assert analysis.reported_root_causes()
     subtract = max(
         analysis.op_records.values(), key=lambda r: r.max_local_error
@@ -189,10 +234,13 @@ class TestMemoCounter:
             config=AnalysisConfig(precision_policy="adaptive"),
             result_cache_size=0,
         )
-        result = session.analyze(
-            LOOPS["loop-tenth-accumulate"], points=self.POINTS,
-            profile=True,
-        )
+        # The counts are the compiled engine's: keep an ambient fault
+        # plan (REPRO_FAULTS) from degrading the run to another rung.
+        with faults.injected(""):
+            result = session.analyze(
+                LOOPS["loop-tenth-accumulate"], points=self.POINTS,
+                profile=True,
+            )
         profile = result.extra["pipeline_profile"]
         assert profile["memo_hits"] == 2 * (25 + 40 + 25)
         # Executed ops are counted in full; computed ones are not.
@@ -201,6 +249,10 @@ class TestMemoCounter:
         )
         assert profile["fused_ops"] == executed
         assert profile["kernel_evals"] == executed - profile["memo_hits"]
+        # Tail replays are hits that skipped the walk as well.
+        assert 0 < profile["tail_replays"] <= profile["memo_hits"]
+        assert profile["tier_residency"]["tail_replays"] == \
+            profile["tail_replays"]
 
 
 def test_op_budget_counts_replayed_ops():
@@ -217,3 +269,61 @@ def test_op_budget_counts_replayed_ops():
     with pytest.raises(OpBudgetExceeded):
         analyze_program(program, points,
                         config=AnalysisConfig(op_budget=executed - 1))
+
+
+def describe_texts(analysis):
+    """The rendered input summaries of every operation site."""
+    return [
+        (record.site_id,
+         sorted(record.total_inputs.describe().items()),
+         sorted(record.problematic_inputs.describe().items()))
+        for record in sorted(analysis.op_records.values(),
+                             key=lambda r: r.site_id)
+    ]
+
+
+class TestTailReplay:
+    """A tail replay skips re-recording bindings the summaries already
+    hold; nothing a report or a summary's text shows may change."""
+
+    NAN_POINTS = [[1.5, 10.0], [1.5, 20.0], [1.5, 20.0], [1.5, 30.0]]
+
+    @staticmethod
+    def observe(core, points, config):
+        session = AnalysisSession(config=config, result_cache_size=0)
+        result = session.analyze(core, points=points)
+        return result.to_json(), describe_texts(result.raw)
+
+    @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("characteristics", CHARACTERISTICS)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_matches_per_run_reset_and_reference(self, name,
+                                                 characteristics, policy,
+                                                 monkeypatch):
+        core = PROGRAMS[name]
+        points = make_points(name, orders(TRIPS[name])["duplicates"])
+        config = AnalysisConfig(precision_policy=policy,
+                                input_characteristics=characteristics)
+        replay = self.observe(core, points, config)
+        reference = self.observe(core, points,
+                                 config.with_(engine="reference"))
+        monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", 0)
+        assert replay == self.observe(core, points, config)
+        assert replay == reference
+
+    def test_nan_exclusion_bites(self, monkeypatch):
+        # Replaying NaN bindings too undercounts ``nan_count`` — a
+        # difference only ``describe()`` shows, never the result JSON —
+        # so the differential test above needs the texts to catch it.
+        core = PROGRAMS["nan-loop"]
+        config = AnalysisConfig(input_characteristics="range")
+        json_ok, texts_ok = self.observe(core, self.NAN_POINTS, config)
+        # 4 points, 80 iterations in all: every one but each point's
+        # first binds NaN at the loop body's `*` and `-` sites.
+        assert "plus 76 NaN" in repr(texts_ok)
+        monkeypatch.setattr(analysis_mod, "_replayable",
+                            lambda expression, bindings: expression)
+        json_bad, texts_bad = self.observe(core, self.NAN_POINTS, config)
+        assert json_bad == json_ok
+        assert texts_bad != texts_ok
+        assert "plus 30 NaN" in repr(texts_bad)

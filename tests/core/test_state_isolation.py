@@ -20,6 +20,7 @@ from repro.core import analysis as analysis_mod
 from repro.core.analysis import HerbgrindAnalysis, PipelineStageCounters
 from repro.fpcore import parse_fpcore
 from repro.machine import compile_fpcore
+from repro.resilience import faults
 
 LOOP = """(FPCore (x n) :name "iso-loop" :pre (and (<= 1 x 2) (<= 20 n 40))
     (while (<= i n) ([i 1 (+ i 1)]
@@ -76,8 +77,12 @@ class TestCounterReset:
             config=FAST, num_points=3, seed=11, result_cache_size=0
         )
         core = parse_fpcore(LOOP)
-        first = session.analyze_batch([core], profile=True)[0]
-        second = session.analyze_batch([core], profile=True)[0]
+        # Both iterations must run one plan: under an ambient fault
+        # plan (REPRO_FAULTS) either could degrade to another rung,
+        # whose profile legitimately differs.
+        with faults.injected(""):
+            first = session.analyze_batch([core], profile=True)[0]
+            second = session.analyze_batch([core], profile=True)[0]
         profile_a = first.extra["pipeline_profile"]
         profile_b = second.extra["pipeline_profile"]
         assert profile_a == profile_b

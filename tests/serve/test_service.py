@@ -475,3 +475,22 @@ class TestStats:
         residency = stats["tier_residency"]
         assert residency["hw_tier"] == 1
         assert residency["hw_kernel_ops"] > 0
+
+    def test_stats_aggregate_tail_replays(self):
+        # Every point runs the same first ten iterations, so later
+        # points replay the memoized ops of earlier ones, tail included.
+        loop = ("(FPCore (n) :name \"acc\" :pre (<= 10 n 20) "
+                "(while* (< k n) ([k 0 (+ k 1)] [s 0 (+ s 0.1)]) s))")
+        request = _request(loop)
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            await service.analyze_payload(request.to_dict())
+            stats = service.stats()
+            await service.close()
+            return stats
+
+        stats = asyncio.run(scenario())
+        residency = stats["tier_residency"]
+        assert residency["tail_replays"] > 0
+        assert residency["memo_hits"] >= residency["tail_replays"]
