@@ -50,6 +50,7 @@ from repro.bigfloat.backend import (
     get_backend,
     substrate_fallbacks,
     substrate_provider,
+    substrate_status,
 )
 from repro.bigfloat.policy import (
     AdaptivePrecisionPolicy,
@@ -70,6 +71,7 @@ __all__ = [
     "get_backend",
     "substrate_fallbacks",
     "substrate_provider",
+    "substrate_status",
     "AdaptivePrecisionPolicy",
     "BigFloat",
     "Context",

@@ -6,13 +6,15 @@ arbitrary-precision engine:
 * ``python`` — the package's own integer-limb kernels
   (:mod:`repro.bigfloat.arith` / :mod:`repro.bigfloat.transcendental`),
   the reference substrate with zero dependencies.
-* ``native`` — a faster engine when one is importable: gmpy2 (MPFR)
-  first, then mpmath's ``libmp`` fixed-point kernels, falling back to
-  the python kernels when neither is present.  Selection happens once
-  per process; a provider that fails its startup self-check (see
+* ``native`` (the default of ``AnalysisConfig.substrate``) — a faster
+  engine when one is importable: gmpy2 (MPFR) first, then mpmath's
+  ``libmp`` fixed-point kernels, falling back to the python kernels
+  when neither is present.  Selection happens once per process; a
+  provider that fails its startup self-check (see
   :func:`_run_self_check`) is discarded rather than trusted, and
   :func:`substrate_fallbacks` says why each skipped provider was
-  passed over.
+  passed over.  ``libmp`` is loaded on its own (:func:`_import_libmp`),
+  without the rest of mpmath.
 
 A substrate replaces only the *general-path numerics*.  Every IEEE
 special value, domain error, signed-zero rule, overflow clamp and
@@ -42,8 +44,11 @@ tier and takes effect only after promotion to BigFloat.
 
 from __future__ import annotations
 
+import importlib.util
 import logging
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import os
+import sys
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigfloat import arith, functions, transcendental
 from repro.bigfloat.bigfloat import BigFloat, K_FINITE, ONE
@@ -85,7 +90,8 @@ class KernelBackend:
             functions.DOUBLE_HANDLERS
         )
         #: Native providers passed over while resolving this substrate:
-        #: provider name -> why (see :func:`substrate_fallbacks`).
+        #: provider name (or ``libmp``) -> why (see
+        #: :func:`substrate_fallbacks`).
         self.skipped: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -94,19 +100,24 @@ class KernelBackend:
     #
     # Two seams per substrate: ``kernel.raise`` fires on any substrate,
     # ``kernel.<name>.raise`` (e.g. ``kernel.native.raise``) only on
-    # the named one — so a chaos test can fail exactly the accelerated
-    # kernels and watch the ladder land on the python substrate.  The
+    # the substrate whose kernels run — so a chaos test can fail
+    # exactly the accelerated kernels and watch the ladder land on the
+    # python substrate.  A ``native`` substrate without a provider runs
+    # the python kernels, so ``kernel.python.raise`` is its seam.  The
     # generic ``apply`` path checks inline; the pre-resolved handlers
     # the fused pipeline binds at compile time are wrapped at
     # *resolution* time, so an unarmed process keeps the raw kernels.
 
+    #: The seam that fails only the kernels this substrate runs.
+    kernel_seam: str = f"kernel.{SUBSTRATE_PYTHON}.raise"
+
     def _trip_kernel(self) -> None:
         _faults.trip("kernel.raise", KernelFault)
-        _faults.trip(f"kernel.{self.name}.raise", KernelFault)
+        _faults.trip(self.kernel_seam, KernelFault)
 
     def _kernel_seams_armed(self) -> bool:
         return _faults.armed("kernel.raise") or \
-            _faults.armed(f"kernel.{self.name}.raise")
+            _faults.armed(self.kernel_seam)
 
     def _guarded(self, fn: Optional[Callable]) -> Optional[Callable]:
         if fn is None or not _faults.active() or \
@@ -183,6 +194,52 @@ _MPF_RND = {
 
 _FLIP_RND = {"c": "f", "f": "c"}
 
+#: The name the standalone ``libmp`` load runs under.  It is not
+#: ``mpmath.libmp``, so a later ``import mpmath`` still builds its own,
+#: complete package.
+_LIBMP_MODULE = "_repro_mpmath_libmp"
+
+
+def _import_libmp():
+    """mpmath's ``libmp`` kernels, without running ``mpmath/__init__``.
+
+    ``libmp`` only imports itself and the standard library, while the
+    package import also loads calculus, matrices and docs: about 2.6 MB
+    per process against 0.34 MB, and about 30 ms against 6.  A process
+    that already imported mpmath reuses its ``libmp``.  If the
+    standalone load fails, the plain import serves, and
+    :func:`substrate_fallbacks` records why.
+    """
+    for name in ("mpmath.libmp", _LIBMP_MODULE):
+        if name in sys.modules:
+            return sys.modules[name]
+    spec = importlib.util.find_spec("mpmath")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
+    directory = os.path.join(spec.submodule_search_locations[0], "libmp")
+    try:
+        libspec = importlib.util.spec_from_file_location(
+            _LIBMP_MODULE, os.path.join(directory, "__init__.py"),
+            submodule_search_locations=[directory],
+        )
+        module = importlib.util.module_from_spec(libspec)
+        # Registered before it runs: libmp's relative imports resolve
+        # through sys.modules.
+        sys.modules[_LIBMP_MODULE] = module
+        libspec.loader.exec_module(module)
+        return module
+    except Exception as error:
+        for name in [n for n in sys.modules
+                     if n.partition(".")[0] == _LIBMP_MODULE]:
+            del sys.modules[name]
+        reason = (f"standalone load failed: {type(error).__name__}: "
+                  f"{error}; imported all of mpmath")
+        _skipped["libmp"] = reason
+        logger.info("native substrate: %s", reason)
+    import mpmath.libmp
+
+    return mpmath.libmp
+
 
 class _MpmathProvider:
     """General-path kernels on mpmath's raw ``(sign, man, exp, bc)`` mpfs.
@@ -198,10 +255,7 @@ class _MpmathProvider:
     roundings = frozenset(_MPF_RND)
 
     def __init__(self) -> None:
-        import mpmath.libmp as libmp
-
-        self._L = libmp
-        L = libmp
+        L = self._L = _import_libmp()
         overflow_bits = transcendental._EXP_OVERFLOW_BITS
 
         def to_mp(b: BigFloat) -> tuple:
@@ -616,6 +670,7 @@ class NativeBackend(KernelBackend):
             self.provider = "python"
             return
         self.provider = provider.name
+        self.kernel_seam = f"kernel.{SUBSTRATE_NATIVE}.raise"
         for op, kernel in provider.kernels.items():
             special = _SPECIAL_HELPERS[op]
             self._dispatch[op] = _native_call(
@@ -770,5 +825,17 @@ def substrate_provider(name: str) -> str:
 
 def substrate_fallbacks(name: str) -> Dict[str, str]:
     """Why a substrate skipped each native provider it passed over
-    (provider name -> reason); empty when none was skipped."""
+    (provider name -> reason); empty when none was skipped.  A
+    ``libmp`` entry means mpmath serves, but through its full import
+    (:func:`_import_libmp`)."""
     return dict(get_backend(name).skipped)
+
+
+def substrate_status(name: str) -> Dict[str, Any]:
+    """What serves substrate ``name`` and what it passed over on the
+    way: the block ``/v1/stats`` and ``repro analyze --profile`` show."""
+    return {
+        "name": name,
+        "provider": substrate_provider(name),
+        "fallbacks": substrate_fallbacks(name),
+    }

@@ -31,7 +31,11 @@ from repro.api import (
     results_to_json,
     sample_box,
 )
-from repro.bigfloat import available_policies, available_substrates
+from repro.bigfloat import (
+    available_policies,
+    available_substrates,
+    substrate_status,
+)
 from repro.core import AnalysisConfig, generate_report
 from repro.fpcore import load_corpus, parse_expr, parse_fpcore
 from repro.fpcore.ast import free_variables
@@ -46,16 +50,21 @@ def _read_source(argument: str) -> str:
     return argument
 
 
+#: Plan options whose default is the one ``AnalysisConfig`` declares:
+#: the parser leaves them None unless given.
+_PLAN_OPTIONS = ("precision_policy", "working_precision", "engine",
+                 "substrate")
+
+
 def _session(args: argparse.Namespace, **config_fields) -> AnalysisSession:
     if getattr(args, "hw_tier", None) is not None:
         # Unset, the config's default follows REPRO_HWTIER.
         config_fields["hw_tier"] = args.hw_tier == "on"
+    for option in _PLAN_OPTIONS:
+        if getattr(args, option, None) is not None:
+            config_fields[option] = getattr(args, option)
     config = AnalysisConfig(
         shadow_precision=args.precision,
-        precision_policy=getattr(args, "precision_policy", "fixed"),
-        working_precision=getattr(args, "working_precision", 144),
-        engine=getattr(args, "engine", "compiled"),
-        substrate=getattr(args, "substrate", "python"),
         deadline_seconds=getattr(args, "deadline", None),
         op_budget=getattr(args, "op_budget", None),
         **config_fields,
@@ -131,7 +140,19 @@ def _command_analyze(args: argparse.Namespace) -> int:
     )
     result = session.analyze(core, profile=args.profile)
     _print_result(result, args.json)
+    if args.profile:
+        _print_substrate(session.config.substrate)
     return 0
+
+
+def _print_substrate(name: str) -> None:
+    """Which kernels served the shadow reals, and every provider passed
+    over on the way (stderr, so ``--json`` output stays one document)."""
+    status = substrate_status(name)
+    line = f"substrate: {name} -> {status['provider']}"
+    for skipped, reason in sorted(status["fallbacks"].items()):
+        line += f"; skipped {skipped} ({reason})"
+    print(line, file=sys.stderr)
 
 
 def _command_improve(args: argparse.Namespace) -> int:
@@ -164,6 +185,8 @@ def _command_corpus(args: argparse.Namespace) -> int:
     results = session.analyze_batch(
         selected, workers=args.workers, profile=args.profile
     )
+    if args.profile:
+        _print_substrate(session.config.substrate)
     if args.json:
         print(results_to_json(results))
         return 0
@@ -243,6 +266,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    default = AnalysisConfig()
     parser = argparse.ArgumentParser(
         prog="herbgrind-py",
         description="Find root causes of floating-point error (PLDI 2018 reproduction)",
@@ -261,13 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--backend", default="herbgrind",
                          choices=available_backends(),
                          help="analysis backend to run")
-    analyze.add_argument("--precision-policy", default="fixed",
+    analyze.add_argument("--precision-policy",
                          choices=available_policies(),
                          help="shadow precision tiering (adaptive escalates "
-                              "to --precision only when decisions need it)")
-    analyze.add_argument("--working-precision", type=int, default=144,
+                              "to --precision only when decisions need it; "
+                              f"default: {default.precision_policy})")
+    analyze.add_argument("--working-precision", type=int,
                          help="working-tier bits for --precision-policy "
-                              "adaptive")
+                              f"adaptive (default: "
+                              f"{default.working_precision})")
     analyze.add_argument("--hw-tier", choices=("on", "off"), default=None,
                          help="hardware double-double shadow tier below "
                               "the working tier (adaptive policy only; "
@@ -276,24 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cache-dir", metavar="DIR",
                          help="persist analysis results as JSON under DIR "
                               "and reuse them across runs")
-    analyze.add_argument("--engine", default="compiled",
+    analyze.add_argument("--engine",
                          choices=("compiled", "reference"),
                          help="execution engine: the threaded-code fast "
-                              "path (default) or the reference "
-                              "interpreter (identical results)")
-    analyze.add_argument("--substrate", default="python",
+                              "path or the reference interpreter "
+                              "(identical results; default: "
+                              f"{default.engine})")
+    analyze.add_argument("--substrate",
                          choices=available_substrates(),
-                         help="BigFloat kernel substrate: the pure-python "
-                              "reference (default) or the native "
-                              "gmpy2/mpmath kernels (identical reports, "
-                              "falls back to python when neither library "
-                              "is installed)")
+                         help="BigFloat kernel substrate: the native "
+                              "gmpy2/mpmath kernels, which fall back to "
+                              "python when neither library is installed, "
+                              "or the pure-python reference (identical "
+                              f"reports; default: {default.substrate})")
     analyze.add_argument("--json", action="store_true",
                          help="emit the AnalysisResult JSON serialization")
     analyze.add_argument("--profile", action="store_true",
                          help="count per-stage pipeline events and emit "
                               "them as extra.pipeline_profile in the "
-                              "result JSON (results are unchanged)")
+                              "result JSON (results are unchanged); "
+                              "print the substrate's provider and "
+                              "fallbacks to stderr")
     analyze.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="per-analysis wall-clock budget; exceeding "
@@ -330,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--backend", default="herbgrind",
                         choices=available_backends(),
                         help="analysis backend to run")
-    corpus.add_argument("--precision-policy", default="fixed",
+    corpus.add_argument("--precision-policy",
                         choices=available_policies(),
-                        help="shadow precision tiering")
-    corpus.add_argument("--working-precision", type=int, default=144,
-                        help="working-tier bits for adaptive tiering")
+                        help="shadow precision tiering (default: "
+                             f"{default.precision_policy})")
+    corpus.add_argument("--working-precision", type=int,
+                        help="working-tier bits for adaptive tiering "
+                             f"(default: {default.working_precision})")
     corpus.add_argument("--hw-tier", choices=("on", "off"), default=None,
                         help="hardware double-double shadow tier "
                              "(adaptive policy only; reports are "
@@ -342,20 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--cache-dir", metavar="DIR",
                         help="persist analysis results as JSON under DIR "
                              "and reuse them across runs")
-    corpus.add_argument("--engine", default="compiled",
+    corpus.add_argument("--engine",
                         choices=("compiled", "reference"),
-                        help="execution engine (results are identical)")
-    corpus.add_argument("--substrate", default="python",
+                        help="execution engine (results are identical; "
+                             f"default: {default.engine})")
+    corpus.add_argument("--substrate",
                         choices=available_substrates(),
                         help="BigFloat kernel substrate (reports are "
-                             "identical)")
+                             f"identical; default: {default.substrate})")
     corpus.add_argument("--workers", type=int, default=1,
                         help="worker processes for batch analysis")
     corpus.add_argument("--json", action="store_true",
                         help="emit AnalysisResult JSON for the batch")
     corpus.add_argument("--profile", action="store_true",
                         help="emit per-stage pipeline attribution in "
-                             "each result's extra.pipeline_profile")
+                             "each result's extra.pipeline_profile; "
+                             "print the substrate's provider and "
+                             "fallbacks to stderr")
     corpus.add_argument("--no-degrade", action="store_true",
                         help="disable the graceful-degradation ladder")
     corpus.add_argument("--faults", metavar="SPEC",

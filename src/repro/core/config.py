@@ -14,8 +14,9 @@ experiments can sweep them:
   ``escalation_guard_bits`` — the adaptive shadow-precision tiers
   (:mod:`repro.bigfloat.policy`); "fixed" reproduces the paper,
 * ``substrate`` — which BigFloat kernel substrate evaluates the
-  shadow reals (:mod:`repro.bigfloat.backend`); "python" is the
-  dependency-free reference, "native" uses gmpy2/mpmath when present.
+  shadow reals (:mod:`repro.bigfloat.backend`); "native" (the default)
+  uses gmpy2/mpmath when present, as the paper's MPFR shadows do,
+  "python" is the dependency-free reference.
 
 ``engine``, the precision-policy fields, ``substrate``, ``hw_tier`` and
 ``batched`` form the execution plan (:data:`PLAN_FIELDS`): they decide
@@ -101,12 +102,12 @@ class AnalysisConfig:
     precision_policy: str = "fixed"
 
     #: BigFloat kernel substrate for the shadow-real execution
-    #: (:mod:`repro.bigfloat.backend`): "python" runs the package's own
-    #: integer-limb kernels (the reference), "native" runs gmpy2 (MPFR)
-    #: or mpmath kernels when importable, falling back to "python"
-    #: when neither is.  Corpus reports are byte-identical across
+    #: (:mod:`repro.bigfloat.backend`): "native" runs gmpy2 (MPFR) or
+    #: mpmath kernels when importable, falling back to "python" when
+    #: neither is; "python" runs the package's own integer-limb kernels
+    #: (the reference).  Corpus reports are byte-identical across
     #: substrates (the substrate-parity suite enforces it).
-    substrate: str = "python"
+    substrate: str = "native"
 
     #: Working-tier precision of the adaptive policy.
     working_precision: int = 144

@@ -20,8 +20,10 @@ change, kept by every rung below it::
 
 A rung whose change leaves the plan that actually runs unchanged is
 skipped (a reference-engine, python-substrate, fixed-policy request
-has no ladder below it), and a non-degradable exception propagates
-immediately from whatever rung raised it.  Every rung keeps the
+has no ladder below it, and on a host where ``native`` resolves to the
+python kernels there is no python-substrate rung), and a
+non-degradable exception propagates immediately from whatever rung
+raised it.  Every rung keeps the
 request's digest, which leaves the plan out.  The winning rung records
 its path in ``result.extra["degradation"]`` — visible to in-process
 callers and the serving stats, but **stripped from the serialized
@@ -41,6 +43,7 @@ import dataclasses
 import logging
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.bigfloat.backend import substrate_provider
 from repro.core.config import (
     ENGINE_COMPILED,
     ENGINE_REFERENCE,
@@ -88,12 +91,13 @@ def classify(exc: BaseException) -> Optional[str]:
 
 def _runs(config) -> Tuple:
     """The plan ``config`` actually runs: the hardware tier exists only
-    under the adaptive policy, batching only on the compiled engine."""
+    under the adaptive policy, batching only on the compiled engine,
+    and the substrate is the provider its name resolves to."""
     return (
         resolve_hw_tier(config),
         config.batched and config.engine == ENGINE_COMPILED,
         config.engine,
-        config.substrate,
+        substrate_provider(config.substrate),
         config.precision_policy,
     )
 

@@ -271,6 +271,13 @@ class WorkerPool:
         #: Times a crash-looping slot was made to cool down.
         self.cooldowns = 0
         self._active = 0
+        # Resolve the default substrate (load and self-check its native
+        # provider) before the first fork, so every worker and respawn
+        # inherits it instead of paying for it on its first request.
+        from repro.bigfloat.backend import get_backend
+        from repro.core.config import AnalysisConfig
+
+        get_backend(AnalysisConfig().substrate)
         # Spawn the processes before the dispatcher threads so the
         # initial forks happen from a quiet (single-threaded) parent.
         self._workers = [_Worker(_pool_context(), worker_main)

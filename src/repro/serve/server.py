@@ -19,7 +19,8 @@ POST   ``/v1/batch``         ``{"requests": [...]}`` → per-request
 GET    ``/v1/result/<d>``    stored result for a digest, 404 on a miss
 GET    ``/v1/health``        liveness (``ok`` / ``draining``)
 GET    ``/v1/stats``         service, parse-table, pool and store
-                             counters
+                             counters, and the default substrate's
+                             provider and fallbacks
 ====== ===================== ==========================================
 
 Multiple server processes may share one ``--store-dir``; the store's

@@ -44,6 +44,8 @@ from repro.api.requests import PARSED_CORES, AnalysisRequest
 from repro.api.results import RESULT_SCHEMA_VERSION
 from repro.api.session import payload_digest
 from repro.api.store import ShardedResultStore, is_digest
+from repro.bigfloat.backend import substrate_status
+from repro.core.config import AnalysisConfig
 from repro.serve.pool import (
     AnalysisTimeout,
     PoolClosed,
@@ -630,6 +632,7 @@ class AnalysisService:
             "degraded_rungs": dict(self._degraded_rungs),
             "tier_residency": dict(self._tier_residency),
             "programs": PARSED_CORES.stats(),
+            "substrate": substrate_status(AnalysisConfig().substrate),
             "pool": self.pool.stats(),
             "store": self.store.stats() if self.store is not None else None,
         }

@@ -133,7 +133,7 @@ class TestRequestDigest:
 PLAN_CHANGES = {
     "engine": "reference",
     "precision_policy": "adaptive",
-    "substrate": "native",
+    "substrate": "python",
     "working_precision": 160,
     "escalation_guard_bits": 24,
     "hw_tier": False,

@@ -97,7 +97,7 @@ class TestConfigToDict:
     #: Every field away from its default, the optional ones set.
     FULL = AnalysisConfig(
         shadow_precision=512, engine="reference",
-        precision_policy="adaptive", substrate="native",
+        precision_policy="adaptive", substrate="python",
         working_precision=160, escalation_guard_bits=24,
         local_error_threshold=3.5, output_error_threshold=2.5,
         max_expression_depth=7, equivalence_depth=3,

@@ -10,7 +10,11 @@ unsupported rounding mode, failed self-check).
 
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -32,6 +36,8 @@ from repro.bigfloat.rounding import (
     ROUND_NEAREST_EVEN,
     ROUND_UP,
 )
+from repro.resilience import faults
+from repro.resilience.errors import KernelFault
 
 CONTEXT = Context(precision=200)
 PYTHON = get_backend("python")
@@ -300,6 +306,20 @@ class TestSelfCheck:
         assert backend.apply("log", [x], CONTEXT).key() == \
             PYTHON.apply("log", [x], CONTEXT).key()
 
+    def test_kernel_seam_follows_the_kernels_that_run(self, monkeypatch):
+        # Without a provider "native" runs the python kernels: the
+        # native seam has nothing to fail, the python seam fails both.
+        monkeypatch.setattr(
+            backend_mod, "_load_provider", lambda: None
+        )
+        backend = backend_mod.NativeBackend()
+        x = [BigFloat.from_float(2.5)]
+        with faults.injected("kernel.native.raise"):
+            backend.apply("log", x, CONTEXT)
+        with faults.injected("kernel.python.raise"):
+            with pytest.raises(KernelFault):
+                backend.apply("log", x, CONTEXT)
+
 
 class TestCbrtRegression:
     """PR 4's substrate self-check surfaced a latent seed bug: cbrt
@@ -373,3 +393,62 @@ class TestFallbackReasons:
         tried = self.PROVIDERS[:self.PROVIDERS.index(provider)] \
             if provider in self.PROVIDERS else self.PROVIDERS
         assert sorted(substrate_fallbacks("native")) == tried
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter on this checkout's ``src``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLibmpLoad:
+    """The mpmath provider loads ``libmp`` alone: the package import
+    costs about eight times the memory per process."""
+
+    def test_resolving_native_leaves_mpmath_unimported(self):
+        out = _run_fresh("""
+            import sys
+            from repro.bigfloat import substrate_provider
+
+            provider = substrate_provider("native")
+            assert "mpmath" not in sys.modules, sorted(sys.modules)
+            if provider == "mpmath":
+                assert "_repro_mpmath_libmp" in sys.modules
+                import mpmath  # the package still imports whole
+
+                assert mpmath.mpf(1) / 3 > 0.333
+            print(provider)
+        """)
+        assert out.split() in (["gmpy2"], ["mpmath"], ["python"])
+
+    def test_failed_standalone_load_imports_mpmath(self):
+        pytest.importorskip("mpmath")
+        out = _run_fresh("""
+            import importlib.util
+            import sys
+            from repro.bigfloat import backend
+
+            def gone():
+                raise ImportError("gmpy2 left out")
+
+            def broken(*args, **kwargs):
+                raise OSError("unreadable")
+
+            backend._Gmpy2Provider.__init__ = lambda self: gone()
+            importlib.util.spec_from_file_location = broken
+            assert backend.substrate_provider("native") == "mpmath"
+            assert "mpmath" in sys.modules
+            assert "_repro_mpmath_libmp" not in sys.modules
+            print(backend.substrate_fallbacks("native")["libmp"])
+        """)
+        assert out.strip() == ("standalone load failed: OSError: "
+                               "unreadable; imported all of mpmath")

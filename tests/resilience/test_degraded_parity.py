@@ -11,6 +11,7 @@ never change an answer — only its cost.
 import pytest
 
 from repro.api import AnalysisSession, results_to_json
+from repro.bigfloat import substrate_provider
 from repro.core import AnalysisConfig
 from repro.fpcore import load_corpus
 from repro.resilience import faults
@@ -75,9 +76,13 @@ class TestKernelFaultParity:
                 engine="compiled", substrate="native"
             )
         assert degraded == clean
+        # Without a native library "native" runs the python kernels,
+        # which this seam does not fail: nothing degrades.
+        expected = RUNG_PYTHON_SUBSTRATE \
+            if substrate_provider("native") != "python" else None
         for result in results:
-            assert result.extra["degradation"]["rung"] == \
-                RUNG_PYTHON_SUBSTRATE
+            assert result.extra.get("degradation", {}).get("rung") == \
+                expected
 
 
 class TestPolicyFaultParity:

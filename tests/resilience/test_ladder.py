@@ -4,6 +4,8 @@ retry driver — unit-level, with stub executors."""
 import pytest
 
 from repro.api import AnalysisSession, request_digest
+from repro.bigfloat import backend as backend_mod
+from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig
 from repro.machine.interpreter import MachineError
 from repro.resilience.errors import (
@@ -34,6 +36,25 @@ def _engine_defaults(monkeypatch):
     ``REPRO_HWTIER``, which a test leg may set."""
     monkeypatch.delenv("REPRO_BATCHED", raising=False)
     monkeypatch.delenv("REPRO_HWTIER", raising=False)
+
+
+class _StubProvider:
+    """A native provider that overrides no kernel: all the planner asks
+    is what ``native`` resolves to."""
+
+    name = "mpmath"
+    kernels = {}
+    roundings = frozenset()
+    double_fma = staticmethod(DOUBLE_HANDLERS["fma"])
+
+
+@pytest.fixture(autouse=True)
+def _native_library(monkeypatch):
+    """Plan as on a host with a native library, whichever this host
+    has: the python-substrate rung exists only when ``native`` resolves
+    to something other than the python kernels."""
+    monkeypatch.setattr(backend_mod, "_BACKENDS", {})
+    monkeypatch.setattr(backend_mod, "_load_provider", _StubProvider)
 
 
 def _request(**config_fields):
@@ -118,7 +139,20 @@ class TestPlanning:
     def test_batching_off_skips_the_sequential_rung(self):
         request = _request(engine="compiled", batched=False)
         plan = dict(DegradationLadder(enabled=True).plan(request))
-        assert list(plan) == [RUNG_REFERENCE]
+        assert list(plan) == [RUNG_REFERENCE, RUNG_PYTHON_SUBSTRATE]
+
+    def test_native_without_a_library_has_no_python_substrate_rung(
+        self, monkeypatch
+    ):
+        # There "native" runs the python kernels, so the rung would
+        # retry the very plan that failed.
+        monkeypatch.setattr(backend_mod, "_load_provider", lambda: None)
+        request = _request(precision_policy="adaptive")
+        assert request.config.substrate == "native"
+        plan = dict(DegradationLadder(enabled=True).plan(request))
+        assert list(plan) == [RUNG_WORKING_TIER, RUNG_SEQUENTIAL,
+                              RUNG_REFERENCE, RUNG_FIXED_POLICY]
+        assert plan[RUNG_FIXED_POLICY].config.substrate == "native"
 
     def test_bottom_configuration_has_no_ladder(self):
         request = _request(engine="reference", substrate="python",

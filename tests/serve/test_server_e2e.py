@@ -23,7 +23,7 @@ import pytest
 
 from repro.api import AnalysisSession, request_digest
 from repro.api.store import ShardedResultStore
-from repro.bigfloat.backend import substrate_provider
+from repro.bigfloat.backend import substrate_provider, substrate_status
 from repro.core import AnalysisConfig
 from repro.serve import ServeError, WorkerPool
 from repro.serve.server import ReproServer
@@ -95,6 +95,7 @@ class TestRoundTripParity:
             assert stats["service"]["computed"] == 1
             assert stats["pool"]["workers"] == 1
             assert stats["store"]["writes"] == 1
+            assert stats["substrate"] == substrate_status("native")
 
     def test_unknown_route_and_method(self, harness_factory):
         harness = harness_factory(workers=1)

@@ -2,6 +2,7 @@
 structured errors, and batch sharding — driven directly as coroutines."""
 
 import asyncio
+import importlib.util
 import json
 import logging
 
@@ -11,6 +12,7 @@ import repro.api.requests as requests_module
 from repro.api import AnalysisSession, request_digest
 from repro.api.requests import PARSED_CORE_LIMIT, PARSED_CORES
 from repro.api.store import ShardedResultStore
+from repro.bigfloat import backend as backend_mod
 from repro.core import AnalysisConfig
 from repro.serve.service import AnalysisService
 
@@ -454,6 +456,28 @@ class TestStats:
         # Every computed result ships a residency sidecar; the fixed
         # policy runs everything at the full tier.
         assert stats["tier_residency"]["hw_kernel_ops"] == 0
+
+    def test_stats_name_the_substrate_fallbacks(self, monkeypatch):
+        def broken(provider):
+            raise AssertionError(f"injected failure for {provider.name}")
+
+        monkeypatch.setattr(backend_mod, "_BACKENDS", {})
+        monkeypatch.setattr(backend_mod, "_run_self_check", broken)
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            stats = service.stats()
+            await service.close()
+            return stats
+
+        block = asyncio.run(scenario())["substrate"]
+        assert block["name"] == AnalysisConfig().substrate == "native"
+        assert block["provider"] == "python"
+        assert sorted(block["fallbacks"]) == ["gmpy2", "mpmath"]
+        for name, reason in block["fallbacks"].items():
+            if importlib.util.find_spec(name) is not None:
+                assert reason == ("self-check failed: AssertionError: "
+                                  f"injected failure for {name}")
 
     def test_stats_aggregate_hw_tier_residency(self):
         # hw_tier set explicitly: a test leg may switch the default off

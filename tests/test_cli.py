@@ -123,3 +123,43 @@ class TestCli:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out.split()
         assert {"herbgrind", "fpdebug", "verrou", "bz"} <= set(out)
+
+    @pytest.mark.parametrize("command", [["analyze", "(FPCore (x) x)"],
+                                         ["corpus"]])
+    def test_unset_plan_options_take_the_config_defaults(self, command):
+        from repro.cli import _session
+        from repro.core import AnalysisConfig
+        from repro.core.config import PLAN_FIELDS
+
+        args = build_parser().parse_args(command)
+        config = _session(args).config
+        default = AnalysisConfig()
+        for name in PLAN_FIELDS:
+            assert getattr(config, name) == getattr(default, name), name
+        assert config.substrate == "native"
+
+    def test_plan_options_override_the_defaults(self):
+        from repro.cli import _session
+
+        args = build_parser().parse_args([
+            "corpus", "--substrate", "python", "--engine", "reference",
+            "--precision-policy", "adaptive", "--working-precision", "160",
+        ])
+        config = _session(args).config
+        assert (config.substrate, config.engine, config.precision_policy,
+                config.working_precision) == \
+            ("python", "reference", "adaptive", 160)
+
+    def test_profile_prints_the_substrate(self, capsys):
+        from repro.bigfloat import substrate_provider
+
+        code = main([
+            "analyze", "(FPCore (x) :pre (<= 1 x 2) (+ x 1))",
+            "--points", "2", "--precision", "96", "--json", "--profile",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)  # stdout stays one JSON document
+        assert captured.err.startswith(
+            f"substrate: native -> {substrate_provider('native')}"
+        )
