@@ -26,9 +26,11 @@ study's prose describes).
 
 from __future__ import annotations
 
+import linecache
 import operator
+import re
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bigfloat import BigFloat, make_policy
 from repro.bigfloat import arith
@@ -82,11 +84,9 @@ POOL_EPOCH_IDENTS = 1 << 14
 
 
 #: Double-double kernels by operation (the generic analysis path);
-#: the site steps resolve from the same tables per site.
-_DD_UNARY = {"sqrt": dd_sqrt, "neg": dd_neg, "fabs": dd_abs}
-_DD_GENERIC = dict(DD_KERNELS)
-_DD_GENERIC.update(_DD_UNARY)
-_DD_GENERIC["fma"] = dd_fma
+#: the site steps resolve from the same table per site.
+_DD_GENERIC = dict(DD_KERNELS, sqrt=dd_sqrt, neg=dd_neg, fabs=dd_abs,
+                   fma=dd_fma)
 _DD_ARITY = {"+": 2, "-": 2, "*": 2, "/": 2,
              "sqrt": 1, "neg": 1, "fabs": 1, "fma": 3}
 
@@ -260,7 +260,7 @@ class HerbgrindAnalysis(Tracer):
         #: Memo hits that also replayed the per-execution tail: the
         #: anti-unification walk and the characteristic updates were
         #: skipped because the site's expression had not changed since
-        #: the ident's last walk (see _build_fused_binary).
+        #: the ident's last walk (see _SITE_STEP_TEMPLATE).
         self.tail_replays = 0
         #: Per-analysis resource budgets, or None (the common case —
         #: the per-op tick must cost nothing when no budget is set).
@@ -300,11 +300,6 @@ class HerbgrindAnalysis(Tracer):
         #: ``profile``), fresh per analysis.
         self.stage_counters = PipelineStageCounters()
         self._profile = profile
-        #: Cached shadow state of interned constant leaves, reusable
-        #: across executions because everything in it is
-        #: value-determined; entries are (pool epoch, value bits,
-        #: shadow) and get a new ident when the pool starts a new epoch.
-        self._leaf_shadows: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Record lookup
@@ -541,42 +536,17 @@ class HerbgrindAnalysis(Tracer):
                 record.pending_trace = None
 
     def on_const(self, instr: isa.Instr, box: FloatBox) -> None:
-        pool = self.pool
-        if pool is None:
-            box.shadow = ShadowValue(
-                self._leaf_real(box.value),
-                trace_mod.const_leaf(box.value, getattr(instr, "loc", None)),
-                EMPTY_INFLUENCES,
-            )
-            return
-        # One dict hit in the warm case: a Const instruction always
-        # produces the same value, so its shadow is a pure function of
-        # the instruction (loop bodies replay these endlessly).  The
-        # entry is epoch-stamped: when the pool starts a new epoch its
-        # idents restart, so a stale shadow is re-interned (reusing its
-        # value-determined BigFloat state) instead of leaking a dead
-        # ident, and the bits in the key keep a recycled instruction id
-        # from aliasing a different constant.
-        epoch = pool.epoch
-        bits = _double_bits(box.value)
-        entry = self._leaf_shadows.get(id(instr))
-        if entry is not None and entry[0] == epoch and entry[1] == bits:
-            box.shadow = entry[2]
-            return
-        leaf = pool.const_ident(
-            box.value, getattr(instr, "loc", None), site=id(instr)
+        # The compiled engines bind fused_const_callback instead, which
+        # caches the leaf's shadow per site and pool epoch.
+        loc = getattr(instr, "loc", None)
+        leaf = (
+            self.pool.const_ident(box.value, loc, site=id(instr))
+            if self.pool is not None
+            else trace_mod.const_leaf(box.value, loc)
         )
-        if entry is not None and entry[1] == bits:
-            old = entry[2]
-            shadow = ShadowValue(old.real, leaf, EMPTY_INFLUENCES)
-            shadow.rounded = old.rounded
-            shadow.total_error = old.total_error
-        else:
-            shadow = ShadowValue(
-                self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
-            )
-        self._leaf_shadows[id(instr)] = (epoch, bits, shadow)
-        box.shadow = shadow
+        box.shadow = ShadowValue(
+            self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
+        )
 
     def on_read(self, instr: isa.Read, box: FloatBox, index: int) -> None:
         # Input leaves are per-execution (each Read fires once per run
@@ -815,9 +785,9 @@ class HerbgrindAnalysis(Tracer):
 
     # ------------------------------------------------------------------
     # The site-compiled fused pipeline (the compiled engine's per-op
-    # hot path): one step per (site, config), built at program compile
-    # time, updating flat per-site state in a single pass.  The
-    # sequential and the batched engine call the same steps.
+    # hot path): one step per site, bound at program compile time to
+    # the variant of _SITE_STEP_TEMPLATE its arity and flags select.
+    # The sequential and the batched engine call the same steps.
     # ------------------------------------------------------------------
 
     def fused_site_callback(self, instr: isa.Instr, op: str, arity: int,
@@ -834,8 +804,9 @@ class HerbgrindAnalysis(Tracer):
         the engine-parity suite enforces byte-identical reports — with
         the per-op costs paid once per site instead: the ⟦f⟧_R kernel
         and ⟦f⟧_F handler are pre-resolved, the record and its tables
-        are bound after their lazy creation, policy flags are
-        constants, and traces stay integer idents end to end.
+        are bound after their lazy creation, the code is the variant
+        generated for the site's (arity, flags), and traces stay
+        integer idents end to end.
         """
         if not self.compiled or arity not in (1, 2):
             return None
@@ -846,451 +817,42 @@ class HerbgrindAnalysis(Tracer):
         fn_double = DOUBLE_HANDLERS.get(op)
         if fn_double is None:
             return None
-        # Raw positional kernel (no argument tuple, no wrapper frame)
-        # when the substrate serves this op through the stock python
-        # dispatch; otherwise the wrapped handler.
-        kernel2 = self.backend.positional_handler(op, arity)
-        if arity == 2:
-            callback = self._build_fused_binary(
-                instr, op, kernel, kernel2, fn_double, single
-            )
-        else:
-            callback = self._build_fused_unary(
-                instr, op, kernel, kernel2, fn_double, single
-            )
+        config = self.config
+        pool = self.pool
         guard = self._guard
-        if guard is not None and callback is not None:
-            # Budgeted analyses wrap each fused closure with the guard
-            # tick at compile time; unguarded analyses (the common
-            # case) keep the raw closure — zero added cost per op.
-            tick = guard.tick
-            inner = callback
-            if arity == 2:
-                def callback(sa, sb, av, bv, value):  # noqa: F811
-                    tick()
-                    return inner(sa, sb, av, bv, value)
-            else:
-                def callback(sa, av, value):  # noqa: F811
-                    tick()
-                    return inner(sa, av, value)
-        return callback
-
-    def _build_fused_binary(self, instr, op, kernel, kernel2,
-                            fn_double, single):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        compensating = config.detect_compensation and op in ("+", "-")
-        is_sub = op == "-"
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
         hw = self._hw
-        dd_kernel = DD_KERNELS.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        # ⟦f⟧_F on rounded shadow args equals the machine's own result
-        # when the rounded args are bit-identical to the machine args —
-        # valid only when the site isn't single-rounded and the machine
-        # executed the very same handler.
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
+        make_step = _site_step_factory(
+            arity, escalates=self._escalates, hw=hw,
+            compensating=arity == 2 and config.detect_compensation
+            and op in ("+", "-"),
+            profile=self._profile, guarded=guard is not None,
         )
-        # Warm-path inlining of the pool's interning probe: the table
-        # and memo objects survive begin_execution (clear(), not
-        # reassignment).
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        memo = pool.memo
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        returns_arg = self._returns_argument
-        record = None
-        generalization = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
-
-        def run(sa, sb, av, bv, value):
-            nonlocal record, generalization, fast_walk, bail_walk
-            nonlocal total_record, prob_record
-            ta = sa.trace
-            tb = sb.trace
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
-            # --- memo probe -------------------------------------------
-            # An ident this site already analysed replays its shadow,
-            # local error and compensation verdict (pure functions of
-            # the ident) and skips straight to the per-execution stages.
-            node_key = (site, ta, tb)
-            node = ops_table.get(node_key)
-            entry = memo[node] if node is not None else None
-            if entry is not None:
-                shadow, error_bits, passthrough, walked = entry
-                self.memo_hits += 1
-                if walked is generalization.expression:
-                    # --- tail replay ----------------------------------
-                    # The ident's last walk ran against this very
-                    # expression object on the fast path with no NaN
-                    # binding: the walk would return the same bindings,
-                    # and re-adding them to the input summaries
-                    # changes nothing a report reads.  Only the
-                    # per-execution counts move.
-                    record.executions += 1
-                    record.sum_local_error += error_bits
-                    if error_bits > record.max_local_error:
-                        record.max_local_error = error_bits
-                    if passthrough is not None:
-                        record.compensations_detected += 1
-                    elif error_bits > threshold:
-                        record.candidate_executions += 1
-                    record.pending_trace = node
-                    self.tail_replays += 1
-                    if counters is not None:
-                        counters.fused_ops += 1
-                    return shadow
-                is_candidate = error_bits > threshold
-            else:
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    xb = sb.real
-                    if type(xa) is DD and type(xb) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo, xb.hi, xb.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            promote(sb)
-                            self.hw_promotions += 1
-                    elif type(xa) is DD or type(xb) is DD:
-                        promote(sa)
-                        promote(sb)
-                        self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif raw:
-                    real = kernel2(sa.real, sb.real, context)
-                else:
-                    real = kernel((sa.real, sb.real), context)
-                # --- trace stage --------------------------------------
-                if node is None:
-                    node = new_op(node_key, op, (ta, tb), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif is_sub and ta == tb:
-                    # x - x over the same shadowed value is exactly zero
-                    # at every tier (see _analyse_operation).
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real, sb.real), (sa.drift, sb.drift), real,
-                        exact_op,
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real, sb.real], [sa.drift, sb.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                rb = sb.rounded
-                if rb is None:
-                    rb = rounded_of(sb)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and rb == bv \
-                        and ra != 0.0 and rb != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra, rb)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                passthrough = None
-                if compensating and real.is_finite():
-                    # The compensation test (see
-                    # _compensation_passthrough), inlined up to its
-                    # real-valued equality: condition (b) — the output
-                    # must have *less* error than the passed-through
-                    # argument — reads errors cached on the shadows and
-                    # almost always fails with both argument errors at
-                    # zero, in which case the output error is never
-                    # even computed (out >= 0 = arg both ways).
-                    ea = sa.total_error
-                    if ea is None:
-                        ea = sa.total_error = (
-                            0.0 if av == ra else err_of(av, ra)
-                        )
-                    eb = sb.total_error
-                    if eb is None:
-                        eb = sb.total_error = (
-                            0.0 if bv == rb else err_of(bv, rb)
-                        )
-                    if ea > 0.0 or eb > 0.0:
-                        out_error = shadow.total_error
-                        if out_error is None:
-                            out_error = shadow.total_error = (
-                                0.0 if value == exact_rounded
-                                else err_of(value, exact_rounded)
-                            )
-                        if out_error < ea and \
-                                returns_arg(op, 0, sa, sb, shadow):
-                            passthrough = 0
-                        elif out_error < eb and \
-                                returns_arg(op, 1, sb, sa, shadow):
-                            passthrough = 1
-                if passthrough is not None:
-                    influences = (sa if passthrough == 0 else sb).influences
-                else:
-                    ia = sa.influences
-                    ib = sb.influences
-                    if ia:
-                        influences = (ia | ib) if ib else ia
-                    elif ib:
-                        influences = ib
-                    else:
-                        influences = empty
-                    if is_candidate and track:
-                        influences = influences | {record}
-                shadow.influences = influences
-            # record.record_execution(error_bits), inlined.
-            record.executions += 1
-            record.sum_local_error += error_bits
-            if error_bits > record.max_local_error:
-                record.max_local_error = error_bits
-            if passthrough is not None:
-                record.compensations_detected += 1
-            # --- expression + characteristics stage -------------------
-            walked = generalization.expression
-            bindings = fast_walk(pool, node) if walked is not None else None
-            if bindings is None:
-                __, bindings = bail_walk(pool, node)
-                walked = None
-            else:
-                walked = _replayable(walked, bindings)
-            record.pending_trace = node
-            total_record(bindings)
-            if is_candidate and passthrough is None:
-                prob_record(bindings)
-                if record.example_problematic is None and bindings:
-                    record.example_problematic = dict(bindings)
-                record.candidate_executions += 1
-            if counters is not None:
-                counters.fused_ops += 1
-                counters.characteristic_updates += len(bindings)
-                if entry is None:
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    if compensating:
-                        counters.compensation_checks += 1
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-            memo[node] = (shadow, error_bits, passthrough, walked)
-            return shadow
-        return run
-
-    def _build_fused_unary(self, instr, op, kernel, kernel2,
-                           fn_double, single):
-        config = self.config
-        pool = self.pool
-        site = id(instr)
-        loc = getattr(instr, "loc", None)
-        context = self.context
-        escalates = self._escalates
-        policy = self.policy
-        threshold = config.local_error_threshold
-        track = config.track_influences
-        counters = self.stage_counters if self._profile else None
-        hw = self._hw
-        dd_kernel = _DD_UNARY.get(op) if hw else None
-        propagate_hw = policy.propagate_hw if hw else None
-        promote = self._promote_shadow
-        DD = DoubleDouble
-        shortcut = (
-            not single
-            and self.backend.double_handlers.get(op) is fn_double
+        return make_step(
+            self, instr, op, site=id(instr), loc=getattr(instr, "loc", None),
+            context=self.context, policy=self.policy, kernel=kernel,
+            # Raw positional kernel (no argument tuple, no wrapper
+            # frame) when the substrate serves this op through the
+            # stock python dispatch; otherwise None (the wrapped one).
+            kernel2=self.backend.positional_handler(op, arity),
+            fn_double=fn_double,
+            dd_kernel=_DD_GENERIC.get(op)
+            if hw and _DD_ARITY.get(op) == arity else None,
+            # ⟦f⟧_F on rounded shadow args equals the machine's own
+            # result when the rounded args are bit-identical to the
+            # machine args — valid only when the site isn't
+            # single-rounded and the machine executed the very same
+            # handler.
+            shortcut=not single
+            and self.backend.double_handlers.get(op) is fn_double,
+            is_sub=op == "-", threshold=config.local_error_threshold,
+            track=config.track_influences, counters=self.stage_counters,
+            tick=guard.tick if guard is not None else None,
+            # Warm-path inlining of the pool's interning probe: the
+            # table and memo objects survive begin_execution (clear(),
+            # not reassignment).
+            pool=pool, ops_table=pool._ops_table, new_op=pool.new_op,
+            memo=pool.memo,
         )
-        ops_table = pool._ops_table
-        new_op = pool.new_op
-        memo = pool.memo
-        raw = kernel2 is not None
-        empty = EMPTY_INFLUENCES
-        rounded_of = self._rounded
-        new_shadow = ShadowValue
-        err_of = bits_of_error_fast
-        record = None
-        generalization = None
-        fast_walk = None
-        bail_walk = None
-        total_record = None
-        prob_record = None
-
-        def run(sa, av, value):
-            nonlocal record, generalization, fast_walk, bail_walk
-            nonlocal total_record, prob_record
-            ta = sa.trace
-            if record is None:
-                record = self._op_record(instr, op)
-                generalization = record.generalization
-                fast_walk = generalization._fast_update_pooled
-                bail_walk = generalization.bail_update_pooled
-                total_record = record.total_inputs.record_many
-                prob_record = record.problematic_inputs.record_many
-            # --- memo probe (see _build_fused_binary) -----------------
-            node_key = (site, ta)
-            node = ops_table.get(node_key)
-            entry = memo[node] if node is not None else None
-            if entry is not None:
-                shadow = entry[0]
-                error_bits = entry[1]
-                self.memo_hits += 1
-                if entry[3] is generalization.expression:
-                    # --- tail replay (see _build_fused_binary) --------
-                    record.executions += 1
-                    record.sum_local_error += error_bits
-                    if error_bits > record.max_local_error:
-                        record.max_local_error = error_bits
-                    if error_bits > threshold:
-                        record.candidate_executions += 1
-                    record.pending_trace = node
-                    self.tail_replays += 1
-                    if counters is not None:
-                        counters.fused_ops += 1
-                    return shadow
-                is_candidate = error_bits > threshold
-            else:
-                # --- kernel stage -------------------------------------
-                real = None
-                exact_op = False
-                if hw:
-                    xa = sa.real
-                    if type(xa) is DD:
-                        if dd_kernel is not None:
-                            dd = dd_kernel(xa.hi, xa.lo)
-                            if dd is not None:
-                                real = DD(dd[0], dd[1])
-                                exact_op = dd[2]
-                                self.hw_kernel_ops += 1
-                        if real is None:
-                            promote(sa)
-                            self.hw_promotions += 1
-                if real is not None:
-                    pass
-                elif raw:
-                    real = kernel2(sa.real, context)
-                else:
-                    real = kernel((sa.real,), context)
-                # --- trace stage --------------------------------------
-                if node is None:
-                    node = new_op(node_key, op, (ta,), value, loc)
-                if not escalates:
-                    drift = EXACT
-                elif type(real) is DD:
-                    drift = propagate_hw(
-                        op, (sa.real,), (sa.drift,), real, exact_op
-                    )
-                else:
-                    drift = policy.propagate(
-                        op, [sa.real], [sa.drift], real
-                    )
-                shadow = new_shadow(real, node, empty, drift)
-                # --- error stage --------------------------------------
-                ra = sa.rounded
-                if ra is None:
-                    ra = rounded_of(sa)
-                if escalates:
-                    exact_rounded = rounded_of(shadow)
-                else:
-                    exact_rounded = real.to_float()
-                    shadow.rounded = exact_rounded
-                if shortcut and ra == av and ra != 0.0:
-                    float_result = value
-                else:
-                    float_result = fn_double(ra)
-                if float_result == exact_rounded:
-                    error_bits = 0.0
-                else:
-                    error_bits = err_of(float_result, exact_rounded)
-                is_candidate = error_bits > threshold
-                # --- influence stage ----------------------------------
-                influences = sa.influences
-                if is_candidate and track:
-                    influences = influences | {record}
-                shadow.influences = influences
-            # record.record_execution(error_bits), inlined.
-            record.executions += 1
-            record.sum_local_error += error_bits
-            if error_bits > record.max_local_error:
-                record.max_local_error = error_bits
-            # --- expression + characteristics stage -------------------
-            walked = generalization.expression
-            bindings = fast_walk(pool, node) if walked is not None else None
-            if bindings is None:
-                __, bindings = bail_walk(pool, node)
-                walked = None
-            else:
-                walked = _replayable(walked, bindings)
-            record.pending_trace = node
-            total_record(bindings)
-            if is_candidate:
-                prob_record(bindings)
-                if record.example_problematic is None and bindings:
-                    record.example_problematic = dict(bindings)
-                record.candidate_executions += 1
-            if counters is not None:
-                counters.fused_ops += 1
-                counters.characteristic_updates += len(bindings)
-                if entry is None:
-                    counters.kernel_evals += 1
-                    counters.trace_interned += 1
-                    if error_bits == 0.0:
-                        counters.error_fast += 1
-                    else:
-                        counters.error_exact += 1
-                    if hw:
-                        if type(real) is DD:
-                            counters.hw_tier_ops += 1
-                        else:
-                            counters.working_tier_ops += 1
-            memo[node] = (shadow, error_bits, None, walked)
-            return shadow
-        return run
 
     def fused_const_callback(self, instr: isa.Instr):
         """A per-site constant-shadow callback (see ``on_const``).
@@ -1401,7 +963,7 @@ class HerbgrindAnalysis(Tracer):
         the real-valued equality of (a) is rarely reached.  Pure
         reordering of a conjunction — the verdict is unchanged.  Takes
         the machine values raw (not boxed); the binary site step
-        inlines this prefix and shares :meth:`_returns_argument`.
+        inlines the zero-error early-out and calls this for the rest.
         """
         if not result_shadow.real.is_finite():
             return None
@@ -1610,6 +1172,312 @@ def _replayable(expression, bindings) -> object:
         if value != value:
             return None
     return expression
+
+
+#: The compiled engine's per-op analysis step, written once for both
+#: arities (see :meth:`HerbgrindAnalysis.fused_site_callback`) and
+#: specialized per variant by :func:`_render_site_step`.  Lines between
+#: ``@if COND``, ``@else`` and ``@end``, and a line ending in
+#: ``  @if COND``, are kept or dropped by COND over the flags
+#: ``binary``, ``escalates``, ``hw``, ``compensating``, ``profile`` and
+#: ``guarded``.  ``{PATTERN}`` containing ``$`` becomes PATTERN once per
+#: argument, ``$`` its index, joined by ``", "`` or by the text after a
+#: ``|``; a run of other lines containing ``$`` repeats once per
+#: argument.  Arguments are numbered (shadows ``s0``, values ``v0``,
+#: idents ``t0``, rounded shadows ``r0``, ...).  Nothing a request
+#: supplies enters the text: every per-site value is an argument of
+#: ``make_step``.
+_SITE_STEP_TEMPLATE = '''\
+def make_step(self, instr, op, *, site, loc, context, policy, kernel,
+              kernel2, fn_double, dd_kernel, shortcut, is_sub, threshold,
+              track, counters, tick, pool, ops_table, new_op, memo):
+    propagate_hw = policy.propagate_hw  @if hw
+    promote = self._promote_shadow  @if hw
+    rounded_of = self._rounded
+    raw = kernel2 is not None
+    record = generalization = fast_walk = bail_walk = None
+    total_record = prob_record = None
+
+    def step({s$}, {v$}, value):
+        nonlocal record, generalization, fast_walk, bail_walk
+        nonlocal total_record, prob_record
+        tick()  @if guarded
+        t$ = s$.trace
+        if record is None:
+            # Bound at the first execution, so site ids follow the
+            # reference engine's numbering.
+            record = self._op_record(instr, op)
+            generalization = record.generalization
+            fast_walk = generalization._fast_update_pooled
+            bail_walk = generalization.bail_update_pooled
+            total_record = record.total_inputs.record_many
+            prob_record = record.problematic_inputs.record_many
+        # --- memo probe -----------------------------------------------
+        # An ident this site already analysed replays its shadow, local
+        # error and compensation verdict (pure functions of the ident)
+        # and skips straight to the per-execution stages.
+        node_key = (site, {t$})
+        node = ops_table.get(node_key)
+        entry = memo[node] if node is not None else None
+        if entry is not None:
+            shadow, error_bits, passthrough, walked = entry
+            self.memo_hits += 1
+            if walked is generalization.expression:
+                # --- tail replay --------------------------------------
+                # The ident's last walk ran against this very expression
+                # object on the fast path with no NaN binding: the walk
+                # would return the same bindings, and re-adding them to
+                # the input summaries changes nothing a report reads.
+                # Only the per-execution counts move.
+                record.executions += 1
+                record.sum_local_error += error_bits
+                if error_bits > record.max_local_error:
+                    record.max_local_error = error_bits
+                if passthrough is not None:  @if compensating
+                    record.compensations_detected += 1  @if compensating
+                elif error_bits > threshold:  @if compensating
+                if error_bits > threshold:  @if not compensating
+                    record.candidate_executions += 1
+                record.pending_trace = node
+                self.tail_replays += 1
+                counters.fused_ops += 1  @if profile
+                return shadow
+            is_candidate = error_bits > threshold
+        else:
+            # --- kernel stage: the hardware pair, then BigFloat -------
+            real = None  @if escalates
+            exact_op = False  @if escalates
+@if hw
+            x$ = s$.real
+            if {type(x$) is DoubleDouble| and } and dd_kernel is not None:
+                dd = dd_kernel({x$.hi, x$.lo})
+                if dd is not None:
+                    real = DoubleDouble(dd[0], dd[1])
+                    exact_op = dd[2]
+                    self.hw_kernel_ops += 1
+            if real is None and ({type(x$) is DoubleDouble| or }):
+                # An uncovered op or a kernel bail-out: the BigFloat
+                # kernel takes over, on arguments of one type.
+                promote(s$)
+                self.hw_promotions += 1
+@end
+@if escalates
+            if real is not None:
+                pass
+            elif raw:
+@else
+            if raw:
+@end
+                real = kernel2({s$.real}, context)
+            else:
+                real = kernel(({s$.real},), context)
+            # --- trace stage ------------------------------------------
+            if node is None:
+                node = new_op(node_key, op, ({t$},), value, loc)
+            # --- drift stage ------------------------------------------
+@if not escalates
+            drift = EXACT
+@else
+@if binary
+            if is_sub and t0 == t1:
+                # x - x over the same shadowed value is exactly zero at
+                # every tier (see _analyse_operation).
+                drift = EXACT
+            elif type(real) is DoubleDouble:
+@else
+            if type(real) is DoubleDouble:
+@end
+                drift = propagate_hw(
+                    op, ({s$.real},), ({s$.drift},), real, exact_op
+                )
+            else:
+                drift = policy.propagate(
+                    op, [{s$.real}], [{s$.drift}], real
+                )
+@end
+            shadow = ShadowValue(real, node, EMPTY_INFLUENCES, drift)
+            # --- error stage ------------------------------------------
+            r$ = s$.rounded
+            if r$ is None:
+                r$ = rounded_of(s$)
+            exact_rounded = rounded_of(shadow)  @if escalates
+            exact_rounded = real.to_float()  @if not escalates
+            shadow.rounded = exact_rounded  @if not escalates
+            if shortcut and {r$ == v$| and } and {r$ != 0.0| and }:
+                float_result = value
+            else:
+                float_result = fn_double({r$})
+            if float_result == exact_rounded:
+                error_bits = 0.0
+            else:
+                error_bits = bits_of_error_fast(float_result, exact_rounded)
+            is_candidate = error_bits > threshold
+            # --- compensation stage -----------------------------------
+            passthrough = None
+@if compensating
+            if real.is_finite():
+                # The compensation test's early-out, inlined: condition
+                # (b) of _compensation_passthrough — the output must
+                # have *less* error than the passed-through argument —
+                # almost always fails with both argument errors at zero
+                # (out >= 0 = arg both ways), which these cached errors
+                # settle; only the rest takes the method.
+                e$ = s$.total_error
+                if e$ is None:
+                    e$ = bits_of_error_fast(v$, r$) if v$ != r$ else 0.0
+                    s$.total_error = e$
+                if e0 > 0.0 or e1 > 0.0:
+                    passthrough = self._compensation_passthrough(
+                        op, (s0, s1), shadow, (v0, v1), value
+                    )
+@end
+            # --- influence stage --------------------------------------
+@if binary
+            i0 = s0.influences
+            i1 = s1.influences
+            if i0:
+                influences = (i0 | i1) if i1 else i0
+            elif i1:
+                influences = i1
+            else:
+                influences = EMPTY_INFLUENCES
+@else
+            influences = s0.influences
+@end
+            if is_candidate and track:
+                influences = influences | {record}
+@if compensating
+            if passthrough is not None:
+                # A compensating op passes on the influences of the
+                # argument it returns, and only those.
+                influences = (s0 if passthrough == 0 else s1).influences
+@end
+            shadow.influences = influences
+        # record.record_execution(error_bits), inlined.
+        record.executions += 1
+        record.sum_local_error += error_bits
+        if error_bits > record.max_local_error:
+            record.max_local_error = error_bits
+        if passthrough is not None:  @if compensating
+            record.compensations_detected += 1  @if compensating
+        # --- walk stage -----------------------------------------------
+        walked = generalization.expression
+        bindings = fast_walk(pool, node) if walked is not None else None
+        if bindings is None:
+            __, bindings = bail_walk(pool, node)
+            walked = None
+        else:
+            walked = _replayable(walked, bindings)
+        record.pending_trace = node
+        # --- characteristics stage ------------------------------------
+        total_record(bindings)
+        if is_candidate and passthrough is None:  @if compensating
+        if is_candidate:  @if not compensating
+            prob_record(bindings)
+            if record.example_problematic is None and bindings:
+                record.example_problematic = dict(bindings)
+            record.candidate_executions += 1
+@if profile
+        # --- counters stage -------------------------------------------
+        counters.fused_ops += 1
+        counters.characteristic_updates += len(bindings)
+        if entry is None:
+            counters.kernel_evals += 1
+            counters.trace_interned += 1
+            if error_bits == 0.0:
+                counters.error_fast += 1
+            else:
+                counters.error_exact += 1
+            counters.compensation_checks += 1  @if compensating
+@if hw
+            if type(real) is DoubleDouble:
+                counters.hw_tier_ops += 1
+            else:
+                counters.working_tier_ops += 1
+@end
+@end
+        # --- memo store -----------------------------------------------
+        memo[node] = (shadow, error_bits, passthrough, walked)
+        return shadow
+    return step
+'''
+
+#: The flags that select a site-step variant, besides its arity.
+_SITE_STEP_FLAGS = ("escalates", "hw", "compensating", "profile", "guarded")
+
+#: ``make_step`` factories by (arity, *flags), each generated on first
+#: use, once per process, and bound per site (never generated per site).
+_SITE_STEP_FACTORIES: Dict[tuple, Callable] = {}
+
+_PER_ARGUMENT = re.compile(r"\{([^{}|]*\$[^{}|]*)(?:\|([^{}]*))?\}")
+
+
+def _site_step_factory(arity: int, **flags: bool) -> Callable:
+    """The ``make_step`` factory of one site-step variant; the code is
+    compiled under its own filename, with its source in
+    :mod:`linecache` for tracebacks and profilers."""
+    key = (arity,) + tuple(bool(flags[name]) for name in _SITE_STEP_FLAGS)
+    factory = _SITE_STEP_FACTORIES.get(key)
+    if factory is None:  # threads racing here only generate it twice
+        flags = dict(zip(_SITE_STEP_FLAGS, key[1:]), binary=arity == 2)
+        source = _render_site_step(arity, flags)
+        filename = "<site-step arity={} {}>".format(
+            arity, " ".join(name for name in _SITE_STEP_FLAGS if flags[name])
+        )
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        # This module's globals, so the steps resolve names as code
+        # written here would; ``make_step`` lands in ``namespace``.
+        namespace: Dict[str, Callable] = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)  # noqa: S102
+        factory = _SITE_STEP_FACTORIES[key] = namespace["make_step"]
+    return factory
+
+
+def _render_site_step(arity: int, flags: Dict[str, bool]) -> str:
+    """:data:`_SITE_STEP_TEMPLATE`'s text for one variant."""
+
+    def joined(match) -> str:
+        separator = ", " if match.group(2) is None else match.group(2)
+        return separator.join(
+            match.group(1).replace("$", str(i)) for i in range(arity)
+        )
+
+    lines: List[str] = []
+    run: List[str] = []  # the current run of lines still containing "$"
+    # Open @if blocks: (enclosing block active, a branch taken).
+    blocks: List[Tuple[bool, bool]] = []
+    active = True
+    # The template ends in a newline: its last, empty line ends any run.
+    for line in _SITE_STEP_TEMPLATE.split("\n"):
+        directive = line.strip()
+        if not directive.startswith("@"):
+            line, __, condition = line.partition("  @if ")
+            if not active or condition and not eval(condition, {}, flags):
+                continue
+            line = _PER_ARGUMENT.sub(joined, line)
+            if "$" in line:
+                run.append(line)
+                continue
+        lines.extend(
+            text.replace("$", str(i)) for i in range(arity) for text in run
+        )
+        run.clear()
+        if directive.startswith("@if "):
+            taken = active and bool(eval(directive[4:], {}, flags))
+            blocks.append((active, taken))
+            active = taken
+        elif directive == "@else":
+            outer, taken = blocks[-1]
+            active = outer and not taken
+        elif directive == "@end":
+            active = blocks.pop()[0]
+        elif directive.startswith("@"):
+            raise ValueError(f"unknown template directive {directive!r}")
+        else:
+            lines.append(line)
+    return "\n".join(lines)
 
 
 #: Branch predicates over (non-NaN) shadow reals; BigFloat comparisons

@@ -560,7 +560,8 @@ class CompiledProgram:
         on_op = self._on_op
         single = instr.single
         # Site-compiled analysis pipeline: the tracer may hand back a
-        # per-site step, compiled once per (site, config), that replaces
+        # per-site step, bound once per site (its code generated once
+        # per process for its arity and config flags), that replaces
         # the generic on_op dispatch entirely.
         site_cb = self.tracer.fused_site_callback(
             instr, instr.op, len(src_slots), single

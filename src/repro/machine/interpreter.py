@@ -51,7 +51,9 @@ class Tracer:
         The compiled and batched engines query this once per float-op /
         wrapped library-call instruction at compile time.  A non-None
         return replaces the per-event ``on_op``/``on_library`` dispatch
-        for that site.  The engine computes the machine result itself
+        for that site; the Herbgrind analysis binds it from one
+        template, generated once per process per arity and config
+        flags, never per site.  The engine computes the machine result itself
         and calls the step with unboxed arguments —
         ``step(sa, sb, av, bv, value)`` or ``step(sa, av, value)``:
         argument shadows, argument values, result value — filling a

@@ -4,7 +4,8 @@ The acceptance bar of the compiled engine is *byte-identical*
 ``AnalysisResult`` JSON against the reference engine — across the
 whole corpus, under both precision policies, through the batch API,
 and for every setting of the compiled engine's two switches (batched
-lockstep execution and the profile counters).
+lockstep execution and the profile counters) and of the config
+switches that select a site-step variant.
 """
 
 import pytest
@@ -100,8 +101,34 @@ def analysis_signature(analysis):
 
 
 class TestLayerAttribution:
-    """Every setting of the compiled engine's two switches must match
-    the reference engine exactly, under both precision policies."""
+    """Every setting of the compiled engine's switches must match the
+    reference engine exactly, under both precision policies.
+
+    The plans add the config switches that select a site-step variant
+    (``repro.core.analysis._SITE_STEP_TEMPLATE``) beside the policy and
+    the profile: the hardware tier on and off, a generous op budget (the
+    guarded variants) and compensation detection off.  Together with
+    the chosen programs' unary, ``+``/``-`` and ``*`` sites they reach
+    every (arity, flags) variant (``test_inputs_reach_every_variant``).
+    """
+
+    #: ``hw_tier`` is pinned where it matters, so the CI leg that sets
+    #: ``REPRO_HWTIER=0`` still reaches the hardware-tier variants.
+    PLANS = {
+        "hw-on": {"hw_tier": True},
+        "hw-off": {"hw_tier": False},
+        "guarded": {"op_budget": 10 ** 12, "hw_tier": True},
+        "guarded-hw-off": {"op_budget": 10 ** 12, "hw_tier": False},
+        "no-compensation": {"detect_compensation": False},
+    }
+
+    @staticmethod
+    def chosen():
+        from repro.fpcore.printer import format_fpcore
+
+        corpus = load_corpus()
+        return [c for c in corpus if "(while" in format_fpcore(c)][:2] \
+            + corpus[:4]
 
     @pytest.mark.parametrize("profile", [False, True],
                              ids=["counters-off", "counters-on"])
@@ -109,28 +136,71 @@ class TestLayerAttribution:
                              ids=["sequential", "batched"])
     @pytest.mark.parametrize("policy", ["fixed", "adaptive"])
     def test_each_stack_is_report_identical(self, policy, batched, profile):
-        from repro.fpcore.printer import format_fpcore
         from repro.machine import compile_fpcore
         from repro.api.sampling import sample_inputs
 
-        corpus = load_corpus()
-        chosen = [c for c in corpus if "(while" in format_fpcore(c)][:2] \
-            + corpus[:4]
-        reference = AnalysisConfig(engine="reference", precision_policy=policy)
-        compiled = AnalysisConfig(engine="compiled", precision_policy=policy,
-                                  batched=batched)
-        for core in chosen:
-            program = compile_fpcore(core)
-            points = sample_inputs(core, 3, seed=3)
-            base, __ = analyze_program(program, points, config=reference)
-            fast, __ = analyze_program(
-                program, points, config=compiled, profile=profile,
+        for plan, switches in self.PLANS.items():
+            if batched and "op_budget" in switches:
+                continue  # a budget turns batching off: the sequential leg
+            reference = AnalysisConfig(
+                engine="reference", precision_policy=policy, **switches
             )
-            assert analysis_signature(fast) == analysis_signature(base), \
-                f"{core.name} diverged (batched={batched}, profile={profile})"
-            if profile:
-                counters = fast.stage_counters
-                assert counters.fused_ops + counters.generic_ops > 0
+            compiled = AnalysisConfig(
+                engine="compiled", precision_policy=policy, batched=batched,
+                **switches,
+            )
+            for core in self.chosen():
+                program = compile_fpcore(core)
+                points = sample_inputs(core, 3, seed=3)
+                base, __ = analyze_program(program, points, config=reference)
+                fast, __ = analyze_program(
+                    program, points, config=compiled, profile=profile,
+                )
+                assert analysis_signature(fast) == \
+                    analysis_signature(base), \
+                    f"{core.name} diverged (batched={batched}, " \
+                    f"profile={profile}, plan={plan})"
+                if profile:
+                    counters = fast.stage_counters
+                    assert counters.fused_ops + counters.generic_ops > 0
+
+    def test_inputs_reach_every_variant(self, monkeypatch):
+        from repro.core import HerbgrindAnalysis
+        from repro.core import analysis as analysis_mod
+        from repro.machine import compile_fpcore
+        from repro.machine.compiled import CompiledProgram
+
+        selected = set()
+        factory = analysis_mod._site_step_factory
+
+        def recording(arity, **flags):
+            selected.add((arity,) + tuple(
+                flags[name] for name in analysis_mod._SITE_STEP_FLAGS
+            ))
+            return factory(arity, **flags)
+
+        monkeypatch.setattr(analysis_mod, "_site_step_factory", recording)
+        for policy in ("fixed", "adaptive"):
+            for switches in self.PLANS.values():
+                for profile in (False, True):
+                    config = AnalysisConfig(precision_policy=policy,
+                                            **switches)
+                    for core in self.chosen():
+                        CompiledProgram(
+                            compile_fpcore(core),
+                            tracer=HerbgrindAnalysis(config, profile=profile),
+                        )
+        # (escalates, hw): fixed, adaptive with the tier off, and on;
+        # only a binary + or - site can be compensating.
+        every = {
+            (arity, escalates, hw, compensating, profile, guarded)
+            for arity in (1, 2)
+            for escalates, hw in ((False, False), (True, False), (True, True))
+            for compensating in ((False, True) if arity == 2 else (False,))
+            for profile in (False, True)
+            for guarded in (False, True)
+        }
+        assert selected == every
 
 
 class TestReferenceStack:
