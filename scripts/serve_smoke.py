@@ -14,6 +14,8 @@ on every push:
 * SIGKILLing an analysis worker mid-replay loses zero requests: the
   pool respawns the worker and client retries absorb the structured
   500s, with every body still byte-identical,
+* every result served as ``computed`` is on disk under ``--store-dir``
+  with the served bytes (the worker persists it before replying),
 * SIGTERM drains gracefully and the process exits 0, with an idle
   keep-alive connection still open (the drain closes it rather than
   waiting on it).
@@ -38,7 +40,7 @@ import time
 from repro.api import AnalysisSession
 from repro.core import AnalysisConfig
 from repro.fpcore import load_corpus
-from repro.serve import ServeClient
+from repro.serve import ServeClient, ShardedResultStore
 
 LISTENING = "repro-serve listening on http://"
 
@@ -127,12 +129,16 @@ def main(argv=None) -> int:
             client = ServeClient(port=port, timeout=120)
             assert client.health()["status"] == "ok"
 
+            # Digest -> body of every reply served as "computed".
+            computed = {}
+
             # Seeded replay: every benchmark cold once, then repeats
             # in a shuffled order that must all come back warm.
             rng = random.Random(args.seed)
             for request, expected in requests:
                 reply = client.analyze(request)
                 assert reply.source == "computed", reply.source
+                computed[reply.digest] = reply.text
                 assert reply.text == expected, (
                     f"parity mismatch on {request.name}"
                 )
@@ -159,14 +165,17 @@ def main(argv=None) -> int:
             def fire():
                 with ServeClient(port=port, timeout=120) as one:
                     barrier.wait()
-                    return one.analyze(fresh).source
+                    return one.analyze(fresh)
 
             with concurrent.futures.ThreadPoolExecutor(
                 args.dedupe_clients
             ) as executor:
-                sources = list(executor.map(
+                replies = list(executor.map(
                     lambda _: fire(), range(args.dedupe_clients)
                 ))
+            sources = [reply.source for reply in replies]
+            computed.update((reply.digest, reply.text) for reply in replies
+                            if reply.source == "computed")
             stats = client.stats()["service"]
             assert sources.count("computed") <= 1, sources
             assert stats["dedupe_hits"] > 0, stats
@@ -199,6 +208,8 @@ def main(argv=None) -> int:
                     assert reply.text == expected, (
                         f"chaos parity mismatch on {request.name}"
                     )
+                    if reply.source == "computed":
+                        computed[reply.digest] = reply.text
             if victims:
                 assert killed is not None
                 pool_stats = client.stats()["pool"]
@@ -206,6 +217,13 @@ def main(argv=None) -> int:
             else:
                 print("warning: no /proc worker scan; chaos kill "
                       "skipped", file=sys.stderr)
+            # Every computed result reached the store before its 200,
+            # the SIGKILLed worker's retried request included.
+            on_disk = ShardedResultStore(store_dir)
+            for digest, text in computed.items():
+                assert on_disk.get_text(digest) == text, (
+                    f"served result {digest} is not on disk as served"
+                )
             client.close()
             # An idle keep-alive connection, parked between requests,
             # stays open across SIGTERM: the drain must close it
@@ -242,7 +260,8 @@ def main(argv=None) -> int:
                   if killed is not None else "chaos kill skipped")
     print(f"serve smoke ok: {len(requests)} benchmarks cold+warm, "
           f"dedupe_hits={stats['dedupe_hits']}, "
-          f"computed={stats['computed']}, {chaos_note}, "
+          f"computed={stats['computed']}, {len(computed)} computed "
+          f"results on disk, {chaos_note}, "
           f"graceful SIGTERM exit with an idle keep-alive connection")
     return 0
 

@@ -36,7 +36,9 @@ with the callers: :meth:`ShardedResultStore.load` runs a caller's
 decoder as the read's one parse (:class:`repro.api.session.ResultCache`
 decodes straight to an ``AnalysisResult``), and the serving path
 (:mod:`repro.serve.service`) ships the stored bytes verbatim — a warm
-response is byte-identical to the cold one by construction.
+response is byte-identical to the cold one by construction.  Served
+results are written by the pool worker that computed them
+(:func:`repro.serve.pool.serve_request`), not by the server process.
 """
 
 from __future__ import annotations
@@ -147,7 +149,14 @@ class ShardedResultStore:
         just a miss next time.
         """
         self._check(digest)
-        ok = self._write(digest, text)
+        return self.count_write(self._write(digest, text))
+
+    def count_write(self, ok: bool) -> bool:
+        """Count one write attempt in :meth:`stats`; returns ``ok``.
+
+        :meth:`put_text` counts its own writes; the serving layer calls
+        this for the writes its pool workers made on its behalf.
+        """
         if ok:
             self.writes += 1
         else:

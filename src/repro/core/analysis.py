@@ -156,11 +156,11 @@ class PipelineStageCounters:
     operations analysed by the site steps — sequential and batched
     lanes alike — and ``generic_ops`` those that went through the
     generic ``_analyse_operation`` walk.  Both count *executed*
-    operations.  The shadow-stage counters (``kernel_evals``,
-    ``trace_interned``, the error, compensation and tier counters)
-    count *computed* ones: a site-step op whose ident is memoized in
-    the pool (:attr:`HerbgrindAnalysis.memo_hits`, batched lanes
-    included) skips those stages.  ``antiunify_fast``,
+    operations.  The shadow-stage counters (``kernel_evals``, the
+    error, compensation and tier counters) count *computed* ones: a
+    site-step op whose ident is memoized in the pool
+    (:attr:`HerbgrindAnalysis.memo_hits`, batched lanes included)
+    skips those stages.  ``antiunify_fast``,
     ``antiunify_merge`` and ``characteristic_updates`` count walks
     actually run: a memo hit whose site expression is unchanged since
     the ident's last walk (:attr:`HerbgrindAnalysis.tail_replays`)
@@ -168,10 +168,10 @@ class PipelineStageCounters:
     """
 
     __slots__ = ("fused_ops", "generic_ops", "kernel_evals",
-                 "trace_interned", "error_fast", "error_exact",
+                 "error_fast", "error_exact",
                  "antiunify_fast", "antiunify_merge",
                  "characteristic_updates", "compensation_checks",
-                 "hw_tier_ops", "working_tier_ops")
+                 "working_tier_ops")
 
     def __init__(self) -> None:
         self.reset()
@@ -180,7 +180,6 @@ class PipelineStageCounters:
         self.fused_ops = 0
         self.generic_ops = 0
         self.kernel_evals = 0
-        self.trace_interned = 0
         self.error_fast = 0
         self.error_exact = 0
         self.antiunify_fast = 0
@@ -188,9 +187,8 @@ class PipelineStageCounters:
         self.characteristic_updates = 0
         self.compensation_checks = 0
         #: Tier residency (hardware tier on only): operations whose
-        #: shadow was served by the double-double kernels vs. by the
-        #: BigFloat working tier.
-        self.hw_tier_ops = 0
+        #: shadow the BigFloat working tier computed rather than the
+        #: double-double kernels (those are ``hw_kernel_ops``).
         self.working_tier_ops = 0
 
     def to_dict(self) -> Dict[str, int]:
@@ -671,11 +669,8 @@ class HerbgrindAnalysis(Tracer):
                 return
         if profile:
             self.stage_counters.kernel_evals += 1
-            if self._hw:
-                if type(real_result) is DoubleDouble:
-                    self.stage_counters.hw_tier_ops += 1
-                else:
-                    self.stage_counters.working_tier_ops += 1
+            if self._hw and type(real_result) is not DoubleDouble:
+                self.stage_counters.working_tier_ops += 1
         record = self._op_record(instr, op)
         if pool is not None:
             node = pool.op_ident(
@@ -692,8 +687,6 @@ class HerbgrindAnalysis(Tracer):
                 result.value,
                 instr.loc,
             )
-        if profile:
-            self.stage_counters.trace_interned += 1
         if not self._escalates:
             drift = EXACT
         elif (
@@ -1383,18 +1376,13 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
         counters.characteristic_updates += len(bindings)
         if entry is None:
             counters.kernel_evals += 1
-            counters.trace_interned += 1
             if error_bits == 0.0:
                 counters.error_fast += 1
             else:
                 counters.error_exact += 1
             counters.compensation_checks += 1  @if compensating
-@if hw
-            if type(real) is DoubleDouble:
-                counters.hw_tier_ops += 1
-            else:
-                counters.working_tier_ops += 1
-@end
+            if type(real) is not DoubleDouble:  @if hw
+                counters.working_tier_ops += 1  @if hw
 @end
         # --- memo store -----------------------------------------------
         memo[node] = (shadow, error_bits, passthrough, walked)

@@ -14,22 +14,18 @@ non-floating-point computation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
-
-_box_counter = itertools.count()
 
 
 class FloatBox:
     """A mutable-identity box holding one double and optional shadow state."""
 
-    __slots__ = ("value", "shadow", "ident")
+    __slots__ = ("value", "shadow")
 
     def __init__(self, value: float, shadow: Optional[object] = None) -> None:
         self.value = value
         self.shadow = shadow
-        self.ident = next(_box_counter)
 
     def __repr__(self) -> str:
         tag = " shadowed" if self.shadow is not None else ""
-        return f"<FloatBox #{self.ident} {self.value!r}{tag}>"
+        return f"<FloatBox at {id(self):#x} {self.value!r}{tag}>"

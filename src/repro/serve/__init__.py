@@ -15,7 +15,7 @@ shape::
 Pieces:
 
 * :mod:`repro.serve.pool`    — supervised worker processes (timeouts,
-  crash recovery, bounded queue, drain),
+  crash recovery, bounded queue, drain) that persist what they compute,
 * :mod:`repro.serve.service` — digest-addressed serving core: memory
   LRU → sharded store → in-flight dedupe → pool,
 * :mod:`repro.serve.server`  — the asyncio streams HTTP shell and the
@@ -35,6 +35,7 @@ from repro.serve.pool import (
     PoolClosed,
     PoolError,
     QueueFull,
+    Shard,
     WorkerCrashed,
     WorkerPool,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ServeError",
     "ServeOutcome",
     "ServeReply",
+    "Shard",
     "ShardedResultStore",
     "WorkerCrashed",
     "WorkerPool",

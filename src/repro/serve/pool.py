@@ -23,11 +23,14 @@ its own ``multiprocessing`` processes:
   late submits raise :class:`PoolClosed` (HTTP 503), workers exit
   cleanly.
 
-The task payload is a **list of request dicts** (a shard); the future
-resolves to a list of reply tuples, one per request, in order:
-``("ok", result_json_text)``, ``("invalid", error_type, message)`` for
-a program or input the analysis rejects
-(:class:`~repro.resilience.errors.InvalidInputError`),
+The default worker's task payload is a :class:`Shard`: request dicts,
+their digests, and the root of the result store its successes persist
+to.  The pool only forwards a payload (and scales its deadline by the
+payload's length), so a custom ``worker_main`` may take any sized
+payload.  The future resolves to a list of reply tuples, one per
+request, in order: ``("ok", result_json_text, sidecar_json, stored)``,
+``("invalid", error_type, message)`` for a program or input the
+analysis rejects (:class:`~repro.resilience.errors.InvalidInputError`),
 ``("op_budget", error_type, message)`` for an analysis that spent its
 ``op_budget`` (:class:`~repro.resilience.errors.OpBudgetExceeded`), or
 ``("error", error_type, message)``.
@@ -38,6 +41,8 @@ exceptions on the future.
 
 from __future__ import annotations
 
+import itertools
+import json
 import multiprocessing
 import os
 import queue
@@ -45,10 +50,41 @@ import stat
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Sized, Tuple,
+)
+
+from repro.api.requests import AnalysisRequest
+from repro.api.session import _execute
+from repro.api.store import ShardedResultStore
+from repro.resilience import faults as _faults
+from repro.resilience.errors import InvalidInputError, OpBudgetExceeded
 
 #: Reply tuples the default worker sends back, one per request dict.
-Reply = Tuple[str, ...]
+Reply = Tuple[Any, ...]
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One task for the default worker: requests, and where results go.
+
+    ``digests`` name the requests' store entries, one per request.
+    ``store_root`` is the root of the
+    :class:`~repro.api.store.ShardedResultStore` every ``ok`` result is
+    written to before the worker replies; None persists nothing.
+    """
+
+    requests: List[Dict[str, Any]]
+    digests: Sequence[str] = ()
+    store_root: Optional[str] = None
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def items(self) -> Iterator[Tuple[Dict[str, Any], Optional[str]]]:
+        """``(request dict, digest)`` pairs, in order."""
+        return zip(self.requests, self.digests or itertools.repeat(None))
 
 
 class PoolError(Exception):
@@ -71,68 +107,77 @@ class WorkerCrashed(PoolError):
     """The worker process died mid-task."""
 
 
-def _analysis_worker_main(conn) -> None:
-    """Worker-process loop: shard of request dicts in, replies out.
+#: Result stores of this worker process, one per root.
+_STORES: Dict[str, ShardedResultStore] = {}
+
+
+def serve_request(data: Dict[str, Any], digest: Optional[str] = None,
+                  store_root: Optional[str] = None) -> Reply:
+    """The default worker's body for one request dict: its reply tuple.
 
     Runs :func:`repro.api.session._execute` — the same no-cache path
-    ``analyze_batch`` workers use — and serializes each result with
+    ``analyze_batch`` workers use — and serializes the result with
     ``to_json()`` so the serving layer ships bytes identical to an
     in-process ``AnalysisSession``.  Any exception an analysis raises
     becomes an ``("invalid", ...)``, ``("op_budget", ...)`` or
     ``("error", type, message)`` reply; only process death is a crash.
 
-    A result with process-local metadata — a degradation record the
-    ladder produced, or precision-tier residency counters — gains a
-    third reply element with a JSON sidecar object holding them.  The
-    body bytes stay identical to the clean run (``to_json()`` strips
-    both), and the service feeds the sidecar into ``/v1/stats``.
+    An ``ok`` reply is ``("ok", text, sidecar, stored)``.  ``sidecar``
+    is a JSON object holding the result's process-local metadata — a
+    degradation record the ladder produced, precision-tier residency
+    counters — or None.  The body bytes stay identical to the clean run
+    (``to_json()`` strips both), and the service feeds the sidecar into
+    ``/v1/stats``.  With a ``store_root``, the text is written to that
+    store under ``digest`` before the reply is built, so the entry is on
+    disk before the server answers; ``stored`` says whether the write
+    landed (None when no store was named).  A failed write costs only
+    the entry, never the reply.
 
     The ``worker.exit`` fault seam (:mod:`repro.resilience.faults`,
     inherited through the fork via ``REPRO_FAULTS``) kills the process
     mid-task with ``os._exit`` — indistinguishable from a segfault or
     an OOM kill, which is the point.
     """
-    import json as _json
+    if _faults.active() and _faults.fire("worker.exit"):
+        os._exit(3)  # noqa: SLF001 — simulate a hard crash
+    try:
+        result = _execute(AnalysisRequest.from_dict(data))
+        text = result.to_json()
+    except InvalidInputError as exc:
+        return ("invalid", type(exc).__name__, str(exc))
+    except OpBudgetExceeded as exc:
+        return ("op_budget", type(exc).__name__, str(exc))
+    except Exception as exc:  # noqa: BLE001 — reply, don't die
+        return ("error", type(exc).__name__, str(exc))
+    sidecar = {}
+    degradation = result.extra.get("degradation")
+    if degradation is not None:
+        sidecar["degradation"] = degradation
+    residency = result.extra.get("tier_residency")
+    if residency is not None:
+        sidecar["tier_residency"] = residency
+    stored = None
+    if store_root is not None:
+        store = _STORES.get(store_root)
+        if store is None:
+            store = _STORES[store_root] = ShardedResultStore(store_root)
+        stored = store.put_text(digest, text)
+    return ("ok", text,
+            json.dumps(sidecar, sort_keys=True) if sidecar else None,
+            stored)
 
-    from repro.api.requests import AnalysisRequest
-    from repro.api.session import _execute
-    from repro.resilience import faults as _faults
-    from repro.resilience.errors import InvalidInputError, OpBudgetExceeded
 
+def _analysis_worker_main(conn) -> None:
+    """Worker-process loop: a :class:`Shard` in, its replies out."""
     while True:
         try:
-            payload = conn.recv()
+            shard = conn.recv()
         except (EOFError, OSError):
             break
-        if payload is None:
+        if shard is None:
             break
-        replies: List[Reply] = []
-        for data in payload:
-            if _faults.active() and _faults.fire("worker.exit"):
-                os._exit(3)  # noqa: SLF001 — simulate a hard crash
-            try:
-                request = AnalysisRequest.from_dict(data)
-                result = _execute(request)
-                sidecar = {}
-                degradation = result.extra.get("degradation")
-                if degradation is not None:
-                    sidecar["degradation"] = degradation
-                residency = result.extra.get("tier_residency")
-                if residency is not None:
-                    sidecar["tier_residency"] = residency
-                if sidecar:
-                    replies.append((
-                        "ok", result.to_json(),
-                        _json.dumps(sidecar, sort_keys=True),
-                    ))
-                else:
-                    replies.append(("ok", result.to_json()))
-            except InvalidInputError as exc:
-                replies.append(("invalid", type(exc).__name__, str(exc)))
-            except OpBudgetExceeded as exc:
-                replies.append(("op_budget", type(exc).__name__, str(exc)))
-            except Exception as exc:  # noqa: BLE001 — reply, don't die
-                replies.append(("error", type(exc).__name__, str(exc)))
+        replies = [serve_request(data, digest, shard.store_root)
+                   for data, digest in shard.items()]
         try:
             conn.send(replies)
         except (BrokenPipeError, OSError):
@@ -298,10 +343,10 @@ class WorkerPool:
 
     def submit(
         self,
-        shard: List[Dict[str, Any]],
+        shard: Sized,
         timeout: Optional[float] = None,
     ) -> "Future[List[Reply]]":
-        """Queue one shard (list of request dicts) for a worker.
+        """Queue one shard (a :class:`Shard` for the default worker).
 
         Returns a thread-safe future resolving to the reply list.  The
         per-shard deadline defaults to the pool's ``timeout`` scaled by

@@ -5,7 +5,7 @@ the HTTP layer (:mod:`repro.serve.server`) is a thin shell over it, and
 tests drive it directly.  One request flows::
 
     payload dict ─ validate ─ digest ─ memory LRU ─ sharded store ─
-      in-flight map ─ worker pool ─ store write ─ response
+      in-flight map ─ worker pool (compute ─ store write) ─ response
 
 * **Warm path**: a digest found in the in-process LRU or the shared
   :class:`~repro.api.store.ShardedResultStore` is answered from the
@@ -19,9 +19,15 @@ tests drive it directly.  One request flows::
   digest-keyed ``asyncio.Future`` — exactly one computation runs, and
   every waiter (including failures) receives that one outcome.
 * **Cold path**: misses go to the supervised
-  :class:`~repro.serve.pool.WorkerPool`; queue saturation surfaces as
-  HTTP 429, shutdown as 503, per-request timeouts as 504, worker death
-  as 500, a spent ``op_budget`` as 422 — always as structured JSON
+  :class:`~repro.serve.pool.WorkerPool` as a
+  :class:`~repro.serve.pool.Shard` that names each request's digest
+  and the store root.  The worker that computed a result writes it to
+  the store before replying, so the entry is on disk before the 200
+  and the event loop never blocks on a store write; the reply says
+  whether the write landed, which ``/v1/stats`` counts.  Queue
+  saturation surfaces as HTTP 429, shutdown as 503, per-request
+  timeouts as 504, worker death as 500, a spent ``op_budget`` as 422 —
+  always as structured JSON
   ``{"error": {type, message, digest}}``, never a hung or silently
   closed connection.
 
@@ -50,6 +56,7 @@ from repro.serve.pool import (
     AnalysisTimeout,
     PoolClosed,
     QueueFull,
+    Shard,
     WorkerCrashed,
     WorkerPool,
 )
@@ -156,6 +163,8 @@ class AnalysisService:
         poison_threshold: int = 3,
     ) -> None:
         self.store = store
+        #: Where pool workers persist the results they compute.
+        self._store_root = store.root if store is not None else None
         self.pool = pool if pool is not None else WorkerPool(
             workers=workers, queue_limit=queue_limit, timeout=timeout
         )
@@ -342,7 +351,9 @@ class AnalysisService:
         if poisoned is not None:
             return poisoned
         try:
-            pool_future = self.pool.submit([data])
+            pool_future = self.pool.submit(
+                Shard([data], [digest], self._store_root)
+            )
         except QueueFull as exc:
             self.counters.rejected += 1
             return ServeOutcome(
@@ -372,20 +383,24 @@ class AnalysisService:
             )
         return self._absorb(digest, reply)
 
-    def _absorb(self, digest: str, reply: Tuple[str, ...]) -> ServeOutcome:
-        """Turn one worker reply into an outcome, persisting successes."""
+    def _absorb(self, digest: str, reply: Tuple[Any, ...]) -> ServeOutcome:
+        """Turn one worker reply into an outcome.
+
+        The worker already wrote a success to the store; its reply says
+        whether the write landed, which the store's counters record.
+        """
         if reply[0] == "ok":
-            text = reply[1]
+            _, text, sidecar, stored = reply
             self.counters.computed += 1
             self._infra_failures.pop(digest, None)
-            if len(reply) > 2:
+            if sidecar is not None:
                 # Metadata sidecar from the worker (degradation trail,
                 # tier residency): the body is byte-identical to a
                 # clean run; only the stats move.
-                self._note_sidecar(digest, reply[2])
+                self._note_sidecar(digest, sidecar)
             self._memory_put(digest, text)
-            if self.store is not None:
-                self.store.put_text(digest, text)
+            if stored is not None:  # the shard named our store
+                self.store.count_write(stored)
             return ServeOutcome(200, text, digest, SOURCE_COMPUTED)
         kind, error_type, message = reply
         if kind == "invalid":
@@ -564,9 +579,10 @@ class AnalysisService:
         if not live:
             return _fill(shard_outcomes)
         digests = [digest for digest, _ in live]
-        payload = [data for _, data in live]
         try:
-            pool_future = self.pool.submit(payload)
+            pool_future = self.pool.submit(Shard(
+                [data for _, data in live], digests, self._store_root
+            ))
         except QueueFull as exc:
             self.counters.rejected += len(live)
             shard_outcomes.update({

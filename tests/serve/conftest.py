@@ -6,7 +6,9 @@ synchronous tests can drive it with :class:`repro.serve.ServeClient`.
 
 ``selective_worker_main`` is a drop-in for the pool's default worker
 that reads directives out of the benchmark *name* — ``crash-me`` dies
-with ``os._exit``, ``slowpoke`` sleeps before computing — so tests can
+with ``os._exit``, ``slowpoke`` sleeps before computing — and then
+hands the request to the default worker's own per-request body
+(:func:`repro.serve.pool.serve_request`), so tests can
 provoke worker crashes, timeouts, and queue backpressure with plain,
 valid ``AnalysisRequest`` payloads flowing through the full stack.
 """
@@ -30,28 +32,23 @@ def selective_worker_main(conn):
     import os
     import time
 
-    from repro.api.requests import AnalysisRequest
-    from repro.api.session import _execute
+    from repro.serve.pool import serve_request
 
     while True:
         try:
-            payload = conn.recv()
+            shard = conn.recv()
         except (EOFError, OSError):
             break
-        if payload is None:
+        if shard is None:
             break
         replies = []
-        for data in payload:
+        for data, digest in shard.items():
             core = data.get("core", "") if isinstance(data, dict) else ""
             if "crash-me" in core:
                 os._exit(3)
             if "slowpoke" in core:
                 time.sleep(SLOW_SECONDS)
-            try:
-                request = AnalysisRequest.from_dict(data)
-                replies.append(("ok", _execute(request).to_json()))
-            except Exception as exc:  # noqa: BLE001
-                replies.append(("error", type(exc).__name__, str(exc)))
+            replies.append(serve_request(data, digest, shard.store_root))
         conn.send(replies)
 
 

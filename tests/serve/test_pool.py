@@ -11,6 +11,7 @@ from repro.serve.pool import (
     AnalysisTimeout,
     PoolClosed,
     QueueFull,
+    Shard,
     WorkerCrashed,
     WorkerPool,
 )
@@ -77,14 +78,16 @@ class TestDispatch:
         request = session.request(CORE)
         expected = session.analyze(request).to_json()
         with WorkerPool(workers=1) as pool:
-            [reply] = pool.submit([request.to_dict()]).result(
+            [reply] = pool.submit(Shard([request.to_dict()])).result(
                 timeout=120
             )
-        # The third element, when present, is the process-local sidecar
-        # (degradation trail / tier residency) — never part of the JSON.
-        tag, text = reply[0], reply[1]
+        # The third element is the process-local sidecar (degradation
+        # trail / tier residency) — never part of the JSON; the fourth
+        # is None because the shard named no store.
+        tag, text, _, stored = reply
         assert tag == "ok"
         assert text == expected
+        assert stored is None
 
     def test_worker_compiles_each_program_once(self, tmp_path,
                                                 monkeypatch):
@@ -109,7 +112,7 @@ class TestDispatch:
         with WorkerPool(workers=1) as pool:
             texts = []
             for request in requests:
-                [reply] = pool.submit([request.to_dict()]).result(
+                [reply] = pool.submit(Shard([request.to_dict()])).result(
                     timeout=120
                 )
                 assert reply[0] == "ok"
@@ -128,12 +131,12 @@ class TestDispatch:
         good = {"core": CORE, "num_points": 2,
                 "config": {"shadow_precision": 96}}
         with WorkerPool(workers=1) as pool:
-            [reply] = pool.submit([bad]).result(timeout=60)
+            [reply] = pool.submit(Shard([bad])).result(timeout=60)
             assert reply[0] == "error"
             assert reply[1] == "RuntimeError"
-            [reply] = pool.submit([unbound]).result(timeout=60)
+            [reply] = pool.submit(Shard([unbound])).result(timeout=60)
             assert reply[:2] == ("invalid", "UnboundVariableError")
-            [reply] = pool.submit([good]).result(timeout=120)
+            [reply] = pool.submit(Shard([good])).result(timeout=120)
             assert reply[0] == "ok"
             assert pool.stats()["crashes"] == 0
             assert pool.stats()["restarts"] == 0
