@@ -314,6 +314,7 @@ class HerbgrindAnalysis(Tracer):
                 op=op,
                 loc=getattr(instr, "loc", None),
                 config=self.config,
+                trace_pool=self.pool,
             )
             if self._profile:
                 # Anti-unify verdicts are counted at the Generalization
@@ -493,45 +494,14 @@ class HerbgrindAnalysis(Tracer):
             # per-run reset only bounds the escalator's memory.
             self.escalator.reset()
             return
-        # A previous run that aborted (MachineError, user interrupt)
-        # never reached on_finish; its pending idents are still valid
-        # against the current arrays — materialize them first.
-        self._materialize_pending()
         if len(pool) > POOL_EPOCH_IDENTS:
+            # The new epoch reuses the idents the records' last traces
+            # point at.  An aborted run's are covered too: they stay
+            # valid until this reset.
+            for record in self.op_records.values():
+                record.save_locations()
             pool.begin_execution()
             self.escalator.reset()
-
-    def on_finish(self, interpreter: Interpreter) -> None:
-        """End of one execution: persist the structured view of every
-        record's last trace while its idents are valid (a later run may
-        start a new pool epoch, which reuses them).
-
-        The materialization is capped one level past the expression
-        depth bound — exactly what :meth:`OpRecord.node_locations`
-        can observe — so its cost is bounded by the symbolic
-        expressions, not the run's trace DAG.  Aborted runs (an
-        exception skips this callback) are swept at the next run start
-        while their idents are still valid; only a
-        run aborted and never followed by another leaves its records'
-        structured traces at the previous completed run's.
-        """
-        if self.pool is not None:
-            self._materialize_pending()
-
-    def _materialize_pending(self) -> None:
-        pool = self.pool
-        cap = self.config.max_expression_depth + 1
-        for record in self.op_records.values():
-            ident = record.pending_trace
-            if ident is not None:
-                # Always refresh: the steady-state walk verifies
-                # operator names, not source locations, and a site fed
-                # through different branch arms can carry different
-                # locations at the same expression position — the
-                # contract is the *most recent* concrete trace, exactly
-                # as the reference path keeps it.
-                record.last_trace = pool.node_capped(ident, cap)
-                record.pending_trace = None
 
     def on_const(self, instr: isa.Instr, box: FloatBox) -> None:
         # The compiled engines bind fused_const_callback instead, which
@@ -758,10 +728,9 @@ class HerbgrindAnalysis(Tracer):
             __, bindings = record.generalization.update_with_bindings_pooled(
                 pool, node
             )
-            record.pending_trace = node
         else:
             __, bindings = record.generalization.update_with_bindings(node)
-            record.last_trace = node
+        record.last_trace = node
         if profile:
             self.stage_counters.characteristic_updates += len(bindings)
         for variable, value in bindings.items():
@@ -1231,7 +1200,7 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
                 elif error_bits > threshold:  @if compensating
                 if error_bits > threshold:  @if not compensating
                     record.candidate_executions += 1
-                record.pending_trace = node
+                record.last_trace = node
                 self.tail_replays += 1
                 counters.fused_ops += 1  @if profile
                 return shadow
@@ -1361,7 +1330,7 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
             walked = None
         else:
             walked = _replayable(walked, bindings)
-        record.pending_trace = node
+        record.last_trace = node
         # --- characteristics stage ------------------------------------
         total_record(bindings)
         if is_candidate and passthrough is None:  @if compensating

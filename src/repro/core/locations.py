@@ -14,39 +14,47 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.trace import KIND_OP, TraceNode
+from repro.core.trace import KIND_OP, P_OP
 from repro.fpcore.ast import Expr, Op
 
 Path = Tuple[int, ...]
 
 
 def map_node_locations(
-    symbolic: Expr, trace: TraceNode
+    symbolic: Expr, trace, pool=None
 ) -> Dict[Path, Optional[str]]:
     """Source location for every operator position of ``symbolic``.
 
-    ``trace`` must be a concrete trace the expression generalizes (the
-    most recent one); the walk mirrors anti-unification's alignment and
-    is memoized because traces are DAGs.  Positions are child-index
-    paths from the root, as in :mod:`repro.improve.patterns`.
+    ``trace`` is the concrete trace the expression generalizes (the
+    most recent one): a :class:`~repro.core.trace.TraceNode`, or an
+    ident into ``pool``.  The walk follows the expression, descending
+    only where its operator matches the trace's, so its cost is the
+    expression's size however large the trace DAG is.  Positions are
+    child-index paths from the root, as in :mod:`repro.improve.patterns`.
     """
+    if pool is None:
+        def view(node):
+            return node.kind == KIND_OP, node.op, node.args, node.loc
+    else:
+        kinds, ops, args, locs = pool.kinds, pool.ops, pool.args, pool.locs
+
+        def view(ident):
+            return kinds[ident] == P_OP, ops[ident], args[ident], locs[ident]
+
     locations: Dict[Path, Optional[str]] = {}
-    seen = set()
-
-    def walk(sym: Expr, node: TraceNode, path: Path) -> None:
-        key = (id(sym), node.ident, path)
-        if key in seen:
-            return
-        seen.add(key)
-        if isinstance(sym, Op) and node.kind == KIND_OP \
-                and sym.op == node.op and len(sym.args) == len(node.args):
-            locations[path] = node.loc
-            for index, (sym_arg, trace_arg) in enumerate(
-                zip(sym.args, node.args)
-            ):
-                walk(sym_arg, trace_arg, path + (index,))
-
-    walk(symbolic, trace, ())
+    stack = [(symbolic, trace, ())]
+    while stack:
+        sym, node, path = stack.pop()
+        if not isinstance(sym, Op):
+            continue
+        is_op, op, node_args, loc = view(node)
+        if is_op and sym.op == op and len(sym.args) == len(node_args):
+            locations[path] = loc
+            stack.extend(
+                (sym_arg, trace_arg, path + (index,))
+                for index, (sym_arg, trace_arg)
+                in enumerate(zip(sym.args, node_args))
+            )
     return locations
 
 

@@ -44,14 +44,16 @@ class OpRecord:
     total_inputs: CharacteristicsTable = None
     problematic_inputs: CharacteristicsTable = None
     example_problematic: Optional[Dict[str, float]] = None
-    #: The most recent concrete trace (for per-node source locations).
-    #: Under the ident-first pool this is materialized at the end of
-    #: each run (capped at the expression depth bound) from
-    #: :attr:`pending_trace`; the reference path assigns it per op.
+    #: The most recent concrete trace, from which
+    #: :meth:`node_locations` computes source locations on request: a
+    #: :class:`~repro.core.trace.TraceNode` under the reference engine,
+    #: an ident into :attr:`trace_pool` under the compiled engine.
     last_trace: object = None
-    #: The pool ident of the most recent trace, awaiting end-of-run
-    #: materialization (compiled engine only; None otherwise).
-    pending_trace: Optional[int] = None
+    #: The compiled engine's trace pool (None under the reference one).
+    trace_pool: object = None
+    #: The locations of a pooled last trace, saved by
+    #: :meth:`save_locations` before its pool starts a new epoch.
+    saved_locations: Optional[dict] = None
 
     def __post_init__(self) -> None:
         self.generalization = Generalization(
@@ -84,9 +86,20 @@ class OpRecord:
         (the paper's footnote 5 capability)."""
         from repro.core.locations import map_node_locations
 
-        if self.symbolic_expression is None or self.last_trace is None:
+        if self.symbolic_expression is None:
             return {}
-        return map_node_locations(self.symbolic_expression, self.last_trace)
+        if self.last_trace is None:
+            return dict(self.saved_locations or {})
+        return map_node_locations(
+            self.symbolic_expression, self.last_trace, self.trace_pool
+        )
+
+    def save_locations(self) -> None:
+        """Keep the locations of the last trace: its pool is about to
+        start a new epoch, which reuses the trace's ident."""
+        if self.last_trace is not None:
+            self.saved_locations = self.node_locations()
+            self.last_trace = None
 
     def located_expression(self) -> str:
         """The symbolic expression rendered one operator per line with

@@ -206,10 +206,11 @@ class TracePool:
     tracer callbacks, the shadow memo, the steady-state
     anti-unification walk — operates on idents and these arrays only;
     no :class:`TraceNode` objects are allocated per operation.
-    Structured nodes are materialized *lazily* (:meth:`node`,
-    :meth:`node_capped`) at the places that genuinely need a tree:
-    anti-unification bail-outs (the full merge), escalation
-    re-execution fallbacks, and report time.
+    Structured nodes are materialized *lazily* (:meth:`node`) at the
+    places that genuinely need a tree: anti-unification bail-outs (the
+    full merge) and escalation re-execution fallbacks.  Per-node source
+    locations walk the arrays directly
+    (:func:`repro.core.locations.map_node_locations`).
 
     Hash-consing semantics are unchanged from the node-based pool:
 
@@ -556,73 +557,3 @@ class TracePool:
             nodes[cur] = node
             stack.pop()
         return nodes[ident]
-
-    def node_capped(self, ident: int, cap: int) -> TraceNode:
-        """A *fresh* structured view of ``ident`` down to ``cap``
-        levels; deeper positions become opaque placeholder leaves
-        carrying the sub-trace's value and location.
-
-        Symbolic expressions are bounded by ``max_expression_depth``,
-        so a view capped one level past it yields exactly the same
-        per-node source locations as the full trace
-        (:func:`repro.core.locations.map_node_locations` never descends
-        past a non-matching node) at a cost bounded by the expression,
-        not the trace.  Used to persist each record's last trace at the
-        end of a run, before the pool resets.
-        """
-        kinds = self.kinds
-        ops = self.ops
-        argsA = self.args
-        values = self.values
-        locs = self.locs
-        depths = self.depths
-        if depths[ident] <= cap:
-            # The whole trace fits under the cap: the full (memoized)
-            # materialization is identical and shared across records.
-            return self.node(ident)
-        memo: dict = {}
-        root_key = (ident, cap)
-        stack = [root_key]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            cur, remaining = top
-            if depths[cur] <= remaining:
-                # Sub-trace fits: reuse the shared full materialization
-                # instead of walking a private copy.
-                memo[top] = self.node(cur)
-                stack.pop()
-                continue
-            if kinds[cur] != P_OP or remaining <= 0:
-                if kinds[cur] == P_OP:
-                    # Beyond the cap: an opaque stand-in (same value,
-                    # same location, fresh identity).
-                    memo[top] = TraceNode(
-                        KIND_OPAQUE, values[cur], loc=locs[cur]
-                    )
-                else:
-                    node = TraceNode(
-                        _P_KIND_NAMES[kinds[cur]], values[cur],
-                        op=ops[cur], loc=locs[cur],
-                    )
-                    node.ident = cur
-                    memo[top] = node
-                stack.pop()
-                continue
-            child_keys = [(a, remaining - 1) for a in argsA[cur]]
-            pending = [k for k in child_keys if k not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            node = TraceNode(
-                KIND_OP, values[cur], op=ops[cur],
-                args=tuple(memo[k] for k in child_keys), loc=locs[cur],
-            )
-            node.ident = cur
-            memo[top] = node
-            stack.pop()
-        return memo[root_key]
-
-

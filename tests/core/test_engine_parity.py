@@ -90,6 +90,7 @@ def analysis_signature(analysis):
             str(record.symbolic_expression),
             sorted(record.total_inputs.describe().items()),
             sorted(record.problematic_inputs.describe().items()),
+            sorted(record.node_locations().items()),
         ))
     for spot in sorted(analysis.spot_records.values(), key=lambda s: s.site_id):
         rows.append((
@@ -98,6 +99,12 @@ def analysis_signature(analysis):
             sorted(r.site_id for r in spot.influences),
         ))
     return rows
+
+
+#: Reference-engine signatures by (program name, points, policy, plan).
+#: The reference engine ignores ``batched`` and ``profile``, so every
+#: parametrization of the layer-attribution test shares one analysis.
+REFERENCE_SIGNATURES = {}
 
 
 class TestLayerAttribution:
@@ -152,12 +159,18 @@ class TestLayerAttribution:
             for core in self.chosen():
                 program = compile_fpcore(core)
                 points = sample_inputs(core, 3, seed=3)
-                base, __ = analyze_program(program, points, config=reference)
+                key = (core.name, tuple(map(tuple, points)), policy, plan)
+                expected = REFERENCE_SIGNATURES.get(key)
+                if expected is None:
+                    base, __ = analyze_program(
+                        program, points, config=reference
+                    )
+                    expected = REFERENCE_SIGNATURES[key] = \
+                        analysis_signature(base)
                 fast, __ = analyze_program(
                     program, points, config=compiled, profile=profile,
                 )
-                assert analysis_signature(fast) == \
-                    analysis_signature(base), \
+                assert analysis_signature(fast) == expected, \
                     f"{core.name} diverged (batched={batched}, " \
                     f"profile={profile}, plan={plan})"
                 if profile:

@@ -137,16 +137,25 @@ CASES = [
 
 
 def report(core, points, policy, engine="compiled"):
+    """The result JSON and every operation site's node locations."""
     session = AnalysisSession(
         config=AnalysisConfig(precision_policy=policy, engine=engine),
         result_cache_size=0,
     )
-    return session.analyze(core, points=points).to_json()
+    result = session.analyze(core, points=points)
+    locations = [
+        (record.site_id, sorted(record.node_locations().items()))
+        for record in sorted(result.raw.op_records.values(),
+                             key=lambda r: r.site_id)
+    ]
+    return result.to_json(), locations
 
 
 def assert_memo_invisible(core, points, policy):
     epoch = report(core, points, policy)
     # Patched by hand: Hypothesis forbids function-scoped fixtures.
+    # Resetting at every run also saves each record's locations at
+    # every run boundary.
     saved = analysis_mod.POOL_EPOCH_IDENTS
     analysis_mod.POOL_EPOCH_IDENTS = 0
     try:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig, HerbgrindAnalysis, analyze_program
+from repro.core.trace import KIND_OPAQUE, P_OPAQUE
 from repro.fpcore.parser import parse_fpcore
 from repro.machine import (
     BatchedProgram,
@@ -49,6 +50,7 @@ def signature(analysis):
             record.candidate_executions, record.max_local_error,
             record.sum_local_error, record.compensations_detected,
             str(record.symbolic_expression),
+            sorted(record.node_locations().items()),
         ))
     for spot in sorted(
         analysis.spot_records.values(), key=lambda s: s.site_id
@@ -419,10 +421,15 @@ class TestSharedSiteSteps:
                 record.loc: record for record in analysis.op_records.values()
             }
             assert by_loc["cancel"].candidate_executions > 0
-            leaves = [
-                by_loc["sum"].last_trace.args[0],
-                by_loc["cancel"].last_trace.args[1],
-                by_loc["root"].last_trace.args[0],
-            ]
-            assert all(leaf.kind == "opaque" for leaf in leaves)
-            assert len({leaf.ident for leaf in leaves}) == 1
+            pool = analysis.pool
+            leaves = []
+            for loc, index in (("sum", 0), ("cancel", 1), ("root", 0)):
+                trace = by_loc[loc].last_trace
+                if pool is None:  # the reference engine's TraceNodes
+                    leaf = trace.args[index]
+                    leaves.append((leaf.kind == KIND_OPAQUE, leaf.ident))
+                else:  # the compiled engines' idents into the pool
+                    leaf = pool.args[trace][index]
+                    leaves.append((pool.kinds[leaf] == P_OPAQUE, leaf))
+            assert all(opaque for opaque, __ in leaves)
+            assert len({ident for __, ident in leaves}) == 1
