@@ -1,7 +1,7 @@
 """Serving-subsystem benchmark: seeded traffic replay over HTTP.
 
 Measures what the ``repro.serve`` subsystem adds on top of raw
-analysis — warm-path latency, in-flight dedupe, batch sharding — and
+analysis — warm-path latency, in-flight dedupe, batch fan-out — and
 gates on what it must preserve: byte-identical results.
 
 Sections (all recorded in ``BENCH_serving.json``):
@@ -17,8 +17,8 @@ Sections (all recorded in ``BENCH_serving.json``):
   server's own hit/miss/computed counters.
 * **Dedupe effectiveness** — N concurrent identical cold requests
   from N clients; gated: the server computes exactly once.
-* **Batch throughput** — one ``/v1/batch`` of fresh requests sharded
-  over the pool with work-stealing; requests/sec and shard count.
+* **Batch throughput** — one ``/v1/batch`` of fresh requests, one
+  pool task per request; requests/sec.
 * **Parity gate** — every served body byte-identical to
   ``AnalysisSession.analyze(request).to_json()`` in-process; the
   benchmark *fails* on any mismatch.
@@ -233,19 +233,17 @@ def bench_dedupe(server: _BenchServer, session, template, clients: int):
     }
 
 
-def bench_batch(client: ServeClient, session, requests, size: int,
-                shard_size: int):
-    """One cold /v1/batch sharded across the pool."""
+def bench_batch(client: ServeClient, session, requests, size: int):
+    """One cold /v1/batch fanned out over the pool."""
     batch = [
         session.request(requests[i % len(requests)].core, seed=5000 + i)
         for i in range(size)
     ]
     start = time.perf_counter()
-    envelope = client.batch(batch, shard_size=shard_size)
+    envelope = client.batch(batch)
     wall = time.perf_counter() - start
     return {
         "size": size,
-        "shard_size": shard_size,
         "errors": envelope["errors"],
         "wall_seconds": round(wall, 3),
         "requests_per_second": round(size / wall, 1),
@@ -278,7 +276,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--dedupe-clients", type=int, default=8)
     parser.add_argument("--batch", type=int, default=12,
                         help="requests in the cold batch")
-    parser.add_argument("--shard-size", type=int, default=2)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--precision", type=int, default=1000,
                         help="shadow precision for the serving slice "
@@ -307,7 +304,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "hit_ratio": args.hit_ratio,
             "dedupe_clients": args.dedupe_clients,
             "batch": args.batch,
-            "batch_shard_size": args.shard_size,
             "workers": args.workers,
             "shadow_precision": args.precision,
             "points": args.points,
@@ -342,12 +338,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not report["dedupe"]["passed"]:
             failures.append("dedupe_gate")
 
-        report["batch"] = bench_batch(
-            client, session, requests, args.batch, args.shard_size
-        )
+        report["batch"] = bench_batch(client, session, requests, args.batch)
         print(f"batch: {report['batch']['requests_per_second']} req/s "
-              f"({args.batch} cold requests, "
-              f"shard_size={args.shard_size})")
+              f"({args.batch} cold requests)")
 
         report["parity"] = parity_gate(client, session, requests)
         print(f"parity: {report['parity']['checked']} benchmarks, "

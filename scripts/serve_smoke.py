@@ -10,6 +10,10 @@ on every push:
   ``AnalysisSession.analyze(request).to_json()``,
 * concurrent identical requests dedupe to one computation
   (``dedupe_hits`` must be nonzero),
+* a ``/v1/batch`` of fresh requests posted while ``/v1/analyze`` calls
+  for the same requests are in flight computes each distinct digest
+  once across both endpoints, and every batch entry is byte-identical
+  to the in-process result,
 * repeats are served warm (``memory``/``store``, no recomputation),
 * SIGKILLing an analysis worker mid-replay loses zero requests: the
   pool respawns the worker and client retries absorb the structured
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import http.client
+import json
 import os
 import random
 import signal
@@ -37,7 +42,7 @@ import tempfile
 import threading
 import time
 
-from repro.api import AnalysisSession
+from repro.api import AnalysisSession, request_digest
 from repro.core import AnalysisConfig
 from repro.fpcore import load_corpus
 from repro.serve import ServeClient, ShardedResultStore
@@ -181,6 +186,55 @@ def main(argv=None) -> int:
             assert stats["dedupe_hits"] > 0, stats
             assert stats["computed"] == len(requests) + 1, stats
 
+            # Cross-endpoint dedupe: one batch of fresh requests (one
+            # of them twice) posted while /v1/analyze calls for the
+            # same requests are in flight.  Whichever endpoint reaches
+            # a digest first computes it; everyone else coalesces onto
+            # that one computation or reads its stored result.
+            crossed = []
+            for index, (request, _) in enumerate(requests):
+                twin = session.request(request.core, seed=5000 + index)
+                crossed.append((twin, session.analyze(twin).to_json()))
+            batch = [twin for twin, _ in crossed] + [crossed[0][0]]
+            expected_entries = [text for _, text in crossed] + \
+                [crossed[0][1]]
+            distinct = len({request_digest(twin) for twin, _ in crossed})
+            before = client.stats()["service"]["computed"]
+            start = threading.Barrier(len(crossed) + 1)
+
+            def post_batch():
+                with ServeClient(port=port, timeout=120) as one:
+                    start.wait()
+                    return one.batch(batch)
+
+            def post_single(twin):
+                with ServeClient(port=port, timeout=120) as one:
+                    start.wait()
+                    return one.analyze(twin)
+
+            with concurrent.futures.ThreadPoolExecutor(
+                len(crossed) + 1
+            ) as executor:
+                posted = executor.submit(post_batch)
+                singles = list(executor.map(
+                    post_single, [twin for twin, _ in crossed]
+                ))
+                envelope = posted.result()
+            assert envelope["errors"] == 0, envelope
+            for entry, expected in zip(envelope["results"],
+                                       expected_entries):
+                assert json.dumps(entry, indent=2, sort_keys=True) == \
+                    expected, "batch entry parity mismatch"
+            for reply, (_, expected) in zip(singles, crossed):
+                assert reply.text == expected, (
+                    "cross-endpoint parity mismatch"
+                )
+                computed[reply.digest] = reply.text
+            grown = client.stats()["service"]["computed"] - before
+            assert grown == distinct, (
+                f"{grown} computations for {distinct} distinct digests"
+            )
+
             # Chaos leg: SIGKILL one analysis worker mid-replay.  The
             # pool must respawn it and the replay must finish with zero
             # failed requests — a kill that lands while the worker is
@@ -260,7 +314,9 @@ def main(argv=None) -> int:
                   if killed is not None else "chaos kill skipped")
     print(f"serve smoke ok: {len(requests)} benchmarks cold+warm, "
           f"dedupe_hits={stats['dedupe_hits']}, "
-          f"computed={stats['computed']}, {len(computed)} computed "
+          f"computed={stats['computed']}, batch+analyze of "
+          f"{distinct} fresh digests computed each once, "
+          f"{len(computed)} computed "
           f"results on disk, {chaos_note}, "
           f"graceful SIGTERM exit with an idle keep-alive connection")
     return 0

@@ -260,7 +260,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         store_dir=args.store_dir,
         queue_limit=args.queue_limit,
         timeout=args.timeout if args.timeout > 0 else None,
-        batch_shard_size=args.shard_size,
         log_level=args.log_level,
     )
 
@@ -435,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request analysis timeout in seconds "
                             "(0 disables; timed-out workers are "
                             "killed and respawned)")
-    serve.add_argument("--shard-size", type=int, default=4,
-                       help="requests per work-stealing shard for "
-                            "POST /v1/batch")
     serve.add_argument("--log-level", default="info",
                        choices=("debug", "info", "warning", "error"),
                        help="structured per-request log verbosity")

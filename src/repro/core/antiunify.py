@@ -202,44 +202,6 @@ class Generalization:
             for child in node.args:
                 stack.append((child, depth + 1))
 
-    def _deep_marks(self, trace: TraceNode) -> Set[int]:
-        """The same marked set as :meth:`_mark_deep_nodes`, leaner (the
-        pooled bail-out's merge).
-
-        A node is marked exactly when it occurs at depth
-        ``max_depth + 1`` through some path of expandable ancestors —
-        anything deeper is unreachable (the walk stops at marked
-        nodes), so this *is* the full truncation frontier.  The walk
-        prunes every subtree too shallow to reach the frontier and
-        dedupes (node, depth) pairs through packed integer keys, so its
-        cost is proportional to the nodes straddling the depth bound,
-        not the trace.
-        """
-        max_depth = self.max_depth
-        marked: Set[int] = set()
-        if trace.kind != KIND_OP:
-            return marked
-        stride = max_depth + 2
-        seen: Set[int] = {trace.ident * stride + 1}
-        stack = [(trace, 1)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node, depth = pop()
-            child_depth = depth + 1
-            for child in node.args:
-                if child.kind != KIND_OP or depth + child.depth <= max_depth:
-                    continue  # leaf, or the whole subtree fits the bound
-                if child_depth > max_depth:
-                    marked.add(child.ident)
-                    continue  # children are invisible anyway
-                key = child.ident * stride + child_depth
-                if key in seen:
-                    continue
-                seen.add(key)
-                push((child, child_depth))
-        return marked
-
     # ------------------------------------------------------------------
     # Variable management
     # ------------------------------------------------------------------
@@ -357,8 +319,8 @@ class Generalization:
         :meth:`_fast_update_pooled` jump straight here."""
         node = pool.node(ident)
         state = _UpdateState()
-        if node.depth > self.max_depth:
-            state.truncated = self._deep_marks(node)
+        if pool.depths[ident] > self.max_depth:
+            state.truncated = pool.deep_marks(ident, self.max_depth)
         self._apply(node, state)
         if self.stats is not None:
             self.stats.antiunify_merge += 1

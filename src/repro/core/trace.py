@@ -486,8 +486,9 @@ class TracePool:
     def deep_marks(self, ident: int, max_depth: int) -> set:
         """Idents at the truncation frontier (depth ``max_depth + 1``)
         of the trace rooted at ``ident``: the op idents some path of
-        exactly ``max_depth`` edges reaches — the array mirror of
-        :meth:`repro.core.antiunify.Generalization._deep_marks`."""
+        exactly ``max_depth`` edges reaches — the same set as the
+        reference walk
+        :meth:`repro.core.antiunify.Generalization._mark_deep_nodes`."""
         marked: set = set()
         kinds = self.kinds
         if kinds[ident] != P_OP:

@@ -226,21 +226,15 @@ class ServeClient:
     def analyze_result(self, request: RequestLike) -> AnalysisResult:
         return self.analyze(request).result()
 
-    def batch(self, requests: List[RequestLike],
-              shard_size: Optional[int] = None) -> Dict[str, Any]:
+    def batch(self, requests: List[RequestLike]) -> Dict[str, Any]:
         """``POST /v1/batch`` — returns the decoded batch envelope."""
-        body: Dict[str, Any] = {
-            "requests": [_payload(r) for r in requests]
-        }
-        if shard_size is not None:
-            body["shard_size"] = shard_size
+        body = {"requests": [_payload(r) for r in requests]}
         return self._exchange("POST", "/v1/batch", body).json()
 
     def batch_results(self, requests: List[RequestLike],
-                      shard_size: Optional[int] = None,
                       ) -> List[AnalysisResult]:
         """Batch analyze, raising on any per-request error entry."""
-        envelope = self.batch(requests, shard_size)
+        envelope = self.batch(requests)
         results = []
         for entry in envelope["results"]:
             if "error" in entry:

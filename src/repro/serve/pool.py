@@ -8,8 +8,8 @@ its own ``multiprocessing`` processes:
 
 * each worker process is paired with a dispatcher *thread* in the
   server process; dispatchers pull tasks from one shared bounded queue
-  (an idle worker steals the next task — this shared queue is also
-  what makes ``/v1/batch`` shard scheduling work-stealing),
+  (an idle worker steals the next task, so one slow request never
+  holds up the tasks queued behind it),
 * a task that exceeds its deadline gets its worker **killed** and
   respawned; the task fails with :class:`AnalysisTimeout` while every
   other task is unaffected,
@@ -23,12 +23,11 @@ its own ``multiprocessing`` processes:
   late submits raise :class:`PoolClosed` (HTTP 503), workers exit
   cleanly.
 
-The default worker's task payload is a :class:`Shard`: request dicts,
-their digests, and the root of the result store its successes persist
-to.  The pool only forwards a payload (and scales its deadline by the
-payload's length), so a custom ``worker_main`` may take any sized
-payload.  The future resolves to a list of reply tuples, one per
-request, in order: ``("ok", result_json_text, sidecar_json, stored)``,
+The default worker's task is a :class:`Shard`: one request dict, its
+digest, and the root of the result store its success persists to.  The
+pool only forwards a task, so a custom ``worker_main`` may take any
+payload.  The future resolves to the task's one reply tuple:
+``("ok", result_json_text, sidecar_json, stored)``,
 ``("invalid", error_type, message)`` for a program or input the
 analysis rejects (:class:`~repro.resilience.errors.InvalidInputError`),
 ``("op_budget", error_type, message)`` for an analysis that spent its
@@ -41,7 +40,6 @@ exceptions on the future.
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -51,9 +49,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Sized, Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api.requests import AnalysisRequest
 from repro.api.session import _execute
@@ -61,30 +57,23 @@ from repro.api.store import ShardedResultStore
 from repro.resilience import faults as _faults
 from repro.resilience.errors import InvalidInputError, OpBudgetExceeded
 
-#: Reply tuples the default worker sends back, one per request dict.
+#: The reply tuple the default worker sends back for one request dict.
 Reply = Tuple[Any, ...]
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One task for the default worker: requests, and where results go.
+    """One task for the default worker: a request, and where it goes.
 
-    ``digests`` name the requests' store entries, one per request.
-    ``store_root`` is the root of the
-    :class:`~repro.api.store.ShardedResultStore` every ``ok`` result is
-    written to before the worker replies; None persists nothing.
+    ``digest`` names the request's store entry.  ``store_root`` is the
+    root of the :class:`~repro.api.store.ShardedResultStore` an ``ok``
+    result is written to before the worker replies; None persists
+    nothing.
     """
 
-    requests: List[Dict[str, Any]]
-    digests: Sequence[str] = ()
+    request: Dict[str, Any]
+    digest: Optional[str] = None
     store_root: Optional[str] = None
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def items(self) -> Iterator[Tuple[Dict[str, Any], Optional[str]]]:
-        """``(request dict, digest)`` pairs, in order."""
-        return zip(self.requests, self.digests or itertools.repeat(None))
 
 
 class PoolError(Exception):
@@ -168,7 +157,7 @@ def serve_request(data: Dict[str, Any], digest: Optional[str] = None,
 
 
 def _analysis_worker_main(conn) -> None:
-    """Worker-process loop: a :class:`Shard` in, its replies out."""
+    """Worker-process loop: a :class:`Shard` in, its reply out."""
     while True:
         try:
             shard = conn.recv()
@@ -176,10 +165,9 @@ def _analysis_worker_main(conn) -> None:
             break
         if shard is None:
             break
-        replies = [serve_request(data, digest, shard.store_root)
-                   for data, digest in shard.items()]
+        reply = serve_request(shard.request, shard.digest, shard.store_root)
         try:
-            conn.send(replies)
+            conn.send(reply)
         except (BrokenPipeError, OSError):
             break
 
@@ -343,22 +331,24 @@ class WorkerPool:
 
     def submit(
         self,
-        shard: Sized,
+        task: Any,
         timeout: Optional[float] = None,
-    ) -> "Future[List[Reply]]":
-        """Queue one shard (a :class:`Shard` for the default worker).
+        on_start: Optional[Callable[[], None]] = None,
+    ) -> "Future[Reply]":
+        """Queue one task (a :class:`Shard` for the default worker).
 
-        Returns a thread-safe future resolving to the reply list.  The
-        per-shard deadline defaults to the pool's ``timeout`` scaled by
-        the shard size.
+        Returns a thread-safe future resolving to the worker's reply.
+        The deadline defaults to the pool's ``timeout``.  ``on_start``
+        is called on a dispatcher thread when a worker takes the task
+        off the queue; a task cancelled while queued never starts.
         """
         if self._closed:
             raise PoolClosed("worker pool is shutting down")
-        if timeout is None and self.timeout is not None:
-            timeout = self.timeout * max(1, len(shard))
-        future: "Future[List[Reply]]" = Future()
+        if timeout is None:
+            timeout = self.timeout
+        future: "Future[Reply]" = Future()
         try:
-            self._tasks.put_nowait((future, shard, timeout))
+            self._tasks.put_nowait((future, task, timeout, on_start))
         except queue.Full:
             raise QueueFull(
                 f"task queue at capacity ({self.queue_limit})"
@@ -374,13 +364,18 @@ class WorkerPool:
             item = self._tasks.get()
             if item is _SENTINEL:
                 break
-            future, shard, timeout = item
+            future, task, timeout, on_start = item
             if not future.set_running_or_notify_cancel():
                 continue
+            if on_start is not None:
+                try:
+                    on_start()
+                except Exception:  # noqa: BLE001 — keep dispatching
+                    pass
             with self._lock:
                 self._active += 1
             try:
-                self._dispatch(worker, future, shard, timeout)
+                self._dispatch(worker, future, task, timeout)
             finally:
                 with self._lock:
                     self._active -= 1
@@ -399,17 +394,17 @@ class WorkerPool:
         self.cooldowns += 1
         time.sleep(min(self.respawn_cooldown * (2.0 ** excess), 30.0))
 
-    def _dispatch(self, worker, future, shard, timeout) -> None:
+    def _dispatch(self, worker, future, task, timeout) -> None:
         self._cool_down(worker)
         try:
             worker.ensure()
-            worker.conn.send(shard)
+            worker.conn.send(task)
         except (BrokenPipeError, OSError):
             # The worker died while idle; one fresh process, one retry.
             try:
                 worker.kill()
                 worker.ensure()
-                worker.conn.send(shard)
+                worker.conn.send(task)
             except (BrokenPipeError, OSError) as exc:
                 self.crashes += 1
                 worker.failures += 1
@@ -426,7 +421,7 @@ class WorkerPool:
                     f"no result within {timeout:.1f}s; worker killed"
                 ))
                 return
-            replies = worker.conn.recv()
+            reply = worker.conn.recv()
         except (EOFError, OSError):
             worker.kill()
             self.crashes += 1
@@ -437,7 +432,7 @@ class WorkerPool:
             return
         self.completed += 1
         worker.failures = 0
-        future.set_result(replies)
+        future.set_result(reply)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

@@ -14,8 +14,8 @@ POST   ``/v1/analyze``       one AnalysisRequest dict → AnalysisResult
                              JSON (byte-identical to an in-process
                              session; warm answers come from the store)
 POST   ``/v1/batch``         ``{"requests": [...]}`` → per-request
-                             results, sharded over the pool with
-                             work-stealing
+                             results, each entry served as by
+                             ``/v1/analyze``
 GET    ``/v1/result/<d>``    stored result for a digest, 404 on a miss
 GET    ``/v1/health``        liveness (``ok`` / ``draining``)
 GET    ``/v1/stats``         service, parse-table, pool and store
@@ -335,7 +335,6 @@ def run_server(
     store_dir: Optional[str] = None,
     queue_limit: int = 64,
     timeout: Optional[float] = 300.0,
-    batch_shard_size: int = 4,
     log_level: str = "info",
 ) -> int:
     """Run a server until SIGINT/SIGTERM, then drain and exit 0."""
@@ -346,16 +345,15 @@ def run_server(
     return asyncio.run(_amain(
         host=host, port=port, workers=workers, store_dir=store_dir,
         queue_limit=queue_limit, timeout=timeout,
-        batch_shard_size=batch_shard_size,
     ))
 
 
-async def _amain(host, port, workers, store_dir, queue_limit, timeout,
-                 batch_shard_size) -> int:
+async def _amain(host, port, workers, store_dir, queue_limit,
+                 timeout) -> int:
     store = ShardedResultStore(store_dir) if store_dir else None
     service = AnalysisService(
         store=store, workers=workers, queue_limit=queue_limit,
-        timeout=timeout, batch_shard_size=batch_shard_size,
+        timeout=timeout,
     )
     server = ReproServer(service, host, port)
     bound_host, bound_port = await server.start()

@@ -4,8 +4,8 @@
 the HTTP layer (:mod:`repro.serve.server`) is a thin shell over it, and
 tests drive it directly.  One request flows::
 
-    payload dict ─ validate ─ digest ─ memory LRU ─ sharded store ─
-      in-flight map ─ worker pool (compute ─ store write) ─ response
+    payload dict ─ validate ─ digest ─ in-flight map ─ memory LRU ─
+      sharded store ─ worker pool (compute ─ store write) ─ response
 
 * **Warm path**: a digest found in the in-process LRU or the shared
   :class:`~repro.api.store.ShardedResultStore` is answered from the
@@ -19,8 +19,8 @@ tests drive it directly.  One request flows::
   digest-keyed ``asyncio.Future`` — exactly one computation runs, and
   every waiter (including failures) receives that one outcome.
 * **Cold path**: misses go to the supervised
-  :class:`~repro.serve.pool.WorkerPool` as a
-  :class:`~repro.serve.pool.Shard` that names each request's digest
+  :class:`~repro.serve.pool.WorkerPool`, one
+  :class:`~repro.serve.pool.Shard` task per request, naming its digest
   and the store root.  The worker that computed a result writes it to
   the store before replying, so the entry is on disk before the 200
   and the event loop never blocks on a store write; the reply says
@@ -30,6 +30,10 @@ tests drive it directly.  One request flows::
   always as structured JSON
   ``{"error": {type, message, digest}}``, never a hung or silently
   closed connection.
+* **Batches**: ``/v1/batch`` runs each entry down the same path, so
+  its entries coalesce with each other, with single requests and with
+  other batches; each cold entry is one pool task with its own
+  deadline, crash accounting and quarantine.
 
 With INFO enabled, every request emits one structured log line
 (digest, outcome, queue depth, wall-clock) on the ``repro.serve``
@@ -40,11 +44,12 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Awaitable, Dict, Optional, Tuple
 
 from repro.api.requests import PARSED_CORES, AnalysisRequest
 from repro.api.results import RESULT_SCHEMA_VERSION
@@ -137,13 +142,6 @@ class ServiceCounters:
         return dict(self.__dict__)
 
 
-@dataclass
-class _Inflight:
-    future: "asyncio.Future[ServeOutcome]"
-    waiters: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
 class AnalysisService:
     """Digest-addressed analysis serving over a store and worker pool.
 
@@ -159,7 +157,6 @@ class AnalysisService:
         queue_limit: int = 64,
         timeout: Optional[float] = 300.0,
         memory_cache_size: int = 512,
-        batch_shard_size: int = 4,
         poison_threshold: int = 3,
     ) -> None:
         self.store = store
@@ -169,7 +166,11 @@ class AnalysisService:
             workers=workers, queue_limit=queue_limit, timeout=timeout
         )
         self.memory_cache_size = memory_cache_size
-        self.batch_shard_size = max(1, batch_shard_size)
+        #: Batch entries submit to the pool only through this gate, so
+        #: all batches together hold at most one queued task per worker
+        #: and a batch larger than the queue is never shed.  A permit
+        #: returns when a worker takes its task off the queue.
+        self._batch_gate = asyncio.Semaphore(self.pool.workers)
         #: Poison-request circuit breaker: a digest whose computation
         #: kills or times out a worker this many times in a row is
         #: quarantined — answered with a structured 500 instead of
@@ -178,7 +179,7 @@ class AnalysisService:
         self.counters = ServiceCounters()
         self._memory: "collections.OrderedDict[str, str]" = \
             collections.OrderedDict()
-        self._inflight: Dict[str, _Inflight] = {}
+        self._inflight: Dict[str, "asyncio.Future[ServeOutcome]"] = {}
         #: Consecutive infra failures (timeout / crash) per digest.
         self._infra_failures: Dict[str, int] = {}
         #: Quarantined digest → the failure kind that tripped it.
@@ -270,39 +271,41 @@ class AnalysisService:
         self._log(outcome, started)
         return outcome
 
-    async def _analyze_digest(self, digest: str,
-                              data: Dict[str, Any]) -> ServeOutcome:
+    async def _analyze_digest(self, digest: str, data: Dict[str, Any],
+                              gate: Optional[asyncio.Semaphore] = None,
+                              ) -> ServeOutcome:
+        future = self._inflight.get(digest)
+        if future is not None:
+            # Identical request already computing: coalesce onto it.
+            # Checked before the store, which the computing worker
+            # writes before its reply reaches this loop.
+            self.counters.dedupe_hits += 1
+            return (await asyncio.shield(future)).as_dedupe()
         outcome = self._lookup(digest)
         if outcome is not None:
             return outcome
-        entry = self._inflight.get(digest)
-        if entry is not None:
-            # Identical request already computing: coalesce onto it.
-            self.counters.dedupe_hits += 1
-            entry.waiters += 1
-            return (await asyncio.shield(entry.future)).as_dedupe()
         if self._draining:
             return ServeOutcome(
                 503, error_body("shutting_down",
                                 "server is draining", digest),
                 digest, retry_after=RETRY_AFTER_DRAINING,
             )
-        entry = _Inflight(asyncio.get_running_loop().create_future())
-        self._inflight[digest] = entry
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[digest] = future
         try:
-            outcome = await self._compute(digest, data)
+            outcome = await self._compute(digest, data, gate)
         except BaseException:
             # _compute raised (cancellation, loop teardown): the
             # waiters must still get an answer, not hang forever.
             self._inflight.pop(digest, None)
-            entry.future.set_result(ServeOutcome(
+            future.set_result(ServeOutcome(
                 500, error_body("internal_error",
                                 "computation failed", digest),
                 digest,
             ))
             raise
         self._inflight.pop(digest, None)
-        entry.future.set_result(outcome)
+        future.set_result(outcome)
         return outcome
 
     # ------------------------------------------------------------------
@@ -345,15 +348,26 @@ class AnalysisService:
                 "%s failures", digest, count, kind,
             )
 
-    async def _compute(self, digest: str,
-                       data: Dict[str, Any]) -> ServeOutcome:
+    async def _compute(self, digest: str, data: Dict[str, Any],
+                       gate: Optional[asyncio.Semaphore]) -> ServeOutcome:
+        """Run one request on the pool and map the pool's failures."""
         poisoned = self._quarantine_outcome(digest)
         if poisoned is not None:
             return poisoned
+        on_start = pool_future = None
+        if gate is not None:
+            # A batch task holds its permit only while it is queued, so
+            # a worker that finishes one finds the next already waiting.
+            await gate.acquire()
+            on_start = functools.partial(
+                asyncio.get_running_loop().call_soon_threadsafe,
+                gate.release,
+            )
         try:
             pool_future = self.pool.submit(
-                Shard([data], [digest], self._store_root)
+                Shard(data, digest, self._store_root), on_start=on_start
             )
+            reply = await asyncio.wrap_future(pool_future)
         except QueueFull as exc:
             self.counters.rejected += 1
             return ServeOutcome(
@@ -365,8 +379,6 @@ class AnalysisService:
                 503, error_body("shutting_down", str(exc), digest), digest,
                 retry_after=RETRY_AFTER_DRAINING,
             )
-        try:
-            [reply] = await asyncio.wrap_future(pool_future)
         except AnalysisTimeout as exc:
             self.counters.timeouts += 1
             self._note_infra_failure(digest, "analysis_timeout")
@@ -381,6 +393,10 @@ class AnalysisService:
                 500, error_body("worker_crashed", str(exc), digest),
                 digest,
             )
+        finally:
+            if gate is not None and (pool_future is None
+                                     or pool_future.cancelled()):
+                gate.release()  # never started, so on_start never ran
         return self._absorb(digest, reply)
 
     def _absorb(self, digest: str, reply: Tuple[Any, ...]) -> ServeOutcome:
@@ -399,7 +415,7 @@ class AnalysisService:
                 # clean run; only the stats move.
                 self._note_sidecar(digest, sidecar)
             self._memory_put(digest, text)
-            if stored is not None:  # the shard named our store
+            if stored is not None:  # the task named our store
                 self.store.count_write(stored)
             return ServeOutcome(200, text, digest, SOURCE_COMPUTED)
         kind, error_type, message = reply
@@ -461,16 +477,15 @@ class AnalysisService:
     # ------------------------------------------------------------------
 
     async def analyze_batch_payload(self, data: Any) -> ServeOutcome:
-        """``POST /v1/batch`` — sharded fan-out with work-stealing.
+        """``POST /v1/batch`` — every entry down the single-request path.
 
-        Body: ``{"requests": [request-dict, ...]}`` (optionally
-        ``"shard_size"``).  The response carries one entry per request,
-        in order: the result dict of a success, or an ``{"error": ...}``
-        object.  Duplicate digests within the batch are computed once;
-        warm digests are answered from the store; the misses are cut
-        into shards pushed onto the pool's shared queue, so idle
-        workers steal remaining shards instead of waiting on a static
-        partition.
+        Body: ``{"requests": [request-dict, ...]}``.  The response
+        carries one entry per request, in order: the result dict of a
+        success, or an ``{"error": ...}`` object.  Each valid entry runs
+        :meth:`_analyze_digest`, so warm digests are answered from the
+        warm layers and duplicates — within the batch, or of requests
+        already in flight — coalesce onto one computation.  Cold entries
+        reach the pool through the batch gate, one task each.
         """
         started = time.monotonic()
         self.counters.batches += 1
@@ -481,24 +496,16 @@ class AnalysisService:
                 "invalid_request",
                 'batch body must be {"requests": [...]}',
             ))
-        raw_requests = data["requests"]
-        shard_size = data.get("shard_size", self.batch_shard_size)
-        if not isinstance(shard_size, int) or isinstance(shard_size, bool) \
-                or shard_size < 1:
-            self.counters.invalid += 1
-            return ServeOutcome(400, error_body(
-                "invalid_request", "shard_size must be a positive integer"
-            ))
         if self._draining:
             return ServeOutcome(
                 503, error_body("shutting_down", "server is draining"),
                 retry_after=RETRY_AFTER_DRAINING,
             )
 
+        raw_requests = data["requests"]
         self.counters.requests += len(raw_requests)
-        outcomes: List[Optional[ServeOutcome]] = [None] * len(raw_requests)
-        slots: Dict[str, List[int]] = {}
-        pending: List[Tuple[str, Dict[str, Any]]] = []
+        outcomes: Dict[int, ServeOutcome] = {}
+        runs: Dict[int, Awaitable[ServeOutcome]] = {}
         for index, raw in enumerate(raw_requests):
             request, message = self.parse_request(raw)
             if request is None:
@@ -508,129 +515,36 @@ class AnalysisService:
                 )
                 continue
             payload = request.to_dict()
-            digest = payload_digest(payload)
-            owners = slots.setdefault(digest, [])
-            if owners:  # duplicate within the batch: computed once
-                self.counters.dedupe_hits += 1
-            else:
-                warm = self._lookup(digest)
-                if warm is not None:
-                    outcomes[index] = warm
-                    owners.append(index)
-                    continue
-                pending.append((digest, payload))
-            owners.append(index)
-
-        if pending:
-            shards = [pending[i:i + shard_size]
-                      for i in range(0, len(pending), shard_size)]
-            results = await asyncio.gather(
-                *(self._run_shard(shard) for shard in shards)
+            runs[index] = self._analyze_digest(
+                payload_digest(payload), payload, self._batch_gate
             )
-            for shard, shard_outcomes in zip(shards, results):
-                for (digest, _), outcome in zip(shard, shard_outcomes):
-                    for index in slots[digest]:
-                        if outcomes[index] is None:
-                            outcomes[index] = outcome
-        # Fill duplicate slots whose owner was warm.
-        for digest, owners in slots.items():
-            first = outcomes[owners[0]]
-            for index in owners[1:]:
-                if outcomes[index] is None:
-                    outcomes[index] = first.as_dedupe()
+        ran = await asyncio.gather(*runs.values())
+        outcomes.update(zip(runs, ran))
 
-        entries = [json.loads(outcome.body) for outcome in outcomes]
-        errors = sum(1 for outcome in outcomes if not outcome.ok)
+        entries = [json.loads(outcomes[index].body)
+                   for index in range(len(raw_requests))]
+        errors = sum(1 for outcome in outcomes.values() if not outcome.ok)
         body = json.dumps(
             {"count": len(entries), "errors": errors, "results": entries},
             indent=2, sort_keys=True,
         )
+        warm = sum(1 for outcome in ran
+                   if outcome.source in (SOURCE_MEMORY, SOURCE_STORE))
         result = ServeOutcome(
             200 if errors == 0 else 207, body, None,
-            SOURCE_COMPUTED if pending else SOURCE_STORE,
+            SOURCE_STORE if warm == len(ran) else SOURCE_COMPUTED,
         )
         if logger.isEnabledFor(logging.INFO):
+            computed = sum(1 for outcome in ran
+                           if outcome.source == SOURCE_COMPUTED)
             logger.info(
-                "batch requests=%d unique=%d warm=%d computed=%d "
+                "batch requests=%d warm=%d computed=%d "
                 "errors=%d queue=%d wall_ms=%.2f",
-                len(raw_requests), len(slots), len(slots) - len(pending),
-                len(pending), errors, self.pool.stats()["queue_depth"],
+                len(raw_requests), warm, computed, errors,
+                self.pool.stats()["queue_depth"],
                 (time.monotonic() - started) * 1000.0,
             )
         return result
-
-    async def _run_shard(
-        self, shard: List[Tuple[str, Dict[str, Any]]]
-    ) -> List[ServeOutcome]:
-        # Quarantined digests never reach the pool — answer them here
-        # and submit only the live remainder of the shard.
-        shard_outcomes: Dict[str, ServeOutcome] = {}
-        live: List[Tuple[str, Dict[str, Any]]] = []
-        for digest, data in shard:
-            poisoned = self._quarantine_outcome(digest)
-            if poisoned is not None:
-                shard_outcomes[digest] = poisoned
-            else:
-                live.append((digest, data))
-
-        def _fill(outcomes: Dict[str, ServeOutcome]) -> List[ServeOutcome]:
-            return [outcomes[digest] for digest, _ in shard]
-
-        if not live:
-            return _fill(shard_outcomes)
-        digests = [digest for digest, _ in live]
-        try:
-            pool_future = self.pool.submit(Shard(
-                [data for _, data in live], digests, self._store_root
-            ))
-        except QueueFull as exc:
-            self.counters.rejected += len(live)
-            shard_outcomes.update({
-                d: ServeOutcome(
-                    429, error_body("queue_full", str(exc), d), d,
-                    retry_after=RETRY_AFTER_BUSY,
-                )
-                for d in digests
-            })
-            return _fill(shard_outcomes)
-        except PoolClosed as exc:
-            shard_outcomes.update({
-                d: ServeOutcome(
-                    503, error_body("shutting_down", str(exc), d), d,
-                    retry_after=RETRY_AFTER_DRAINING,
-                )
-                for d in digests
-            })
-            return _fill(shard_outcomes)
-        try:
-            replies = await asyncio.wrap_future(pool_future)
-        except AnalysisTimeout as exc:
-            self.counters.timeouts += 1
-            for d in digests:
-                self._note_infra_failure(d, "analysis_timeout")
-            shard_outcomes.update({
-                d: ServeOutcome(
-                    504, error_body("analysis_timeout", str(exc), d), d
-                )
-                for d in digests
-            })
-            return _fill(shard_outcomes)
-        except WorkerCrashed as exc:
-            self.counters.crashes += 1
-            for d in digests:
-                self._note_infra_failure(d, "worker_crashed")
-            shard_outcomes.update({
-                d: ServeOutcome(
-                    500, error_body("worker_crashed", str(exc), d), d
-                )
-                for d in digests
-            })
-            return _fill(shard_outcomes)
-        shard_outcomes.update({
-            digest: self._absorb(digest, reply)
-            for digest, reply in zip(digests, replies)
-        })
-        return _fill(shard_outcomes)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -664,7 +578,7 @@ class AnalysisService:
         self._draining = True
         if drain and self._inflight:
             await asyncio.gather(
-                *(entry.future for entry in list(self._inflight.values())),
+                *list(self._inflight.values()),
                 return_exceptions=True,
             )
         # The pool join blocks (thread joins); keep the loop breathing.

@@ -41,15 +41,13 @@ def selective_worker_main(conn):
             break
         if shard is None:
             break
-        replies = []
-        for data, digest in shard.items():
-            core = data.get("core", "") if isinstance(data, dict) else ""
-            if "crash-me" in core:
-                os._exit(3)
-            if "slowpoke" in core:
-                time.sleep(SLOW_SECONDS)
-            replies.append(serve_request(data, digest, shard.store_root))
-        conn.send(replies)
+        data = shard.request
+        core = data.get("core", "") if isinstance(data, dict) else ""
+        if "crash-me" in core:
+            os._exit(3)
+        if "slowpoke" in core:
+            time.sleep(SLOW_SECONDS)
+        conn.send(serve_request(data, shard.digest, shard.store_root))
 
 
 class ServerHarness:

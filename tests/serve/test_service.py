@@ -1,5 +1,5 @@
 """The transport-free serving core: warm layers, in-flight dedupe,
-structured errors, and batch sharding — driven directly as coroutines."""
+structured errors, and batch fan-out — driven directly as coroutines."""
 
 import asyncio
 import importlib.util
@@ -14,10 +14,12 @@ from repro.api.requests import PARSED_CORE_LIMIT, PARSED_CORES
 from repro.api.store import ShardedResultStore
 from repro.bigfloat import backend as backend_mod
 from repro.core import AnalysisConfig
+from repro.serve.pool import WorkerPool
 from repro.serve.service import AnalysisService
 
 CORE = "(FPCore (x) :name \"t\" :pre (<= 1e16 x 1e17) (- (+ x 1) x))"
 CLEAN = "(FPCore (x) :name \"ok\" :pre (<= 1 x 2) (+ x 1))"
+CRASH = "(FPCore (x) :name \"crash-me\" :pre (<= 1 x 2) (+ x 1))"
 FAST = AnalysisConfig(shadow_precision=96)
 
 
@@ -302,11 +304,11 @@ class TestBatch:
         assert counters.op_budget_exceeded == 1
         assert counters.analysis_errors == 0
 
-    def test_batch_shards_steal_across_workers(self):
+    def test_batch_entries_steal_across_workers(self):
         requests = [_request(CLEAN, seed=i) for i in range(6)]
 
         async def scenario():
-            service = AnalysisService(workers=2, batch_shard_size=1)
+            service = AnalysisService(workers=2)
             outcome = await service.analyze_batch_payload(
                 {"requests": [r.to_dict() for r in requests]}
             )
@@ -317,7 +319,7 @@ class TestBatch:
         outcome, pool_stats = asyncio.run(scenario())
         envelope = json.loads(outcome.body)
         assert outcome.status == 200 and envelope["errors"] == 0
-        # 6 one-request shards drained through the shared queue.
+        # One pool task per request, drained through the shared queue.
         assert pool_stats["completed"] == 6
         session = AnalysisSession(config=FAST, num_points=3)
         for request, entry in zip(requests, envelope["results"]):
@@ -327,16 +329,93 @@ class TestBatch:
     def test_batch_rejects_malformed_envelope(self):
         async def scenario():
             service = AnalysisService(workers=1)
-            a = await service.analyze_batch_payload({"nope": []})
-            b = await service.analyze_batch_payload(
-                {"requests": [], "shard_size": 0}
+            outcome = await service.analyze_batch_payload({"nope": []})
+            await service.close()
+            return outcome
+
+        outcome = asyncio.run(scenario())
+        assert outcome.status == 400
+        assert json.loads(outcome.body)["error"]["type"] == \
+            "invalid_request"
+
+    def test_batches_and_single_for_one_digest_compute_once(self):
+        request = _request(seed=41)
+        expected = _expected_json(request)
+
+        async def scenario():
+            service = AnalysisService(workers=2)
+            outcomes = await asyncio.gather(
+                service.analyze_batch_payload(
+                    {"requests": [request.to_dict()]}),
+                service.analyze_batch_payload(
+                    {"requests": [request.to_dict()]}),
+                service.analyze_payload(request.to_dict()),
             )
             await service.close()
-            return a, b
+            return outcomes, service.counters
 
-        a, b = asyncio.run(scenario())
-        assert a.status == 400
-        assert b.status == 400
+        (first, second, single), counters = asyncio.run(scenario())
+        assert counters.computed == 1
+        assert counters.dedupe_hits == 2
+        assert single.status == 200 and single.body == expected
+        for batch in (first, second):
+            [entry] = json.loads(batch.body)["results"]
+            assert json.dumps(entry, indent=2, sort_keys=True) == expected
+
+    def test_crash_is_charged_to_its_own_entry(self, selective_worker):
+        # No memory layer: every batch recomputes its clean entries, so
+        # each send puts all four requests on the pool.
+        clean = [_request(CLEAN, seed=i) for i in range(3)]
+        batch = {"requests": [_request(CRASH).to_dict()]
+                 + [r.to_dict() for r in clean]}
+        threshold = 3
+
+        async def scenario():
+            service = AnalysisService(
+                pool=WorkerPool(workers=1, worker_main=selective_worker),
+                memory_cache_size=0, poison_threshold=threshold,
+            )
+            envelopes = []
+            for _ in range(threshold):
+                outcome = await service.analyze_batch_payload(batch)
+                envelopes.append(json.loads(outcome.body))
+            single = await service.analyze_payload(clean[0].to_dict())
+            stats = service.stats()
+            await service.close()
+            return envelopes, single, stats
+
+        envelopes, single, stats = asyncio.run(scenario())
+        for envelope in envelopes:
+            assert envelope["errors"] == 1
+            assert envelope["results"][0]["error"]["type"] == \
+                "worker_crashed"
+            for request, entry in zip(clean, envelope["results"][1:]):
+                assert json.dumps(entry, indent=2, sort_keys=True) == \
+                    _expected_json(request)
+        assert single.status == 200
+        assert stats["quarantined_digests"] == 1
+        assert stats["service"]["crashes"] == threshold
+        assert stats["service"]["computed"] == 3 * threshold + 1
+
+    def test_batch_larger_than_the_queue_is_not_shed(self):
+        # A body that still names the retired shard_size is answered as
+        # if the key were absent: one task per entry, through the gate.
+        requests = [_request(CLEAN, seed=100 + i) for i in range(6)]
+
+        async def scenario():
+            service = AnalysisService(workers=1, queue_limit=1)
+            outcome = await service.analyze_batch_payload({
+                "requests": [r.to_dict() for r in requests],
+                "shard_size": 1,
+            })
+            await service.close()
+            return outcome, service.counters
+
+        outcome, counters = asyncio.run(scenario())
+        envelope = json.loads(outcome.body)
+        assert outcome.status == 200
+        assert (envelope["count"], envelope["errors"]) == (6, 0)
+        assert counters.rejected == 0 and counters.computed == 6
 
 
 class TestParseFreeHits:

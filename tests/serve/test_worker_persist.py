@@ -1,7 +1,7 @@
 """Served results are persisted by the pool worker that computed them.
 
 The server process never writes the store on its serving path: each
-cold shard carries its requests' digests and the store root, the worker
+cold task carries its request's digest and the store root, the worker
 writes the ``ok`` text before it replies, and the reply says whether
 the write landed, so ``/v1/stats`` still counts every write.  These
 tests drive real sockets and real worker processes.
@@ -98,7 +98,7 @@ class TestWorkerWritesTheStore:
         assert stats["store"]["writes"] == 2
         assert ShardedResultStore(root).get_text(torn.digest) == expected
 
-    def test_batch_shard_persists_every_result(
+    def test_batch_persists_every_result(
         self, harness_factory, tmp_path
     ):
         root = str(tmp_path)
@@ -106,7 +106,7 @@ class TestWorkerWritesTheStore:
         requests = [_session().request(CORE, seed=seed)
                     for seed in (304, 305, 306)]
         with harness.client() as client:
-            envelope = client.batch(requests, shard_size=3)
+            envelope = client.batch(requests)
             stats = client.stats()
         assert (envelope["count"], envelope["errors"]) == (3, 0)
         fresh = ShardedResultStore(root)
@@ -115,7 +115,7 @@ class TestWorkerWritesTheStore:
             assert text == _expected(request)
             assert fresh.get_text(request_digest(request)) == text
         assert stats["store"]["writes"] == 3
-        assert stats["pool"]["completed"] == 1  # one shard, one task
+        assert stats["pool"]["completed"] == 3  # one task per request
 
     def test_server_process_never_writes_the_store(
         self, harness_factory, tmp_path, monkeypatch
@@ -133,7 +133,7 @@ class TestWorkerWritesTheStore:
                    for seed in (308, 309)]
         with harness.client() as client:
             reply = client.analyze(single)
-            envelope = client.batch(batched, shard_size=2)
+            envelope = client.batch(batched)
         assert (reply.status, reply.source) == (200, "computed")
         assert envelope["errors"] == 0
         served = [(single, reply.text)] + [
