@@ -60,7 +60,6 @@ from repro.bigfloat.policy import (
     UNTRUSTED,
     available_policies,
     make_policy,
-    register_policy,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ __all__ = [
     "UNTRUSTED",
     "available_policies",
     "make_policy",
-    "register_policy",
     "DEFAULT_PRECISION",
     "DOUBLE_CONTEXT",
     "HALF",

@@ -742,15 +742,10 @@ def available_policies() -> List[str]:
     return sorted(_POLICIES)
 
 
-def register_policy(name: str, cls: type) -> None:
-    """Register (or replace) a policy class under ``name``."""
-    _POLICIES[name] = cls
-
-
 def make_policy(name: str, full_precision: int, working_precision: int = 144,
                 guard_bits: int = 16,
                 rounding: str = ROUND_NEAREST_EVEN) -> PrecisionPolicy:
-    """Instantiate the policy registered under ``name``."""
+    """Instantiate the policy named ``name``."""
     try:
         cls = _POLICIES[name]
     except KeyError:
@@ -758,9 +753,5 @@ def make_policy(name: str, full_precision: int, working_precision: int = 144,
         raise KeyError(f"unknown precision policy {name!r} (known: {known})")
     if cls is FixedPrecisionPolicy:
         return cls(full_precision, rounding=rounding)
-    try:
-        return cls(full_precision, working_precision=working_precision,
-                   guard_bits=guard_bits, rounding=rounding)
-    except TypeError:
-        # Registered policies without tier parameters (fixed-style).
-        return cls(full_precision, rounding=rounding)
+    return cls(full_precision, working_precision=working_precision,
+               guard_bits=guard_bits, rounding=rounding)

@@ -272,56 +272,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="analyse an FPCore program")
+    # Flags that analyze and corpus share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--precision", type=int, default=256)
+    common.add_argument("--backend", default="herbgrind",
+                        choices=available_backends(),
+                        help="analysis backend to run")
+    common.add_argument("--precision-policy",
+                        choices=available_policies(),
+                        help="shadow precision tiering (adaptive escalates "
+                             "to --precision only when decisions need it; "
+                             f"default: {default.precision_policy})")
+    common.add_argument("--working-precision", type=int,
+                        help="working-tier bits for --precision-policy "
+                             f"adaptive (default: "
+                             f"{default.working_precision})")
+    common.add_argument("--hw-tier", choices=("on", "off"), default=None,
+                        help="hardware double-double shadow tier below "
+                             "the working tier (adaptive policy only; "
+                             "default: on, or the REPRO_HWTIER env; "
+                             "reports are identical either way)")
+    common.add_argument("--cache-dir", metavar="DIR",
+                        help="persist analysis results as JSON under DIR "
+                             "and reuse them across runs")
+    common.add_argument("--engine",
+                        choices=("compiled", "reference"),
+                        help="execution engine: the threaded-code fast "
+                             "path or the reference interpreter "
+                             "(identical results; default: "
+                             f"{default.engine})")
+    common.add_argument("--substrate",
+                        choices=available_substrates(),
+                        help="BigFloat kernel substrate: the native "
+                             "gmpy2/mpmath kernels, which fall back to "
+                             "python when neither library is installed, "
+                             "or the pure-python reference (identical "
+                             f"reports; default: {default.substrate})")
+    common.add_argument("--json", action="store_true",
+                        help="emit the AnalysisResult JSON serialization")
+    common.add_argument("--profile", action="store_true",
+                        help="count per-stage pipeline events and emit "
+                             "them as extra.pipeline_profile in the "
+                             "result JSON (results are unchanged); "
+                             "print the substrate's provider and "
+                             "fallbacks to stderr")
+    common.add_argument("--no-degrade", action="store_true",
+                        help="disable the graceful-degradation ladder: "
+                             "engine/substrate failures propagate "
+                             "instead of retrying down the stack")
+    common.add_argument("--faults", metavar="SPEC",
+                        help="arm deterministic fault injection, e.g. "
+                             "'kernel.raise:times=1' (see "
+                             "docs/robustness.md for the grammar)")
+
+    analyze = sub.add_parser("analyze", parents=[common],
+                             help="analyse an FPCore program")
     analyze.add_argument("source", help="FPCore text or path to a .fpcore file")
     analyze.add_argument("--points", type=int, default=16)
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--precision", type=int, default=256)
     analyze.add_argument("--threshold", type=float, default=5.0,
                          help="local-error threshold Tℓ in bits")
     analyze.add_argument("--depth", type=int, default=20,
                          help="max expression depth")
-    analyze.add_argument("--backend", default="herbgrind",
-                         choices=available_backends(),
-                         help="analysis backend to run")
-    analyze.add_argument("--precision-policy",
-                         choices=available_policies(),
-                         help="shadow precision tiering (adaptive escalates "
-                              "to --precision only when decisions need it; "
-                              f"default: {default.precision_policy})")
-    analyze.add_argument("--working-precision", type=int,
-                         help="working-tier bits for --precision-policy "
-                              f"adaptive (default: "
-                              f"{default.working_precision})")
-    analyze.add_argument("--hw-tier", choices=("on", "off"), default=None,
-                         help="hardware double-double shadow tier below "
-                              "the working tier (adaptive policy only; "
-                              "default: on, or the REPRO_HWTIER env; "
-                              "reports are identical either way)")
-    analyze.add_argument("--cache-dir", metavar="DIR",
-                         help="persist analysis results as JSON under DIR "
-                              "and reuse them across runs")
-    analyze.add_argument("--engine",
-                         choices=("compiled", "reference"),
-                         help="execution engine: the threaded-code fast "
-                              "path or the reference interpreter "
-                              "(identical results; default: "
-                              f"{default.engine})")
-    analyze.add_argument("--substrate",
-                         choices=available_substrates(),
-                         help="BigFloat kernel substrate: the native "
-                              "gmpy2/mpmath kernels, which fall back to "
-                              "python when neither library is installed, "
-                              "or the pure-python reference (identical "
-                              f"reports; default: {default.substrate})")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the AnalysisResult JSON serialization")
-    analyze.add_argument("--profile", action="store_true",
-                         help="count per-stage pipeline events and emit "
-                              "them as extra.pipeline_profile in the "
-                              "result JSON (results are unchanged); "
-                              "print the substrate's provider and "
-                              "fallbacks to stderr")
     analyze.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="per-analysis wall-clock budget; exceeding "
@@ -330,14 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="OPS",
                          help="per-analysis shadow-operation budget; "
                               "exceeding it raises OpBudgetExceeded")
-    analyze.add_argument("--no-degrade", action="store_true",
-                         help="disable the graceful-degradation ladder: "
-                              "engine/substrate failures propagate "
-                              "instead of retrying down the stack")
-    analyze.add_argument("--faults", metavar="SPEC",
-                         help="arm deterministic fault injection, e.g. "
-                              "'kernel.raise:times=1' (see "
-                              "docs/robustness.md for the grammar)")
     analyze.set_defaults(func=_command_analyze)
 
     improve = sub.add_parser("improve", help="improve a bare expression")
@@ -350,50 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     improve.add_argument("--seed", type=int, default=0)
     improve.set_defaults(func=_command_improve)
 
-    corpus = sub.add_parser("corpus", help="the 86-benchmark suite")
+    corpus = sub.add_parser("corpus", parents=[common],
+                            help="the 86-benchmark suite")
     corpus.add_argument("--list", action="store_true")
     corpus.add_argument("--name", help="analyse one benchmark in detail")
     corpus.add_argument("--points", type=int, default=8)
-    corpus.add_argument("--precision", type=int, default=256)
-    corpus.add_argument("--backend", default="herbgrind",
-                        choices=available_backends(),
-                        help="analysis backend to run")
-    corpus.add_argument("--precision-policy",
-                        choices=available_policies(),
-                        help="shadow precision tiering (default: "
-                             f"{default.precision_policy})")
-    corpus.add_argument("--working-precision", type=int,
-                        help="working-tier bits for adaptive tiering "
-                             f"(default: {default.working_precision})")
-    corpus.add_argument("--hw-tier", choices=("on", "off"), default=None,
-                        help="hardware double-double shadow tier "
-                             "(adaptive policy only; reports are "
-                             "identical either way)")
-    corpus.add_argument("--cache-dir", metavar="DIR",
-                        help="persist analysis results as JSON under DIR "
-                             "and reuse them across runs")
-    corpus.add_argument("--engine",
-                        choices=("compiled", "reference"),
-                        help="execution engine (results are identical; "
-                             f"default: {default.engine})")
-    corpus.add_argument("--substrate",
-                        choices=available_substrates(),
-                        help="BigFloat kernel substrate (reports are "
-                             f"identical; default: {default.substrate})")
     corpus.add_argument("--workers", type=int, default=1,
                         help="worker processes for batch analysis")
-    corpus.add_argument("--json", action="store_true",
-                        help="emit AnalysisResult JSON for the batch")
-    corpus.add_argument("--profile", action="store_true",
-                        help="emit per-stage pipeline attribution in "
-                             "each result's extra.pipeline_profile; "
-                             "print the substrate's provider and "
-                             "fallbacks to stderr")
-    corpus.add_argument("--no-degrade", action="store_true",
-                        help="disable the graceful-degradation ladder")
-    corpus.add_argument("--faults", metavar="SPEC",
-                        help="arm deterministic fault injection "
-                             "(docs/robustness.md)")
     corpus.set_defaults(func=_command_corpus)
 
     lint = sub.add_parser(

@@ -1061,10 +1061,11 @@ class HerbgrindAnalysis(Tracer):
         Unlike the profile-gated stage counters, these aggregate at
         negligible cost, so serving stats and ``--profile`` output can
         show where shadow work actually ran: ops served by the hardware
-        pair kernels, pair arguments promoted to the working tier, and
-        roundings certified by each escalation rung.  ``memo_hits``
-        counts site-step ops, sequential or batched, replayed from the
-        pool's per-ident memo, and ``tail_replays`` those of them that
+        pair kernels, pair arguments promoted to the working tier,
+        roundings the working rung certified, and operations
+        re-executed at the full tier.  ``memo_hits`` counts site-step
+        ops, sequential or batched, replayed from the pool's per-ident
+        memo, and ``tail_replays`` those of them that
         also skipped the anti-unification walk and the characteristic
         updates; like ``hw_kernel_ops``, the tier and escalation
         counters count *computed* shadows, which a memo hit does not
@@ -1078,7 +1079,6 @@ class HerbgrindAnalysis(Tracer):
             "memo_hits": self.memo_hits,
             "tail_replays": self.tail_replays,
             "working_certified": self.escalator.working_certified,
-            "confirm_certified": self.escalator.confirm_certified,
             "full_recomputed_nodes": self.escalator.recomputed_nodes,
             "escalations": stats.get("escalations", 0),
             "escalation_rounding": stats.get("rounding", 0),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.trace import KIND_OP, P_OP
+from repro.core.trace import trace_view
 from repro.fpcore.ast import Expr, Op
 
 Path = Tuple[int, ...]
@@ -32,22 +32,14 @@ def map_node_locations(
     expression's size however large the trace DAG is.  Positions are
     child-index paths from the root, as in :mod:`repro.improve.patterns`.
     """
-    if pool is None:
-        def view(node):
-            return node.kind == KIND_OP, node.op, node.args, node.loc
-    else:
-        kinds, ops, args, locs = pool.kinds, pool.ops, pool.args, pool.locs
-
-        def view(ident):
-            return kinds[ident] == P_OP, ops[ident], args[ident], locs[ident]
-
+    view = trace_view(pool)
     locations: Dict[Path, Optional[str]] = {}
     stack = [(symbolic, trace, ())]
     while stack:
         sym, node, path = stack.pop()
         if not isinstance(sym, Op):
             continue
-        is_op, op, node_args, loc = view(node)
+        is_op, op, node_args, _, loc = view(node)
         if is_op and sym.op == op and len(sym.args) == len(node_args):
             locations[path] = loc
             stack.extend(

@@ -20,7 +20,7 @@ working-tier ulps (``policy.EXACT`` for exactly-represented values).
 re-executing the concrete trace at the full precision: because the
 trace records exactly the operations the fixed-tier analysis would
 have run, the escalated value is bit-identical to what a fixed
-full-precision run computes.  Re-execution is memoized per trace node,
+full-precision run computes.  Re-execution is memoized per trace handle,
 so shared sub-computations (the trace is a DAG) are escalated once.
 """
 
@@ -30,9 +30,9 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.bigfloat import BigFloat, apply
 from repro.bigfloat.doubledouble import DoubleDouble
-from repro.bigfloat.policy import EXACT, UNTRUSTED, PrecisionPolicy
+from repro.bigfloat.policy import EXACT, PrecisionPolicy
 from repro.core.records import OpRecord
-from repro.core.trace import KIND_OP, P_OP, TraceNode
+from repro.core.trace import trace_view
 
 EMPTY_INFLUENCES: FrozenSet[OpRecord] = frozenset()
 
@@ -82,13 +82,13 @@ class ShadowEscalator:
     int→float conversions register the exact integer, which the float
     leaf value cannot always represent.
 
-    Escalation itself is tiered, Ziv style: a *rounding* escalation
-    first re-executes at the cheap **confirm tier** (roughly twice the
-    working precision) with its own drift bookkeeping; when the
-    decision is decisive there — almost always, since the band shrank
-    by a couple hundred bits — the full tier is never touched.  Only a
-    still-ambiguous decision pays for the exact full-precision
-    re-execution.
+    A trace is a *handle*: a :class:`TraceNode` on the reference
+    engine, an integer ident into the trace pool on the compiled one.
+    One walk (:meth:`reexecute`) serves both, through
+    :func:`repro.core.trace.trace_view`; memos and leaf overrides
+    are keyed by handle.  It runs on two rungs: the *working* rung,
+    which certifies a double-double shadow's rounding from a plain
+    working-tier re-execution, and the *full* rung, which is exact.
     """
 
     def __init__(self, policy: PrecisionPolicy, backend=None,
@@ -99,46 +99,26 @@ class ShadowEscalator:
         #: escalated values are computed by the same substrate as the
         #: working-tier values they replace.
         self._apply = backend.apply if backend is not None else apply
-        #: Ident-first trace pool: when set, shadows carry integer
-        #: idents instead of structured nodes and re-execution walks
-        #: the pool's flat arrays directly — no node is materialized to
-        #: escalate.  Memo keys are idents in both representations
-        #: (materialized nodes carry their pool ident).
-        self._pool = pool
-        self._memo: Dict[int, BigFloat] = {}
-        self._leaves: Dict[int, BigFloat] = {}
+        #: Accessor of trace handles: idents into ``pool`` on the
+        #: compiled engine, nodes on the reference engine (no pool).
+        #: The pool's arrays are cleared, never rebound, at an epoch,
+        #: so one view serves the escalator's lifetime.
+        self._view = trace_view(pool)
+        #: Full-rung and working-rung memos: handle → (value, drift).
+        self._memo: Dict[object, "Tuple[BigFloat, float]"] = {}
+        self._working_memo: Dict[object, "Tuple[BigFloat, float]"] = {}
+        self._leaves: Dict[object, BigFloat] = {}
         #: Operation nodes recomputed at the full tier (for reporting).
         self.recomputed_nodes = 0
-        #: Confirm-tier state: a second adaptive policy whose "working"
-        #: precision is the confirm tier, reusing all drift machinery.
-        self._confirm_policy: Optional[PrecisionPolicy] = None
-        self._confirm_memo: Dict[int, "Tuple[BigFloat, float]"] = {}
-        self.confirm_certified = 0
-        #: Hardware-tier rung: when the shadow real is a double-double
-        #: pair, an uncertifiable rounding first re-executes at the
-        #: plain working tier (the rung the hardware tier replaced)
-        #: before touching the confirm tier.
-        self._working_memo: Dict[int, "Tuple[BigFloat, float]"] = {}
+        #: Roundings the working rung certified (the full tier untouched).
         self.working_certified = 0
-        if policy.escalates:
-            full = policy.full_context.precision
-            working = policy.context.precision
-            confirm = min(full, working * 2 + 64)
-            if confirm > working + 32 and confirm < full:
-                self._confirm_policy = type(policy)(
-                    full,
-                    working_precision=confirm,
-                    guard_bits=getattr(policy, "guard_bits", 16),
-                    rounding=policy.full_context.rounding,
-                )
 
-    def register_leaf(self, node, real: BigFloat) -> None:
-        """Pin the exact full-tier value of a trace leaf (a
-        :class:`TraceNode` or a pool ident)."""
-        self._leaves[node if type(node) is int else node.ident] = real
+    def register_leaf(self, leaf, real: BigFloat) -> None:
+        """Pin the exact full-tier value of a trace leaf handle."""
+        self._leaves[leaf] = real
 
     def reset(self) -> None:
-        """Drop the ident-keyed memos and leaf overrides.
+        """Drop the handle-keyed memos and leaf overrides.
 
         Under an ident pool the analysis calls this whenever the pool
         starts a new epoch: idents then restart from zero, and a stale
@@ -149,7 +129,6 @@ class ShadowEscalator:
         memory (structured nodes are never reused across runs).
         Counters survive; they aggregate across runs."""
         self._memo.clear()
-        self._confirm_memo.clear()
         self._working_memo.clear()
         self._leaves.clear()
 
@@ -163,246 +142,95 @@ class ShadowEscalator:
                 # promotion is bit-identical to full re-execution.
                 return real.to_bigfloat()
             return real
-        if self._pool is not None:
-            return self.exact_ident(shadow.trace)
-        return self.exact_node(shadow.trace)
+        return self.exact(shadow.trace)
 
-    def certified_rounded(self, shadow: ShadowValue,
-                          mant_bits: int = 53,
-                          emin: int = -1022) -> Optional[float]:
-        """The hardware rounding of the full-tier value, via the
-        cheapest tier that can certify the decision (None when none
-        can; the caller then pays for :meth:`exact_real`).
+    def exact(self, trace) -> BigFloat:
+        """The full-tier value of a trace handle (the full rung)."""
+        cached = self._memo.get(trace)
+        if cached is not None:
+            return cached[0]
+        with self.policy.escalated() as context:
+            return self.reexecute(trace, context, self._memo)[0]
 
-        Hardware-tier shadows climb one extra rung: first a working-tier
-        re-execution (whose band is a few dozen bits tighter than the
-        double-double bound), then the confirm tier, then the full tier.
+    def certified_rounded(self, shadow: ShadowValue) -> Optional[float]:
+        """The hardware rounding of the full-tier value when the working
+        rung certifies it, else None (the caller then pays for
+        :meth:`exact_real`).
+
+        Only a double-double shadow has a rung below the full tier: its
+        working-tier re-execution carries a band a few dozen bits
+        tighter than the pair's bound.  A BigFloat shadow already is
+        the working-tier value, so it goes straight to the full tier.
         """
-        if type(shadow.real) is DoubleDouble:
-            if self._pool is not None:
-                value, drift = self._working_ident(shadow.trace)
-            else:
-                value, drift = self._working_node(shadow.trace)
-            if not self.policy.rounding_unsafe(value, drift, mant_bits,
-                                               emin):
-                self.working_certified += 1
-                return (
-                    value.to_float() if mant_bits == 53
-                    else value.to_single()
-                )
-            if drift == UNTRUSTED:
-                return None
-        elif shadow.drift == UNTRUSTED:
-            # Cancellation burned through the whole working tier: the
-            # value is rounding noise at every intermediate tier too
-            # (sin^2+cos^2-1 style), so attempting the confirm tier
-            # would just triple-pay.  Go straight to the full tier.
+        if type(shadow.real) is not DoubleDouble:
             return None
-        confirm = self._confirm_policy
-        if confirm is None:
-            return None
-        if self._pool is not None:
-            value, drift = self._confirm_ident(shadow.trace)
-        else:
-            value, drift = self._confirm_node(shadow.trace)
-        if confirm.rounding_unsafe(value, drift, mant_bits, emin):
-            return None
-        self.confirm_certified += 1
-        return (
-            value.to_float() if mant_bits == 53 else value.to_single()
+        policy = self.policy
+        value, drift = self.reexecute(
+            shadow.trace, policy.context, self._working_memo, policy
         )
+        if policy.rounding_unsafe(value, drift):
+            return None
+        self.working_certified += 1
+        return value.to_float()
 
-    def _working_node(self, node: TraceNode) -> "Tuple[BigFloat, float]":
-        return self._tier_node(node, self.policy, self._working_memo)
+    def reexecute(self, root, context, memo,
+                  policy: Optional[PrecisionPolicy] = None,
+                  ) -> "Tuple[BigFloat, float]":
+        """(value, drift) of trace handle ``root`` re-executed at
+        ``context``, memoized per handle in ``memo`` (iterative, so
+        loop traces thousands of levels deep do not recurse).
 
-    def _working_ident(self, ident: int) -> "Tuple[BigFloat, float]":
-        return self._tier_ident(ident, self.policy, self._working_memo)
-
-    def _confirm_node(self, node: TraceNode) -> "Tuple[BigFloat, float]":
-        return self._tier_node(node, self._confirm_policy,
-                               self._confirm_memo)
-
-    def _confirm_ident(self, ident: int) -> "Tuple[BigFloat, float]":
-        return self._tier_ident(ident, self._confirm_policy,
-                                self._confirm_memo)
-
-    def _tier_node(self, node: TraceNode, confirm: PrecisionPolicy,
-                   memo: Dict[int, "Tuple[BigFloat, float]"],
-                   ) -> "Tuple[BigFloat, float]":
-        """(value, drift) of ``node`` re-executed at ``confirm``'s base
-        tier with BigFloat values and that policy's drift bookkeeping."""
-        cached = memo.get(node.ident)
+        With a drift ``policy`` (the working rung) leaf overrides are
+        rounded into the context's precision and drift propagates by
+        the policy's rules.  Without one (the full rung) leaves stay
+        exact, drift stays EXACT, and every recomputed operation counts
+        toward :attr:`recomputed_nodes`.
+        """
+        cached = memo.get(root)
         if cached is not None:
             return cached
-        context = confirm.context
-        precision = context.precision
-        stack = [node]
-        while stack:
-            current = stack[-1]
-            if current.ident in memo:
-                stack.pop()
-                continue
-            if current.kind != KIND_OP:
-                override = self._leaves.get(current.ident)
-                if override is None:
-                    memo[current.ident] = (
-                        BigFloat.from_float(current.value), EXACT
-                    )
-                else:
-                    rounded = override.round_to(precision)
-                    memo[current.ident] = (
-                        rounded,
-                        EXACT if rounded == override else 1.0,
-                    )
-                stack.pop()
-                continue
-            pending = [a for a in current.args if a.ident not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            pairs = [memo[a.ident] for a in current.args]
-            arguments = [p[0] for p in pairs]
-            try:
-                value = self._apply(current.op, arguments, context)
-                drift = confirm.propagate(
-                    current.op, arguments, [p[1] for p in pairs], value
-                )
-            except KeyError:
-                value = BigFloat.from_float(current.value)
-                drift = EXACT
-            memo[current.ident] = (value, drift)
-            stack.pop()
-        return memo[node.ident]
-
-    def _tier_ident(self, ident: int, confirm: PrecisionPolicy,
-                    memo: Dict[int, "Tuple[BigFloat, float]"],
-                    ) -> "Tuple[BigFloat, float]":
-        """(value, drift) of a pool ident re-executed at ``confirm``'s
-        base tier — the flat-array mirror of :meth:`_tier_node`."""
-        cached = memo.get(ident)
-        if cached is not None:
-            return cached
-        pool = self._pool
-        kinds = pool.kinds
-        opsA = pool.ops
-        argsA = pool.args
-        valsA = pool.values
+        view = self._view
         leaves = self._leaves
-        context = confirm.context
+        apply_op = self._apply
         precision = context.precision
-        stack = [ident]
+        recomputed = 0
+        stack = [root]
         while stack:
             cur = stack[-1]
             if cur in memo:
                 stack.pop()
                 continue
-            if kinds[cur] != P_OP:
-                override = leaves.get(cur)
-                if override is None:
-                    memo[cur] = (BigFloat.from_float(valsA[cur]), EXACT)
+            is_op, op, args, value, _ = view(cur)
+            if not is_op:
+                exact = leaves.get(cur)
+                if exact is None:
+                    memo[cur] = (BigFloat.from_float(value), EXACT)
+                elif policy is None:
+                    memo[cur] = (exact, EXACT)
                 else:
-                    rounded = override.round_to(precision)
-                    memo[cur] = (
-                        rounded, EXACT if rounded == override else 1.0
-                    )
+                    rounded = exact.round_to(precision)
+                    memo[cur] = (rounded, EXACT if rounded == exact else 1.0)
                 stack.pop()
                 continue
-            pending = [a for a in argsA[cur] if a not in memo]
+            pending = [a for a in args if a not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            pairs = [memo[a] for a in argsA[cur]]
-            arguments = [p[0] for p in pairs]
+            arguments = [memo[a][0] for a in args]
             try:
-                value = self._apply(opsA[cur], arguments, context)
-                drift = confirm.propagate(
-                    opsA[cur], arguments, [p[1] for p in pairs], value
+                result = apply_op(op, arguments, context)
+                drift = EXACT if policy is None else policy.propagate(
+                    op, arguments, [memo[a][1] for a in args], result
                 )
             except KeyError:
-                value = BigFloat.from_float(valsA[cur])
+                # Outside the real engine: the fixed tier would have
+                # shadowed this as an opaque float source too.
+                result = BigFloat.from_float(value)
                 drift = EXACT
-            memo[cur] = (value, drift)
+            memo[cur] = (result, drift)
+            recomputed += 1
             stack.pop()
-        return memo[ident]
+        if policy is None:
+            self.recomputed_nodes += recomputed
+        return memo[root]
 
-    def exact_ident(self, ident: int) -> BigFloat:
-        """Evaluate a pool ident at the full tier (memoized, iterative)
-        straight off the pool's flat arrays — escalation re-executes
-        from idents without materializing a single node."""
-        memo = self._memo
-        cached = memo.get(ident)
-        if cached is not None:
-            return cached
-        pool = self._pool
-        kinds = pool.kinds
-        opsA = pool.ops
-        argsA = pool.args
-        valsA = pool.values
-        leaves = self._leaves
-        with self.policy.escalated() as context:
-            stack = [ident]
-            while stack:
-                cur = stack[-1]
-                if cur in memo:
-                    stack.pop()
-                    continue
-                if kinds[cur] != P_OP:
-                    override = leaves.get(cur)
-                    memo[cur] = (
-                        override if override is not None
-                        else BigFloat.from_float(valsA[cur])
-                    )
-                    stack.pop()
-                    continue
-                pending = [a for a in argsA[cur] if a not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                arguments = [memo[a] for a in argsA[cur]]
-                try:
-                    value = self._apply(opsA[cur], arguments, context)
-                except KeyError:
-                    # Outside the real engine: the fixed tier would have
-                    # shadowed this as an opaque float source too.
-                    value = BigFloat.from_float(valsA[cur])
-                memo[cur] = value
-                self.recomputed_nodes += 1
-                stack.pop()
-        return memo[ident]
-
-    def exact_node(self, node: TraceNode) -> BigFloat:
-        """Evaluate a trace node at the full tier (memoized, iterative)."""
-        memo = self._memo
-        cached = memo.get(node.ident)
-        if cached is not None:
-            return cached
-        with self.policy.escalated() as context:
-            stack = [node]
-            while stack:
-                current = stack[-1]
-                if current.ident in memo:
-                    stack.pop()
-                    continue
-                if current.kind != KIND_OP:
-                    override = self._leaves.get(current.ident)
-                    memo[current.ident] = (
-                        override if override is not None
-                        else BigFloat.from_float(current.value)
-                    )
-                    stack.pop()
-                    continue
-                pending = [a for a in current.args if a.ident not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                arguments = [memo[a.ident] for a in current.args]
-                try:
-                    value = self._apply(current.op, arguments, context)
-                except KeyError:
-                    # Outside the real engine: the fixed tier would have
-                    # shadowed this as an opaque float source too.
-                    value = BigFloat.from_float(current.value)
-                memo[current.ident] = value
-                self.recomputed_nodes += 1
-                stack.pop()
-        return memo[node.ident]

@@ -191,6 +191,26 @@ _P_KIND_NAMES = {
     P_OPAQUE: KIND_OPAQUE,
 }
 
+def _node_view(node: TraceNode):
+    return node.kind == KIND_OP, node.op, node.args, node.value, node.loc
+
+
+def trace_view(pool: "Optional[TracePool]" = None):
+    """Accessor returning ``(is_op, op, args, value, loc)`` of a trace
+    handle: a :class:`TraceNode` when ``pool`` is None, else an ident
+    into ``pool``.  Lets one walk serve both engines' traces."""
+    if pool is None:
+        return _node_view
+    kinds, ops, args = pool.kinds, pool.ops, pool.args
+    values, locs = pool.values, pool.locs
+
+    def view(ident: int):
+        return (kinds[ident] == P_OP, ops[ident], args[ident],
+                values[ident], locs[ident])
+
+    return view
+
+
 #: Packing stride for the pool's (ident, depth) structural-key cache.
 #: Depths are bounded by the configured equivalence/expression depths;
 #: anything larger falls back to tuple keys.
@@ -525,8 +545,8 @@ class TracePool:
 
         The node carries the *pool* ident (overriding the global leaf
         counter) and its pooled depth, so every
-        consumer of materialized nodes — structural keys, escalator
-        memos, merge memos — sees one consistent identity space.
+        consumer of materialized nodes — structural keys, merge
+        memos — sees one consistent identity space.
         """
         nodes = self.nodes
         cached = nodes[ident]

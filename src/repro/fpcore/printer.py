@@ -7,7 +7,7 @@ format); this module produces that text.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.fpcore.ast import (
     Const,
@@ -84,18 +84,3 @@ def format_fpcore(core: FPCore, multiline: bool = False) -> str:
         return "\n".join(lines)
     chunks = parts + property_chunks + [body]
     return "(" + " ".join(chunks) + ")"
-
-
-def format_ranges(
-    variables: Iterable[str], ranges: Iterable[tuple]
-) -> str:
-    """Render a :pre conjunction of (<= lo x hi) constraints."""
-    clauses = [
-        f"(<= {low!r} {name} {high!r})"
-        for name, (low, high) in zip(variables, ranges)
-    ]
-    if not clauses:
-        return "TRUE"
-    if len(clauses) == 1:
-        return clauses[0]
-    return "(and " + " ".join(clauses) + ")"

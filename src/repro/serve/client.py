@@ -230,14 +230,3 @@ class ServeClient:
         """``POST /v1/batch`` — returns the decoded batch envelope."""
         body = {"requests": [_payload(r) for r in requests]}
         return self._exchange("POST", "/v1/batch", body).json()
-
-    def batch_results(self, requests: List[RequestLike],
-                      ) -> List[AnalysisResult]:
-        """Batch analyze, raising on any per-request error entry."""
-        envelope = self.batch(requests)
-        results = []
-        for entry in envelope["results"]:
-            if "error" in entry:
-                raise ServeError(500, entry)
-            results.append(AnalysisResult.from_dict(entry))
-        return results

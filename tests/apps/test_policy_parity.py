@@ -1,0 +1,130 @@
+"""Adaptive-vs-fixed report identity on the paper's case studies.
+
+The corpus programs are short expressions; these are machine programs
+with memory, branches and deep shared trace DAGs (Gram-Schmidt's dot
+products, PID's 50-iteration loop), where the escalator re-executes
+long traces whose sub-computations the pool interns.  Every rung of
+the adaptive policy decides only cost, so each study must give the
+same report under ``adaptive`` as under ``fixed``: per-site
+expressions, node locations, error statistics, spot influences and
+the rendered report text.
+
+At these sizes the report would not show a wrong escalation: every
+decision the case studies escalate turns out the same at the working
+tier.  So the compiled engine's escalator is also checked value by
+value: the pool interns both runs identically, and re-executing every
+ident at the full rung must give the real the fixed run computed for
+it as it executed.
+"""
+
+import random
+
+import pytest
+
+from repro.apps.dihedral import (
+    generic_configuration,
+    near_flat_configuration,
+    run_dihedral,
+)
+from repro.apps.gramschmidt import run_gramschmidt
+from repro.apps.pid import run_pid
+from repro.apps.plotter import run_plotter
+from repro.apps.triangle import run_triangle_study
+from repro.core import AnalysisConfig
+from repro.core.report import generate_report
+
+
+def _dihedral_configurations():
+    rng = random.Random(3)
+    return [near_flat_configuration(rng) for __ in range(3)] + [
+        generic_configuration(rng) for __ in range(2)
+    ]
+
+
+STUDIES = {
+    "pid-10": lambda config: run_pid(
+        10.0, config=config.with_(local_error_threshold=0.1)
+    ).analysis,
+    "gramschmidt-8x4": lambda config: run_gramschmidt(
+        8, 4, config=config
+    ).analysis,
+    "gramschmidt-12x12": lambda config: run_gramschmidt(
+        12, 12, config=config
+    ).analysis,
+    "dihedral": lambda config: run_dihedral(
+        _dihedral_configurations(), config=config
+    ).analysis,
+    "plotter-4x9": lambda config: run_plotter(
+        4, 9, config=config
+    ).analysis,
+    "orient2d": lambda config: run_triangle_study(
+        num_generic=2, num_degenerate=6, config=config
+    ).analysis,
+}
+
+#: Studies that escalate under every plan (hardware tier on or off),
+#: so the escalator's re-execution walk is always part of the check.
+ESCALATES = {"pid-10", "gramschmidt-12x12", "plotter-4x9"}
+
+#: Gram-Schmidt 12x12 takes about 15 s on the reference engine.
+CASES = [
+    (study, engine, precision)
+    for study in STUDIES
+    for engine in ("compiled", "reference")
+    for precision in (256, 1000)
+    if not (engine == "reference" and study == "gramschmidt-12x12")
+]
+
+
+def report_signature(analysis):
+    """Everything a user reads in the report, in comparable form."""
+    sites = [
+        (
+            record.site_id, record.op, record.loc,
+            str(record.symbolic_expression),
+            sorted(record.node_locations().items()),
+            record.executions, record.candidate_executions,
+            record.max_local_error, record.sum_local_error,
+            record.compensations_detected,
+        )
+        for record in sorted(
+            analysis.op_records.values(), key=lambda r: r.site_id
+        )
+    ]
+    spots = [
+        (
+            spot.site_id, spot.kind, spot.loc, spot.executions,
+            spot.erroneous, spot.max_error, spot.sum_error,
+            sorted(r.site_id for r in spot.influences),
+        )
+        for spot in sorted(
+            analysis.spot_records.values(), key=lambda s: s.site_id
+        )
+    ]
+    return sites, spots, generate_report(analysis).format()
+
+
+@pytest.mark.parametrize("study,engine,precision", CASES)
+def test_adaptive_report_matches_fixed(study, engine, precision):
+    config = AnalysisConfig(shadow_precision=precision, engine=engine)
+    fixed = STUDIES[study](config)
+    adaptive = STUDIES[study](config.with_(precision_policy="adaptive"))
+    assert report_signature(adaptive) == report_signature(fixed)
+    if study in ESCALATES:
+        assert adaptive.policy.stats["escalations"] > 0
+    if engine == "compiled":
+        assert_full_rung_matches(adaptive, fixed)
+
+
+def assert_full_rung_matches(adaptive, fixed):
+    """Every ident's full-rung re-execution under ``adaptive`` equals
+    the real ``fixed`` computed for it (both runs intern alike)."""
+    assert len(adaptive.pool) == len(fixed.pool)
+    checked = 0
+    for ident, entry in enumerate(fixed.pool.memo):
+        if entry is not None:
+            exact = adaptive.escalator.exact(ident)
+            assert exact.key() == entry[0].real.key(), ident
+            checked += 1
+    assert checked > len(fixed.pool) // 2
+

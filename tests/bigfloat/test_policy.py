@@ -13,7 +13,6 @@ from repro.bigfloat.policy import (
     PrecisionPolicy,
     available_policies,
     make_policy,
-    register_policy,
 )
 
 
@@ -44,20 +43,6 @@ class TestRegistry:
     def test_unknown_policy(self):
         with pytest.raises(KeyError, match="unknown precision policy"):
             make_policy("nope", 1000)
-
-    def test_register_custom(self):
-        class Widened(AdaptivePrecisionPolicy):
-            name = "widened"
-
-        register_policy("widened", Widened)
-        try:
-            policy = make_policy("widened", 500, working_precision=128)
-            assert isinstance(policy, Widened)
-            assert policy.context.precision == 128
-        finally:
-            from repro.bigfloat import policy as policy_mod
-
-            policy_mod._POLICIES.pop("widened", None)
 
     def test_working_precision_floor(self):
         with pytest.raises(ValueError, match="too small"):

@@ -208,11 +208,11 @@ class TestAdaptiveConfigValidation:
         AnalysisConfig(precision_policy="fixed", working_precision=64)
 
 
-class TestConfirmTier:
-    def test_moderate_cancellation_certified_without_full_tier(self):
+class TestCancellationEscalation:
+    def test_moderate_cancellation_matches_fixed(self):
         # atan(N+1) - atan(N) at large N cancels ~2 log2(N) bits: too
-        # deep for the working tier's guard band, easily decided at
-        # the confirm tier without a 1000-bit re-execution.
+        # deep for the minimal working tier's guard band, so roundings
+        # escalate, and the report must still match fixed mode.
         source = (
             "(FPCore (N) :pre (<= 1e6 N 1e7)"
             " (- (atan (+ N 1)) (atan N)))"
@@ -225,17 +225,12 @@ class TestConfirmTier:
         result = session.analyze(source)
         fixed = AnalysisSession(config=FIXED, num_points=8).analyze(source)
         assert result.to_json() == fixed.to_json()
-        escalator = result.raw.escalator
         assert result.raw.policy.stats["escalations"] > 0
-        assert escalator.confirm_certified > 0
-        # certification avoided the exact tier entirely
-        assert escalator.recomputed_nodes == 0
 
-    def test_total_cancellation_skips_confirm_tier(self):
+    def test_total_cancellation_reaches_full_tier(self):
         # sin^2 + cos^2 - 1: the true value lives ~2^-999, rounding
-        # noise at *every* intermediate tier; the escalator must go
-        # straight to the full tier (no confirm-tier triple-pay) and
-        # still match fixed mode.
+        # noise at every intermediate tier; the escalator re-executes
+        # at the full tier and still matches fixed mode.
         source = (
             "(FPCore (x) :pre (<= 0.1 x 1)"
             " (- (+ (* (sin x) (sin x)) (* (cos x) (cos x))) 1))"
@@ -247,7 +242,6 @@ class TestConfirmTier:
         assert adaptive.to_json() == fixed.to_json()
         raw = adaptive.raw
         assert raw.policy.stats["escalations"] > 0
-        assert raw.escalator.confirm_certified == 0
         assert raw.escalator.recomputed_nodes > 0
 
 
@@ -276,7 +270,7 @@ class TestShadowEscalator:
                          BigFloat.from_float(3.0)], working)],
             working,
         )
-        escalated = escalator.exact_node(expr)
+        escalated = escalator.exact(expr)
         assert escalated.key() == expected.key()
         assert escalated.key() != low.key()
 
@@ -289,9 +283,9 @@ class TestShadowEscalator:
         )
         left = trace_mod.op_node("sqrt", (shared,), math.sqrt(2.0 / 7.0))
         right = trace_mod.op_node("exp", (shared,), math.exp(2.0 / 7.0))
-        escalator.exact_node(left)
+        escalator.exact(left)
         nodes_after_left = escalator.recomputed_nodes
-        escalator.exact_node(right)
+        escalator.exact(right)
         # `shared` is reused from the memo: only `right` itself is new.
         assert escalator.recomputed_nodes == nodes_after_left + 1
 
@@ -303,7 +297,7 @@ class TestShadowEscalator:
         wide = (1 << 60) + 1
         leaf = trace_mod.const_leaf(float(wide))
         escalator.register_leaf(leaf, BigFloat.from_int(wide))
-        assert escalator.exact_node(leaf).key() == \
+        assert escalator.exact(leaf).key() == \
             BigFloat.from_int(wide).key()
 
     def test_deep_trace_does_not_recurse(self):
@@ -315,8 +309,40 @@ class TestShadowEscalator:
         for __ in range(5000):
             node = trace_mod.op_node("+", (node, trace_mod.const_leaf(1.0)),
                                      0.0)
-        value = escalator.exact_node(node)
+        value = escalator.exact(node)
         assert value.key() == BigFloat.from_int(5001).key()
+
+
+    def test_pool_ident_and_materialized_node_agree(self):
+        # One walk serves both trace representations: an ident into the
+        # compiled engine's pool and the structured node the pool
+        # materializes for it give the same value and drift on both
+        # rungs, leaf overrides included.
+        policy = AdaptivePrecisionPolicy(1000, working_precision=88)
+        pool = trace_mod.TracePool()
+        wide = (1 << 100) + 1  # wider than the 88-bit working tier
+        x = pool.input_ident(3.0, 0)
+        third = pool.op_ident(
+            "/", (pool.const_ident(1.0, site=1), x), 1.0 / 3.0, site=2
+        )
+        big = pool.int_ident(float(wide), wide, site=3)
+        total = pool.op_ident("+", (third, big), float(wide), site=4)
+        root = pool.op_ident("sin", (total,), 0.5, site=5)
+        by_ident = ShadowEscalator(policy, pool=pool)
+        by_node = ShadowEscalator(policy)
+        by_ident.register_leaf(big, BigFloat.from_int(wide))
+        by_node.register_leaf(pool.node(big), BigFloat.from_int(wide))
+        full_ident = by_ident.exact(root)
+        full_node = by_node.exact(pool.node(root))
+        assert full_ident.key() == full_node.key()
+        assert by_ident.recomputed_nodes == by_node.recomputed_nodes == 3
+        work_ident = by_ident.reexecute(root, policy.context, {}, policy)
+        work_node = by_node.reexecute(
+            pool.node(root), policy.context, {}, policy
+        )
+        assert work_ident[0].key() == work_node[0].key()
+        assert work_ident[1] == work_node[1] > 0
+        assert work_ident[0].key() != full_ident.key()
 
 
 class TestIntToFloatTier:
