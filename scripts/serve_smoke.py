@@ -15,6 +15,8 @@ on every push:
   once across both endpoints, and every batch entry is byte-identical
   to the in-process result,
 * repeats are served warm (``memory``/``store``, no recomputation),
+  and the body table answers them (``bodies.hits`` must be nonzero),
+* a malformed body is answered 400 and counted in ``service.invalid``,
 * SIGKILLing an analysis worker mid-replay loses zero requests: the
   pool respawns the worker and client retries absorb the structured
   500s, with every body still byte-identical,
@@ -156,6 +158,23 @@ def main(argv=None) -> int:
                 assert reply.text == expected, (
                     f"warm parity mismatch on {request.name}"
                 )
+            # The repeats resent bodies the server has seen: the body
+            # table answered them without decoding.
+            bodies = client.stats()["bodies"]
+            assert bodies["hits"] > 0, bodies
+            # A malformed body reaches the service and is counted.
+            invalid = client.stats()["service"]["invalid"]
+            malformed = http.client.HTTPConnection("127.0.0.1", port,
+                                                   timeout=60)
+            try:
+                malformed.request("POST", "/v1/analyze", body=b"{not json")
+                response = malformed.getresponse()
+                response.read()
+            finally:
+                malformed.close()
+            assert response.status == 400, response.status
+            counted = client.stats()["service"]["invalid"]
+            assert counted == invalid + 1, (invalid, counted)
 
             # Concurrent identical cold requests: exactly one compute.
             # Lots of points makes the analysis slow enough that every
@@ -312,7 +331,8 @@ def main(argv=None) -> int:
 
     chaos_note = (f"worker {killed} SIGKILLed, 0 failed requests"
                   if killed is not None else "chaos kill skipped")
-    print(f"serve smoke ok: {len(requests)} benchmarks cold+warm, "
+    print(f"serve smoke ok: {len(requests)} benchmarks cold+warm "
+          f"(body table hits={bodies['hits']}), "
           f"dedupe_hits={stats['dedupe_hits']}, "
           f"computed={stats['computed']}, batch+analyze of "
           f"{distinct} fresh digests computed each once, "

@@ -16,8 +16,8 @@ Pieces:
 
 * :mod:`repro.serve.pool`    — supervised worker processes (timeouts,
   crash recovery, bounded queue, drain) that persist what they compute,
-* :mod:`repro.serve.service` — digest-addressed serving core: memory
-  LRU → sharded store → in-flight dedupe → pool,
+* :mod:`repro.serve.service` — digest-addressed serving core: body
+  table → in-flight dedupe → memory LRU → sharded store → pool,
 * :mod:`repro.serve.server`  — the asyncio streams HTTP shell and the
   ``run_server`` blocking entry point,
 * :mod:`repro.serve.client`  — the stdlib keep-alive client used by

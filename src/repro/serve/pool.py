@@ -40,6 +40,7 @@ exceptions on the future.
 
 from __future__ import annotations
 
+import collections
 import json
 import multiprocessing
 import os
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api.requests import AnalysisRequest
+from repro.api.sampling import sampler_precondition_errors
 from repro.api.session import _execute
 from repro.api.store import ShardedResultStore
 from repro.resilience import faults as _faults
@@ -114,13 +116,15 @@ def serve_request(data: Dict[str, Any], digest: Optional[str] = None,
     An ``ok`` reply is ``("ok", text, sidecar, stored)``.  ``sidecar``
     is a JSON object holding the result's process-local metadata — a
     degradation record the ladder produced, precision-tier residency
-    counters — or None.  The body bytes stay identical to the clean run
-    (``to_json()`` strips both), and the service feeds the sidecar into
-    ``/v1/stats``.  With a ``store_root``, the text is written to that
-    store under ``digest`` before the reply is built, so the entry is on
-    disk before the server answers; ``stored`` says whether the write
-    landed (None when no store was named).  A failed write costs only
-    the entry, never the reply.
+    counters, the :pre evaluations that raised while sampling its
+    inputs (by exception type) — or None.  The body bytes stay
+    identical to the clean run (none of it is in ``to_json()``), and
+    the service feeds the sidecar into ``/v1/stats``.  With a
+    ``store_root``, the text is written to that store under ``digest``
+    before the reply is built, so the entry is on disk before the
+    server answers; ``stored`` says whether the write landed (None when
+    no store was named).  A failed write costs only the entry, never
+    the reply.
 
     The ``worker.exit`` fault seam (:mod:`repro.resilience.faults`,
     inherited through the fork via ``REPRO_FAULTS``) kills the process
@@ -129,6 +133,7 @@ def serve_request(data: Dict[str, Any], digest: Optional[str] = None,
     """
     if _faults.active() and _faults.fire("worker.exit"):
         os._exit(3)  # noqa: SLF001 — simulate a hard crash
+    raised_before = sampler_precondition_errors()
     try:
         result = _execute(AnalysisRequest.from_dict(data))
         text = result.to_json()
@@ -145,6 +150,12 @@ def serve_request(data: Dict[str, Any], digest: Optional[str] = None,
     residency = result.extra.get("tier_residency")
     if residency is not None:
         sidecar["tier_residency"] = residency
+    raised: "collections.Counter[str]" = collections.Counter()
+    for key, count in sampler_precondition_errors().items():
+        raised[key[1]] += count - raised_before.get(key, 0)
+    raised = +raised  # drop the types this request did not raise
+    if raised:
+        sidecar["precondition_errors"] = dict(raised)
     stored = None
     if store_root is not None:
         store = _STORES.get(store_root)

@@ -12,20 +12,21 @@ Routes (see ``docs/serving.md`` for the full API reference):
 ====== ===================== ==========================================
 POST   ``/v1/analyze``       one AnalysisRequest dict → AnalysisResult
                              JSON (byte-identical to an in-process
-                             session; warm answers come from the store)
+                             session; warm answers come from the store,
+                             and a repeated body skips decoding)
 POST   ``/v1/batch``         ``{"requests": [...]}`` → per-request
                              results, each entry served as by
                              ``/v1/analyze``
 GET    ``/v1/result/<d>``    stored result for a digest, 404 on a miss
 GET    ``/v1/health``        liveness (``ok`` / ``draining``)
-GET    ``/v1/stats``         service, parse-table, pool and store
-                             counters, and the default substrate's
-                             provider and fallbacks
+GET    ``/v1/stats``         service, body-table, parse-table, pool
+                             and store counters, and the default
+                             substrate's provider and fallbacks
 ====== ===================== ==========================================
 
 Multiple server processes may share one ``--store-dir``; the store's
 atomic sharded writes make that safe, and each process keeps its own
-memory LRU, in-flight map, and worker pool.
+memory LRU, body table, in-flight map, and worker pool.
 """
 
 from __future__ import annotations
@@ -288,17 +289,11 @@ class ReproServer:
         if path == "/v1/analyze":
             if method != "POST":
                 return self._method_not_allowed(method, path)
-            data, error = _parse_json(request.body)
-            if error is not None:
-                return error
-            return await self.service.analyze_payload(data)
+            return await self.service.analyze_payload(request.body)
         if path == "/v1/batch":
             if method != "POST":
                 return self._method_not_allowed(method, path)
-            data, error = _parse_json(request.body)
-            if error is not None:
-                return error
-            return await self.service.analyze_batch_payload(data)
+            return await self.service.analyze_batch_payload(request.body)
         return ServeOutcome(
             404, error_body("not_found", f"no route for {path}")
         )
@@ -313,15 +308,6 @@ class ReproServer:
 
 def _dumps(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _parse_json(body: bytes):
-    try:
-        return json.loads(body.decode("utf-8")), None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return None, ServeOutcome(
-            400, error_body("invalid_json", str(exc))
-        )
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,17 @@
 the HTTP layer (:mod:`repro.serve.server`) is a thin shell over it, and
 tests drive it directly.  One request flows::
 
-    payload dict ─ validate ─ digest ─ in-flight map ─ memory LRU ─
-      sharded store ─ worker pool (compute ─ store write) ─ response
+    body ─ body table ─ hit ──────────────────────────────┬─ digest ─
+                      └ miss ─ decode ─ validate ─ digest ┘
+      in-flight map ─ memory LRU ─ sharded store ─
+      worker pool (compute ─ store write) ─ response
 
+* **Body table**: the SHA-256 of a request body a process has seen
+  maps straight to the request's digest, so a repeated body skips JSON
+  decoding, validation and digesting.  It is decoded again only if its
+  result has to be computed, and the pool then gets the same dict as
+  for a first sighting.  A body enters the table only after it decoded
+  and validated, so a malformed body gets its 400 every time.
 * **Warm path**: a digest found in the in-process LRU or the shared
   :class:`~repro.api.store.ShardedResultStore` is answered from the
   stored canonical JSON text — byte-identical to the cold response by
@@ -45,11 +53,12 @@ from __future__ import annotations
 import asyncio
 import collections
 import functools
+import hashlib
 import json
 import logging
 import time
 from dataclasses import dataclass
-from typing import Any, Awaitable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Tuple, Union
 
 from repro.api.requests import PARSED_CORES, AnalysisRequest
 from repro.api.results import RESULT_SCHEMA_VERSION
@@ -85,6 +94,14 @@ def error_body(error_type: str, message: str,
     if digest is not None:
         payload["error"]["digest"] = digest
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _decode_body(body: bytes) -> Tuple[Any, Optional["ServeOutcome"]]:
+    """A request body as JSON data, or the 400 for one that is not."""
+    try:
+        return json.loads(body.decode("utf-8")), None
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        return None, ServeOutcome(400, error_body("invalid_json", str(exc)))
 
 
 @dataclass
@@ -142,6 +159,53 @@ class ServiceCounters:
         return dict(self.__dict__)
 
 
+class _Lru:
+    """A bounded map that evicts its least recently used entry.
+
+    A limit of 0 keeps nothing.  ``hits`` and ``misses`` count
+    :meth:`get` calls.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.hits = 0
+        self.misses = 0
+        self._entries: "collections.OrderedDict[Any, str]" = \
+            collections.OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any) -> Optional[str]:
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Any, value: str) -> None:
+        if self.limit <= 0:
+            return
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "entries": len(self._entries),
+            "capacity": self.limit,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+
+#: A request as the service takes it: the raw body, or its decoded dict.
+Payload = Union[bytes, Dict[str, Any]]
+
+
 class AnalysisService:
     """Digest-addressed analysis serving over a store and worker pool.
 
@@ -165,7 +229,6 @@ class AnalysisService:
         self.pool = pool if pool is not None else WorkerPool(
             workers=workers, queue_limit=queue_limit, timeout=timeout
         )
-        self.memory_cache_size = memory_cache_size
         #: Batch entries submit to the pool only through this gate, so
         #: all batches together hold at most one queued task per worker
         #: and a batch larger than the queue is never shed.  A permit
@@ -177,8 +240,11 @@ class AnalysisService:
         #: respawn-looping the pool.  ``0`` disables the breaker.
         self.poison_threshold = poison_threshold
         self.counters = ServiceCounters()
-        self._memory: "collections.OrderedDict[str, str]" = \
-            collections.OrderedDict()
+        #: Digest → canonical result text.
+        self._memory = _Lru(memory_cache_size)
+        #: SHA-256 of a request body → the request's digest.  Keys are
+        #: fixed-size, so an entry costs the same for any body size.
+        self._bodies = _Lru(memory_cache_size)
         self._inflight: Dict[str, "asyncio.Future[ServeOutcome]"] = {}
         #: Consecutive infra failures (timeout / crash) per digest.
         self._infra_failures: Dict[str, int] = {}
@@ -190,6 +256,10 @@ class AnalysisService:
         #: (hardware / working / full tier ops, escalation causes).
         self._tier_residency: "collections.Counter[str]" = \
             collections.Counter()
+        #: :pre evaluations that raised while computing results, by
+        #: exception type (the workers' sampler counts, summed).
+        self._precondition_errors: "collections.Counter[str]" = \
+            collections.Counter()
         self._draining = False
         self._started = time.monotonic()
 
@@ -197,23 +267,9 @@ class AnalysisService:
     # Lookup layers
     # ------------------------------------------------------------------
 
-    def _memory_get(self, digest: str) -> Optional[str]:
-        text = self._memory.get(digest)
-        if text is not None:
-            self._memory.move_to_end(digest)
-        return text
-
-    def _memory_put(self, digest: str, text: str) -> None:
-        if self.memory_cache_size <= 0:
-            return
-        self._memory[digest] = text
-        self._memory.move_to_end(digest)
-        while len(self._memory) > self.memory_cache_size:
-            self._memory.popitem(last=False)
-
     def _lookup(self, digest: str) -> Optional[ServeOutcome]:
         """Probe the warm layers (memory, then the shared store)."""
-        text = self._memory_get(digest)
+        text = self._memory.get(digest)
         if text is not None:
             self.counters.memory_hits += 1
             return ServeOutcome(200, text, digest, SOURCE_MEMORY)
@@ -221,7 +277,7 @@ class AnalysisService:
             text = self.store.get_text(digest)
             if text is not None:
                 self.counters.store_hits += 1
-                self._memory_put(digest, text)
+                self._memory.put(digest, text)
                 return ServeOutcome(200, text, digest, SOURCE_STORE)
         return None
 
@@ -244,34 +300,51 @@ class AnalysisService:
     # Single analysis
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def parse_request(data: Any) -> Tuple[Optional[AnalysisRequest], str]:
-        """Validate a payload dict; returns (request, error_message)."""
+    def _validate(self, data: Payload,
+                  ) -> Tuple[Optional[Dict[str, Any]], Optional[ServeOutcome]]:
+        """A request as its worker payload dict, or its counted 400."""
+        if isinstance(data, bytes):
+            data, error = _decode_body(data)
+            if error is not None:
+                self.counters.invalid += 1
+                return None, error
         if not isinstance(data, dict):
-            return None, "request body must be a JSON object"
-        try:
-            return AnalysisRequest.from_dict(data), ""
-        except Exception as exc:  # noqa: BLE001 — any parse failure is a 400
-            return None, f"{type(exc).__name__}: {exc}"
+            message = "request body must be a JSON object"
+        else:
+            try:
+                return AnalysisRequest.from_dict(data).to_dict(), None
+            except Exception as exc:  # noqa: BLE001 — any failure is a 400
+                message = f"{type(exc).__name__}: {exc}"
+        self.counters.invalid += 1
+        return None, ServeOutcome(400, error_body("invalid_request", message))
 
-    async def analyze_payload(self, data: Any) -> ServeOutcome:
-        """``POST /v1/analyze`` — one request dict in, one outcome out."""
+    async def analyze_payload(self, data: Payload) -> ServeOutcome:
+        """``POST /v1/analyze`` — one request in, one outcome out.
+
+        ``data`` is the raw request body (the server passes it as read)
+        or its decoded dict (tests, programmatic callers).  A body the
+        body table holds goes straight to its digest.
+        """
         started = time.monotonic()
         self.counters.requests += 1
-        request, message = self.parse_request(data)
-        if request is None:
-            self.counters.invalid += 1
-            outcome = ServeOutcome(
-                400, error_body("invalid_request", message)
-            )
-            self._log(outcome, started)
-            return outcome
-        payload = request.to_dict()
-        outcome = await self._analyze_digest(payload_digest(payload), payload)
+        key = digest = None
+        if isinstance(data, bytes) and self._bodies.limit > 0:
+            key = hashlib.sha256(data).digest()
+            digest = self._bodies.get(key)
+        if digest is None:
+            payload, error = self._validate(data)
+            if error is not None:
+                self._log(error, started)
+                return error
+            digest = payload_digest(payload)
+            if key is not None:
+                self._bodies.put(key, digest)
+            data = payload
+        outcome = await self._analyze_digest(digest, data)
         self._log(outcome, started)
         return outcome
 
-    async def _analyze_digest(self, digest: str, data: Dict[str, Any],
+    async def _analyze_digest(self, digest: str, data: Payload,
                               gate: Optional[asyncio.Semaphore] = None,
                               ) -> ServeOutcome:
         future = self._inflight.get(digest)
@@ -348,12 +421,18 @@ class AnalysisService:
                 "%s failures", digest, count, kind,
             )
 
-    async def _compute(self, digest: str, data: Dict[str, Any],
+    async def _compute(self, digest: str, data: Payload,
                        gate: Optional[asyncio.Semaphore]) -> ServeOutcome:
         """Run one request on the pool and map the pool's failures."""
         poisoned = self._quarantine_outcome(digest)
         if poisoned is not None:
             return poisoned
+        if isinstance(data, bytes):
+            # A body-table hit with no warm result: the pool gets the
+            # same dict a first sighting of the body would send.
+            data, error = self._validate(data)
+            if error is not None:
+                return error
         on_start = pool_future = None
         if gate is not None:
             # A batch task holds its permit only while it is queued, so
@@ -414,7 +493,7 @@ class AnalysisService:
                 # tier residency): the body is byte-identical to a
                 # clean run; only the stats move.
                 self._note_sidecar(digest, sidecar)
-            self._memory_put(digest, text)
+            self._memory.put(digest, text)
             if stored is not None:  # the task named our store
                 self.store.count_write(stored)
             return ServeOutcome(200, text, digest, SOURCE_COMPUTED)
@@ -453,11 +532,15 @@ class AnalysisService:
         degradation = sidecar.get("degradation")
         if isinstance(degradation, dict):
             self._note_degraded(digest, degradation)
-        residency = sidecar.get("tier_residency")
-        if isinstance(residency, dict):
-            for key, value in residency.items():
-                if isinstance(value, int):
-                    self._tier_residency[str(key)] += value
+        for name, totals in (
+            ("tier_residency", self._tier_residency),
+            ("precondition_errors", self._precondition_errors),
+        ):
+            counts = sidecar.get(name)
+            if isinstance(counts, dict):
+                for key, value in counts.items():
+                    if isinstance(value, int):
+                        totals[str(key)] += value
 
     def _note_degraded(self, digest: str, meta: Dict[str, Any]) -> None:
         try:
@@ -476,19 +559,25 @@ class AnalysisService:
     # Batch analysis
     # ------------------------------------------------------------------
 
-    async def analyze_batch_payload(self, data: Any) -> ServeOutcome:
+    async def analyze_batch_payload(self, data: Payload) -> ServeOutcome:
         """``POST /v1/batch`` — every entry down the single-request path.
 
-        Body: ``{"requests": [request-dict, ...]}``.  The response
-        carries one entry per request, in order: the result dict of a
-        success, or an ``{"error": ...}`` object.  Each valid entry runs
-        :meth:`_analyze_digest`, so warm digests are answered from the
-        warm layers and duplicates — within the batch, or of requests
-        already in flight — coalesce onto one computation.  Cold entries
-        reach the pool through the batch gate, one task each.
+        Body: ``{"requests": [request-dict, ...]}``, raw or decoded.
+        The response carries one entry per request, in order: the
+        result dict of a success, or an ``{"error": ...}`` object.
+        Each valid entry runs :meth:`_analyze_digest`, so warm digests
+        are answered from the warm layers and duplicates — within the
+        batch, or of requests already in flight — coalesce onto one
+        computation.  Cold entries reach the pool through the batch
+        gate, one task each.
         """
         started = time.monotonic()
         self.counters.batches += 1
+        if isinstance(data, bytes):
+            data, error = _decode_body(data)
+            if error is not None:
+                self.counters.invalid += 1
+                return error
         if not isinstance(data, dict) or \
                 not isinstance(data.get("requests"), list):
             self.counters.invalid += 1
@@ -507,14 +596,10 @@ class AnalysisService:
         outcomes: Dict[int, ServeOutcome] = {}
         runs: Dict[int, Awaitable[ServeOutcome]] = {}
         for index, raw in enumerate(raw_requests):
-            request, message = self.parse_request(raw)
-            if request is None:
-                self.counters.invalid += 1
-                outcomes[index] = ServeOutcome(
-                    400, error_body("invalid_request", message)
-                )
+            payload, error = self._validate(raw)
+            if error is not None:
+                outcomes[index] = error
                 continue
-            payload = request.to_dict()
             runs[index] = self._analyze_digest(
                 payload_digest(payload), payload, self._batch_gate
             )
@@ -561,6 +646,8 @@ class AnalysisService:
             "quarantined_digests": len(self._quarantined),
             "degraded_rungs": dict(self._degraded_rungs),
             "tier_residency": dict(self._tier_residency),
+            "precondition_errors": dict(self._precondition_errors),
+            "bodies": self._bodies.stats(),
             "programs": PARSED_CORES.stats(),
             "substrate": substrate_status(AnalysisConfig().substrate),
             "pool": self.pool.stats(),

@@ -113,14 +113,22 @@ class TestRoundTripParity:
             "127.0.0.1", harness.port, timeout=30
         )
         try:
-            conn.request("POST", "/v1/analyze", body=b"{not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            payload = json.loads(response.read())
-            assert response.status == 400
-            assert payload["error"]["type"] == "invalid_json"
+            for path in ("/v1/analyze", "/v1/batch"):
+                conn.request("POST", path, body=b"{not json",
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 400
+                assert payload["error"]["type"] == "invalid_json"
         finally:
             conn.close()
+        # The service decodes the body, so its counters see both.
+        with harness.client() as client:
+            stats = client.stats()
+        counters = stats["service"]
+        assert (counters["requests"], counters["batches"]) == (1, 1)
+        assert counters["invalid"] == 2
+        assert stats["bodies"]["entries"] == 0
 
 
 class TestConcurrency:

@@ -478,6 +478,143 @@ class TestParseFreeHits:
         assert bad["core"] not in PARSED_CORES._cores
 
 
+class TestBodyTable:
+    """A repeated request body maps straight to its digest."""
+
+    @staticmethod
+    def _body(request, **dumps):
+        return json.dumps(request.to_dict(), **dumps).encode("utf-8")
+
+    def test_repeat_skips_decoding_and_the_parser(self, monkeypatch):
+        request = _request(CORE.replace('"t"', '"body-table"'))
+        body = self._body(request)
+        expected = _expected_json(request)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the body was decoded")
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                cold = await service.analyze_payload(body)
+                monkeypatch.setattr(json, "loads", refuse)
+                monkeypatch.setattr(requests_module, "parse_fpcore",
+                                    refuse)
+                hits = [await service.analyze_payload(body)
+                        for _ in range(2)]
+                monkeypatch.undo()
+                return cold, hits, service.stats()["bodies"]
+            finally:
+                await service.close()
+
+        cold, hits, bodies = asyncio.run(scenario())
+        assert (cold.status, cold.source) == (200, "computed")
+        assert cold.body == expected
+        for hit in hits:
+            assert (hit.status, hit.source) == (200, "memory")
+            assert hit.digest == cold.digest == request_digest(request)
+            assert hit.body == expected
+        assert bodies == {"entries": 1, "capacity": 512,
+                          "hits": 2, "misses": 1}
+
+    def test_respelled_body_is_a_new_entry_and_a_memory_hit(self):
+        request = _request()
+        compact = self._body(request)
+        respelled = self._body(request, indent=1, sort_keys=True)
+        assert respelled != compact
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                first = await service.analyze_payload(compact)
+                second = await service.analyze_payload(respelled)
+                return first, second, service.stats()
+            finally:
+                await service.close()
+
+        first, second, stats = asyncio.run(scenario())
+        assert (first.source, second.source) == ("computed", "memory")
+        assert second.digest == first.digest
+        assert second.body == first.body
+        assert stats["bodies"]["entries"] == 2
+        assert stats["bodies"]["hits"] == 0
+        assert stats["service"]["memory_hits"] == 1
+
+    def test_malformed_body_never_enters_the_table(self):
+        bodies = [b"{not json", b"\xff\xfe",
+                  b'{"core": "(FPCore (x) (+ x 1)"}', b"[]"]
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                outcomes = [await service.analyze_payload(body)
+                            for body in bodies for _ in range(2)]
+                return outcomes, service.stats()
+            finally:
+                await service.close()
+
+        outcomes, stats = asyncio.run(scenario())
+        assert [o.status for o in outcomes] == [400] * 8
+        types = [json.loads(o.body)["error"]["type"] for o in outcomes]
+        assert types == ["invalid_json"] * 4 + ["invalid_request"] * 4
+        assert stats["bodies"]["entries"] == 0
+        assert stats["bodies"]["hits"] == 0
+        assert stats["service"]["requests"] == 8
+        assert stats["service"]["invalid"] == 8
+
+    def test_table_is_bounded_by_memory_cache_size(self):
+        requests = [_request(CLEAN, seed=seed) for seed in range(3)]
+
+        async def scenario(size):
+            service = AnalysisService(workers=1, memory_cache_size=size)
+            try:
+                for request in requests + requests[-1:]:
+                    await service.analyze_payload(self._body(request))
+                return service.stats()["bodies"]
+            finally:
+                await service.close()
+
+        bounded = asyncio.run(scenario(2))
+        assert (bounded["entries"], bounded["capacity"]) == (2, 2)
+        assert (bounded["hits"], bounded["misses"]) == (1, 3)
+        assert asyncio.run(scenario(0)) == {
+            "entries": 0, "capacity": 0, "hits": 0, "misses": 0,
+        }
+
+    def test_table_hit_without_a_warm_result_computes_from_a_dict(self):
+        # One entry in each LRU: the dict-payload request evicts the
+        # body's result from memory but never enters the body table.
+        request = _request(CORE.replace('"t"', '"evicted"'))
+        other = _request(CLEAN)
+        body = self._body(request)
+        expected = _expected_json(request)
+        shipped = []
+
+        async def scenario():
+            service = AnalysisService(workers=1, memory_cache_size=1)
+            submit = service.pool.submit
+
+            def spy(task, **kwargs):
+                shipped.append(task.request)
+                return submit(task, **kwargs)
+
+            service.pool.submit = spy
+            try:
+                first = await service.analyze_payload(body)
+                await service.analyze_payload(other.to_dict())
+                again = await service.analyze_payload(body)
+                return first, again, service.stats()["bodies"]
+            finally:
+                await service.close()
+
+        first, again, bodies = asyncio.run(scenario())
+        assert (first.source, again.source) == ("computed", "computed")
+        assert again.digest == first.digest
+        assert again.body == first.body == expected
+        assert bodies["hits"] == 1
+        assert shipped[2] == shipped[0] == request.to_dict()
+
+
 class TestLogGuard:
     def _hit(self, monkeypatch):
         request = _request()
@@ -528,6 +665,10 @@ class TestStats:
 
         stats = asyncio.run(scenario())
         assert stats["service"]["computed"] == 1
+        # A dict payload never reaches the body table.
+        assert stats["bodies"] == {"entries": 0, "capacity": 512,
+                                   "hits": 0, "misses": 0}
+        assert stats["precondition_errors"] == {}
         assert stats["pool"]["workers"] == 1
         assert stats["store"]["writes"] == 1
         assert stats["inflight"] == 0
@@ -578,6 +719,36 @@ class TestStats:
         residency = stats["tier_residency"]
         assert residency["hw_tier"] == 1
         assert residency["hw_kernel_ops"] > 0
+
+    def test_stats_sum_the_workers_precondition_errors(self):
+        # The sampler counts :pre evaluations that raise in the worker
+        # that sampled; each computed result carries its own count.
+        # (Never run this program in the test process: the sampling
+        # tests expect its name to be new to the process.)
+        raising = ("(FPCore half-raising (x)"
+                   " :pre (and (<= -1 x 1) (or (< x 0) (< z 1))) x)")
+        first = _request(raising)
+        second = _request(raising, seed=1)
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            try:
+                seen = []
+                for payload in (first, first, second):
+                    outcome = await service.analyze_payload(
+                        payload.to_dict()
+                    )
+                    assert outcome.status == 200, outcome.body
+                    seen.append(dict(service.stats()["precondition_errors"]))
+                return seen
+            finally:
+                await service.close()
+
+        cold, hit, reseeded = asyncio.run(scenario())
+        assert set(cold) == {"EvaluationError"}
+        assert cold["EvaluationError"] > 0
+        assert hit == cold  # a memory hit samples nothing
+        assert reseeded["EvaluationError"] > cold["EvaluationError"]
 
     def test_stats_aggregate_tail_replays(self):
         # Every point runs the same first ten iterations, so later
