@@ -8,12 +8,18 @@ keep-alive client.  Every replayed request must come back as a
 ``memory`` hit.  Over the replay it reads the server process's user +
 system CPU time from ``/proc/<pid>/stat`` (Linux only, clock-tick
 resolution; the workers are separate processes and idle) and the
-client's own CPU time, and prints one JSON line:
-``server_us_per_hit``, ``client_us_per_hit``, their ratio
-``server_per_client`` and ``wall_us_per_hit``.
+client's own CPU time.
 
-The ratio to the client's CPU cancels most of the host's speed: the
-client's per-request work does not change with the server's code.
+The host's speed drifts between runs, so between rounds the client
+times ``perfbench/hostspeed.py``'s fixed kernel (the server is idle
+then, and the kernel's time is not billed to the replay).  Each
+per-hit figure is also reported scaled to the reference host speed,
+``t * REFERENCE_S / mean kernel time``.  Both sides of a comparison
+run the same kernel, so the scaled server CPU compares server code
+even when the client's code differs, which a ratio to the client's
+CPU would not.  It prints one JSON line: ``server_us_per_hit``,
+``client_us_per_hit`` and ``wall_us_per_hit``, raw and ``_scaled``,
+and the mean ``kernel_ms``.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_serve_hit_cpu.py [--rounds 60]
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -34,9 +41,15 @@ from repro.core import AnalysisConfig
 from repro.fpcore import load_corpus
 from repro.serve import ServeClient
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import hostspeed  # noqa: E402  (perfbench/ is not a package)
+
 LISTENING = "repro-serve listening on http://"
-SRC = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src")
+#: Kernel calls timed between two replay rounds.
+KERNELS_PER_ROUND = 3
 
 
 def process_cpu_s(pid: int) -> float:
@@ -74,32 +87,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for core in load_corpus()
                 if core.properties.get("herbgrind-family") != "loops"]
     process, port = launch()
+    client_s = wall_s = 0.0
+    kernel_samples = []
     try:
         with ServeClient(port=port, timeout=120) as client:
             for payload in payloads:
                 client.analyze(payload)
+            # One read around the whole replay: a round is shorter than
+            # a clock tick, and the server idles through the kernels.
             server0 = process_cpu_s(process.pid)
-            client0, wall0 = time.process_time(), time.perf_counter()
             for _ in range(args.rounds):
+                kernel_samples.extend(hostspeed.measure()
+                                      for _ in range(KERNELS_PER_ROUND))
+                client0, wall0 = time.process_time(), time.perf_counter()
                 for payload in payloads:
                     source = client.analyze(payload).source
                     if source != "memory":
                         raise RuntimeError(f"replayed request was {source}")
+                client_s += time.process_time() - client0
+                wall_s += time.perf_counter() - wall0
             server_s = process_cpu_s(process.pid) - server0
-            client_s = time.process_time() - client0
-            wall_s = time.perf_counter() - wall0
     finally:
         process.terminate()
         process.wait(timeout=60)
     hits = args.rounds * len(payloads)
-    print(json.dumps({
-        "programs": len(payloads),
-        "hits": hits,
-        "server_us_per_hit": round(server_s / hits * 1e6, 1),
-        "client_us_per_hit": round(client_s / hits * 1e6, 1),
-        "server_per_client": round(server_s / client_s, 3),
-        "wall_us_per_hit": round(wall_s / hits * 1e6, 1),
-    }, sort_keys=True))
+    scale = hostspeed.scale(kernel_samples)
+    figures = {"programs": len(payloads), "hits": hits,
+               "kernel_ms": round(statistics.fmean(kernel_samples) * 1e3, 4)}
+    for name, seconds in (("server", server_s), ("client", client_s),
+                          ("wall", wall_s)):
+        figures[f"{name}_us_per_hit"] = round(seconds / hits * 1e6, 1)
+        figures[f"{name}_us_per_hit_scaled"] = round(
+            seconds * scale / hits * 1e6, 1)
+    print(json.dumps(figures, sort_keys=True))
     return 0
 
 

@@ -1,10 +1,14 @@
 """A lightweight blocking client for the :mod:`repro.serve` API.
 
-Built on :mod:`http.client` (stdlib only) with keep-alive connection
-reuse, so the traffic-replay benchmark measures server latency rather
-than TCP handshakes.  One :class:`ServeClient` wraps one connection and
-is **not** thread-safe — concurrent load generators open one client per
-thread (see ``benchmarks/bench_serving.py``).
+Speaks just enough HTTP/1.1 for the server's JSON API over one
+keep-alive socket (stdlib only), so the traffic-replay benchmark
+measures server latency rather than TCP handshakes or client-side
+parsing: each request goes out as one ``sendall`` (so the server's
+event loop wakes once per request), and each response is read as a
+status line, headers and exactly ``Content-Length`` body bytes.  One
+:class:`ServeClient` wraps one connection and is **not** thread-safe —
+concurrent load generators open one client per thread (see
+``benchmarks/bench_serving.py``).
 
 With ``retries > 0`` the client absorbs transient failures: transport
 errors (connection reset, server restart), backpressure (429) and
@@ -26,14 +30,18 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.requests import AnalysisRequest
 from repro.api.results import AnalysisResult
 
 RequestLike = Union[AnalysisRequest, Dict[str, Any]]
+
+#: Longest status or header line read from a response.
+_LINE_LIMIT = 64 * 1024
 
 
 class ServeError(Exception):
@@ -87,6 +95,14 @@ def _payload(request: RequestLike) -> Dict[str, Any]:
     return request
 
 
+class _Headers(dict):
+    """Response headers stored under lower-cased names; ``get`` takes
+    a name in any case."""
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return dict.get(self, name.lower(), default)
+
+
 def _retry_after(headers) -> Optional[float]:
     value = headers.get("Retry-After")
     if value is None:
@@ -111,23 +127,25 @@ class ServeClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._rng = random.Random(jitter_seed)
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+    def _connect(self) -> None:
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -135,39 +153,89 @@ class ServeClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _exchange_once(self, method: str, path: str,
-                       body: Optional[Dict[str, Any]] = None) -> ServeReply:
-        data = None
-        headers = {}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request(method, path, body=data, headers=headers)
-                response = conn.getresponse()
-                text = response.read().decode("utf-8")
+    def _read_line(self) -> bytes:
+        line = self._rfile.readline(_LINE_LIMIT + 1)
+        if len(line) > _LINE_LIMIT:
+            raise http.client.LineTooLong("response line")
+        return line
+
+    def _read_response(self) -> Tuple[int, _Headers, bytes]:
+        """One response off the socket: status, headers, exact body.
+
+        Anything short of a whole ``Content-Length`` response (EOF
+        before the status line or inside the body, a chunked or
+        unframed body) raises an ``http.client`` error.
+        """
+        line = self._read_line()
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "server closed the connection without a response")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith(b"HTTP/") \
+                or not parts[1].isdigit():
+            raise http.client.BadStatusLine(repr(line))
+        headers = _Headers()
+        while True:
+            raw = self._read_line()
+            if raw in (b"\r\n", b"\n"):
                 break
+            name, colon, value = raw.decode("latin-1").partition(":")
+            if not colon:
+                raise http.client.HTTPException(
+                    f"malformed or missing header line {raw!r}")
+            headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length", "")
+        if "transfer-encoding" in headers or not length.isdigit():
+            raise http.client.HTTPException(
+                "response body is not framed by a Content-Length")
+        size = int(length)
+        body = self._rfile.read(size)
+        if len(body) < size:
+            raise http.client.IncompleteRead(body, size - len(body))
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return int(parts[1]), headers, body
+
+    def _roundtrip(self, method: str, path: str,
+                   data: Optional[bytes] = None
+                   ) -> Tuple[int, _Headers, bytes]:
+        """Send one request in one write and read its response."""
+        head = (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n")
+        if data is not None:
+            head += ("Content-Type: application/json\r\n"
+                     f"Content-Length: {len(data)}\r\n")
+        message = (head + "\r\n").encode("ascii") + (data or b"")
+        for attempt in (0, 1):
+            try:
+                if self._sock is None:
+                    self._connect()
+                self._sock.sendall(message)
+                return self._read_response()
             except (http.client.HTTPException, ConnectionError, OSError):
                 # A stale keep-alive connection (server restarted or
                 # idle-closed): reconnect once, then let it raise.
                 self.close()
                 if attempt:
                     raise
+
+    def _exchange_once(self, method: str, path: str,
+                       body: Optional[Dict[str, Any]] = None) -> ServeReply:
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        status, headers, raw = self._roundtrip(method, path, data)
+        text = raw.decode("utf-8")
         reply = ServeReply(
-            status=response.status,
+            status=status,
             text=text,
-            digest=response.headers.get("X-Repro-Digest"),
-            source=response.headers.get("X-Repro-Source", ""),
+            digest=headers.get("x-repro-digest"),
+            source=headers.get("x-repro-source", ""),
         )
         if reply.status >= 400:
             try:
                 payload = json.loads(text)
             except json.JSONDecodeError:
                 payload = {"error": {"type": "unknown", "message": text}}
-            raise ServeError(reply.status, payload,
-                             _retry_after(response.headers))
+            raise ServeError(reply.status, payload, _retry_after(headers))
         return reply
 
     def _retry_delay(self, attempt: int,

@@ -25,6 +25,7 @@ from repro.api import AnalysisSession, request_digest
 from repro.api.store import ShardedResultStore
 from repro.bigfloat.backend import substrate_provider, substrate_status
 from repro.core import AnalysisConfig
+from repro.resilience import faults
 from repro.serve import ServeError, WorkerPool
 from repro.serve.server import ReproServer
 from repro.serve.service import AnalysisService
@@ -245,7 +246,9 @@ class TestMultiProcessStore:
         with first.client() as client:
             cold = client.analyze(request)
         assert cold.source == "computed"
-        with second.client() as client:
+        # Asserts a store hit: clear an ambient read-fault plan, which
+        # would quarantine a torn read and recompute.
+        with faults.injected(""), second.client() as client:
             warm = client.analyze(request)
         assert warm.source == "store"  # no recomputation on server two
         assert warm.text == cold.text

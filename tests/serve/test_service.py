@@ -14,6 +14,7 @@ from repro.api.requests import PARSED_CORE_LIMIT, PARSED_CORES
 from repro.api.store import ShardedResultStore
 from repro.bigfloat import backend as backend_mod
 from repro.core import AnalysisConfig
+from repro.resilience import faults
 from repro.serve.pool import WorkerPool
 from repro.serve.service import AnalysisService
 
@@ -52,11 +53,14 @@ class TestSinglePath:
             first = await service.analyze_payload(request.to_dict())
             second = await service.analyze_payload(request.to_dict())
             await service.close()
-            # A different process over the same store dir: warm.
-            fresh = AnalysisService(store=ShardedResultStore(
-                str(tmp_path)), workers=1)
-            third = await fresh.analyze_payload(request.to_dict())
-            await fresh.close()
+            # A different process over the same store dir: warm.  The
+            # step asserts a store hit, so an ambient read-fault plan
+            # (which quarantines and recomputes torn reads) is cleared.
+            with faults.injected(""):
+                fresh = AnalysisService(store=ShardedResultStore(
+                    str(tmp_path)), workers=1)
+                third = await fresh.analyze_payload(request.to_dict())
+                await fresh.close()
             return first, second, third
 
         first, second, third = asyncio.run(scenario())

@@ -9,6 +9,18 @@ import os
 import pytest
 
 from repro.api.store import ShardedResultStore, is_digest
+from repro.resilience import faults
+
+
+@pytest.fixture(autouse=True)
+def _no_ambient_faults():
+    """Every test here reads the store directly and asserts what it
+    reads, so an ambient read-fault plan (which tears reads, and
+    quarantines and misses the torn entries) is cleared; forked
+    writers inherit the cleared plan.  The corruption matrix lives in
+    ``tests/resilience/test_store_corruption.py``."""
+    with faults.injected(""):
+        yield
 
 
 def _digest(tag) -> str:
@@ -143,8 +155,6 @@ class TestTruncatedWriteRegression:
     ``tests/resilience/test_store_corruption.py``)."""
 
     def test_injected_truncated_write_is_quarantined(self, tmp_path):
-        from repro.resilience import faults
-
         store = ShardedResultStore(str(tmp_path))
         digest = _digest("torn")
         payload = json.dumps({"value": 42})

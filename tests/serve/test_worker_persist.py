@@ -26,6 +26,17 @@ def _expected(request):
     return _session().analyze(request).to_json()
 
 
+def _read_entries(root, digests):
+    """The stored texts of ``digests``, read through a fresh store.
+
+    Any ambient fault plan is cleared for the reads: a read-fault plan
+    tears a read, quarantines the entry and reads it as a miss.
+    """
+    fresh = ShardedResultStore(root)
+    with faults.injected(""):
+        return [fresh.get_text(digest) for digest in digests]
+
+
 def _entry_text(entry):
     """A batch entry back in the canonical text a single POST serves."""
     return json.dumps(entry, indent=2, sort_keys=True)
@@ -42,7 +53,7 @@ class TestWorkerWritesTheStore:
             reply = client.analyze(request)
             # Read through a store this process never wrote with, before
             # the server sees anything else.
-            on_disk = ShardedResultStore(root).get_text(reply.digest)
+            [on_disk] = _read_entries(root, [reply.digest])
             stats = client.stats()
         assert (reply.status, reply.source) == (200, "computed")
         assert reply.text == _expected(request)
@@ -83,7 +94,9 @@ class TestWorkerWritesTheStore:
                 store=ShardedResultStore(root), workers=1,
                 memory_cache_size=0,
             )
-        with harness.client() as client:
+        # The server's reads must see exactly the one torn write, not
+        # an ambient read-fault plan's torn reads.
+        with faults.injected(""), harness.client() as client:
             torn = client.analyze(request)
             healed = client.analyze(request)
             warm = client.analyze(request)
@@ -96,7 +109,7 @@ class TestWorkerWritesTheStore:
         assert stats["store"]["corrupt"] == 1
         assert stats["store"]["quarantined"] == 1
         assert stats["store"]["writes"] == 2
-        assert ShardedResultStore(root).get_text(torn.digest) == expected
+        assert _read_entries(root, [torn.digest]) == [expected]
 
     def test_batch_persists_every_result(
         self, harness_factory, tmp_path
@@ -109,11 +122,12 @@ class TestWorkerWritesTheStore:
             envelope = client.batch(requests)
             stats = client.stats()
         assert (envelope["count"], envelope["errors"]) == (3, 0)
-        fresh = ShardedResultStore(root)
-        for request, entry in zip(requests, envelope["results"]):
+        on_disk = _read_entries(root, map(request_digest, requests))
+        for request, entry, stored in zip(requests, envelope["results"],
+                                          on_disk):
             text = _entry_text(entry)
             assert text == _expected(request)
-            assert fresh.get_text(request_digest(request)) == text
+            assert stored == text
         assert stats["store"]["writes"] == 3
         assert stats["pool"]["completed"] == 3  # one task per request
 
@@ -140,7 +154,8 @@ class TestWorkerWritesTheStore:
             (request, _entry_text(entry))
             for request, entry in zip(batched, envelope["results"])
         ]
-        fresh = ShardedResultStore(root)
-        for request, text in served:
+        on_disk = _read_entries(
+            root, [request_digest(request) for request, _ in served])
+        for (request, text), stored in zip(served, on_disk):
             assert text == _expected(request)
-            assert fresh.get_text(request_digest(request)) == text
+            assert stored == text
