@@ -41,18 +41,15 @@ Escalation itself — recomputing a value exactly at the full tier — is
 the analysis layer's job (:class:`repro.core.shadow.ShadowEscalator`
 re-executes the concrete trace); the policy only decides *when*.
 
-The policy also carries a context *stack*: the working context is the
-base entry, and the escalator pushes the full context while it
-re-executes (:meth:`escalated`), so any operation run during
-escalation sees the full tier without threading contexts through every
-call.
+``policy.context`` is the context shadow operations run under: the
+full context under the fixed policy, the working context under the
+adaptive one.  Escalation runs at ``policy.full_context``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.bigfloat import arith
 from repro.bigfloat.bigfloat import BigFloat, K_FINITE as _K_FINITE
@@ -119,7 +116,9 @@ class PrecisionPolicy:
                  rounding: str = ROUND_NEAREST_EVEN) -> None:
         self.full_context = Context(precision=full_precision,
                                     rounding=rounding)
-        self._stack: List[Context] = [self._base_context()]
+        #: The context shadow operations run under (the full tier here;
+        #: the adaptive policy runs at its working tier).
+        self.context = self.full_context
         #: Escalation counters by reason, plus totals (adaptive only).
         self.stats: Dict[str, int] = {
             "escalations": 0,
@@ -127,38 +126,6 @@ class PrecisionPolicy:
             "comparison": 0,
             "integer": 0,
         }
-        #: Per-op escalation hooks: callables invoked with the reason
-        #: string every time a decision escalates (tests/telemetry).
-        self.escalation_hooks: List[Callable[[str], None]] = []
-
-    def _base_context(self) -> Context:
-        return self.full_context
-
-    # ------------------------------------------------------------------
-    # Context stack
-    # ------------------------------------------------------------------
-
-    @property
-    def context(self) -> Context:
-        """The context shadow operations should currently run under."""
-        return self._stack[-1]
-
-    def push(self, context: Context) -> None:
-        self._stack.append(context)
-
-    def pop(self) -> Context:
-        if len(self._stack) == 1:
-            raise RuntimeError("cannot pop the policy's base context")
-        return self._stack.pop()
-
-    @contextlib.contextmanager
-    def escalated(self) -> Iterator[Context]:
-        """Run the enclosed block at the full tier."""
-        self.push(self.full_context)
-        try:
-            yield self.full_context
-        finally:
-            self.pop()
 
     # ------------------------------------------------------------------
     # Escalation decisions (fixed tier: everything is already exact)
@@ -167,8 +134,6 @@ class PrecisionPolicy:
     def note_escalation(self, reason: str) -> None:
         self.stats["escalations"] += 1
         self.stats[reason] = self.stats.get(reason, 0) + 1
-        for hook in self.escalation_hooks:
-            hook(reason)
 
     def propagate(self, op: str, args: Sequence[BigFloat],
                   drifts: Sequence[float], result: BigFloat) -> float:
@@ -234,9 +199,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
             1.0, self.working_context.precision + DD_REL_ERR_LOG2
         )
         super().__init__(full_precision, rounding)
-
-    def _base_context(self) -> Context:
-        return self.working_context
+        self.context = self.working_context
 
     # ------------------------------------------------------------------
     # Running error analysis

@@ -432,9 +432,7 @@ class HerbgrindAnalysis(Tracer):
             if self._escalates and \
                     self.policy.rounding_unsafe(real, shadow.drift):
                 self.policy.note_escalation("rounding")
-                value = self.escalator.certified_rounded(shadow)
-                if value is None:
-                    value = self.escalator.exact_real(shadow).to_float()
+                value = self.escalator.exact_real(shadow).to_float()
             else:
                 value = real.to_float()
             shadow.rounded = value
@@ -545,7 +543,7 @@ class HerbgrindAnalysis(Tracer):
             # Integers wider than the working tier are rounded into it;
             # the escalator keeps the exact integer for the leaf, which
             # the float leaf value cannot always represent.
-            real = exact.round_to(self.policy.context.precision)
+            real = exact.round_to(self._working_precision)
             if not (real == exact):
                 drift = 1.0
             if not (exact == BigFloat.from_float(box.value)):
@@ -1062,8 +1060,8 @@ class HerbgrindAnalysis(Tracer):
         negligible cost, so serving stats and ``--profile`` output can
         show where shadow work actually ran: ops served by the hardware
         pair kernels, pair arguments promoted to the working tier,
-        roundings the working rung certified, and operations
-        re-executed at the full tier.  ``memo_hits`` counts site-step
+        and operations re-executed at the full tier (the one rung
+        every escalation takes).  ``memo_hits`` counts site-step
         ops, sequential or batched, replayed from the pool's per-ident
         memo, and ``tail_replays`` those of them that
         also skipped the anti-unification walk and the characteristic
@@ -1078,7 +1076,6 @@ class HerbgrindAnalysis(Tracer):
             "hw_promotions": self.hw_promotions,
             "memo_hits": self.memo_hits,
             "tail_replays": self.tail_replays,
-            "working_certified": self.escalator.working_certified,
             "full_recomputed_nodes": self.escalator.recomputed_nodes,
             "escalations": stats.get("escalations", 0),
             "escalation_rounding": stats.get("rounding", 0),

@@ -176,11 +176,6 @@ _FACTORIES = {
 }
 
 
-def make_summary(config: AnalysisConfig) -> InputSummary:
-    """A fresh summary of the configured kind."""
-    return _FACTORIES[config.input_characteristics]()
-
-
 class CharacteristicsTable:
     """Per-variable summaries for one operation site."""
 

@@ -26,7 +26,7 @@ so shared sub-computations (the trace is a DAG) are escalated once.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.bigfloat import BigFloat, apply
 from repro.bigfloat.doubledouble import DoubleDouble
@@ -84,11 +84,11 @@ class ShadowEscalator:
 
     A trace is a *handle*: a :class:`TraceNode` on the reference
     engine, an integer ident into the trace pool on the compiled one.
-    One walk (:meth:`reexecute`) serves both, through
-    :func:`repro.core.trace.trace_view`; memos and leaf overrides
-    are keyed by handle.  It runs on two rungs: the *working* rung,
-    which certifies a double-double shadow's rounding from a plain
-    working-tier re-execution, and the *full* rung, which is exact.
+    One walk (:meth:`exact`) serves both, through
+    :func:`repro.core.trace.trace_view`; the memo and leaf overrides
+    are keyed by handle.  There is one rung: every escalation
+    re-executes at ``policy.full_context``, exactly as the fixed tier
+    computed the value.
     """
 
     def __init__(self, policy: PrecisionPolicy, backend=None,
@@ -104,21 +104,18 @@ class ShadowEscalator:
         #: The pool's arrays are cleared, never rebound, at an epoch,
         #: so one view serves the escalator's lifetime.
         self._view = trace_view(pool)
-        #: Full-rung and working-rung memos: handle → (value, drift).
-        self._memo: Dict[object, "Tuple[BigFloat, float]"] = {}
-        self._working_memo: Dict[object, "Tuple[BigFloat, float]"] = {}
+        #: Full-tier values by handle.
+        self._memo: Dict[object, BigFloat] = {}
         self._leaves: Dict[object, BigFloat] = {}
         #: Operation nodes recomputed at the full tier (for reporting).
         self.recomputed_nodes = 0
-        #: Roundings the working rung certified (the full tier untouched).
-        self.working_certified = 0
 
     def register_leaf(self, leaf, real: BigFloat) -> None:
         """Pin the exact full-tier value of a trace leaf handle."""
         self._leaves[leaf] = real
 
     def reset(self) -> None:
-        """Drop the handle-keyed memos and leaf overrides.
+        """Drop the handle-keyed memo and leaf overrides.
 
         Under an ident pool the analysis calls this whenever the pool
         starts a new epoch: idents then restart from zero, and a stale
@@ -129,7 +126,6 @@ class ShadowEscalator:
         memory (structured nodes are never reused across runs).
         Counters survive; they aggregate across runs."""
         self._memo.clear()
-        self._working_memo.clear()
         self._leaves.clear()
 
     def exact_real(self, shadow: ShadowValue) -> BigFloat:
@@ -144,55 +140,19 @@ class ShadowEscalator:
             return real
         return self.exact(shadow.trace)
 
-    def exact(self, trace) -> BigFloat:
-        """The full-tier value of a trace handle (the full rung)."""
-        cached = self._memo.get(trace)
-        if cached is not None:
-            return cached[0]
-        with self.policy.escalated() as context:
-            return self.reexecute(trace, context, self._memo)[0]
-
-    def certified_rounded(self, shadow: ShadowValue) -> Optional[float]:
-        """The hardware rounding of the full-tier value when the working
-        rung certifies it, else None (the caller then pays for
-        :meth:`exact_real`).
-
-        Only a double-double shadow has a rung below the full tier: its
-        working-tier re-execution carries a band a few dozen bits
-        tighter than the pair's bound.  A BigFloat shadow already is
-        the working-tier value, so it goes straight to the full tier.
-        """
-        if type(shadow.real) is not DoubleDouble:
-            return None
-        policy = self.policy
-        value, drift = self.reexecute(
-            shadow.trace, policy.context, self._working_memo, policy
-        )
-        if policy.rounding_unsafe(value, drift):
-            return None
-        self.working_certified += 1
-        return value.to_float()
-
-    def reexecute(self, root, context, memo,
-                  policy: Optional[PrecisionPolicy] = None,
-                  ) -> "Tuple[BigFloat, float]":
-        """(value, drift) of trace handle ``root`` re-executed at
-        ``context``, memoized per handle in ``memo`` (iterative, so
-        loop traces thousands of levels deep do not recurse).
-
-        With a drift ``policy`` (the working rung) leaf overrides are
-        rounded into the context's precision and drift propagates by
-        the policy's rules.  Without one (the full rung) leaves stay
-        exact, drift stays EXACT, and every recomputed operation counts
-        toward :attr:`recomputed_nodes`.
-        """
+    def exact(self, root) -> BigFloat:
+        """The full-tier value of trace handle ``root``, memoized per
+        handle (iterative, so loop traces thousands of levels deep do
+        not recurse).  Leaves stay exact, and every recomputed
+        operation counts toward :attr:`recomputed_nodes`."""
+        memo = self._memo
         cached = memo.get(root)
         if cached is not None:
             return cached
         view = self._view
         leaves = self._leaves
         apply_op = self._apply
-        precision = context.precision
+        context = self.policy.full_context
         recomputed = 0
         stack = [root]
         while stack:
@@ -203,34 +163,22 @@ class ShadowEscalator:
             is_op, op, args, value, _ = view(cur)
             if not is_op:
                 exact = leaves.get(cur)
-                if exact is None:
-                    memo[cur] = (BigFloat.from_float(value), EXACT)
-                elif policy is None:
-                    memo[cur] = (exact, EXACT)
-                else:
-                    rounded = exact.round_to(precision)
-                    memo[cur] = (rounded, EXACT if rounded == exact else 1.0)
+                memo[cur] = BigFloat.from_float(value) if exact is None \
+                    else exact
                 stack.pop()
                 continue
             pending = [a for a in args if a not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            arguments = [memo[a][0] for a in args]
             try:
-                result = apply_op(op, arguments, context)
-                drift = EXACT if policy is None else policy.propagate(
-                    op, arguments, [memo[a][1] for a in args], result
-                )
+                result = apply_op(op, [memo[a] for a in args], context)
             except KeyError:
                 # Outside the real engine: the fixed tier would have
                 # shadowed this as an opaque float source too.
                 result = BigFloat.from_float(value)
-                drift = EXACT
-            memo[cur] = (result, drift)
+            memo[cur] = result
             recomputed += 1
             stack.pop()
-        if policy is None:
-            self.recomputed_nodes += recomputed
+        self.recomputed_nodes += recomputed
         return memo[root]
-

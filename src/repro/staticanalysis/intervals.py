@@ -98,12 +98,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0.0
-
     def abs_lo(self) -> float:
         """Smallest magnitude in the interval."""
         if self.contains_zero():

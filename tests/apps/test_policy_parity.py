@@ -15,9 +15,15 @@ tier.  So the compiled engine's escalator is also checked value by
 value: the pool interns both runs identically, and re-executing every
 ident at the full rung must give the real the fixed run computed for
 it as it executed.
+
+The adaptive policy escalates only when a decision falls inside a
+working value's drift band, so that band must hold the full-tier value
+(:func:`assert_drift_bounds_hold`): on every study, and on the whole
+corpus (:func:`test_corpus_drift_bounds_hold`).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,8 +36,13 @@ from repro.apps.gramschmidt import run_gramschmidt
 from repro.apps.pid import run_pid
 from repro.apps.plotter import run_plotter
 from repro.apps.triangle import run_triangle_study
-from repro.core import AnalysisConfig
+from repro.api.sampling import sample_inputs
+from repro.bigfloat.doubledouble import DoubleDouble
+from repro.bigfloat.policy import EXACT
+from repro.core import AnalysisConfig, analyze_program
 from repro.core.report import generate_report
+from repro.fpcore import load_corpus
+from repro.machine import compile_fpcore
 
 
 def _dihedral_configurations():
@@ -114,6 +125,7 @@ def test_adaptive_report_matches_fixed(study, engine, precision):
         assert adaptive.policy.stats["escalations"] > 0
     if engine == "compiled":
         assert_full_rung_matches(adaptive, fixed)
+        assert_drift_bounds_hold(adaptive)
 
 
 def assert_full_rung_matches(adaptive, fixed):
@@ -128,3 +140,58 @@ def assert_full_rung_matches(adaptive, fixed):
             checked += 1
     assert checked > len(fixed.pool) // 2
 
+
+def drift_bound_violations(analysis):
+    """(checked, violations) of the drift bound over every memoized
+    shadow of an adaptive run: an ``EXACT`` real is its full-tier
+    value, and a finite drift ``d`` below the trust limit puts the
+    full-tier value within ``d`` working-tier ulps of the real.
+    Untrusted, non-finite and zero reals are skipped."""
+    policy = analysis.policy
+    precision = policy.working_context.precision
+    checked, violations = 0, []
+    for ident, entry in enumerate(analysis.pool.memo):
+        if entry is None:
+            continue
+        shadow = entry[0]
+        real, drift = shadow.real, shadow.drift
+        if drift >= policy._ulps_limit or not real.is_finite() \
+                or real.is_zero():
+            continue
+        exact = analysis.escalator.exact(ident)
+        if drift == EXACT:
+            value = real.to_bigfloat() if type(real) is DoubleDouble \
+                else real
+            ok = value.key() == exact.key()
+        else:
+            ulp = Fraction(2) ** (real.msb_exponent - precision + 1)
+            ok = exact.is_finite() and abs(
+                real.to_fraction() - exact.to_fraction()
+            ) <= Fraction(drift) * ulp
+        checked += 1
+        if not ok:
+            violations.append((ident, drift))
+    return checked, violations
+
+
+def assert_drift_bounds_hold(adaptive):
+    checked, violations = drift_bound_violations(adaptive)
+    assert violations == []
+    # Gram-Schmidt's shadows are mostly untrusted; 8x4 checks 15.
+    assert checked > 10
+
+
+def test_corpus_drift_bounds_hold():
+    config = AnalysisConfig(shadow_precision=1000,
+                            precision_policy="adaptive", engine="compiled")
+    checked, violations = 0, []
+    for core in load_corpus():
+        analysis, __ = analyze_program(
+            compile_fpcore(core), sample_inputs(core, 8, seed=0),
+            config=config,
+        )
+        count, bad = drift_bound_violations(analysis)
+        checked += count
+        violations += [(core.name,) + item for item in bad]
+    assert violations == []
+    assert checked > 10000

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.bigfloat import BigFloat, Context
+from repro.bigfloat import BigFloat
 from repro.bigfloat.policy import (
     EXACT,
     UNTRUSTED,
@@ -51,32 +51,21 @@ class TestRegistry:
             )
 
 
-class TestContextStack:
-    def test_base_context(self):
+class TestContext:
+    def test_adaptive_runs_at_working_tier(self):
         policy = adaptive()
+        assert policy.context is policy.working_context
         assert policy.context.precision == 192
+        assert policy.full_context.precision == 1000
 
-    def test_escalated_pushes_full(self):
-        policy = adaptive()
-        with policy.escalated() as context:
-            assert context.precision == 1000
-            assert policy.context.precision == 1000
-        assert policy.context.precision == 192
-
-    def test_nested_push_pop(self):
-        policy = adaptive()
-        policy.push(Context(precision=300))
-        policy.push(Context(precision=400))
-        assert policy.context.precision == 400
-        assert policy.pop().precision == 400
-        assert policy.context.precision == 300
-        policy.pop()
-        with pytest.raises(RuntimeError):
-            policy.pop()
-
-    def test_fixed_base_is_full(self):
+    def test_fixed_runs_at_full_tier(self):
         policy = make_policy("fixed", 777)
+        assert policy.context is policy.full_context
         assert policy.context.precision == 777
+
+    def test_working_tier_capped_at_full(self):
+        policy = adaptive(full=150, working=192)
+        assert policy.context.precision == 150
 
 
 class TestDriftPropagation:
@@ -268,14 +257,11 @@ class TestAdditionPassthrough:
         assert policy.addition_passthrough(c, 1.0, o, 1.0) is None
 
 
-class TestEscalationHooks:
-    def test_hooks_and_stats(self):
+class TestEscalationStats:
+    def test_stats_count_each_reason(self):
         policy = adaptive()
-        seen = []
-        policy.escalation_hooks.append(seen.append)
         policy.note_escalation("rounding")
         policy.note_escalation("comparison")
-        assert seen == ["rounding", "comparison"]
         assert policy.stats["escalations"] == 2
         assert policy.stats["rounding"] == 1
         assert policy.stats["comparison"] == 1

@@ -20,7 +20,8 @@ things a variant could get wrong never reach a report:
   corpus program takes.
 
 To refresh the counter golden after a deliberate change to what a
-stage counts, run this file as a script from the repository root::
+stage counts, run this file as a script from the repository root; it
+prints each counter that moved (old -> new)::
 
     PYTHONPATH=src python tests/core/test_site_steps.py --update
 """
@@ -199,9 +200,29 @@ class TestGenericFallback:
         assert analysis.stage_counters.fused_ops == 2 * len(points)
 
 
+def moved_counters(old, new):
+    """One ``policy.counter: old -> new`` line per counter that moved
+    (``-`` for a counter one side lacks)."""
+    lines = []
+    for policy in sorted(set(old) | set(new)):
+        before, after = old.get(policy, {}), new.get(policy, {})
+        for name in sorted(set(before) | set(after)):
+            if before.get(name) != after.get(name):
+                lines.append(f"{policy}.{name}: {before.get(name, '-')}"
+                             f" -> {after.get(name, '-')}")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit("usage: test_site_steps.py --update")
+    try:
+        with open(GOLDEN) as handle:
+            old = json.load(handle)
+    except FileNotFoundError:
+        old = {}
+    new = all_stage_counter_sums()
+    print("\n".join(moved_counters(old, new)) or "no counter moved")
     with open(GOLDEN, "w") as handle:
-        json.dump(all_stage_counter_sums(), handle, indent=2, sort_keys=True)
+        json.dump(new, handle, indent=2, sort_keys=True)
         handle.write("\n")

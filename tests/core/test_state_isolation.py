@@ -157,12 +157,11 @@ class TestPoolMemoryGuard:
         assert len(pool) > 10
         assert any(entry is not None for entry in pool.memo)
         ident = len(pool) - 1
-        escalator._memo[ident] = escalator._working_memo[ident] = None
+        escalator._memo[ident] = None
         escalator._leaves[ident] = None
         analysis.on_start(None)
         assert len(pool) == len(pool.memo) == len(pool.nodes) == 0
-        assert not (escalator._memo or escalator._working_memo
-                    or escalator._leaves)
+        assert not (escalator._memo or escalator._leaves)
 
     def test_caches_survive_below_cap(self):
         analysis, __ = run_analysis([[1.5, 25.0]])
