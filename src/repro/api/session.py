@@ -200,9 +200,13 @@ def _execute(request: AnalysisRequest,
     return _run_request(request, program, points, degrade)
 
 
-def _worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool worker: dict in, dict out — keeps everything picklable."""
-    result = _execute(AnalysisRequest.from_dict(payload))
+def _worker(
+    payload: Tuple[Dict[str, Any], Optional[bool]]
+) -> Dict[str, Any]:
+    """Pool worker: (request dict, ladder switch) in, dict out — keeps
+    everything picklable."""
+    request, degrade = payload
+    result = _execute(AnalysisRequest.from_dict(request), degrade)
     data = result.to_dict()
     degradation = result.extra.get("degradation")
     if degradation is not None:
@@ -442,7 +446,9 @@ class AnalysisSession:
                 self.result_misses += 1
             pending.append((index, key))
         if pending:
-            payloads = [requests[i].to_dict() for i, __ in pending]
+            payloads = [
+                (requests[i].to_dict(), self.degrade) for i, __ in pending
+            ]
             with multiprocessing.Pool(processes=workers) as pool:
                 dicts = pool.map(_worker, payloads, chunksize=1)
             for (index, key), data in zip(pending, dicts):

@@ -208,7 +208,8 @@ class HerbgrindAnalysis(Tracer):
         #: the site-compiled fused pipeline, the steady-state
         #: anti-unification walk and (unless ``config.batched`` is off)
         #: batched lockstep execution.  The reference engine turns every
-        #: layer off; it is the oracle the parity suites compare against.
+        #: layer off but the trace pool, which both engines intern
+        #: through; it is the oracle the parity suites compare against.
         self.compiled = self.config.engine == ENGINE_COMPILED
         self.policy = make_policy(
             self.config.precision_policy,
@@ -273,13 +274,12 @@ class HerbgrindAnalysis(Tracer):
         self._sites: Dict[int, isa.Instr] = {}  # keeps instr ids stable
         self._site_counter = 0
         self.runs = 0
-        #: Ident-interning pool (compiled engine only; None on the
-        #: reference engine).  When present, every
+        #: Ident-interning trace pool (both engines): every
         #: :attr:`ShadowValue.trace` is an integer ident into the pool's
         #: flat arrays; structured nodes are materialized lazily.
-        self.pool = trace_mod.TracePool() if self.compiled else None
+        self.pool = trace_mod.TracePool()
         self.escalator = ShadowEscalator(
-            self.policy, backend=self.backend, pool=self.pool
+            self.policy, self.pool, backend=self.backend
         )
         #: Batched lockstep execution enabled (compiled engine only:
         #: the batched engine loops its lanes through the site steps).
@@ -408,12 +408,10 @@ class HerbgrindAnalysis(Tracer):
         a shadow (a bitcast result).  The engines store it where the
         value lives — on the box, or in the batched lane column — so
         later consumers share it."""
-        pool = self.pool
-        leaf = (
-            pool.opaque_ident(value) if pool is not None
-            else trace_mod.opaque_leaf(value)
+        return ShadowValue(
+            self._leaf_real(value), self.pool.opaque_ident(value),
+            EMPTY_INFLUENCES,
         )
-        return ShadowValue(self._leaf_real(value), leaf, EMPTY_INFLUENCES)
 
     # ------------------------------------------------------------------
     # Tier-checked views of shadow reals
@@ -487,11 +485,6 @@ class HerbgrindAnalysis(Tracer):
         """
         self.runs += 1
         pool = self.pool
-        if pool is None:
-            # Structured nodes never share idents across runs; the
-            # per-run reset only bounds the escalator's memory.
-            self.escalator.reset()
-            return
         if len(pool) > POOL_EPOCH_IDENTS:
             # The new epoch reuses the idents the records' last traces
             # point at.  An aborted run's are covered too: they stay
@@ -504,11 +497,8 @@ class HerbgrindAnalysis(Tracer):
     def on_const(self, instr: isa.Instr, box: FloatBox) -> None:
         # The compiled engines bind fused_const_callback instead, which
         # caches the leaf's shadow per site and pool epoch.
-        loc = getattr(instr, "loc", None)
-        leaf = (
-            self.pool.const_ident(box.value, loc, site=id(instr))
-            if self.pool is not None
-            else trace_mod.const_leaf(box.value, loc)
+        leaf = self.pool.const_ident(
+            box.value, getattr(instr, "loc", None), site=id(instr)
         )
         box.shadow = ShadowValue(
             self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
@@ -518,12 +508,9 @@ class HerbgrindAnalysis(Tracer):
         # Input leaves are per-execution (each Read fires once per run
         # with a fresh value), so unlike constants there is nothing to
         # cache across runs.
-        if self.pool is not None:
-            leaf = self.pool.input_ident(
-                box.value, index, instr.loc, site=id(instr)
-            )
-        else:
-            leaf = trace_mod.input_leaf(box.value, index, instr.loc)
+        leaf = self.pool.input_ident(
+            box.value, index, instr.loc, site=id(instr)
+        )
         box.shadow = ShadowValue(
             self._leaf_real(box.value), leaf, EMPTY_INFLUENCES
         )
@@ -531,12 +518,9 @@ class HerbgrindAnalysis(Tracer):
     def on_int_to_float(self, instr: isa.IntToFloat, value: int, box: FloatBox) -> None:
         # Integers are exact; the trace sees a constant of that value.
         exact = BigFloat.from_int(value)
-        if self.pool is not None:
-            leaf = self.pool.int_ident(
-                box.value, value, instr.loc, site=id(instr)
-            )
-        else:
-            leaf = trace_mod.const_leaf(box.value, instr.loc)
+        leaf = self.pool.int_ident(
+            box.value, value, instr.loc, site=id(instr)
+        )
         real = exact
         drift = EXACT
         if self.policy.escalates:
@@ -579,13 +563,10 @@ class HerbgrindAnalysis(Tracer):
             self._analyse_operation(instr, "fabs", [box], result)
             return
         shadow = self._shadow(box)
-        pool = self.pool
-        leaf = (
-            pool.opaque_ident(result.value, instr.loc) if pool is not None
-            else trace_mod.opaque_leaf(result.value, instr.loc)
-        )
         result.shadow = ShadowValue(
-            self._leaf_real(result.value), leaf, shadow.influences,
+            self._leaf_real(result.value),
+            self.pool.opaque_ident(result.value, instr.loc),
+            shadow.influences,
         )
 
     # ------------------------------------------------------------------
@@ -619,14 +600,8 @@ class HerbgrindAnalysis(Tracer):
             except KeyError:
                 # Operation outside the real engine: treat the result as
                 # an opaque float source.
-                leaf = (
-                    pool.opaque_ident(
-                        result.value, getattr(instr, "loc", None)
-                    )
-                    if pool is not None
-                    else trace_mod.opaque_leaf(
-                        result.value, getattr(instr, "loc", None)
-                    )
+                leaf = pool.opaque_ident(
+                    result.value, getattr(instr, "loc", None)
                 )
                 result.shadow = ShadowValue(
                     self._leaf_real(result.value),
@@ -640,30 +615,19 @@ class HerbgrindAnalysis(Tracer):
             if self._hw and type(real_result) is not DoubleDouble:
                 self.stage_counters.working_tier_ops += 1
         record = self._op_record(instr, op)
-        if pool is not None:
-            node = pool.op_ident(
-                op,
-                tuple(s.trace for s in shadows),
-                result.value,
-                instr.loc,
-                site=id(instr),
-            )
-        else:
-            node = trace_mod.op_node(
-                op,
-                tuple(s.trace for s in shadows),
-                result.value,
-                instr.loc,
-            )
+        node = pool.op_ident(
+            op,
+            tuple(s.trace for s in shadows),
+            result.value,
+            instr.loc,
+            site=id(instr),
+        )
         if not self._escalates:
             drift = EXACT
         elif (
             op == "-"
             and len(shadows) == 2
-            and (
-                shadows[0].trace == shadows[1].trace if pool is not None
-                else shadows[0].trace is shadows[1].trace
-            )
+            and shadows[0].trace == shadows[1].trace
         ):
             # x - x over the *same* shadowed value is exactly zero at
             # every tier; without this the working tier must treat the
@@ -722,12 +686,16 @@ class HerbgrindAnalysis(Tracer):
                 influences = influences | {record}
 
         # --- Symbolic expression + input characteristics ---------------
-        if pool is not None:
+        if self.compiled:
             __, bindings = record.generalization.update_with_bindings_pooled(
                 pool, node
             )
         else:
-            __, bindings = record.generalization.update_with_bindings(node)
+            # The reference engine's merge-only walk, on the
+            # materialized node of the same interned trace.
+            __, bindings = record.generalization.update_with_bindings(
+                pool.node(node)
+            )
         record.last_trace = node
         if profile:
             self.stage_counters.characteristic_updates += len(bindings)

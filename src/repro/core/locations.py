@@ -14,20 +14,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.trace import trace_view
+from repro.core.trace import TracePool, trace_view
 from repro.fpcore.ast import Expr, Op
 
 Path = Tuple[int, ...]
 
 
 def map_node_locations(
-    symbolic: Expr, trace, pool=None
+    symbolic: Expr, trace: int, pool: TracePool
 ) -> Dict[Path, Optional[str]]:
     """Source location for every operator position of ``symbolic``.
 
     ``trace`` is the concrete trace the expression generalizes (the
-    most recent one): a :class:`~repro.core.trace.TraceNode`, or an
-    ident into ``pool``.  The walk follows the expression, descending
+    most recent one), an ident into ``pool``.  The walk follows the expression, descending
     only where its operator matches the trace's, so its cost is the
     expression's size however large the trace DAG is.  Positions are
     child-index paths from the root, as in :mod:`repro.improve.patterns`.

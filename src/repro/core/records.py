@@ -15,6 +15,7 @@ from typing import Dict, Optional, Set
 from repro.core.antiunify import Generalization
 from repro.core.config import AnalysisConfig
 from repro.core.inputs import CharacteristicsTable
+from repro.core.trace import TracePool
 from repro.fpcore.ast import Expr
 
 SPOT_OUTPUT = "output"
@@ -44,15 +45,14 @@ class OpRecord:
     total_inputs: CharacteristicsTable = None
     problematic_inputs: CharacteristicsTable = None
     example_problematic: Optional[Dict[str, float]] = None
-    #: The most recent concrete trace, from which
-    #: :meth:`node_locations` computes source locations on request: a
-    #: :class:`~repro.core.trace.TraceNode` under the reference engine,
-    #: an ident into :attr:`trace_pool` under the compiled engine.
-    last_trace: object = None
-    #: The compiled engine's trace pool (None under the reference one).
-    trace_pool: object = None
-    #: The locations of a pooled last trace, saved by
-    #: :meth:`save_locations` before its pool starts a new epoch.
+    #: The most recent concrete trace, an ident into
+    #: :attr:`trace_pool`, from which :meth:`node_locations` computes
+    #: source locations on request.
+    last_trace: Optional[int] = None
+    #: The analysis's trace pool.
+    trace_pool: TracePool = None
+    #: The locations of the last trace, saved by :meth:`save_locations`
+    #: before the pool starts a new epoch.
     saved_locations: Optional[dict] = None
 
     def __post_init__(self) -> None:

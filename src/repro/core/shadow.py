@@ -20,7 +20,7 @@ working-tier ulps (``policy.EXACT`` for exactly-represented values).
 re-executing the concrete trace at the full precision: because the
 trace records exactly the operations the fixed-tier analysis would
 have run, the escalated value is bit-identical to what a fixed
-full-precision run computes.  Re-execution is memoized per trace handle,
+full-precision run computes.  Re-execution is memoized per trace ident,
 so shared sub-computations (the trace is a DAG) are escalated once.
 """
 
@@ -32,7 +32,7 @@ from repro.bigfloat import BigFloat, apply
 from repro.bigfloat.doubledouble import DoubleDouble
 from repro.bigfloat.policy import EXACT, PrecisionPolicy
 from repro.core.records import OpRecord
-from repro.core.trace import trace_view
+from repro.core.trace import TracePool, trace_view
 
 EMPTY_INFLUENCES: FrozenSet[OpRecord] = frozenset()
 
@@ -46,7 +46,7 @@ class ShadowValue:
     def __init__(
         self,
         real: BigFloat,
-        trace,  # TraceNode, or an int pool ident under the compiled engine
+        trace: int,  # an ident into the analysis's TracePool
         influences: FrozenSet[OpRecord] = EMPTY_INFLUENCES,
         drift: float = EXACT,
     ) -> None:
@@ -82,49 +82,45 @@ class ShadowEscalator:
     int→float conversions register the exact integer, which the float
     leaf value cannot always represent.
 
-    A trace is a *handle*: a :class:`TraceNode` on the reference
-    engine, an integer ident into the trace pool on the compiled one.
-    One walk (:meth:`exact`) serves both, through
-    :func:`repro.core.trace.trace_view`; the memo and leaf overrides
-    are keyed by handle.  There is one rung: every escalation
-    re-executes at ``policy.full_context``, exactly as the fixed tier
-    computed the value.
+    A trace is an integer ident into the analysis's trace pool (both
+    engines intern there); the walk (:meth:`exact`) reads the pool's
+    arrays through :func:`repro.core.trace.trace_view`, and the memo
+    and leaf overrides are keyed by ident.  There is one rung: every
+    escalation re-executes at ``policy.full_context``, exactly as the
+    fixed tier computed the value.
     """
 
-    def __init__(self, policy: PrecisionPolicy, backend=None,
-                 pool=None) -> None:
+    def __init__(self, policy: PrecisionPolicy, pool: TracePool,
+                 backend=None) -> None:
         self.policy = policy
         #: Kernel substrate for trace re-execution; defaults to the
         #: python reference.  The analysis passes its own backend so
         #: escalated values are computed by the same substrate as the
         #: working-tier values they replace.
         self._apply = backend.apply if backend is not None else apply
-        #: Accessor of trace handles: idents into ``pool`` on the
-        #: compiled engine, nodes on the reference engine (no pool).
-        #: The pool's arrays are cleared, never rebound, at an epoch,
-        #: so one view serves the escalator's lifetime.
+        #: Accessor of trace idents.  The pool's arrays are cleared,
+        #: never rebound, at an epoch, so one view serves the
+        #: escalator's lifetime.
         self._view = trace_view(pool)
-        #: Full-tier values by handle.
-        self._memo: Dict[object, BigFloat] = {}
-        self._leaves: Dict[object, BigFloat] = {}
+        #: Full-tier values by ident.
+        self._memo: Dict[int, BigFloat] = {}
+        self._leaves: Dict[int, BigFloat] = {}
         #: Operation nodes recomputed at the full tier (for reporting).
         self.recomputed_nodes = 0
 
-    def register_leaf(self, leaf, real: BigFloat) -> None:
-        """Pin the exact full-tier value of a trace leaf handle."""
+    def register_leaf(self, leaf: int, real: BigFloat) -> None:
+        """Pin the exact full-tier value of a trace leaf ident."""
         self._leaves[leaf] = real
 
     def reset(self) -> None:
-        """Drop the handle-keyed memo and leaf overrides.
+        """Drop the ident-keyed memo and leaf overrides.
 
-        Under an ident pool the analysis calls this whenever the pool
-        starts a new epoch: idents then restart from zero, and a stale
-        entry would alias a different value.  Within an epoch an entry
-        stays valid across runs (and across the lanes of a batch),
-        because re-execution of an ident is a pure function of its
-        trace.  Without a pool it runs once per execution, which bounds
-        memory (structured nodes are never reused across runs).
-        Counters survive; they aggregate across runs."""
+        The analysis calls this whenever the pool starts a new epoch:
+        idents then restart from zero, and a stale entry would alias a
+        different value.  Within an epoch an entry stays valid across
+        runs (and across the lanes of a batch), because re-execution of
+        an ident is a pure function of its trace.  Counters survive;
+        they aggregate across runs."""
         self._memo.clear()
         self._leaves.clear()
 
@@ -140,9 +136,9 @@ class ShadowEscalator:
             return real
         return self.exact(shadow.trace)
 
-    def exact(self, root) -> BigFloat:
-        """The full-tier value of trace handle ``root``, memoized per
-        handle (iterative, so loop traces thousands of levels deep do
+    def exact(self, root: int) -> BigFloat:
+        """The full-tier value of trace ident ``root``, memoized per
+        ident (iterative, so loop traces thousands of levels deep do
         not recurse).  Leaves stay exact, and every recomputed
         operation counts toward :attr:`recomputed_nodes`."""
         memo = self._memo

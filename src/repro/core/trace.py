@@ -1,11 +1,14 @@
-"""Concrete-expression trace nodes (paper Section 4.3, Section 6).
+"""Concrete-expression traces (paper Section 4.3, Section 6).
 
-Every shadowed float value carries a :class:`TraceNode` recording the
-floating-point computation that produced it.  Copies through registers,
-the heap, and function boundaries *share* nodes (the DAG mirrors the
-sharing of shadow values), so a single trace can span multiple
-functions and data structures — that is what makes the extracted
-expressions non-local.
+Every shadowed float value carries a trace: an integer ident into the
+analysis's :class:`TracePool`, recording the floating-point computation
+that produced it.  Copies through registers, the heap, and function
+boundaries *share* idents (the DAG mirrors the sharing of shadow
+values), so a single trace can span multiple functions and data
+structures — that is what makes the extracted expressions non-local.
+Both engines intern through the pool; :class:`TraceNode` is the
+structured view the pool materializes on demand
+(:meth:`TracePool.node`) for the walks that need a tree.
 
 Function boundaries, loads and stores are deliberately *not* recorded:
 a trace contains only floating-point operations, constants, program
@@ -16,7 +19,6 @@ truncation at the depth bound).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple
 
 from repro.ieee.float64 import double_to_bits as _bits
@@ -27,17 +29,17 @@ KIND_INPUT = "input"
 KIND_CONST = "const"
 KIND_OPAQUE = "opaque"
 
-_leaf_counter = itertools.count()
-
 
 class TraceNode:
-    """An immutable node of the concrete-expression DAG."""
+    """An immutable node of the concrete-expression DAG, materialized
+    from the pool entry ``ident`` (whose identity it carries)."""
 
     __slots__ = ("kind", "op", "args", "value", "loc", "depth", "ident",
                  "_keys")
 
     def __init__(
         self,
+        ident: int,
         kind: str,
         value: float,
         op: Optional[str] = None,
@@ -50,7 +52,7 @@ class TraceNode:
         self.value = value
         self.loc = loc
         self.depth = 1 + max((a.depth for a in args), default=0)
-        self.ident = next(_leaf_counter)
+        self.ident = ident
         #: Lazy cache of structural keys by depth (nodes are immutable,
         #: so a key never changes once computed).
         self._keys: Optional[dict] = None
@@ -59,39 +61,6 @@ class TraceNode:
         if self.kind == KIND_OP:
             return f"<{self.op} depth={self.depth} value={self.value!r}>"
         return f"<{self.kind} value={self.value!r}>"
-
-
-def input_leaf(value: float, index: int, loc: Optional[str] = None) -> TraceNode:
-    """A program-input leaf; ``op`` holds the canonical input name."""
-    return TraceNode(KIND_INPUT, value, op=f"x{index}", loc=loc)
-
-
-def const_leaf(value: float, loc: Optional[str] = None) -> TraceNode:
-    """A literal constant leaf."""
-    return TraceNode(KIND_CONST, value, loc=loc)
-
-
-def opaque_leaf(value: float, loc: Optional[str] = None) -> TraceNode:
-    """A leaf for values of unknown floating-point provenance."""
-    return TraceNode(KIND_OPAQUE, value, loc=loc)
-
-
-def op_node(
-    op: str,
-    args: Tuple[TraceNode, ...],
-    value: float,
-    loc: Optional[str] = None,
-) -> TraceNode:
-    """An operation node over existing children (a DAG link, no copying).
-
-    The expression-depth bound (Figures 5c/5d) is applied when traces
-    are *generalized*, not here: each operation site's symbolic
-    expression keeps only its top ``max_expression_depth`` levels, with
-    deeper sub-trees becoming variables.  Keeping the full DAG here is
-    cheap (one node per executed operation) and lets every site see its
-    own most-recent levels.
-    """
-    return TraceNode(KIND_OP, value, op=op, args=args, loc=loc)
 
 
 def _leaf_key(node: TraceNode) -> tuple:
@@ -191,16 +160,11 @@ _P_KIND_NAMES = {
     P_OPAQUE: KIND_OPAQUE,
 }
 
-def _node_view(node: TraceNode):
-    return node.kind == KIND_OP, node.op, node.args, node.value, node.loc
 
-
-def trace_view(pool: "Optional[TracePool]" = None):
+def trace_view(pool: "TracePool"):
     """Accessor returning ``(is_op, op, args, value, loc)`` of a trace
-    handle: a :class:`TraceNode` when ``pool`` is None, else an ident
-    into ``pool``.  Lets one walk serve both engines' traces."""
-    if pool is None:
-        return _node_view
+    ident into ``pool``: the one view the escalator and the location
+    walk read traces through."""
     kinds, ops, args = pool.kinds, pool.ops, pool.args
     values, locs = pool.values, pool.locs
 
@@ -218,21 +182,26 @@ _KEY_STRIDE = 4096
 
 
 class TracePool:
-    """Ident-first hash-consing of traces (the compiled engine's layer).
+    """Ident-first hash-consing of traces: the trace store of both
+    engines.
 
     The pool *is* the trace store: every trace is an integer ident
     indexing parallel flat arrays (kind, op name, argument idents,
-    value, source location, depth).  The hot path —
+    value, source location, depth).  The compiled engine's hot path —
     tracer callbacks, the shadow memo, the steady-state
     anti-unification walk — operates on idents and these arrays only;
     no :class:`TraceNode` objects are allocated per operation.
     Structured nodes are materialized *lazily* (:meth:`node`) at the
     places that genuinely need a tree: anti-unification bail-outs (the
-    full merge) and escalation re-execution fallbacks.  Per-node source
-    locations walk the arrays directly
-    (:func:`repro.core.locations.map_node_locations`).
+    full merge), and every walk of the reference engine, whose
+    merge-only anti-unification runs on the materialized node of each
+    executed operation.  Interning is the same for both engines, so
+    they see the same sharing and truncate the same nodes.  Re-execution
+    (:class:`repro.core.shadow.ShadowEscalator`) and per-node source
+    locations (:func:`repro.core.locations.map_node_locations`) walk the
+    arrays directly.
 
-    Hash-consing semantics are unchanged from the node-based pool:
+    Hash-consing semantics:
 
     * interning keys include the creating instruction (``site``), so
       idents from different program sites never merge; two executions
@@ -253,8 +222,9 @@ class TracePool:
       resets with it.
 
     ``memo`` holds, per op ident, the ``(shadow, local error bits,
-    compensation verdict)`` the fused pipeline computed for it, or
-    None.  Those are pure functions of the ident — same site, same
+    compensation verdict)`` the compiled engine's fused pipeline
+    computed for it, or None (always None under the reference
+    engine).  Those are pure functions of the ident — same site, same
     argument idents, hence the same real and float computation — so a
     later execution of the ident replays them instead of re-running
     the shadow pipeline.  A fourth element is the site's symbolic
@@ -543,8 +513,7 @@ class TracePool:
     def node(self, ident: int) -> TraceNode:
         """Materialize the full structured node of ``ident`` (memoized).
 
-        The node carries the *pool* ident (overriding the global leaf
-        counter) and its pooled depth, so every
+        The node carries the pool ident and its pooled depth, so every
         consumer of materialized nodes — structural keys, merge
         memos — sees one consistent identity space.
         """
@@ -568,13 +537,13 @@ class TracePool:
                 stack.extend(pending)
                 continue
             node = TraceNode(
+                cur,
                 _P_KIND_NAMES[kinds[cur]],
                 values[cur],
                 op=ops[cur],
                 args=tuple(nodes[a] for a in argsA[cur]),
                 loc=locs[cur],
             )
-            node.ident = cur
             nodes[cur] = node
             stack.pop()
         return nodes[ident]

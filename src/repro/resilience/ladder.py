@@ -28,7 +28,10 @@ request's digest, which leaves the plan out.  The winning rung records
 its path in ``result.extra["degradation"]`` — visible to in-process
 callers and the serving stats, but **stripped from the serialized
 JSON** (:meth:`AnalysisResult.to_dict`) so a degraded result stays
-byte-identical to the clean run, which is the whole point.
+byte-identical to the clean run, which is the whole point.  Each
+retry on a lower rung is also counted per process
+(:func:`degradations`), so no degradation is silent even where the
+result's ``extra`` is never read.
 
 ``REPRO_DEGRADE=0`` (read by :func:`repro.core.config.env_switch`), or
 ``AnalysisSession(degrade=False)`` / ``herbgrind-py analyze
@@ -71,6 +74,21 @@ LADDER = (
     (RUNG_PYTHON_SUBSTRATE, {"substrate": "python"}),
     (RUNG_FIXED_POLICY, {"precision_policy": "fixed"}),
 )
+
+
+#: Rung name -> retries onto that rung in this process; see
+#: :func:`degradations`.
+_degradations: Dict[str, int] = {}
+
+
+def degradations() -> Dict[str, int]:
+    """How often the ladder retried a request on a lower rung, per rung.
+
+    Counts cover the whole process: an analysis run in a batch or serve
+    worker is counted in that worker.  The test suite fails any test
+    that degrades in-process without a fault plan.
+    """
+    return dict(_degradations)
 
 
 def degradation_enabled(override: Optional[bool] = None) -> bool:
@@ -157,6 +175,7 @@ class DegradationLadder:
             attempts.append(self._attempt(RUNG_INITIAL, exc, kind))
             last_error = exc
         for rung, degraded in self.plan(request):
+            _degradations[rung] = _degradations.get(rung, 0) + 1
             logger.warning(
                 "degrading %s to rung %r after %s: %s",
                 getattr(request, "name", "<request>"), rung,

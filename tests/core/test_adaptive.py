@@ -250,14 +250,15 @@ class TestShadowEscalator:
         from repro.bigfloat import Context, apply
 
         policy = AdaptivePrecisionPolicy(1000, working_precision=192)
-        escalator = ShadowEscalator(policy)
+        pool = trace_mod.TracePool()
+        escalator = ShadowEscalator(policy, pool)
         full = Context(precision=1000)
         working = Context(precision=192)
-        x = trace_mod.input_leaf(3.0, 0)
-        third = trace_mod.op_node(
-            "/", (trace_mod.const_leaf(1.0), x), 1.0 / 3.0
+        x = pool.input_ident(3.0, 0)
+        third = pool.op_ident(
+            "/", (pool.const_ident(1.0), x), 1.0 / 3.0, site=1
         )
-        expr = trace_mod.op_node("sin", (third,), math.sin(1.0 / 3.0))
+        expr = pool.op_ident("sin", (third,), math.sin(1.0 / 3.0), site=2)
         expected = apply(
             "sin",
             [apply("/", [BigFloat.from_float(1.0),
@@ -276,13 +277,16 @@ class TestShadowEscalator:
 
     def test_memoization_shares_nodes(self):
         policy = AdaptivePrecisionPolicy(1000, working_precision=192)
-        escalator = ShadowEscalator(policy)
-        x = trace_mod.input_leaf(7.0, 0)
-        shared = trace_mod.op_node(
-            "/", (trace_mod.const_leaf(2.0), x), 2.0 / 7.0
+        pool = trace_mod.TracePool()
+        escalator = ShadowEscalator(policy, pool)
+        x = pool.input_ident(7.0, 0)
+        shared = pool.op_ident(
+            "/", (pool.const_ident(2.0), x), 2.0 / 7.0, site=1
         )
-        left = trace_mod.op_node("sqrt", (shared,), math.sqrt(2.0 / 7.0))
-        right = trace_mod.op_node("exp", (shared,), math.exp(2.0 / 7.0))
+        left = pool.op_ident(
+            "sqrt", (shared,), math.sqrt(2.0 / 7.0), site=2
+        )
+        right = pool.op_ident("exp", (shared,), math.exp(2.0 / 7.0), site=3)
         escalator.exact(left)
         nodes_after_left = escalator.recomputed_nodes
         escalator.exact(right)
@@ -293,31 +297,18 @@ class TestShadowEscalator:
         # 2^60 + 1 is not a double; the escalator must see the exact
         # integer, not the rounded float leaf value.
         policy = AdaptivePrecisionPolicy(1000, working_precision=192)
-        escalator = ShadowEscalator(policy)
+        pool = trace_mod.TracePool()
+        escalator = ShadowEscalator(policy, pool)
         wide = (1 << 60) + 1
-        leaf = trace_mod.const_leaf(float(wide))
+        leaf = pool.int_ident(float(wide), wide)
         escalator.register_leaf(leaf, BigFloat.from_int(wide))
         assert escalator.exact(leaf).key() == \
             BigFloat.from_int(wide).key()
 
-    def test_deep_trace_does_not_recurse(self):
-        # Loop traces grow thousands of levels; re-execution must be
-        # iterative (a recursive walk would blow the stack).
-        policy = AdaptivePrecisionPolicy(1000, working_precision=192)
-        escalator = ShadowEscalator(policy)
-        node = trace_mod.const_leaf(1.0)
-        for __ in range(5000):
-            node = trace_mod.op_node("+", (node, trace_mod.const_leaf(1.0)),
-                                     0.0)
-        value = escalator.exact(node)
-        assert value.key() == BigFloat.from_int(5001).key()
-
-
-    def test_pool_ident_and_materialized_node_agree(self):
-        # One walk serves both trace representations: an ident into the
-        # compiled engine's pool and the structured node the pool
-        # materializes for it give the same full-tier value, leaf
-        # overrides included.
+    def test_leaf_override_reaches_the_walk(self):
+        # An operation over an overridden leaf re-executes on the exact
+        # integer; an escalator without the override gives a different
+        # value (the rounded float leaf loses the integer's low bit).
         policy = AdaptivePrecisionPolicy(1000, working_precision=88)
         pool = trace_mod.TracePool()
         wide = (1 << 100) + 1  # wider than the 88-bit working tier
@@ -328,18 +319,25 @@ class TestShadowEscalator:
         big = pool.int_ident(float(wide), wide, site=3)
         total = pool.op_ident("+", (third, big), float(wide), site=4)
         root = pool.op_ident("sin", (total,), 0.5, site=5)
-        by_ident = ShadowEscalator(policy, pool=pool)
-        by_node = ShadowEscalator(policy)
-        by_ident.register_leaf(big, BigFloat.from_int(wide))
-        by_node.register_leaf(pool.node(big), BigFloat.from_int(wide))
-        full_ident = by_ident.exact(root)
-        full_node = by_node.exact(pool.node(root))
-        assert full_ident.key() == full_node.key()
-        assert by_ident.recomputed_nodes == by_node.recomputed_nodes == 3
-        # The override reached the walk: the rounded float leaf value
-        # would lose the integer's low bit.
-        leaf_only = ShadowEscalator(policy, pool=pool).exact(root)
-        assert leaf_only.key() != full_ident.key()
+        escalator = ShadowEscalator(policy, pool)
+        escalator.register_leaf(big, BigFloat.from_int(wide))
+        full = escalator.exact(root)
+        assert escalator.recomputed_nodes == 3
+        leaf_only = ShadowEscalator(policy, pool).exact(root)
+        assert leaf_only.key() != full.key()
+
+    def test_deep_trace_does_not_recurse(self):
+        # Loop traces grow thousands of levels; re-execution must be
+        # iterative (a recursive walk would blow the stack).
+        policy = AdaptivePrecisionPolicy(1000, working_precision=192)
+        pool = trace_mod.TracePool()
+        escalator = ShadowEscalator(policy, pool)
+        one = pool.const_ident(1.0)
+        node = one
+        for __ in range(5000):
+            node = pool.op_ident("+", (node, one), 0.0)
+        value = escalator.exact(node)
+        assert value.key() == BigFloat.from_int(5001).key()
 
 
 class TestIntToFloatTier:

@@ -5,9 +5,12 @@ request by walking the symbolic expression against the trace pool's
 flat arrays.  On Gram-Schmidt the traces are dot products sharing one
 DAG many levels deep, and PID runs a 50-iteration loop, so these are
 the programs where a walk that followed the trace rather than the
-expression would show.  The oracle is the same walk over the fully
-materialized, uncapped trace, and the reference engine's own
-``TraceNode`` traces.
+expression would show.  The oracles are a recursive walk over the
+pool's fully materialized nodes, written here, and the reference
+engine, which interns through the same pool but runs none of the fast
+layers.  On traces deeper than ``max_expression_depth`` both engines
+must also agree on the expressions themselves: truncation is decided
+per interned node, so the two engines see the same sharing.
 """
 
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from repro.apps.gramschmidt import run_gramschmidt
 from repro.apps.pid import run_pid
 from repro.core import AnalysisConfig
-from repro.core.locations import map_node_locations
+from repro.core.trace import KIND_OP
+from repro.fpcore.ast import Op
 
 GRAMSCHMIDT = AnalysisConfig(shadow_precision=256)
 PID = AnalysisConfig(shadow_precision=256, local_error_threshold=0.1)
@@ -27,9 +31,13 @@ def analyse(study, engine="compiled"):
         return run_pid(10.0, config=PID.with_(engine=engine)).analysis
     rows, cols, config = {
         "gramschmidt-6x6": (6, 6, GRAMSCHMIDT),
+        "gramschmidt-7x7": (7, 7, GRAMSCHMIDT),
         "gramschmidt-8x8": (8, 8, GRAMSCHMIDT),
         "gramschmidt-12x12": (12, 12, GRAMSCHMIDT),
-        # The depth bound that shows the expressions diverging.
+        # Depth bounds that cut through the shared dot-product DAG.
+        "gramschmidt-6x6-depth3": (
+            6, 6, GRAMSCHMIDT.with_(max_expression_depth=3)
+        ),
         "gramschmidt-8x4-depth5": (
             8, 4, GRAMSCHMIDT.with_(max_expression_depth=5)
         ),
@@ -43,6 +51,23 @@ def records(analysis):
     return sorted(analysis.op_records.values(), key=lambda r: r.site_id)
 
 
+def materialized_locations(symbolic, node, path=()):
+    """Source location per operator position of ``symbolic``, read off
+    the materialized trace ``node`` by plain recursion."""
+    if not isinstance(symbolic, Op) or node.kind != KIND_OP \
+            or symbolic.op != node.op \
+            or len(symbolic.args) != len(node.args):
+        return {}
+    locations = {path: node.loc}
+    for index, (sym_arg, node_arg) in enumerate(
+        zip(symbolic.args, node.args)
+    ):
+        locations.update(
+            materialized_locations(sym_arg, node_arg, path + (index,))
+        )
+    return locations
+
+
 @pytest.mark.parametrize(
     "study", ["gramschmidt-8x8", "gramschmidt-12x12", "pid"]
 )
@@ -51,7 +76,7 @@ def test_lazy_locations_match_full_materialization(study):
     pool = analysis.pool
     mapped = 0
     for record in records(analysis):
-        full = map_node_locations(
+        full = materialized_locations(
             record.symbolic_expression, pool.node(record.last_trace)
         )
         assert record.node_locations() == full, record.site_id
@@ -73,19 +98,19 @@ def test_compiled_locations_match_reference(study):
     assert compiled == reference
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "The compiled engine's expressions differ from the reference "
-    "engine's once traces are deeper than max_expression_depth: at "
-    "8x4 and depth 5, site 3 is (+ v0 v2) compiled but "
-    "(+ v0 (* v1 v1)) reference.  Suspected cause: the pool interns "
-    "equal computations and its truncation set (deep_marks) is keyed "
-    "by ident, so an ident past the bound on one path is truncated on "
-    "its shallow paths too."
-))
-def test_gramschmidt_expressions_match_reference():
+@pytest.mark.parametrize("study", [
+    "gramschmidt-8x4-depth5",
+    "gramschmidt-6x6-depth3",
+    "gramschmidt-7x7",
+    "gramschmidt-8x8",
+])
+def test_gramschmidt_expressions_match_reference(study):
     compiled, reference = (
-        [(record.site_id, str(record.symbolic_expression))
-         for record in records(analyse("gramschmidt-8x4-depth5", engine))]
+        [
+            (record.site_id, str(record.symbolic_expression),
+             sorted(record.node_locations().items()))
+            for record in records(analyse(study, engine))
+        ]
         for engine in ("compiled", "reference")
     )
     assert compiled == reference

@@ -14,31 +14,15 @@ import pytest
 
 from repro.core import AnalysisConfig, analyze_program
 from repro.core.antiunify import Generalization, collect_variable_values
-from repro.core.trace import (
-    TracePool,
-    const_leaf,
-    input_leaf,
-    node_count,
-    op_node,
-    structural_key,
-)
+from repro.core.trace import TracePool, node_count, structural_key
 from repro.machine import FunctionBuilder, Program
 
 
-def chain(depth, leaf=None, op="+", salt=0.0):
-    """A trace chain `op(op(... leaf ...), c)` of the given depth."""
-    node = leaf if leaf is not None else input_leaf(1.0, 0)
-    for level in range(depth - 1):
-        node = op_node(
-            op, (node, const_leaf(0.5)), float(level) + salt, loc=f"l:{level}"
-        )
-    return node
-
-
 def pooled_chain(pool, depth, salt=0.0):
-    """:func:`chain` interned in ``pool``; returns the root ident.  The
-    salt picks the op sites, so chains differing only in their values
-    stay distinct entries."""
+    """A trace chain `+(+(... x0 ...), 0.5)` of the given depth,
+    interned in ``pool``; returns the root ident.  The salt picks the
+    op sites, so chains differing only in their values stay distinct
+    entries."""
     ident = pool.input_ident(1.0, 0)
     half = pool.const_ident(0.5)
     base = int(salt * 4) << 32
@@ -50,14 +34,20 @@ def pooled_chain(pool, depth, salt=0.0):
     return ident
 
 
-def update(site, depth, pool=None, salt=0.0):
-    """One update with bindings: the pooled (compiled engine) walk when
-    ``pool`` is given, the reference merge over nodes otherwise."""
-    if pool is not None:
-        return site.update_with_bindings_pooled(
-            pool, pooled_chain(pool, depth, salt)
-        )
-    return site.update_with_bindings(chain(depth, salt=salt))
+def chain(depth):
+    """The materialized node of a fresh :func:`pooled_chain`."""
+    pool = TracePool()
+    return pool.node(pooled_chain(pool, depth))
+
+
+def update(site, depth, pool, salt=0.0, pooled=True):
+    """One update with bindings of a chain interned in ``pool``: the
+    compiled engine's pooled walk, or the reference engine's merge over
+    the materialized node."""
+    ident = pooled_chain(pool, depth, salt)
+    if pooled:
+        return site.update_with_bindings_pooled(pool, ident)
+    return site.update_with_bindings(pool.node(ident))
 
 
 DEEP = sys.getrecursionlimit() * 3
@@ -87,21 +77,21 @@ class TestIterativeTraversals:
     def test_initial_and_merge_with_huge_depth_bound(self, pooled):
         # max_depth at the trace's own scale: _initial and _merge must
         # walk the whole chain without recursing.
-        pool = TracePool() if pooled else None
+        pool = TracePool()
         site = Generalization(max_depth=DEEP + 1)
-        first, __ = update(site, DEEP, pool)
+        first, __ = update(site, DEEP, pool, pooled=pooled)
         assert first is not None
-        merged, bindings = update(site, DEEP, pool, salt=0.25)
+        merged, bindings = update(site, DEEP, pool, 0.25, pooled)
         assert merged is not None
         assert bindings["x0"] == 1.0
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_deep_trace_with_default_bound(self, pooled):
         # The everyday case: a trace far beyond max_depth=20.
-        pool = TracePool() if pooled else None
+        pool = TracePool()
         site = Generalization()
-        update(site, DEEP, pool)
-        expression, bindings = update(site, DEEP, pool, salt=0.25)
+        update(site, DEEP, pool, pooled=pooled)
+        expression, bindings = update(site, DEEP, pool, 0.25, pooled)
         assert expression is not None
         assert "x0" not in bindings  # the input sits beyond the bound
 
@@ -117,8 +107,8 @@ class TestBoundaryParity:
             reference = Generalization(max_depth=20)
             pooled = Generalization(max_depth=20)
             for salt in salts:
-                expected = update(reference, depth, salt=salt)
-                got = update(pooled, depth, pool, salt=salt)
+                expected = update(reference, depth, pool, salt, False)
+                got = update(pooled, depth, pool, salt)
                 assert str(got[0]) == str(expected[0])
                 assert got[1] == expected[1]
 

@@ -218,22 +218,40 @@ class TestLayerAttribution:
 
 class TestReferenceStack:
     def test_reference_engine_runs_no_fast_layer(self):
-        # The oracle: no trace pool, no site-compiled callbacks, no
-        # batching — whatever switches the caller passes.
+        # The oracle: no site-compiled callbacks, no batching, no memo
+        # and only merge-only anti-unification walks — whatever
+        # switches the caller passes.  It shares only the trace pool.
+        from repro.api.sampling import sample_inputs
         from repro.core import HerbgrindAnalysis
         from repro.machine import isa
+        from repro.machine.compiler import compile_fpcore
 
-        analysis = HerbgrindAnalysis(
-            AnalysisConfig(engine="reference", batched=True), profile=True
-        )
+        config = AnalysisConfig(engine="reference", batched=True)
+        analysis = HerbgrindAnalysis(config, profile=True)
         instr = isa.FloatOp("r", "+", ("a", "b"))
-        assert analysis.pool is None
         assert not analysis._batched
         assert analysis.fused_site_callback(instr, "+", 2) is None
         assert analysis.fused_const_callback(isa.Const("c", 1.5)) is None
         assert analysis.fused_branch_callback(
             isa.Branch("lt", "a", "b", "L")
         ) is None
+        # A loop over several points: the compiled engine would batch
+        # it, replay memoized idents and take fast walks.
+        core = next(
+            core for core in load_corpus()
+            if core.properties.get("herbgrind-family") == "loops"
+        )
+        analysed, __ = analyze_program(
+            compile_fpcore(core), sample_inputs(core, 4, seed=13),
+            config=config, profile=True,
+        )
+        counters = analysed.stage_counters
+        assert analysed.batched_groups == 0
+        assert analysed.memo_hits == 0
+        assert analysed.tail_replays == 0
+        assert counters.fused_ops == 0
+        assert counters.antiunify_fast == 0
+        assert counters.antiunify_merge == counters.generic_ops > 0
 
 
 class TestBatchedParity:

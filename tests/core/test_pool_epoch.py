@@ -10,7 +10,8 @@ not notice: this suite checks them byte for byte against
 * the same analysis with ``POOL_EPOCH_IDENTS`` patched to 0, which
   resets the pool at every run boundary (no ident survives a run, so
   nothing is ever replayed across points), and
-* the reference engine, which has no pool and no memo at all,
+* the reference engine, which interns through a pool of its own but
+  keeps no memo and replays nothing,
 
 under both precision policies, on the corpus loops and four
 test-only loops (not in the corpus, so no benchmark baseline moves):

@@ -195,7 +195,6 @@ class TestGenericFallback:
                                   batched=False),
             profile=True,
         )
-        assert analysis.pool is not None
         assert analysis.stage_counters.generic_ops == len(points)
         assert analysis.stage_counters.fused_ops == 2 * len(points)
 

@@ -11,8 +11,12 @@ Two guards this suite pins:
   run boundary once it holds more than ``POOL_EPOCH_IDENTS`` idents, so
   its live size stays under that cap plus one run's unique nodes; the
   pool, its memo column and the escalator memos reset together; and
-  repeated batch iterations do not grow it.
+  repeated batch iterations do not grow it.  Both engines intern
+  through the pool, so both are held to the same bound.
 """
+
+import pytest
+
 
 from repro.api import AnalysisSession
 from repro.core import AnalysisConfig, analyze_program
@@ -36,9 +40,11 @@ FAST = AnalysisConfig(shadow_precision=192)
 PROFILED = {"profile": True}
 
 
-def run_analysis(points, switches=PROFILED):
+def run_analysis(points, switches=PROFILED, engine="compiled"):
     program = compile_fpcore(parse_fpcore(LOOP))
-    return analyze_program(program, points, config=FAST, **switches)
+    return analyze_program(
+        program, points, config=FAST.with_(engine=engine), **switches
+    )
 
 
 class TestCounterReset:
@@ -89,23 +95,25 @@ class TestCounterReset:
         assert profile_a["fused_ops"] > 0
 
 
+@pytest.mark.parametrize("engine", ["compiled", "reference"])
 class TestPoolMemoryGuard:
-    def test_pool_size_bounded_by_one_run(self):
+    def test_pool_size_bounded_by_one_run(self, engine):
         one_point = [[1.5, 25.0]]
-        single, __ = run_analysis(one_point)
+        single, __ = run_analysis(one_point, engine=engine)
         single_size = len(single.pool)
-        many, __ = run_analysis(one_point * 6)
+        many, __ = run_analysis(one_point * 6, engine=engine)
         # Re-running the same point must not accumulate nodes: the pool
         # holds only the final execution's entries.
         assert len(many.pool) == single_size
 
-    def test_pool_bounded_by_cap_plus_one_run(self, monkeypatch):
+    def test_pool_bounded_by_cap_plus_one_run(self, monkeypatch, engine):
         # Distinct straight-line points intern new input idents, and
         # with them new op idents, every run.
         program = compile_fpcore(parse_fpcore(STRAIGHT))
         points = [[1.0 + i / 64.0, 2.0 + i / 32.0] for i in range(40)]
+        config = FAST.with_(engine=engine)
         one_run = len(
-            analyze_program(program, points[:1], config=FAST)[0].pool
+            analyze_program(program, points[:1], config=config)[0].pool
         )
         cap = 5 * one_run
         monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", cap)
@@ -118,14 +126,14 @@ class TestPoolMemoryGuard:
 
         monkeypatch.setattr(HerbgrindAnalysis, "on_finish", spy)
         analysis, __ = analyze_program(
-            program, points, config=FAST.with_(batched=False)
+            program, points, config=config.with_(batched=False)
         )
         assert len(sizes) == len(points)
         assert max(sizes) <= cap + one_run
         assert max(sizes) > cap  # the cap was crossed, and then reset
         assert analysis.pool.epoch > 1
 
-    def test_epoch_resets_only_at_run_boundaries(self, monkeypatch):
+    def test_epoch_resets_only_at_run_boundaries(self, monkeypatch, engine):
         # Each point's run alone exceeds the cap; the pool must still
         # hold every ident of the run in progress.
         monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", 10)
@@ -144,18 +152,21 @@ class TestPoolMemoryGuard:
         monkeypatch.setattr(HerbgrindAnalysis, "on_start", on_start)
         monkeypatch.setattr(HerbgrindAnalysis, "on_finish", on_finish)
         points = [[1.5, 25.0], [1.25, 30.0], [1.75, 35.0]]
-        analysis, __ = run_analysis(points)
+        analysis, __ = run_analysis(points, engine=engine)
         assert epochs == [0, 1, 2]
-        single, __ = run_analysis(points[-1:])
+        single, __ = run_analysis(points[-1:], engine=engine)
         assert len(analysis.pool) == len(single.pool)
 
-    def test_caches_reset_together(self, monkeypatch):
+    def test_caches_reset_together(self, monkeypatch, engine):
         monkeypatch.setattr(analysis_mod, "POOL_EPOCH_IDENTS", 10)
-        analysis, __ = run_analysis([[1.5, 25.0]])
+        analysis, __ = run_analysis([[1.5, 25.0]], engine=engine)
         pool = analysis.pool
         escalator = analysis.escalator
         assert len(pool) > 10
-        assert any(entry is not None for entry in pool.memo)
+        # The compiled engine memoizes shadows; the reference engine
+        # materializes the node of every op it walks.
+        column = pool.memo if engine == "compiled" else pool.nodes
+        assert any(entry is not None for entry in column)
         ident = len(pool) - 1
         escalator._memo[ident] = None
         escalator._leaves[ident] = None
@@ -163,8 +174,8 @@ class TestPoolMemoryGuard:
         assert len(pool) == len(pool.memo) == len(pool.nodes) == 0
         assert not (escalator._memo or escalator._leaves)
 
-    def test_caches_survive_below_cap(self):
-        analysis, __ = run_analysis([[1.5, 25.0]])
+    def test_caches_survive_below_cap(self, engine):
+        analysis, __ = run_analysis([[1.5, 25.0]], engine=engine)
         pool = analysis.pool
         size = len(pool)
         memo = list(pool.memo)
@@ -172,9 +183,10 @@ class TestPoolMemoryGuard:
         assert len(pool) == size and pool.epoch == 0
         assert pool.memo == memo
 
-    def test_batch_iterations_do_not_grow_pools(self):
+    def test_batch_iterations_do_not_grow_pools(self, engine):
         session = AnalysisSession(
-            config=FAST, num_points=4, seed=3, result_cache_size=0
+            config=FAST.with_(engine=engine), num_points=4, seed=3,
+            result_cache_size=0,
         )
         core = parse_fpcore(LOOP)
         sizes = []
@@ -183,8 +195,10 @@ class TestPoolMemoryGuard:
             sizes.append(len(result.raw.pool))
         assert sizes[0] == sizes[1] == sizes[2]
 
-    def test_materialization_memo_cleared_per_run(self):
-        analysis, __ = run_analysis([[1.5, 25.0], [1.25, 30.0]])
+    def test_materialization_memo_cleared_per_run(self, engine):
+        analysis, __ = run_analysis(
+            [[1.5, 25.0], [1.25, 30.0]], engine=engine
+        )
         pool = analysis.pool
         # The materialized-node and shadow-memo columns run parallel to
         # the pool's arrays, for every ident of the current epoch.

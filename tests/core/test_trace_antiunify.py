@@ -1,17 +1,35 @@
 """Tests for trace nodes and anti-unification."""
 
+import itertools
+
 from repro.core.antiunify import Generalization, collect_variable_values
-from repro.core.trace import (
-    TracePool,
-    const_leaf,
-    input_leaf,
-    node_count,
-    op_node,
-    opaque_leaf,
-    structural_key,
-)
+from repro.core.trace import TracePool, node_count, structural_key
 from repro.fpcore import parse_expr
 from repro.fpcore.ast import Num, Op, Var, expression_depth
+
+#: The pool the module's hand-built traces intern in.  Every builder
+#: call interns at a site of its own, so each call is a distinct node,
+#: and returns the node the pool materializes for it.
+POOL = TracePool()
+_SITES = itertools.count(1)
+
+
+def input_leaf(value, index):
+    return POOL.node(POOL.input_ident(value, index, site=next(_SITES)))
+
+
+def const_leaf(value):
+    return POOL.node(POOL.const_ident(value, site=next(_SITES)))
+
+
+def opaque_leaf(value):
+    return POOL.node(POOL.opaque_ident(value))
+
+
+def op_node(op, args, value, loc=None):
+    return POOL.node(POOL.op_ident(
+        op, tuple(a.ident for a in args), value, loc, site=next(_SITES)
+    ))
 
 
 def add(a, b, value=0.0):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig, HerbgrindAnalysis, analyze_program
-from repro.core.trace import KIND_OPAQUE, P_OPAQUE
+from repro.core.trace import P_OPAQUE
 from repro.fpcore.parser import parse_fpcore
 from repro.machine import (
     BatchedProgram,
@@ -424,12 +424,7 @@ class TestSharedSiteSteps:
             pool = analysis.pool
             leaves = []
             for loc, index in (("sum", 0), ("cancel", 1), ("root", 0)):
-                trace = by_loc[loc].last_trace
-                if pool is None:  # the reference engine's TraceNodes
-                    leaf = trace.args[index]
-                    leaves.append((leaf.kind == KIND_OPAQUE, leaf.ident))
-                else:  # the compiled engines' idents into the pool
-                    leaf = pool.args[trace][index]
-                    leaves.append((pool.kinds[leaf] == P_OPAQUE, leaf))
+                leaf = pool.args[by_loc[loc].last_trace][index]
+                leaves.append((pool.kinds[leaf] == P_OPAQUE, leaf))
             assert all(opaque for opaque, __ in leaves)
             assert len({ident for __, ident in leaves}) == 1

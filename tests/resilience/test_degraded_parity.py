@@ -15,7 +15,7 @@ from repro.bigfloat import substrate_provider
 from repro.core import AnalysisConfig
 from repro.fpcore import load_corpus
 from repro.resilience import faults
-from repro.resilience.errors import OpBudgetExceeded
+from repro.resilience.errors import EngineFault, OpBudgetExceeded
 from repro.resilience.ladder import (
     RUNG_PYTHON_SUBSTRATE,
     RUNG_REFERENCE,
@@ -188,3 +188,19 @@ class TestResourceGuards:
         )
         with pytest.raises(OpBudgetExceeded):
             session.analyze(load_corpus()[0])
+
+
+class TestNoDegradeSwitch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_degrade_raises_under_any_worker_count(self, workers):
+        # The session's switch travels with each batch worker's
+        # payload: a pool worker must raise what the session raises
+        # in-process, not degrade it.
+        session = AnalysisSession(
+            config=AnalysisConfig(engine="compiled"), num_points=2,
+            result_cache_size=0, degrade=False,
+        )
+        with faults.injected("engine.compiled.raise"):
+            with pytest.raises(EngineFault) as raised:
+                session.analyze_batch(load_corpus()[:3], workers=workers)
+        assert raised.value.seam == "engine.compiled.raise"
