@@ -51,6 +51,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import AnalysisSession, results_to_json
+from repro.bigfloat.policy import GUARD_BITS
 from repro.core import AnalysisConfig, analyze_program
 from repro.fpcore import load_corpus
 from repro.fpcore.printer import format_fpcore
@@ -387,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "settings": {
             "full_precision": FULL_PRECISION,
             "working_precision": adaptive_config().working_precision,
-            "guard_bits": adaptive_config().escalation_guard_bits,
+            "guard_bits": GUARD_BITS,
             "points": args.points,
             "kernel_points": args.kernel_points,
             "seed": args.seed,

@@ -89,7 +89,6 @@ def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
         "precision_policy": config.precision_policy,
         "substrate": config.substrate,
         "working_precision": config.working_precision,
-        "escalation_guard_bits": config.escalation_guard_bits,
         "local_error_threshold": config.local_error_threshold,
         "output_error_threshold": config.output_error_threshold,
         "max_expression_depth": config.max_expression_depth,
@@ -97,7 +96,6 @@ def config_to_dict(config: AnalysisConfig) -> Dict[str, Any]:
         "input_characteristics": config.input_characteristics,
         "detect_compensation": config.detect_compensation,
         "track_influences": config.track_influences,
-        "hw_tier": config.hw_tier,
         "batched": config.batched,
     }
     if config.deadline_seconds is not None:
@@ -138,6 +136,17 @@ class AnalysisRequest:
     #: Optional libm override (a dict of IR functions).  In-process
     #: only: it is not serialized and cannot cross a worker boundary.
     libm: Any = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.points is not None:
+            # The compiled program reads one input per FPCore argument.
+            arity = len(self.core.arguments)
+            for point in self.points:
+                if len(point) != arity:
+                    raise ValueError(
+                        f"point {point!r} has {len(point)} values but "
+                        f"{self.name} takes {arity} arguments"
+                    )
 
     @classmethod
     def build(

@@ -132,8 +132,8 @@ class SpotResult:
 #: (repro.resilience.ladder) and the precision-tier residency counters
 #: (hardware/working/full tier attribution).  Stripping them from
 #: serialization keeps corpus JSON *byte-identical* across feature
-#: stacks — a degraded run matches the clean run, and hw-tier on
-#: matches off.  Both stay on the object for in-process callers.
+#: stacks — a degraded run matches the clean run, and an adaptive run
+#: matches a fixed one.  Both stay on the object for in-process callers.
 _LOCAL_EXTRA_KEYS = ("degradation", "tier_residency")
 
 

@@ -154,7 +154,7 @@ def _run_request(
 
     Every analysis execution — in-process, batch worker, serve worker —
     funnels through here, so a classified failure (kernel fault, engine
-    fault, resource exhaustion, MachineError) retries down the ladder
+    fault, injected fault) retries down the ladder
     (:mod:`repro.resilience.ladder`) instead of propagating, unless
     degradation is disabled (``degrade=False`` or ``REPRO_DEGRADE=0``).
     """

@@ -14,12 +14,14 @@ Two policies ship:
 * :class:`FixedPrecisionPolicy` (``"fixed"``) — the paper's behaviour:
   one tier, no escalation, no bookkeeping.
 * :class:`AdaptivePrecisionPolicy` (``"adaptive"``) — shadow values are
-  computed at ``working_precision`` (144 bits by default) and carry a
+  computed as double-double pairs (:mod:`repro.bigfloat.doubledouble`)
+  where the pair kernels cover the operation, and at
+  ``working_precision`` (144 bits by default) otherwise, and carry a
   *drift* bound: the accumulated error in ulps of the working tier,
   maintained by running error analysis (rounding adds one ulp;
   cancellation and ill-conditioned operations amplify by their
   condition exponent).  A decision escalates when its outcome could
-  change within the drift band plus ``guard_bits`` of slack:
+  change within the drift band plus :data:`GUARD_BITS` of slack:
 
   - **rounding** (:meth:`rounding_unsafe`) — the value lies within the
     guarded band of a round-to-double tie, so ``to_float`` of the
@@ -60,13 +62,18 @@ from repro.bigfloat.doubledouble import (
     dd_sub,
     fits_precision,
 )
-from repro.bigfloat.rounding import ROUND_NEAREST_EVEN
 
 #: Drift of a value that is exactly representable at the working tier
 #: (program inputs, constants, results of provably exact operations).
 #: Drift is measured linearly, in ulps of the working tier, so running
 #: error analysis is pure float adds/ldexps on the hot path.
 EXACT = 0.0
+
+#: Guard band, in bits, around every adaptive-tier decision: a decision
+#: escalates when its margin is within the accumulated drift bound plus
+#: this many bits.  The working precision must clear a 53-bit target by
+#: this band plus 8 bits (checked by the policy and by AnalysisConfig).
+GUARD_BITS = 16
 
 #: Drift of a value the working tier cannot bound at all (a zero or
 #: special value produced from inexact operands, runaway accumulation).
@@ -112,10 +119,10 @@ class PrecisionPolicy:
     #: escalator skip all bookkeeping for fixed runs).
     escalates = False
 
-    def __init__(self, full_precision: int,
-                 rounding: str = ROUND_NEAREST_EVEN) -> None:
-        self.full_context = Context(precision=full_precision,
-                                    rounding=rounding)
+    def __init__(self, full_precision: int) -> None:
+        # Round to nearest, ties to even: the double-double kernels'
+        # IEEE tie and signed-zero behaviour assumes it.
+        self.full_context = Context(precision=full_precision)
         #: The context shadow operations run under (the full tier here;
         #: the adaptive policy runs at its working tier).
         self.context = self.full_context
@@ -173,19 +180,16 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
     name = "adaptive"
     escalates = True
 
-    def __init__(self, full_precision: int, working_precision: int = 144,
-                 guard_bits: int = 16,
-                 rounding: str = ROUND_NEAREST_EVEN) -> None:
-        if working_precision < 53 + guard_bits + 8:
+    def __init__(self, full_precision: int,
+                 working_precision: int = 144) -> None:
+        if working_precision < 53 + GUARD_BITS + 8:
             raise ValueError(
                 f"working precision {working_precision} too small for "
-                f"{guard_bits} guard bits over a 53-bit target"
+                f"{GUARD_BITS} guard bits over a 53-bit target"
             )
         self.working_context = Context(
             precision=min(working_precision, full_precision),
-            rounding=rounding,
         )
-        self.guard_bits = guard_bits
         #: Beyond this many ulps of drift the working value cannot even
         #: certify the sign/kind of the true value: untrusted outright.
         self._ulps_limit = math.ldexp(
@@ -198,7 +202,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         self._hw_op_ulps = math.ldexp(
             1.0, self.working_context.precision + DD_REL_ERR_LOG2
         )
-        super().__init__(full_precision, rounding)
+        super().__init__(full_precision)
         self.context = self.working_context
 
     # ------------------------------------------------------------------
@@ -309,7 +313,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
             if (
                 sign.is_finite() and not sign.is_zero()
                 and sign_drift < self._ulps_limit
-                and math.frexp(sign_drift)[1] + self.guard_bits
+                and math.frexp(sign_drift)[1] + GUARD_BITS
                 < self.working_context.precision - 1
             ):
                 return drifts[0]
@@ -532,7 +536,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
                 (value.hi > 0.0) == (value.lo < 0.0):
             msb = exponent - 2
         band = (msb - self.working_context.precision + 1
-                + math.frexp(drift)[1] + self.guard_bits)
+                + math.frexp(drift)[1] + GUARD_BITS)
         try:
             # One extra doubling absorbs the float rounding in the gap
             # arithmetic above.
@@ -568,7 +572,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
             if difference.is_zero():
                 return True
             diff_msb = difference.msb_exponent
-        return diff_msb <= slack + self.guard_bits
+        return diff_msb <= slack + GUARD_BITS
 
     # ------------------------------------------------------------------
     # Escalation checks
@@ -590,7 +594,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         msb = value.msb_exponent
         # log2 of the guarded error band around the working value
         # (frexp's exponent is ceil(log2) for positive floats).
-        slack = msb - precision + 1 + math.frexp(drift)[1] + self.guard_bits
+        slack = msb - precision + 1 + math.frexp(drift)[1] + GUARD_BITS
         length = value.man.bit_length()
         tiny_exp = emin - mant_bits + 1
         p_target = mant_bits if msb >= emin else msb - tiny_exp + 1
@@ -634,7 +638,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         difference = arith.sub(a, b, self.working_context)
         if difference.is_zero():
             return True
-        return difference.msb_exponent <= slack + self.guard_bits
+        return difference.msb_exponent <= slack + GUARD_BITS
 
     def addition_passthrough(self, candidate: BigFloat, drift_c: float,
                              other: BigFloat,
@@ -679,7 +683,7 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
             return True
         precision = self.working_context.precision
         slack = value.msb_exponent - precision + 1 \
-            + math.frexp(drift)[1] + self.guard_bits
+            + math.frexp(drift)[1] + GUARD_BITS
         if value.exp >= 0:
             # Integral at the working tier, inexact overall: the true
             # value sits within the band of an integer boundary.
@@ -705,9 +709,8 @@ def available_policies() -> List[str]:
     return sorted(_POLICIES)
 
 
-def make_policy(name: str, full_precision: int, working_precision: int = 144,
-                guard_bits: int = 16,
-                rounding: str = ROUND_NEAREST_EVEN) -> PrecisionPolicy:
+def make_policy(name: str, full_precision: int,
+                working_precision: int = 144) -> PrecisionPolicy:
     """Instantiate the policy named ``name``."""
     try:
         cls = _POLICIES[name]
@@ -715,6 +718,5 @@ def make_policy(name: str, full_precision: int, working_precision: int = 144,
         known = ", ".join(available_policies())
         raise KeyError(f"unknown precision policy {name!r} (known: {known})")
     if cls is FixedPrecisionPolicy:
-        return cls(full_precision, rounding=rounding)
-    return cls(full_precision, working_precision=working_precision,
-               guard_bits=guard_bits, rounding=rounding)
+        return cls(full_precision)
+    return cls(full_precision, working_precision=working_precision)

@@ -57,9 +57,6 @@ _PLAN_OPTIONS = ("precision_policy", "working_precision", "engine",
 
 
 def _session(args: argparse.Namespace, **config_fields) -> AnalysisSession:
-    if getattr(args, "hw_tier", None) is not None:
-        # Unset, the config's default follows REPRO_HWTIER.
-        config_fields["hw_tier"] = args.hw_tier == "on"
     for option in _PLAN_OPTIONS:
         if getattr(args, option, None) is not None:
             config_fields[option] = getattr(args, option)
@@ -287,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working-tier bits for --precision-policy "
                              f"adaptive (default: "
                              f"{default.working_precision})")
-    common.add_argument("--hw-tier", choices=("on", "off"), default=None,
-                        help="hardware double-double shadow tier below "
-                             "the working tier (adaptive policy only; "
-                             "default: on, or the REPRO_HWTIER env; "
-                             "reports are identical either way)")
     common.add_argument("--cache-dir", metavar="DIR",
                         help="persist analysis results as JSON under DIR "
                              "and reuse them across runs")

@@ -45,8 +45,7 @@ from repro.bigfloat.doubledouble import (
 )
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.bigfloat.policy import EXACT
-from repro.bigfloat.rounding import ROUND_NEAREST_EVEN
-from repro.core.config import ENGINE_COMPILED, AnalysisConfig, resolve_hw_tier
+from repro.core.config import ENGINE_COMPILED, AnalysisConfig
 from repro.core.localerror import rounded_local_error, rounded_total_error
 from repro.ieee.error import bits_of_error_fast
 from repro.ieee.float64 import double_to_bits as _double_bits
@@ -186,7 +185,7 @@ class PipelineStageCounters:
         self.antiunify_merge = 0
         self.characteristic_updates = 0
         self.compensation_checks = 0
-        #: Tier residency (hardware tier on only): operations whose
+        #: Tier residency (adaptive policy only): operations whose
         #: shadow the BigFloat working tier computed rather than the
         #: double-double kernels (those are ``hw_kernel_ops``).
         self.working_tier_ops = 0
@@ -215,7 +214,6 @@ class HerbgrindAnalysis(Tracer):
             self.config.precision_policy,
             full_precision=self.config.shadow_precision,
             working_precision=self.config.working_precision,
-            guard_bits=self.config.escalation_guard_bits,
         )
         #: The context shadow operations run under: the full tier for
         #: the fixed policy, the working tier for adaptive tiers.
@@ -226,26 +224,16 @@ class HerbgrindAnalysis(Tracer):
         self._apply = self.backend.apply
         #: Hoisted policy flag: the fixed policy never escalates, so
         #: the hot path can skip drift/rounding bookkeeping entirely.
+        #: An escalating policy also runs the hardware (double-double)
+        #: shadow tier below its working tier: the policy rounds to
+        #: nearest, which the pair kernels' IEEE tie and signed-zero
+        #: behaviour assumes.
         self._escalates = self.policy.escalates
         if self._escalates and _faults.active():
             # Chaos seam: an adaptive-tier failure at analysis setup.
             # The ladder's fixed-policy rung never reaches this.
             _faults.trip("policy.adaptive.raise", EngineFault)
-        #: Hardware (double-double) shadow tier enabled: adaptive policy
-        #: only, round-to-nearest only (the pair kernels' IEEE tie and
-        #: signed-zero behaviour assumes it), and not switched off by
-        #: ``config.hw_tier``.  Reports are byte-identical either
-        #: way — the tier only changes which rung certifies a decision.
-        self._hw = bool(
-            self._escalates
-            and resolve_hw_tier(self.config)
-            and self.context.rounding == ROUND_NEAREST_EVEN
-        )
         self._working_precision = self.context.precision
-        if self._hw and _faults.active():
-            # Chaos seam: a hardware-tier failure at analysis setup.
-            # The ladder's hw-off (working tier) rung never reaches it.
-            _faults.trip("policy.hwtier.raise", EngineFault)
         #: Always-on tier-residency counters (serving stats surface
         #: them): operations served by the double-double kernels, and
         #: operations that had to promote their pair arguments to the
@@ -342,10 +330,10 @@ class HerbgrindAnalysis(Tracer):
     # ------------------------------------------------------------------
 
     def _leaf_real(self, value: float):
-        """The shadow real of a fresh leaf: a hardware pair under the
-        hardware tier (finite values only — NaN/inf semantics stay with
+        """The shadow real of a fresh leaf: a hardware pair under an
+        escalating policy (finite values only — NaN/inf semantics stay with
         BigFloat), the exact BigFloat otherwise."""
-        if self._hw and value - value == 0.0:
+        if self._escalates and value - value == 0.0:
             return DoubleDouble(value, 0.0)
         return BigFloat.from_float(value)
 
@@ -532,7 +520,7 @@ class HerbgrindAnalysis(Tracer):
                 drift = 1.0
             if not (exact == BigFloat.from_float(box.value)):
                 self.escalator.register_leaf(leaf, exact)
-            elif self._hw and box.value - box.value == 0.0:
+            elif box.value - box.value == 0.0:
                 # The double carries the integer exactly, so the
                 # hardware pair is the exact value (no leaf override).
                 real = DoubleDouble(box.value, 0.0)
@@ -588,7 +576,7 @@ class HerbgrindAnalysis(Tracer):
         shadows = [a.shadow or self._shadow(a) for a in args]
         real_result = None
         exact_op = False
-        if self._hw:
+        if self._escalates:
             # Hardware-tier fast path; bail-outs promote the pair
             # arguments in place, so the BigFloat code below always
             # sees uniform argument types.
@@ -612,7 +600,7 @@ class HerbgrindAnalysis(Tracer):
                 return
         if profile:
             self.stage_counters.kernel_evals += 1
-            if self._hw and type(real_result) is not DoubleDouble:
+            if self._escalates and type(real_result) is not DoubleDouble:
                 self.stage_counters.working_tier_ops += 1
         record = self._op_record(instr, op)
         node = pool.op_ident(
@@ -748,9 +736,9 @@ class HerbgrindAnalysis(Tracer):
         config = self.config
         pool = self.pool
         guard = self._guard
-        hw = self._hw
+        escalates = self._escalates
         make_step = _site_step_factory(
-            arity, escalates=self._escalates, hw=hw,
+            arity, escalates=escalates,
             compensating=arity == 2 and config.detect_compensation
             and op in ("+", "-"),
             profile=self._profile, guarded=guard is not None,
@@ -764,7 +752,7 @@ class HerbgrindAnalysis(Tracer):
             kernel2=self.backend.positional_handler(op, arity),
             fn_double=fn_double,
             dd_kernel=_DD_GENERIC.get(op)
-            if hw and _DD_ARITY.get(op) == arity else None,
+            if escalates and _DD_ARITY.get(op) == arity else None,
             # ⟦f⟧_F on rounded shadow args equals the machine's own
             # result when the rounded args are bit-identical to the
             # machine args — valid only when the site isn't
@@ -1039,7 +1027,7 @@ class HerbgrindAnalysis(Tracer):
         """
         stats = self.policy.stats
         return {
-            "hw_tier": int(self._hw),
+            "hw_tier": int(self._escalates),
             "hw_kernel_ops": self.hw_kernel_ops,
             "hw_promotions": self.hw_promotions,
             "memo_hits": self.memo_hits,
@@ -1106,7 +1094,7 @@ def _replayable(expression, bindings) -> object:
 #: specialized per variant by :func:`_render_site_step`.  Lines between
 #: ``@if COND``, ``@else`` and ``@end``, and a line ending in
 #: ``  @if COND``, are kept or dropped by COND over the flags
-#: ``binary``, ``escalates``, ``hw``, ``compensating``, ``profile`` and
+#: ``binary``, ``escalates``, ``compensating``, ``profile`` and
 #: ``guarded``.  ``{PATTERN}`` containing ``$`` becomes PATTERN once per
 #: argument, ``$`` its index, joined by ``", "`` or by the text after a
 #: ``|``; a run of other lines containing ``$`` repeats once per
@@ -1118,8 +1106,8 @@ _SITE_STEP_TEMPLATE = '''\
 def make_step(self, instr, op, *, site, loc, context, policy, kernel,
               kernel2, fn_double, dd_kernel, shortcut, is_sub, threshold,
               track, counters, tick, pool, ops_table, new_op, memo):
-    propagate_hw = policy.propagate_hw  @if hw
-    promote = self._promote_shadow  @if hw
+    propagate_hw = policy.propagate_hw  @if escalates
+    promote = self._promote_shadow  @if escalates
     rounded_of = self._rounded
     raw = kernel2 is not None
     record = generalization = fast_walk = bail_walk = None
@@ -1172,9 +1160,9 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
             is_candidate = error_bits > threshold
         else:
             # --- kernel stage: the hardware pair, then BigFloat -------
-            real = None  @if escalates
-            exact_op = False  @if escalates
-@if hw
+@if escalates
+            real = None
+            exact_op = False
             x$ = s$.real
             if {type(x$) is DoubleDouble| and } and dd_kernel is not None:
                 dd = dd_kernel({x$.hi, x$.lo})
@@ -1187,8 +1175,6 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
                 # kernel takes over, on arguments of one type.
                 promote(s$)
                 self.hw_promotions += 1
-@end
-@if escalates
             if real is not None:
                 pass
             elif raw:
@@ -1315,8 +1301,8 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
             else:
                 counters.error_exact += 1
             counters.compensation_checks += 1  @if compensating
-            if type(real) is not DoubleDouble:  @if hw
-                counters.working_tier_ops += 1  @if hw
+            if type(real) is not DoubleDouble:  @if escalates
+                counters.working_tier_ops += 1  @if escalates
 @end
         # --- memo store -----------------------------------------------
         memo[node] = (shadow, error_bits, passthrough, walked)
@@ -1325,7 +1311,7 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
 '''
 
 #: The flags that select a site-step variant, besides its arity.
-_SITE_STEP_FLAGS = ("escalates", "hw", "compensating", "profile", "guarded")
+_SITE_STEP_FLAGS = ("escalates", "compensating", "profile", "guarded")
 
 #: ``make_step`` factories by (arity, *flags), each generated on first
 #: use, once per process, and bound per site (never generated per site).

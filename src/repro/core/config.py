@@ -10,16 +10,16 @@ experiments can sweep them:
 * ``detect_compensation`` — the Section 8.3 subsystem,
 * ``track_influences`` — disabling yields an FpDebug-like analysis,
 * ``shadow_precision`` — Section 5.1's MPFR precision (1000 default),
-* ``precision_policy`` / ``working_precision`` /
-  ``escalation_guard_bits`` — the adaptive shadow-precision tiers
-  (:mod:`repro.bigfloat.policy`); "fixed" reproduces the paper,
+* ``precision_policy`` / ``working_precision`` — the adaptive
+  shadow-precision tiers (:mod:`repro.bigfloat.policy`); "fixed"
+  reproduces the paper,
 * ``substrate`` — which BigFloat kernel substrate evaluates the
   shadow reals (:mod:`repro.bigfloat.backend`); "native" (the default)
   uses gmpy2/mpmath when present, as the paper's MPFR shadows do,
   "python" is the dependency-free reference.
 
-``engine``, the precision-policy fields, ``substrate``, ``hw_tier`` and
-``batched`` form the execution plan (:data:`PLAN_FIELDS`): they decide
+``engine``, the precision-policy fields, ``substrate`` and ``batched``
+form the execution plan (:data:`PLAN_FIELDS`): they decide
 how the shadows are computed, never what the report says.  The parity
 suites hold every plan to the same bytes, so the result digest leaves
 the plan out.  :func:`env_switch` is the one reader of the environment
@@ -60,8 +60,6 @@ PLAN_FIELDS = (
     "precision_policy",
     "substrate",
     "working_precision",
-    "escalation_guard_bits",
-    "hw_tier",
     "batched",
 )
 
@@ -69,9 +67,8 @@ PLAN_FIELDS = (
 def env_switch(name: str) -> bool:
     """The environment switch ``name``: on unless set to "0"/"false"/"off".
 
-    The only reader of ``REPRO_BATCHED`` and ``REPRO_HWTIER`` (the
-    defaults of :attr:`AnalysisConfig.batched` and
-    :attr:`AnalysisConfig.hw_tier`) and ``REPRO_DEGRADE`` (the
+    The only reader of ``REPRO_BATCHED`` (the default of
+    :attr:`AnalysisConfig.batched`) and ``REPRO_DEGRADE`` (the
     degradation ladder's default, :mod:`repro.resilience.ladder`).
     """
     return os.environ.get(name, "1").strip().lower() not in (
@@ -96,7 +93,8 @@ class AnalysisConfig:
 
     #: Precision tiering of the shadow execution: "fixed" runs every
     #: operation at ``shadow_precision`` (the paper's behaviour);
-    #: "adaptive" runs at ``working_precision`` and escalates
+    #: "adaptive" runs double-double pairs, then ``working_precision``
+    #: for what the pairs cannot carry, and escalates
     #: precision-sensitive decisions to ``shadow_precision`` (see
     #: :mod:`repro.bigfloat.policy`).
     precision_policy: str = "fixed"
@@ -111,11 +109,6 @@ class AnalysisConfig:
 
     #: Working-tier precision of the adaptive policy.
     working_precision: int = 144
-
-    #: Guard band, in bits, around every adaptive-tier decision: the
-    #: decision escalates when its margin is within the accumulated
-    #: drift bound plus this many bits.
-    escalation_guard_bits: int = 16
 
     #: Tℓ: bits of *local* error above which an operation becomes a
     #: candidate root cause (Figure 5a sweeps this).
@@ -145,18 +138,6 @@ class AnalysisConfig:
     #: Turning this off reduces Herbgrind to per-op error detection.
     track_influences: bool = True
 
-    #: Hardware shadow tier of the adaptive policy: run shadow
-    #: arithmetic as compensated double-double pairs
-    #: (:mod:`repro.bigfloat.doubledouble`) and escalate to the
-    #: BigFloat working tier on any decision the hardware pair cannot
-    #: certify.  Defaults to on unless ``REPRO_HWTIER`` switches it
-    #: off.  Ignored by the "fixed" policy and by non-round-to-nearest
-    #: roundings, and reports are byte-identical either way (the
-    #: hw-tier parity suite enforces it).
-    hw_tier: bool = field(
-        default_factory=lambda: env_switch("REPRO_HWTIER")
-    )
-
     #: Batched lockstep execution of the compiled engine: every sampled
     #: point runs through the program together.  Defaults to on unless
     #: ``REPRO_BATCHED`` switches it off; a resource guard forces it
@@ -183,7 +164,7 @@ class AnalysisConfig:
     op_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        from repro.bigfloat.policy import available_policies
+        from repro.bigfloat.policy import GUARD_BITS, available_policies
 
         if self.shadow_precision < 24:
             raise ValueError("shadow precision below single precision")
@@ -204,22 +185,18 @@ class AnalysisConfig:
                 f"unknown substrate: {self.substrate!r} "
                 f"(known: {', '.join(ALL_SUBSTRATES)})"
             )
-        for switch in ("hw_tier", "batched"):
-            if not isinstance(getattr(self, switch), bool):
-                raise ValueError(f"{switch} must be true or false")
+        if not isinstance(self.batched, bool):
+            raise ValueError("batched must be true or false")
         if self.working_precision < 64:
             raise ValueError("working precision must be >= 64 bits")
-        if self.escalation_guard_bits < 8:
-            raise ValueError("escalation guard band must be >= 8 bits")
         if self.precision_policy == "adaptive" and \
-                self.working_precision < 53 + self.escalation_guard_bits + 8:
+                self.working_precision < 53 + GUARD_BITS + 8:
             # Mirror AdaptivePrecisionPolicy's constructor check so a
             # bad combination fails at config time, not mid-analysis
             # inside a worker process.
             raise ValueError(
                 f"working precision {self.working_precision} too small "
-                f"for {self.escalation_guard_bits} guard bits over a "
-                "53-bit target"
+                f"for {GUARD_BITS} guard bits over a 53-bit target"
             )
         if self.max_expression_depth < 1:
             raise ValueError("max expression depth must be >= 1")
@@ -240,6 +217,6 @@ class AnalysisConfig:
 
 
 def resolve_hw_tier(config: AnalysisConfig) -> bool:
-    """Effective hardware-tier switch: the tier exists only under the
-    adaptive policy."""
-    return config.precision_policy == "adaptive" and config.hw_tier
+    """Whether the double-double pair tier runs: it is the bottom rung
+    of the adaptive policy, and the fixed policy has no tiers."""
+    return config.precision_policy == "adaptive"

@@ -129,23 +129,6 @@ def structural_key(node: TraceNode, depth: int) -> tuple:
     return node._keys[depth]
 
 
-def node_count(node: TraceNode) -> int:
-    """Number of distinct operation nodes in the trace DAG.
-
-    Iterative, so deep traces (long loop chains) cannot overflow the
-    recursion limit.
-    """
-    seen = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.kind != KIND_OP or current.ident in seen:
-            continue
-        seen.add(current.ident)
-        stack.extend(current.args)
-    return len(seen)
-
-
 #: Integer kind tags of the pool's flat arrays (dense idents index
 #: parallel arrays; string kinds stay on materialized nodes).
 P_OP = 0

@@ -2,18 +2,20 @@
 
 :class:`DegradableError` and its subclasses mark a failure that a less
 accelerated configuration can plausibly avoid — a crashed substrate
-kernel, a fast-path engine fault, a spent wall-clock deadline.  The
-ladder (:mod:`repro.resilience.ladder`) catches exactly this family
-(plus :class:`repro.machine.interpreter.MachineError`) and retries the
-analysis down the stack; anything else is a caller bug and propagates
+kernel, a fast-path engine fault, an injected fault.  The ladder
+(:mod:`repro.resilience.ladder`) catches exactly this family and
+retries the analysis down the stack; anything else propagates
 untouched.
 
-:class:`InvalidInputError` is the opposite case: the request itself is
-wrong, so every rung would fail the same way.  It is raised before the
-ladder runs and the serving layer answers it with HTTP 400.
-:class:`OpBudgetExceeded` is not degradable either: every rung
-analyses the same operations, so a spent op budget would be spent
-again on each.
+Three failures are deliberately outside the family, because the parity
+invariant makes every rung fail them again:
+:class:`InvalidInputError` (the request itself is wrong; it is raised
+before the ladder runs and the serving layer answers it with HTTP
+400), :class:`~repro.machine.interpreter.MachineError` (the program
+and its inputs fault the machine, on every engine), and
+:class:`ResourceExhausted` — a spent op budget is spent again by every
+rung, which analyses the same operations, and a spent deadline would
+be retried on rungs slower than the one that ran out of time.
 
 Everything is stdlib-only and import-light: the analysis hot path
 imports this module at startup.
@@ -59,10 +61,10 @@ class ResourceExhausted(Exception):
     :mod:`repro.core.analysis`)."""
 
 
-class AnalysisDeadlineExceeded(ResourceExhausted, DegradableError):
+class AnalysisDeadlineExceeded(ResourceExhausted):
     """``AnalysisConfig.deadline_seconds`` elapsed mid-analysis.
-    Degradable: it depends on wall-clock time, which a retry may
-    spend differently."""
+    Not degradable: every rung below the one that ran out of time is
+    slower, so a retry would only spend the deadline again, later."""
 
 
 class OpBudgetExceeded(ResourceExhausted):

@@ -2,17 +2,15 @@
 
 The standing parity invariant (PRs 2–7) — corpus reports byte-identical
 across every execution plan (:data:`~repro.core.config.PLAN_FIELDS`:
-engine × precision policy × substrate × batched × hardware tier) —
+engine × precision policy × substrate × batched) —
 makes every fast layer an *untrusted accelerator with a verified
 fallback*: a slower plan produces the same bytes.  The ladder turns
 that invariant into availability.  On a classified failure
-(:class:`~repro.resilience.errors.DegradableError` or
-:class:`~repro.machine.interpreter.MachineError`) it retries the
+(:class:`~repro.resilience.errors.DegradableError`) it retries the
 analysis down the stack, one rung at a time.  Each rung is one config
 change, kept by every rung below it::
 
     initial            the request as given
-    working-tier       hw_tier=False
     sequential         batched=False
     reference-engine   engine="reference"
     python-substrate   substrate="python"
@@ -51,16 +49,13 @@ from repro.core.config import (
     ENGINE_COMPILED,
     ENGINE_REFERENCE,
     env_switch,
-    resolve_hw_tier,
 )
-from repro.machine.interpreter import MachineError
 from repro.resilience.errors import DegradableError
 
 logger = logging.getLogger("repro.resilience")
 
 #: Rung names, in ladder order.
 RUNG_INITIAL = "initial"
-RUNG_WORKING_TIER = "working-tier"
 RUNG_SEQUENTIAL = "sequential"
 RUNG_REFERENCE = "reference-engine"
 RUNG_PYTHON_SUBSTRATE = "python-substrate"
@@ -68,7 +63,6 @@ RUNG_FIXED_POLICY = "fixed-policy"
 
 #: The ladder, top to bottom: each rung's config change.
 LADDER = (
-    (RUNG_WORKING_TIER, {"hw_tier": False}),
     (RUNG_SEQUENTIAL, {"batched": False}),
     (RUNG_REFERENCE, {"engine": ENGINE_REFERENCE}),
     (RUNG_PYTHON_SUBSTRATE, {"substrate": "python"}),
@@ -99,20 +93,21 @@ def degradation_enabled(override: Optional[bool] = None) -> bool:
 
 
 def classify(exc: BaseException) -> Optional[str]:
-    """The degradable-failure kind of ``exc``, or None (not ours)."""
+    """The degradable-failure kind of ``exc``, or None (not ours).
+
+    A :class:`~repro.machine.interpreter.MachineError` or a spent
+    resource budget is not ours: the program and its inputs, or the
+    budget, fail every rung alike (see :mod:`repro.resilience.errors`).
+    """
     if isinstance(exc, DegradableError):
         return type(exc).__name__
-    if isinstance(exc, MachineError):
-        return "MachineError"
     return None
 
 
 def _runs(config) -> Tuple:
-    """The plan ``config`` actually runs: the hardware tier exists only
-    under the adaptive policy, batching only on the compiled engine,
-    and the substrate is the provider its name resolves to."""
+    """The plan ``config`` actually runs: batching only on the compiled
+    engine, and the substrate is the provider its name resolves to."""
     return (
-        resolve_hw_tier(config),
         config.batched and config.engine == ENGINE_COMPILED,
         config.engine,
         substrate_provider(config.substrate),

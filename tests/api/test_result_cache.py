@@ -135,8 +135,6 @@ PLAN_CHANGES = {
     "precision_policy": "adaptive",
     "substrate": "python",
     "working_precision": 160,
-    "escalation_guard_bits": 24,
-    "hw_tier": False,
     "batched": False,
 }
 
@@ -192,12 +190,11 @@ class TestPlanSharing:
             request_digest(session.request(ERRONEOUS))
 
     @pytest.mark.parametrize("value", [None, 0, "off"])
-    @pytest.mark.parametrize("name", ["hw_tier", "batched"])
-    def test_plan_switches_must_be_bools(self, name, value):
+    def test_batched_switch_must_be_a_bool(self, value):
         # A payload's config arrives from outside: a null switch would
         # otherwise silently read as off.
-        with pytest.raises(ValueError, match=name):
-            AnalysisConfig(**{name: value})
+        with pytest.raises(ValueError, match="batched"):
+            AnalysisConfig(batched=value)
 
     def test_adaptive_request_is_served_from_a_fixed_store_entry(
         self, tmp_path, monkeypatch

@@ -40,6 +40,14 @@ class TestSessionBasics:
         result = session.analyze(ERRONEOUS, points=[[1e16], [5e16]])
         assert result.raw.runs == 2
 
+    def test_points_of_the_wrong_length_rejected(self):
+        # The program reads one input per argument: a short point
+        # would run it past the end of its inputs on every rung.
+        session = AnalysisSession(config=FAST)
+        with pytest.raises(ValueError, match="takes 2"):
+            session.request("(FPCore (x y) (- (+ x y) x))",
+                            points=[[1.0], [2.0]])
+
     def test_accepts_core_object_and_text(self):
         session = AnalysisSession(config=FAST, num_points=4)
         a = session.analyze(ERRONEOUS)

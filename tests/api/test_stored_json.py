@@ -92,18 +92,17 @@ class TestExplicitToDict:
 
 
 class TestConfigToDict:
-    #: The plan switches default from the environment.
+    #: The batching switch defaults from the environment.
     DEFAULT = AnalysisConfig()
     #: Every field away from its default, the optional ones set.
     FULL = AnalysisConfig(
         shadow_precision=512, engine="reference",
         precision_policy="adaptive", substrate="python",
-        working_precision=160, escalation_guard_bits=24,
+        working_precision=160,
         local_error_threshold=3.5, output_error_threshold=2.5,
         max_expression_depth=7, equivalence_depth=3,
         input_characteristics="range", detect_compensation=False,
-        track_influences=False, hw_tier=not DEFAULT.hw_tier,
-        batched=not DEFAULT.batched, deadline_seconds=12.5,
+        track_influences=False, batched=not DEFAULT.batched, deadline_seconds=12.5,
         op_budget=10 ** 6,
     )
 
@@ -119,7 +118,7 @@ class TestConfigToDict:
                     for name, value in dataclasses.asdict(config).items()
                     if value is not None}
         assert config_to_dict(config) == expected
-        assert {"hw_tier", "batched"} <= set(config_to_dict(config))
+        assert "batched" in config_to_dict(config)
         assert not {"deadline_seconds", "op_budget"} \
             & set(config_to_dict(config))
 

@@ -16,10 +16,8 @@ from repro.bigfloat.policy import (
 )
 
 
-def adaptive(full=1000, working=192, guard=16):
-    return AdaptivePrecisionPolicy(
-        full, working_precision=working, guard_bits=guard
-    )
+def adaptive(full=1000, working=192):
+    return AdaptivePrecisionPolicy(full, working_precision=working)
 
 
 class TestRegistry:
@@ -33,9 +31,7 @@ class TestRegistry:
         assert not policy.escalates
 
     def test_make_adaptive(self):
-        policy = make_policy(
-            "adaptive", 1000, working_precision=192, guard_bits=16
-        )
+        policy = make_policy("adaptive", 1000, working_precision=192)
         assert policy.context.precision == 192
         assert policy.full_context.precision == 1000
         assert policy.escalates
@@ -46,9 +42,7 @@ class TestRegistry:
 
     def test_working_precision_floor(self):
         with pytest.raises(ValueError, match="too small"):
-            AdaptivePrecisionPolicy(
-                1000, working_precision=64, guard_bits=16
-            )
+            AdaptivePrecisionPolicy(1000, working_precision=64)
 
 
 class TestContext:

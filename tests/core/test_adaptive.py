@@ -4,8 +4,8 @@ The adaptive policy's contract is *report-identical output*: same
 candidates, same root causes, same error statistics — byte-identical
 result JSON — as a fixed run at the full ``shadow_precision``.  These
 tests pin that over a corpus slice, the paper's case-study apps, and
-targeted escalation scenarios; ``benchmarks/bench_precision_tiers.py``
-extends the check to the full corpus.
+targeted escalation scenarios; ``tests/core/test_engine_parity.py``
+extends the check to the full corpus under both engines.
 """
 
 import math
@@ -15,9 +15,15 @@ import pytest
 from repro.api import AnalysisSession, results_to_json
 from repro.bigfloat import BigFloat
 from repro.core import AnalysisConfig, analyze_program
+from repro.core.config import resolve_hw_tier
 from repro.core.shadow import ShadowEscalator
 from repro.core import trace as trace_mod
-from repro.bigfloat.policy import AdaptivePrecisionPolicy
+from repro.bigfloat.policy import (
+    GUARD_BITS,
+    AdaptivePrecisionPolicy,
+    available_policies,
+    make_policy,
+)
 from repro.fpcore import corpus_by_name, load_corpus, parse_fpcore
 from repro.machine import compile_fpcore
 
@@ -116,14 +122,8 @@ class TestEscalation:
         # keeps EXACT drift: no rounding escalation, no full-tier
         # re-execution (a low-word-only exactness test gave 74).
         core = corpus_by_name()["loop-tenth-accumulate"]
-        hw_on, hw_off = (
-            AnalysisConfig(shadow_precision=1000,
-                           precision_policy="adaptive", hw_tier=flag)
-            for flag in (True, False)
-        )
         reports = {}
-        for name, config in (("adaptive", hw_on), ("fixed", FIXED),
-                             ("hw-off", hw_off)):
+        for name, config in (("adaptive", ADAPTIVE), ("fixed", FIXED)):
             result = AnalysisSession(config=config, num_points=8,
                                      seed=0).analyze(core)
             reports[name] = result.to_json()
@@ -132,7 +132,7 @@ class TestEscalation:
         assert residency["hw_kernel_ops"] > 0
         assert residency["escalation_rounding"] == 0
         assert residency["full_recomputed_nodes"] == 0
-        assert reports["adaptive"] == reports["fixed"] == reports["hw-off"]
+        assert reports["adaptive"] == reports["fixed"]
 
     def test_branch_divergence_matches_fixed(self):
         # The PID drift phenomenon reduced to a benchmark: t drifts
@@ -206,6 +206,30 @@ class TestAdaptiveConfigValidation:
 
     def test_fixed_policy_unconstrained(self):
         AnalysisConfig(precision_policy="fixed", working_precision=64)
+
+    def test_config_and_policy_share_the_guard_band(self):
+        # One constant bounds the working tier: the config rejects
+        # exactly what the policy's constructor would.
+        floor = 53 + GUARD_BITS + 8
+        for build in (
+            lambda bits: AnalysisConfig(precision_policy="adaptive",
+                                        working_precision=bits),
+            lambda bits: make_policy("adaptive", 1000,
+                                     working_precision=bits),
+        ):
+            with pytest.raises(ValueError, match="too small"):
+                build(floor - 1)
+            build(floor)
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_pair_tier_runs_exactly_when_the_policy_escalates(self, policy):
+        # The double-double tier is the adaptive policy's bottom rung,
+        # with no switch of its own.
+        config = AnalysisConfig(precision_policy=policy)
+        built = make_policy(policy, config.shadow_precision,
+                            working_precision=config.working_precision)
+        assert resolve_hw_tier(config) is (policy == "adaptive")
+        assert resolve_hw_tier(config) is built.escalates
 
 
 class TestCancellationEscalation:

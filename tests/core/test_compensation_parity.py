@@ -9,9 +9,9 @@ error, so these tests pin the per-site verdicts — compensations
 detected and candidate executions — on the programs that exercise
 them: the ``loops`` corpus family (accumulators that gain error every
 iteration) and the Section 8.3 Triangle study (hundreds of exact
-compensating terms).  Fixed, adaptive with the double-double hardware
-tier, adaptive without it, and the reference engine's unfused path
-must all agree site by site.
+compensating terms).  Fixed, adaptive (double-double pairs, then the
+working tier) and the reference engine's unfused adaptive path must
+all agree site by site.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from repro.machine import compile_fpcore
 BASE = AnalysisConfig(shadow_precision=1000)
 CONFIGS = {
     "fixed": BASE,
-    "adaptive-hw": BASE.with_(precision_policy="adaptive", hw_tier=True),
-    "adaptive-no-hw": BASE.with_(precision_policy="adaptive",
-                                 hw_tier=False),
+    "adaptive": BASE.with_(precision_policy="adaptive"),
     "adaptive-reference": BASE.with_(precision_policy="adaptive",
-                                     hw_tier=True, engine="reference"),
+                                     engine="reference"),
 }
 
 LOOPS = families()["loops"]

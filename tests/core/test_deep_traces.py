@@ -14,8 +14,9 @@ import pytest
 
 from repro.core import AnalysisConfig, analyze_program
 from repro.core.antiunify import Generalization, collect_variable_values
-from repro.core.trace import TracePool, node_count, structural_key
+from repro.core.trace import TracePool, structural_key
 from repro.machine import FunctionBuilder, Program
+from test_trace_antiunify import node_count
 
 
 def pooled_chain(pool, depth, salt=0.0):

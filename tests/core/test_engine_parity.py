@@ -8,6 +8,8 @@ lockstep execution and the profile counters) and of the config
 switches that select a site-step variant.
 """
 
+import functools
+
 import pytest
 
 from repro.api import AnalysisSession, results_to_json
@@ -15,7 +17,10 @@ from repro.core import AnalysisConfig, analyze_program
 from repro.fpcore import load_corpus
 
 
+@functools.lru_cache(maxsize=None)
 def corpus_json(engine: str, policy: str, points: int = 2, seed: int = 13):
+    """The whole corpus's result JSON; each sweep runs once per module
+    and every parity check that needs it compares the same text."""
     config = AnalysisConfig(precision_policy=policy, engine=engine)
     session = AnalysisSession(
         config=config, num_points=points, seed=seed, result_cache_size=0
@@ -28,6 +33,14 @@ class TestCorpusParity:
     def test_full_corpus_byte_identical(self, policy):
         assert corpus_json("compiled", policy) == \
             corpus_json("reference", policy)
+
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_full_corpus_adaptive_matches_fixed(self, engine):
+        # The adaptive tiers (double-double pairs, the working tier,
+        # escalation to the full tier) are invisible in the bytes: the
+        # fixed policy, which runs none of them, is the oracle.
+        assert corpus_json(engine, "adaptive") == \
+            corpus_json(engine, "fixed")
 
 
 class TestDepthBoundParity:
@@ -113,19 +126,15 @@ class TestLayerAttribution:
 
     The plans add the config switches that select a site-step variant
     (``repro.core.analysis._SITE_STEP_TEMPLATE``) beside the policy and
-    the profile: the hardware tier on and off, a generous op budget (the
-    guarded variants) and compensation detection off.  Together with
+    the profile: a generous op budget (the guarded variants) and
+    compensation detection off.  Together with
     the chosen programs' unary, ``+``/``-`` and ``*`` sites they reach
     every (arity, flags) variant (``test_inputs_reach_every_variant``).
     """
 
-    #: ``hw_tier`` is pinned where it matters, so the CI leg that sets
-    #: ``REPRO_HWTIER=0`` still reaches the hardware-tier variants.
     PLANS = {
-        "hw-on": {"hw_tier": True},
-        "hw-off": {"hw_tier": False},
-        "guarded": {"op_budget": 10 ** 12, "hw_tier": True},
-        "guarded-hw-off": {"op_budget": 10 ** 12, "hw_tier": False},
+        "default": {},
+        "guarded": {"op_budget": 10 ** 12},
         "no-compensation": {"detect_compensation": False},
     }
 
@@ -203,12 +212,11 @@ class TestLayerAttribution:
                             compile_fpcore(core),
                             tracer=HerbgrindAnalysis(config, profile=profile),
                         )
-        # (escalates, hw): fixed, adaptive with the tier off, and on;
-        # only a binary + or - site can be compensating.
+        # Only a binary + or - site can be compensating.
         every = {
-            (arity, escalates, hw, compensating, profile, guarded)
+            (arity, escalates, compensating, profile, guarded)
             for arity in (1, 2)
-            for escalates, hw in ((False, False), (True, False), (True, True))
+            for escalates in (False, True)
             for compensating in ((False, True) if arity == 2 else (False,))
             for profile in (False, True)
             for guarded in (False, True)
@@ -282,43 +290,6 @@ class TestBatchedParity:
         monkeypatch.setenv("REPRO_BATCHED", "0")
         sequential = sweep()
         assert batched == sequential
-
-
-class TestHwTierParity:
-    """The hardware double-double tier must be invisible in the bytes:
-    every decision it takes either provably matches the full-precision
-    oracle or escalates, so corpus reports are byte-identical with the
-    tier on or off — under both engines and through the batched
-    layer."""
-
-    @staticmethod
-    def sweep(hw_tier, engine="compiled"):
-        # hw_tier None: the config's default, which REPRO_HWTIER sets.
-        plan = {} if hw_tier is None else {"hw_tier": hw_tier}
-        config = AnalysisConfig(
-            precision_policy="adaptive", engine=engine, **plan,
-        )
-        session = AnalysisSession(
-            config=config, num_points=2, seed=13, result_cache_size=0,
-        )
-        return results_to_json(
-            session.analyze_batch(load_corpus(), workers=1)
-        )
-
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
-    def test_corpus_byte_identical_with_hw_tier_off(self, engine):
-        assert self.sweep(True, engine) == self.sweep(False, engine)
-
-    def test_env_default_matches_explicit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HWTIER", raising=False)
-        ambient = self.sweep(None)
-        monkeypatch.setenv("REPRO_HWTIER", "0")
-        assert self.sweep(None) == ambient
-        assert ambient == self.sweep(True)
-
-    def test_sequential_engine_ignores_hw_vectorization(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert self.sweep(True) == self.sweep(False)
 
 
 class TestAppsParity:

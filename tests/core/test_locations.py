@@ -1,7 +1,7 @@
 """Tests for per-node source locations (paper footnote 5)."""
 
 from repro.core import AnalysisConfig, analyze_program
-from repro.core.locations import format_located_expression, map_node_locations
+from repro.core.locations import format_located_expression
 from repro.machine import FunctionBuilder, Program
 
 FAST = AnalysisConfig(shadow_precision=192)

@@ -58,7 +58,7 @@ def stage_counter_sums(policy, programs):
     profiled whole-corpus pass with every layer pinned on."""
     config = AnalysisConfig(
         engine="compiled", precision_policy=policy,
-        batched=True, hw_tier=True,
+        batched=True,
     )
     sums = {}
     with faults.injected(""):
@@ -151,11 +151,11 @@ class TestVariantCache:
         from repro.core import analysis as analysis_mod
 
         factory = analysis_mod._site_step_factory(
-            2, escalates=True, hw=True, compensating=True, profile=False,
+            2, escalates=True, compensating=True, profile=False,
             guarded=True,
         )
         filename = factory.__code__.co_filename
-        assert filename == "<site-step arity=2 escalates hw compensating " \
+        assert filename == "<site-step arity=2 escalates compensating " \
             "guarded>"
         source = "".join(linecache.getlines(filename))
         assert "tick()" in source and "counters." not in source

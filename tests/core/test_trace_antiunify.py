@@ -3,7 +3,7 @@
 import itertools
 
 from repro.core.antiunify import Generalization, collect_variable_values
-from repro.core.trace import TracePool, node_count, structural_key
+from repro.core.trace import KIND_OP, TracePool, structural_key
 from repro.fpcore import parse_expr
 from repro.fpcore.ast import Num, Op, Var, expression_depth
 
@@ -34,6 +34,23 @@ def op_node(op, args, value, loc=None):
 
 def add(a, b, value=0.0):
     return op_node("+", (a, b), value, None)
+
+
+def node_count(node):
+    """Number of distinct operation nodes in the trace DAG.
+
+    Iterative, so deep traces (long loop chains) cannot overflow the
+    recursion limit.
+    """
+    seen = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current.kind != KIND_OP or current.ident in seen:
+            continue
+        seen.add(current.ident)
+        stack.extend(current.args)
+    return len(seen)
 
 
 class TestTraceNodes:

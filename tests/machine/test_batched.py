@@ -218,8 +218,7 @@ class TestImportFootprint:
             from repro.core import AnalysisConfig
 
             session = AnalysisSession(
-                config=AnalysisConfig(precision_policy="adaptive",
-                                      hw_tier=True),
+                config=AnalysisConfig(precision_policy="adaptive"),
                 num_points=8, seed=3,
             )
             result = session.analyze(
@@ -274,7 +273,7 @@ UNARY_OPS = sorted(
 
 CONFIGS = {
     "fixed": AnalysisConfig(precision_policy="fixed"),
-    "adaptive": AnalysisConfig(precision_policy="adaptive", hw_tier=True),
+    "adaptive": AnalysisConfig(precision_policy="adaptive"),
 }
 
 

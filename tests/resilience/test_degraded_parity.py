@@ -13,14 +13,18 @@ import pytest
 from repro.api import AnalysisSession, results_to_json
 from repro.bigfloat import substrate_provider
 from repro.core import AnalysisConfig
-from repro.fpcore import load_corpus
-from repro.resilience import faults
-from repro.resilience.errors import EngineFault, OpBudgetExceeded
+from repro.fpcore import corpus_by_name, load_corpus
+from repro.machine.interpreter import MachineError
+from repro.resilience import faults, ladder
+from repro.resilience.errors import (
+    AnalysisDeadlineExceeded,
+    EngineFault,
+    OpBudgetExceeded,
+)
 from repro.resilience.ladder import (
     RUNG_PYTHON_SUBSTRATE,
     RUNG_REFERENCE,
     RUNG_SEQUENTIAL,
-    RUNG_WORKING_TIER,
 )
 
 #: A cross-family slice of the corpus — enough shapes to exercise the
@@ -86,30 +90,6 @@ class TestKernelFaultParity:
 
 
 class TestPolicyFaultParity:
-    @pytest.fixture(autouse=True)
-    def _default_hw_tier(self, monkeypatch):
-        """The working-tier rung exists only while the hardware tier is
-        on; a test leg may switch it off with ``REPRO_HWTIER``."""
-        monkeypatch.delenv("REPRO_HWTIER", raising=False)
-
-    def test_hw_tier_fault_lands_on_working_tier_rung(self):
-        clean, __ = _corpus_json(
-            engine="compiled", precision_policy="adaptive"
-        )
-        with faults.injected("policy.hwtier.raise"):
-            degraded, results = _corpus_json(
-                engine="compiled", precision_policy="adaptive"
-            )
-        assert degraded == clean
-        # The seam trips at analysis setup whenever the hardware tier
-        # is armed, so every benchmark degrades — and each one must
-        # stop at the first rung: BigFloat working-tier shadows with
-        # the rest of the stack (batching, engine, substrate) intact.
-        for result in results:
-            record = result.extra["degradation"]
-            assert record["rung"] == RUNG_WORKING_TIER
-            assert [a["rung"] for a in record["attempts"]] == ["initial"]
-
     def test_adaptive_fault_falls_back_to_fixed_policy(self):
         clean, __ = _corpus_json(
             engine="compiled", precision_policy="adaptive"
@@ -145,20 +125,26 @@ class TestSerializationContract:
         assert all("degradation" in r.extra for r in results)
 
 
+def _count_attempts(monkeypatch):
+    """The engine of every analysis the backend runs, in order."""
+    from repro.core import analysis as analysis_mod
+
+    attempts = []
+    analyze = analysis_mod.analyze_program
+
+    def counting(*args, **kwargs):
+        attempts.append(kwargs["config"].engine)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "analyze_program", counting)
+    return attempts
+
+
 class TestResourceGuards:
     def test_op_budget_propagates_after_one_attempt(self, monkeypatch):
         # Every rung analyses the same operations, so the ladder must
         # not retry a spent op budget: one analysis, then the raise.
-        from repro.core import analysis as analysis_mod
-
-        attempts = []
-        analyze = analysis_mod.analyze_program
-
-        def counting(*args, **kwargs):
-            attempts.append(kwargs["config"].engine)
-            return analyze(*args, **kwargs)
-
-        monkeypatch.setattr(analysis_mod, "analyze_program", counting)
+        attempts = _count_attempts(monkeypatch)
         session = AnalysisSession(
             config=AnalysisConfig(op_budget=1), num_points=2,
             result_cache_size=0,
@@ -166,6 +152,21 @@ class TestResourceGuards:
         with pytest.raises(OpBudgetExceeded):
             session.analyze(load_corpus()[0])
         assert attempts == ["compiled"]
+
+    def test_spent_deadline_propagates_after_one_attempt(self, monkeypatch):
+        # Every rung below is slower, so a retry would only spend the
+        # deadline again.
+        attempts = _count_attempts(monkeypatch)
+        before = ladder.degradations()
+        session = AnalysisSession(
+            config=AnalysisConfig(precision_policy="adaptive",
+                                  deadline_seconds=1e-9),
+            num_points=8, result_cache_size=0,
+        )
+        with pytest.raises(AnalysisDeadlineExceeded):
+            session.analyze(corpus_by_name()["loop-tenth-accumulate"])
+        assert attempts == ["compiled"]
+        assert ladder.degradations() == before
 
     def test_generous_guard_is_invisible_in_the_bytes(self):
         clean, __ = _corpus_json(engine="compiled")
@@ -188,6 +189,27 @@ class TestResourceGuards:
         )
         with pytest.raises(OpBudgetExceeded):
             session.analyze(load_corpus()[0])
+
+
+class TestMachineErrors:
+    def test_machine_error_propagates_after_one_attempt(self, monkeypatch):
+        # Points one value short of the program's two arguments, run
+        # past request validation: the machine reads past the end of
+        # its inputs on every rung alike, so no rung is tried.
+        from repro.api.session import _run_request
+        from repro.machine import compile_fpcore
+
+        attempts = _count_attempts(monkeypatch)
+        before = ladder.degradations()
+        request = AnalysisSession(
+            config=AnalysisConfig(precision_policy="adaptive"),
+            num_points=2,
+        ).request("(FPCore (x y) (- (+ x y) x))")
+        with pytest.raises(MachineError, match="past the end"):
+            _run_request(request, compile_fpcore(request.core),
+                         [[1.0], [2.0]], degrade=True)
+        assert attempts == ["compiled"]
+        assert ladder.degradations() == before
 
 
 class TestNoDegradeSwitch:

@@ -4,6 +4,7 @@ retry driver — unit-level, with stub executors."""
 import pytest
 
 from repro.api import AnalysisSession, request_digest
+from repro.resilience import ladder
 from repro.bigfloat import backend as backend_mod
 from repro.bigfloat.functions import DOUBLE_HANDLERS
 from repro.core import AnalysisConfig
@@ -19,7 +20,6 @@ from repro.resilience.ladder import (
     RUNG_PYTHON_SUBSTRATE,
     RUNG_REFERENCE,
     RUNG_SEQUENTIAL,
-    RUNG_WORKING_TIER,
     DegradationLadder,
     classify,
     degradation_enabled,
@@ -31,11 +31,9 @@ CORE = "(FPCore (x) :name \"t\" :pre (<= 1 x 2) (+ x 1))"
 
 @pytest.fixture(autouse=True)
 def _engine_defaults(monkeypatch):
-    """Plan from the engine defaults: whether the sequential and
-    working-tier rungs exist depends on ``REPRO_BATCHED`` and
-    ``REPRO_HWTIER``, which a test leg may set."""
+    """Plan from the engine defaults: whether the sequential rung
+    exists depends on ``REPRO_BATCHED``, which a test leg may set."""
     monkeypatch.delenv("REPRO_BATCHED", raising=False)
-    monkeypatch.delenv("REPRO_HWTIER", raising=False)
 
 
 class _StubProvider:
@@ -66,14 +64,19 @@ class TestClassify:
     def test_degradable_errors(self):
         assert classify(KernelFault("k")) == "KernelFault"
         assert classify(EngineFault("e")) == "EngineFault"
-        assert classify(AnalysisDeadlineExceeded("d")) == \
-            "AnalysisDeadlineExceeded"
-        assert classify(MachineError("m")) == "MachineError"
 
     def test_op_budget_is_not_degradable(self):
         # Every rung analyses the same operations, so a retry would
         # exhaust the budget again.
         assert classify(OpBudgetExceeded("b")) is None
+
+    def test_spent_deadline_is_not_degradable(self):
+        # Every rung below the one that ran out of time is slower.
+        assert classify(AnalysisDeadlineExceeded("d")) is None
+
+    def test_machine_error_is_not_degradable(self):
+        # The program and its inputs fault the machine on every rung.
+        assert classify(MachineError("m")) is None
 
     def test_foreign_errors_are_not_ours(self):
         assert classify(ValueError("v")) is None
@@ -86,41 +89,26 @@ class TestPlanning:
                            precision_policy="adaptive")
         plan = DegradationLadder(enabled=True).plan(request)
         names = [name for name, _ in plan]
-        assert names == [RUNG_WORKING_TIER, RUNG_SEQUENTIAL,
-                         RUNG_REFERENCE, RUNG_PYTHON_SUBSTRATE,
-                         RUNG_FIXED_POLICY]
+        assert names == [RUNG_SEQUENTIAL, RUNG_REFERENCE,
+                         RUNG_PYTHON_SUBSTRATE, RUNG_FIXED_POLICY]
         bottom = plan[-1][1]
         assert bottom.config.engine == "reference"
         assert bottom.config.substrate == "python"
         assert bottom.config.precision_policy == "fixed"
-        assert bottom.config.hw_tier is False
+
+    def test_adaptive_plan_adds_only_the_fixed_policy_rung(self):
+        # The adaptive policy's tiers have no rung of their own: its
+        # ladder is the fixed policy's with the fixed policy at the end.
+        ladder_ = DegradationLadder(enabled=True)
+        fixed = [name for name, _ in ladder_.plan(_request())]
+        adaptive = [name for name, _ in
+                    ladder_.plan(_request(precision_policy="adaptive"))]
+        assert adaptive == fixed + [RUNG_FIXED_POLICY]
 
     def test_rungs_are_cumulative(self):
         request = _request(engine="compiled", substrate="native")
         plan = dict(DegradationLadder(enabled=True).plan(request))
         assert plan[RUNG_PYTHON_SUBSTRATE].config.engine == "reference"
-
-    def test_working_tier_rung_only_disables_hw_tier(self):
-        request = _request(engine="compiled",
-                           precision_policy="adaptive")
-        plan = dict(DegradationLadder(enabled=True).plan(request))
-        working = plan[RUNG_WORKING_TIER]
-        assert working.config.hw_tier is False
-        assert working.config == request.config.with_(hw_tier=False)
-        # Every rung below it keeps the hardware tier off (cumulative).
-        assert plan[RUNG_SEQUENTIAL].config.hw_tier is False
-        assert plan[RUNG_REFERENCE].config.hw_tier is False
-
-    def test_fixed_policy_has_no_working_tier_rung(self):
-        request = _request(engine="compiled")
-        plan = dict(DegradationLadder(enabled=True).plan(request))
-        assert RUNG_WORKING_TIER not in plan
-
-    def test_hw_tier_off_skips_the_working_tier_rung(self):
-        request = _request(engine="compiled",
-                           precision_policy="adaptive", hw_tier=False)
-        plan = dict(DegradationLadder(enabled=True).plan(request))
-        assert RUNG_WORKING_TIER not in plan
 
     def test_sequential_rung_only_disables_batching(self):
         request = _request(engine="compiled")
@@ -150,8 +138,8 @@ class TestPlanning:
         request = _request(precision_policy="adaptive")
         assert request.config.substrate == "native"
         plan = dict(DegradationLadder(enabled=True).plan(request))
-        assert list(plan) == [RUNG_WORKING_TIER, RUNG_SEQUENTIAL,
-                              RUNG_REFERENCE, RUNG_FIXED_POLICY]
+        assert list(plan) == [RUNG_SEQUENTIAL, RUNG_REFERENCE,
+                              RUNG_FIXED_POLICY]
         assert plan[RUNG_FIXED_POLICY].config.substrate == "native"
 
     def test_bottom_configuration_has_no_ladder(self):
@@ -172,7 +160,7 @@ class TestPlanning:
         request = _request(engine="compiled", substrate="native",
                            precision_policy="adaptive")
         plan = DegradationLadder(enabled=True).plan(request)
-        assert len(plan) == 5
+        assert len(plan) == 4
         for _, degraded in plan:
             assert request_digest(degraded) == request_digest(request)
 
@@ -201,8 +189,6 @@ class _Recorder:
         if config.engine == "compiled":
             if config.batched is False:
                 return RUNG_SEQUENTIAL
-            if config.hw_tier is False:
-                return RUNG_WORKING_TIER
             return "initial"
         if config.substrate != "python":
             return RUNG_REFERENCE
@@ -224,7 +210,6 @@ class TestDriver:
                            precision_policy="adaptive")
         execute = _Recorder({
             "initial": EngineFault("boom"),
-            RUNG_WORKING_TIER: EngineFault("hw boom"),
             RUNG_SEQUENTIAL: EngineFault("still boom"),
             RUNG_REFERENCE: KernelFault("kernel boom"),
         })
@@ -233,9 +218,8 @@ class TestDriver:
         assert record["degraded"] is True
         assert record["rung"] == RUNG_PYTHON_SUBSTRATE
         assert [a["rung"] for a in record["attempts"]] == \
-            ["initial", RUNG_WORKING_TIER, RUNG_SEQUENTIAL,
-             RUNG_REFERENCE]
-        assert record["attempts"][3]["error"]["kind"] == "KernelFault"
+            ["initial", RUNG_SEQUENTIAL, RUNG_REFERENCE]
+        assert record["attempts"][2]["error"]["kind"] == "KernelFault"
 
     def test_non_degradable_error_propagates_immediately(self):
         execute = _Recorder({"initial": ValueError("not ours")})
@@ -244,14 +228,30 @@ class TestDriver:
                             enabled=True)
         assert execute.calls == ["initial"]
 
-    def test_spent_deadline_degrades(self):
-        # A deadline depends on wall-clock time, so unlike the op
-        # budget it is retried on the next rung.
+    def test_spent_deadline_propagates_after_one_attempt(self):
+        # Every rung below is slower, so a retry would only spend the
+        # deadline again.
+        request = _request(engine="compiled", substrate="native",
+                           precision_policy="adaptive")
         execute = _Recorder({"initial": AnalysisDeadlineExceeded("late")})
-        result = run_with_ladder(_request(engine="compiled"), execute,
-                                 enabled=True)
-        assert execute.calls == ["initial", RUNG_SEQUENTIAL]
-        assert result.extra["degradation"]["rung"] == RUNG_SEQUENTIAL
+        with pytest.raises(AnalysisDeadlineExceeded):
+            run_with_ladder(request, execute, enabled=True)
+        assert execute.calls == ["initial"]
+
+    def test_machine_error_propagates_after_one_attempt(self):
+        # The program and its inputs fault the machine on every rung
+        # (the parity invariant), so no rung is tried and none counted.
+        request = _request(engine="compiled", substrate="native",
+                           precision_policy="adaptive")
+        before = ladder.degradations()
+        execute = _Recorder({
+            "initial": MachineError("program read past the end of its "
+                                    "inputs"),
+        })
+        with pytest.raises(MachineError):
+            run_with_ladder(request, execute, enabled=True)
+        assert execute.calls == ["initial"]
+        assert ladder.degradations() == before
 
     def test_op_budget_propagates_after_one_attempt(self):
         request = _request(engine="compiled", substrate="native",
@@ -266,7 +266,6 @@ class TestDriver:
                            precision_policy="adaptive")
         execute = _Recorder({
             "initial": EngineFault("a"),
-            RUNG_WORKING_TIER: EngineFault("a2"),
             RUNG_SEQUENTIAL: EngineFault("b"),
             RUNG_REFERENCE: EngineFault("c"),
             RUNG_PYTHON_SUBSTRATE: EngineFault("d"),
@@ -274,9 +273,8 @@ class TestDriver:
         })
         with pytest.raises(EngineFault, match="e"):
             run_with_ladder(request, execute, enabled=True)
-        assert execute.calls == ["initial", RUNG_WORKING_TIER,
-                                 RUNG_SEQUENTIAL, RUNG_REFERENCE,
-                                 RUNG_PYTHON_SUBSTRATE,
+        assert execute.calls == ["initial", RUNG_SEQUENTIAL,
+                                 RUNG_REFERENCE, RUNG_PYTHON_SUBSTRATE,
                                  RUNG_FIXED_POLICY]
 
     def test_disabled_ladder_propagates_first_failure(self):

@@ -103,6 +103,45 @@ class TestSinglePath:
         assert "FPCoreSyntaxError" in error["message"]
         assert counters.invalid == 1 and counters.computed == 0
 
+    def test_points_of_the_wrong_length_are_a_400_without_a_task(self):
+        # Two values for a one-argument program: the compiled program
+        # reads one input per argument, so this never reaches a worker.
+        bad = {"core": "(FPCore (x) (+ x 1))", "num_points": 2,
+               "points": [[1.0, 2.0], [3.0, 4.0]],
+               "config": {"shadow_precision": 96}}
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcome = await _closed(service, service.analyze_payload(bad))
+            return outcome, service.counters, service.pool.stats()
+
+        outcome, counters, pool = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert "ValueError" in error["message"]
+        assert counters.invalid == 1
+        assert counters.computed == counters.analysis_errors == 0
+        assert pool["completed"] == 0
+
+    def test_unknown_config_field_is_a_400(self):
+        # A plan switch the config no longer has is refused, never
+        # silently dropped.
+        bad = {"core": CLEAN, "num_points": 2,
+               "config": {"shadow_precision": 96, "hw_tier": False}}
+
+        async def scenario():
+            service = AnalysisService(workers=1)
+            outcome = await _closed(service, service.analyze_payload(bad))
+            return outcome, service.counters
+
+        outcome, counters = asyncio.run(scenario())
+        assert outcome.status == 400
+        error = json.loads(outcome.body)["error"]
+        assert error["type"] == "invalid_request"
+        assert "hw_tier" in error["message"]
+        assert counters.invalid == 1 and counters.computed == 0
+
     def test_unbound_variable_is_structured_400_with_digest(self):
         # Parses as a request but the compiler rejects the free `y`: a
         # client error, answered once and never retried.
@@ -704,10 +743,8 @@ class TestStats:
                                   f"injected failure for {name}")
 
     def test_stats_aggregate_hw_tier_residency(self):
-        # hw_tier set explicitly: a test leg may switch the default off
-        # with REPRO_HWTIER.
         config = AnalysisConfig(
-            shadow_precision=96, precision_policy="adaptive", hw_tier=True
+            shadow_precision=96, precision_policy="adaptive"
         )
         session = AnalysisSession(config=config, num_points=3)
         request = session.request(CLEAN)
