@@ -1312,6 +1312,7 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
 
 #: The flags that select a site-step variant, besides its arity.
 _SITE_STEP_FLAGS = ("escalates", "compensating", "profile", "guarded")
+_SITE_STEP_FLAG_NAMES = frozenset(_SITE_STEP_FLAGS)
 
 #: ``make_step`` factories by (arity, *flags), each generated on first
 #: use, once per process, and bound per site (never generated per site).
@@ -1323,7 +1324,16 @@ _PER_ARGUMENT = re.compile(r"\{([^{}|]*\$[^{}|]*)(?:\|([^{}]*))?\}")
 def _site_step_factory(arity: int, **flags: bool) -> Callable:
     """The ``make_step`` factory of one site-step variant; the code is
     compiled under its own filename, with its source in
-    :mod:`linecache` for tracebacks and profilers."""
+    :mod:`linecache` for tracebacks and profilers.  Every flag of
+    :data:`_SITE_STEP_FLAGS` must be named, and no other: a stale or
+    misspelled flag is a :class:`TypeError`, never a variant with
+    that flag silently off."""
+    if flags.keys() != _SITE_STEP_FLAG_NAMES:
+        unknown = sorted(flags.keys() - _SITE_STEP_FLAG_NAMES)
+        missing = sorted(_SITE_STEP_FLAG_NAMES - flags.keys())
+        raise TypeError(
+            f"site-step flags: unknown {unknown}, missing {missing}"
+        )
     key = (arity,) + tuple(bool(flags[name]) for name in _SITE_STEP_FLAGS)
     factory = _SITE_STEP_FACTORIES.get(key)
     if factory is None:  # threads racing here only generate it twice

@@ -6,22 +6,31 @@ impossible — and an analysis request is arbitrary user input that can
 run for minutes or exhaust a worker.  This pool therefore supervises
 its own ``multiprocessing`` processes:
 
-* each worker process is paired with a dispatcher *thread* in the
-  server process; dispatchers pull tasks from one shared bounded queue
-  (an idle worker steals the next task, so one slow request never
-  holds up the tasks queued behind it),
-* a task that exceeds its deadline gets its worker **killed** and
-  respawned; the task fails with :class:`AnalysisTimeout` while every
-  other task is unaffected,
+* the server's event loop drives every worker pipe itself, with no
+  thread in between: :meth:`WorkerPool.submit` pickles a task straight
+  down an idle worker's pipe or appends it to one shared bounded queue,
+  and a reader callback per pipe (``loop.add_reader``) reads the reply,
+  resolves the task's ``asyncio.Future`` and sends that worker the
+  next queued task before it returns (an idle worker takes the next
+  task, so one slow request never holds up the tasks queued behind it),
+* a task that exceeds its deadline (a ``loop.call_later`` timer) gets
+  its worker **killed** and respawned; the task fails with
+  :class:`AnalysisTimeout` while every other task is unaffected,
 * a worker that dies mid-task (segfault, ``os._exit``, OOM kill)
-  is detected through the closed pipe and respawned; the task fails
-  with :class:`WorkerCrashed`,
+  is detected through the EOF on its pipe and respawned; the task fails
+  with :class:`WorkerCrashed`.  A slot that keeps failing cools down
+  on a ``call_later`` timer before it takes another task, so the loop
+  never sleeps,
 * the queue is bounded: :meth:`WorkerPool.submit` raises
   :class:`QueueFull` instead of buffering unboundedly — the serving
   layer turns that into HTTP 429 backpressure,
-* :meth:`WorkerPool.close` drains: queued and in-flight tasks finish,
-  late submits raise :class:`PoolClosed` (HTTP 503), workers exit
-  cleanly.
+* the coroutine :meth:`WorkerPool.close` drains: queued and in-flight
+  tasks finish, late submits raise :class:`PoolClosed` (HTTP 503),
+  workers exit cleanly.
+
+A reply is read whole once its first bytes arrive: a worker writes it
+with one send after its computation, so the read takes as long as
+copying the bytes.
 
 The default worker's task is a :class:`Shard`: one request dict, its
 digest, and the root of the result store its success persists to.  The
@@ -40,17 +49,14 @@ exceptions on the future.
 
 from __future__ import annotations
 
+import asyncio
 import collections
 import json
 import multiprocessing
 import os
-import queue
 import stat
-import threading
-import time
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.api.requests import AnalysisRequest
 from repro.api.sampling import sampler_precondition_errors
@@ -214,9 +220,6 @@ def _worker_entry(worker_main: Callable, conn) -> None:
     worker_main(conn)
 
 
-_SENTINEL = object()
-
-
 def _pool_context():
     """Prefer fork (cheap respawns, no pickling constraints)."""
     methods = multiprocessing.get_all_start_methods()
@@ -225,8 +228,19 @@ def _pool_context():
     )
 
 
+#: One submitted task: (future, task, deadline seconds, on_start).
+_Job = Tuple["asyncio.Future[Reply]", Any, Optional[float],
+             Optional[Callable[[], None]]]
+
+
 class _Worker:
-    """One supervised worker process and its parent-side pipe."""
+    """One supervised worker process, its parent-side pipe, and its slot.
+
+    Once the pool is bound to an event loop, the loop watches ``conn``
+    from the moment the process starts until just before the pipe is
+    closed, so a reply (or the EOF of a dead worker) runs the pool's
+    callback without any thread in between.
+    """
 
     def __init__(self, ctx, worker_main) -> None:
         self._ctx = ctx
@@ -236,20 +250,41 @@ class _Worker:
         self.restarts = -1  # first ensure() is a start, not a restart
         #: Consecutive timeout-kills/crashes; reset by any success.
         self.failures = 0
+        #: The task on the worker, or None when the slot is idle.
+        self.job: Optional[_Job] = None
+        #: The running task's deadline, or the end of a cooldown.
+        self.timer: Optional[asyncio.TimerHandle] = None
+        #: A crash-looping slot takes no task until its cooldown ends.
+        self.cooling = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._on_readable: Optional[Callable] = None
         self.ensure()
 
+    @property
+    def idle(self) -> bool:
+        return self.job is None and not self.cooling
+
+    def watch(self, loop, on_readable) -> None:
+        """Hand the pipe to ``loop``: ``on_readable(self)`` per event."""
+        self._loop = loop
+        self._on_readable = on_readable
+        if self.conn is not None:
+            loop.add_reader(self.conn.fileno(), on_readable, self)
+
     def ensure(self) -> None:
-        if self.process is not None and self.process.is_alive():
+        """Start the process unless it runs (its pipe is still open)."""
+        if self.conn is not None:
             return
-        self.discard()
         parent, child = self._ctx.Pipe(duplex=True)
         self.process = self._ctx.Process(
             target=_worker_entry, args=(self._main, child), daemon=True
         )
         self.process.start()
-        child.close()  # parent's recv sees EOF if the worker dies
+        child.close()  # the parent's pipe reads EOF if the worker dies
         self.conn = parent
         self.restarts += 1
+        if self._loop is not None:
+            self._loop.add_reader(parent.fileno(), self._on_readable, self)
 
     def kill(self) -> None:
         if self.process is not None and self.process.is_alive():
@@ -259,6 +294,10 @@ class _Worker:
 
     def discard(self) -> None:
         if self.conn is not None:
+            # The loop lets go of the fd before it is closed (and maybe
+            # reused by the next pipe).
+            if self._loop is not None:
+                self._loop.remove_reader(self.conn.fileno())
             try:
                 self.conn.close()
             except OSError:
@@ -266,22 +305,16 @@ class _Worker:
         self.conn = None
         self.process = None
 
-    def shutdown(self, timeout: float = 2.0) -> None:
-        if self.process is None:
-            return
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-        self.discard()
-
 
 class WorkerPool:
-    """A fixed-size supervised analysis pool with a bounded queue."""
+    """A fixed-size supervised analysis pool with a bounded queue.
+
+    Every method but :meth:`stats` runs on one event loop: the pool
+    binds to the running loop on its first :meth:`submit` (or
+    :meth:`close`), and from then on that loop reads the workers'
+    pipes.  The processes start at construction, which may happen
+    outside any loop.
+    """
 
     def __init__(
         self,
@@ -304,17 +337,17 @@ class WorkerPool:
         self.max_respawn_burst = max_respawn_burst
         #: Base of the exponential respawn back-off, in seconds.
         self.respawn_cooldown = respawn_cooldown
-        self._tasks: "queue.Queue" = queue.Queue(
-            maxsize=queue_limit if queue_limit > 0 else 0
-        )
+        #: Tasks no worker has taken yet, oldest first.
+        self._queue: Deque[_Job] = collections.deque()
         self._closed = False
-        self._lock = threading.Lock()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Resolved once a closing pool has no task queued or running.
+        self._drained: Optional[asyncio.Future] = None
         self.completed = 0
         self.timeouts = 0
         self.crashes = 0
         #: Times a crash-looping slot was made to cool down.
         self.cooldowns = 0
-        self._active = 0
         # Resolve the default substrate (load and self-check its native
         # provider) before the first fork, so every worker and respawn
         # inherits it instead of paying for it on its first request.
@@ -322,19 +355,19 @@ class WorkerPool:
         from repro.core.config import AnalysisConfig
 
         get_backend(AnalysisConfig().substrate)
-        # Spawn the processes before the dispatcher threads so the
-        # initial forks happen from a quiet (single-threaded) parent.
-        self._workers = [_Worker(_pool_context(), worker_main)
-                         for _ in range(workers)]
-        self._threads = [
-            threading.Thread(
-                target=self._dispatch_loop, args=(w,),
-                name=f"repro-serve-worker-{i}", daemon=True,
-            )
-            for i, w in enumerate(self._workers)
+        self._workers: List[_Worker] = [
+            _Worker(_pool_context(), worker_main) for _ in range(workers)
         ]
-        for thread in self._threads:
-            thread.start()
+
+    def _bind(self) -> asyncio.AbstractEventLoop:
+        loop = asyncio.get_running_loop()
+        if self._loop is None:
+            self._loop = loop
+            for worker in self._workers:
+                worker.watch(loop, self._on_readable)
+        elif loop is not self._loop:
+            raise RuntimeError("worker pool is bound to another event loop")
+        return loop
 
     # ------------------------------------------------------------------
     # Submission
@@ -345,118 +378,160 @@ class WorkerPool:
         task: Any,
         timeout: Optional[float] = None,
         on_start: Optional[Callable[[], None]] = None,
-    ) -> "Future[Reply]":
+    ) -> "asyncio.Future[Reply]":
         """Queue one task (a :class:`Shard` for the default worker).
 
-        Returns a thread-safe future resolving to the worker's reply.
-        The deadline defaults to the pool's ``timeout``.  ``on_start``
-        is called on a dispatcher thread when a worker takes the task
-        off the queue; a task cancelled while queued never starts.
+        Must be called on the pool's event loop.  Returns an
+        ``asyncio.Future`` resolving to the worker's reply; an idle
+        worker gets the task before this returns.  The deadline
+        defaults to the pool's ``timeout``.  ``on_start`` is called on
+        the loop just before the task is sent to a worker, and an
+        exception from it fails the task; a task cancelled while queued
+        never starts.  Cancelling a running task does not stop it: its
+        reply is read and dropped.
         """
         if self._closed:
             raise PoolClosed("worker pool is shutting down")
-        if timeout is None:
-            timeout = self.timeout
-        future: "Future[Reply]" = Future()
-        try:
-            self._tasks.put_nowait((future, task, timeout, on_start))
-        except queue.Full:
-            raise QueueFull(
-                f"task queue at capacity ({self.queue_limit})"
-            ) from None
+        loop = self._bind()
+        future = loop.create_future()
+        job = (future, task,
+               self.timeout if timeout is None else timeout, on_start)
+        for worker in self._workers:
+            if worker.idle:  # then nothing is queued either
+                self._start(worker, job)
+                return future
+        if 0 < self.queue_limit <= len(self._queue):
+            raise QueueFull(f"task queue at capacity ({self.queue_limit})")
+        self._queue.append(job)
         return future
 
     # ------------------------------------------------------------------
-    # Dispatching (one thread per worker)
+    # Supervision (loop callbacks)
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self, worker: _Worker) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is _SENTINEL:
-                break
-            future, task, timeout, on_start = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            if on_start is not None:
-                try:
-                    on_start()
-                except Exception:  # noqa: BLE001 — keep dispatching
-                    pass
-            with self._lock:
-                self._active += 1
+    def _start(self, worker: _Worker, job: _Job) -> None:
+        """Send ``job`` to the idle ``worker`` and arm its deadline."""
+        future, task, timeout, on_start = job
+        if on_start is not None:
             try:
-                self._dispatch(worker, future, task, timeout)
-            finally:
-                with self._lock:
-                    self._active -= 1
-        worker.shutdown()
-
-    def _cool_down(self, worker: _Worker) -> None:
-        """Back off before respawning a crash-looping worker slot.
-
-        Only this slot's dispatcher thread sleeps — queued work keeps
-        draining through the healthy slots.  The delay doubles per
-        failure beyond the burst allowance, capped at 30s.
-        """
-        excess = worker.failures - self.max_respawn_burst
-        if excess < 0 or self.respawn_cooldown <= 0:
-            return
-        self.cooldowns += 1
-        time.sleep(min(self.respawn_cooldown * (2.0 ** excess), 30.0))
-
-    def _dispatch(self, worker, future, task, timeout) -> None:
-        self._cool_down(worker)
+                on_start()
+            except Exception as exc:  # noqa: BLE001 — the task's failure
+                future.set_exception(exc)
+                return
         try:
-            worker.ensure()
-            worker.conn.send(task)
-        except (BrokenPipeError, OSError):
-            # The worker died while idle; one fresh process, one retry.
             try:
+                worker.ensure()
+                worker.conn.send(task)
+            except OSError:
+                # The worker died while idle; one fresh process, one retry.
                 worker.kill()
                 worker.ensure()
                 worker.conn.send(task)
-            except (BrokenPipeError, OSError) as exc:
-                self.crashes += 1
-                worker.failures += 1
-                future.set_exception(
-                    WorkerCrashed(f"could not reach worker: {exc}")
-                )
-                return
+        except OSError as exc:
+            self.crashes += 1
+            self._fail(worker, future,
+                       WorkerCrashed(f"could not reach worker: {exc}"))
+            return
+        except Exception as exc:  # noqa: BLE001 — e.g. unpicklable task
+            future.set_exception(exc)
+            return
+        worker.job = job
+        if timeout is not None:
+            worker.timer = self._loop.call_later(timeout, self._expire,
+                                                 worker)
+
+    def _on_readable(self, worker: _Worker) -> None:
+        """A worker's pipe is readable: its reply, or its death."""
         try:
-            if timeout is not None and not worker.conn.poll(timeout):
-                worker.kill()  # the only way to stop a running task
-                self.timeouts += 1
-                worker.failures += 1
-                future.set_exception(AnalysisTimeout(
-                    f"no result within {timeout:.1f}s; worker killed"
-                ))
-                return
             reply = worker.conn.recv()
         except (EOFError, OSError):
-            worker.kill()
-            self.crashes += 1
-            worker.failures += 1
-            future.set_exception(
-                WorkerCrashed("worker process died mid-task")
-            )
+            self._lost(worker)
             return
+        future = worker.job[0]
+        self._end_job(worker)
         self.completed += 1
         worker.failures = 0
-        future.set_result(reply)
+        if not future.cancelled():
+            future.set_result(reply)
+        self._feed(worker)
+
+    def _lost(self, worker: _Worker) -> None:
+        job = worker.job
+        if job is None:
+            # Died idle (or exited at shutdown): the next task respawns it.
+            worker.kill()
+            return
+        self._end_job(worker)
+        self.crashes += 1
+        self._fail(worker, job[0],
+                   WorkerCrashed("worker process died mid-task"))
+        self._feed(worker)
+
+    def _expire(self, worker: _Worker) -> None:
+        future, _, timeout, _ = worker.job
+        self._end_job(worker)
+        self.timeouts += 1
+        # Killing the worker is the only way to stop a running task.
+        self._fail(worker, future, AnalysisTimeout(
+            f"no result within {timeout:.1f}s; worker killed"
+        ))
+        self._feed(worker)
+
+    def _end_job(self, worker: _Worker) -> None:
+        worker.job = None
+        if worker.timer is not None:
+            worker.timer.cancel()
+            worker.timer = None
+
+    def _fail(self, worker: _Worker, future, error: PoolError) -> None:
+        """Kill the slot's worker and fail its task with ``error``.
+
+        A slot that keeps failing backs off before its next task (and
+        so its respawn): the delay doubles per failure beyond the burst
+        allowance, capped at 30s.  The loop and the healthy slots keep
+        running meanwhile.
+        """
+        worker.kill()
+        worker.failures += 1
+        if not future.done():
+            future.set_exception(error)
+        excess = worker.failures - self.max_respawn_burst
+        if excess >= 0 and self.respawn_cooldown > 0:
+            self.cooldowns += 1
+            worker.cooling = True
+            worker.timer = self._loop.call_later(
+                min(self.respawn_cooldown * (2.0 ** excess), 30.0),
+                self._warm, worker,
+            )
+
+    def _warm(self, worker: _Worker) -> None:
+        worker.cooling = False
+        worker.timer = None
+        self._feed(worker)
+
+    def _feed(self, worker: _Worker) -> None:
+        """Give a slot that just went idle its next queued task."""
+        queue = self._queue
+        while queue and worker.idle:
+            job = queue.popleft()
+            if not job[0].cancelled():
+                self._start(worker, job)
+        if self._drained is not None and not queue and \
+                all(w.job is None for w in self._workers):
+            if not self._drained.done():
+                self._drained.set_result(None)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            active = self._active
+        """Counters and depths; safe to read from any thread."""
         return {
             "workers": self.workers,
-            "queue_depth": self._tasks.qsize(),
+            "queue_depth": len(self._queue),
             "queue_limit": self.queue_limit,
-            "active": active,
+            "active": sum(1 for w in self._workers if w.job is not None),
             "completed": self.completed,
             "timeouts": self.timeouts,
             "crashes": self.crashes,
@@ -468,33 +543,43 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    def close(self, drain: bool = True) -> None:
+    async def close(self, drain: bool = True) -> None:
         """Shut down; with ``drain`` (default) queued tasks finish first.
 
         Without ``drain``, queued-but-unstarted tasks are cancelled;
         tasks already on a worker still run to completion (a kill here
-        would lose computed results for no latency win).
+        would lose computed results for no latency win).  Each worker
+        is then asked to exit, and killed if it has not within 2s.
         """
         if self._closed:
             return
         self._closed = True
+        loop = self._bind()
         if not drain:
-            while True:
+            while self._queue:
+                self._queue.popleft()[0].cancel()
+        if self._queue or any(w.job is not None for w in self._workers):
+            self._drained = loop.create_future()
+            await self._drained
+        for worker in self._workers:
+            if worker.timer is not None:  # a cooldown nobody waits for
+                worker.timer.cancel()
+                worker.timer = None
+            if worker.conn is not None:
                 try:
-                    item = self._tasks.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _SENTINEL:
-                    item[0].cancel()
-        for _ in self._threads:
-            # FIFO: sentinels land behind any remaining work, so each
-            # dispatcher finishes the queue before exiting.
-            self._tasks.put(_SENTINEL)
-        for thread in self._threads:
-            thread.join()
+                    worker.conn.send(None)
+                except OSError:
+                    worker.kill()
+        # Each exit closes its pipe, and the reader callback reaps it.
+        deadline = loop.time() + 2.0
+        while any(w.conn is not None for w in self._workers) and \
+                loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        for worker in self._workers:
+            worker.kill()
 
-    def __enter__(self) -> "WorkerPool":
+    async def __aenter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()

@@ -29,7 +29,10 @@ tests drive it directly.  One request flows::
 * **Cold path**: misses go to the supervised
   :class:`~repro.serve.pool.WorkerPool`, one
   :class:`~repro.serve.pool.Shard` task per request, naming its digest
-  and the store root.  The worker that computed a result writes it to
+  and the store root.  The pool runs on this service's event loop: a
+  submit writes the task to an idle worker's pipe, and the loop reads
+  the reply and resumes the waiting coroutine, with no thread between
+  them.  The worker that computed a result writes it to
   the store before replying, so the entry is on disk before the 200
   and the event loop never blocks on a store write; the reply says
   whether the write landed, which ``/v1/stats`` counts.  Queue
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import functools
 import hashlib
 import json
 import logging
@@ -209,8 +211,9 @@ Payload = Union[bytes, Dict[str, Any]]
 class AnalysisService:
     """Digest-addressed analysis serving over a store and worker pool.
 
-    All coroutine methods must run on one event loop (the server's);
-    the pool does its blocking work on its own threads and processes.
+    All coroutine methods must run on one event loop (the server's),
+    which also drives the pool's worker pipes; the analyses run in the
+    pool's processes.
     """
 
     def __init__(
@@ -433,20 +436,22 @@ class AnalysisService:
             data, error = self._validate(data)
             if error is not None:
                 return error
-        on_start = pool_future = None
+        held, on_start = False, None
         if gate is not None:
             # A batch task holds its permit only while it is queued, so
             # a worker that finishes one finds the next already waiting.
             await gate.acquire()
-            on_start = functools.partial(
-                asyncio.get_running_loop().call_soon_threadsafe,
-                gate.release,
-            )
+            held = True
+
+            def on_start() -> None:
+                nonlocal held
+                held = False
+                gate.release()
+
         try:
-            pool_future = self.pool.submit(
+            reply = await self.pool.submit(
                 Shard(data, digest, self._store_root), on_start=on_start
             )
-            reply = await asyncio.wrap_future(pool_future)
         except QueueFull as exc:
             self.counters.rejected += 1
             return ServeOutcome(
@@ -473,8 +478,7 @@ class AnalysisService:
                 digest,
             )
         finally:
-            if gate is not None and (pool_future is None
-                                     or pool_future.cancelled()):
+            if held:
                 gate.release()  # never started, so on_start never ran
         return self._absorb(digest, reply)
 
@@ -668,14 +672,10 @@ class AnalysisService:
                 *list(self._inflight.values()),
                 return_exceptions=True,
             )
-        # The pool join blocks (thread joins); keep the loop breathing.
-        await asyncio.get_running_loop().run_in_executor(
-            None, lambda: self.pool.close(drain)
-        )
+        await self.pool.close(drain)
 
     def _log(self, outcome: ServeOutcome, started: float) -> None:
-        # pool.stats() takes the lock the dispatcher threads take too:
-        # build the line only when it is written.
+        # Build the line only when it is written.
         if not logger.isEnabledFor(logging.INFO):
             return
         logger.info(

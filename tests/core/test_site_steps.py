@@ -161,6 +161,17 @@ class TestVariantCache:
         assert "tick()" in source and "counters." not in source
         assert "$" not in source and "@" not in source
 
+    def test_stale_or_missing_flags_raise_naming_them(self):
+        from repro.core import analysis as analysis_mod
+
+        flags = dict(escalates=True, compensating=False, profile=False,
+                     guarded=False)
+        with pytest.raises(TypeError, match=r"unknown \['hw'\]"):
+            analysis_mod._site_step_factory(2, hw=True, **flags)
+        del flags["guarded"]
+        with pytest.raises(TypeError, match=r"missing \['guarded'\]"):
+            analysis_mod._site_step_factory(2, **flags)
+
 
 FMA_PROGRAM = "(FPCore (x y z) (- (fma x y z) (* x y)))"
 

@@ -460,6 +460,39 @@ class TestBatch:
         assert (envelope["count"], envelope["errors"]) == (6, 0)
         assert counters.rejected == 0 and counters.computed == 6
 
+    def test_cancelled_batch_returns_each_permit_once(self,
+                                                      selective_worker):
+        # The batch is cancelled while its first entry runs: that entry
+        # returned its permit when it started, the queued entry returns
+        # its own when cancelled, so the gate ends where it began.
+        slow = _request(CLEAN.replace('"ok"', '"slowpoke"'))
+        rest = [_request(CLEAN, seed=200 + i) for i in range(3)]
+
+        async def scenario():
+            service = AnalysisService(
+                pool=WorkerPool(workers=1, worker_main=selective_worker),
+            )
+            try:
+                batch = asyncio.ensure_future(service.analyze_batch_payload(
+                    {"requests": [slow.to_dict()]
+                     + [r.to_dict() for r in rest]}
+                ))
+                await asyncio.sleep(0.2)
+                batch.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await batch
+                permits = service._batch_gate._value
+                again = await service.analyze_batch_payload(
+                    {"requests": [r.to_dict() for r in rest]}
+                )
+                return permits, again, service._batch_gate._value
+            finally:
+                await service.close()
+
+        permits, again, after = asyncio.run(scenario())
+        assert permits == after == 1
+        assert json.loads(again.body)["errors"] == 0
+
 
 class TestParseFreeHits:
     """A program the process has seen is never parsed again."""
