@@ -55,7 +55,6 @@ from repro.bigfloat.backend import (
 from repro.bigfloat.policy import (
     AdaptivePrecisionPolicy,
     EXACT,
-    FixedPrecisionPolicy,
     PrecisionPolicy,
     UNTRUSTED,
     available_policies,
@@ -77,7 +76,6 @@ __all__ = [
     "DD_KERNELS",
     "DoubleDouble",
     "EXACT",
-    "FixedPrecisionPolicy",
     "PrecisionPolicy",
     "UNTRUSTED",
     "available_policies",

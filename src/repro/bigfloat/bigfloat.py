@@ -315,6 +315,12 @@ class BigFloat:
     def __float__(self) -> float:
         return self.to_float()
 
+    def to_bigfloat(self) -> "BigFloat":
+        """The value itself: the exact promotion that BigFloat and
+        :class:`~repro.bigfloat.doubledouble.DoubleDouble` shadow reals
+        share."""
+        return self
+
     def to_fraction(self) -> Fraction:
         """The exact rational value (finite values only)."""
         if self.kind != K_FINITE:

@@ -340,7 +340,7 @@ def fits_precision(hi: float, lo: float, precision: int) -> bool:
     ``msb(hi)`` down to at worst ``msb(lo) - 52``.
     """
     if lo == 0.0:
-        return precision >= 53
+        return hi == 0.0 or precision >= 53
     span = math.frexp(hi)[1] - math.frexp(lo)[1] + 53
     return span <= precision
 

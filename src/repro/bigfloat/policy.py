@@ -11,33 +11,54 @@ precision-sensitive.
 
 Two policies ship:
 
-* :class:`FixedPrecisionPolicy` (``"fixed"``) — the paper's behaviour:
+* :class:`PrecisionPolicy` (``"fixed"``) — the paper's behaviour:
   one tier, no escalation, no bookkeeping.
 * :class:`AdaptivePrecisionPolicy` (``"adaptive"``) — shadow values are
   computed as double-double pairs (:mod:`repro.bigfloat.doubledouble`)
   where the pair kernels cover the operation, and at
   ``working_precision`` (144 bits by default) otherwise, and carry a
   *drift* bound: the accumulated error in ulps of the working tier,
-  maintained by running error analysis (rounding adds one ulp;
-  cancellation and ill-conditioned operations amplify by their
-  condition exponent).  A decision escalates when its outcome could
-  change within the drift band plus :data:`GUARD_BITS` of slack:
+  maintained by running error analysis (each operation adds its own
+  rounding charge; cancellation and ill-conditioned operations amplify
+  the arguments' drifts by their condition exponent).  A decision
+  escalates when its outcome could change within the drift band plus
+  :data:`GUARD_BITS` of slack:
 
-  - **rounding** (:meth:`rounding_unsafe`) — the value lies within the
-    guarded band of a round-to-double tie, so ``to_float`` of the
-    working value cannot be certified;
-  - **comparison** (:meth:`comparison_unsafe`) — two reals are equal or
-    closer than their combined guarded bands, so predicate and
-    compensation-equality decisions could flip;
-  - **integer boundary** (:meth:`integer_unsafe`) — the value lies
-    within the guarded band of an integer, so truncation could flip.
+  - **rounding** (:meth:`~AdaptivePrecisionPolicy.rounding_unsafe`) —
+    the value lies within the guarded band of a round-to-target tie,
+    so ``to_float`` of the working value cannot be certified;
+  - **comparison** (:meth:`~AdaptivePrecisionPolicy.comparison_unsafe`)
+    — two reals are equal or closer than their combined guarded
+    bands, so predicate and compensation-equality decisions could
+    flip;
+  - **integer boundary** (:meth:`~AdaptivePrecisionPolicy.integer_unsafe`)
+    — the value lies within the guarded band of an integer, so
+    truncation could flip.
 
   Catastrophic cancellation does not get a separate trigger: it enters
   the drift bound directly (the ``msb(arg) - msb(result)`` term of
-  :meth:`propagate`), widening the band until the checks above fire.
-  Likewise the "local error near the threshold Tℓ" trigger is subsumed:
-  local error is computed from escalation-checked doubles, so the
-  threshold comparison is already exact.
+  :meth:`~AdaptivePrecisionPolicy.propagate`), widening the band until
+  the checks above fire.  Likewise the "local error near the threshold
+  Tℓ" trigger is subsumed: local error is computed from
+  escalation-checked doubles, so the threshold comparison is already
+  exact.
+
+Each rule — the drift propagation and the three checks — is written
+once, for both shadow representations.  The amplification, the trust
+limit, the guard band and the sign-certainty logic read kind, zero and
+``msb_exponent``, which ``BigFloat`` and ``DoubleDouble`` share, and
+the three facts on which the representations differ through per-type
+accessors (:data:`_CHARGE`, :data:`_TIE_EXPONENT`,
+:func:`_difference_msb`):
+
+- the operation's own rounding charge: a BigFloat result is rounded
+  at the working tier unless it is provably exact, while a pair result
+  carries its kernel's proven error-free flag or its relative bound;
+- the distance to the nearest round-to-target tie: exact integer
+  arithmetic on a BigFloat mantissa, a float-only lattice computation
+  on a pair;
+- the msb of a difference: a working-tier subtraction, or a pair
+  subtraction when both operands are pairs.
 
 Escalation itself — recomputing a value exactly at the full tier — is
 the analysis layer's job (:class:`repro.core.shadow.ShadowEscalator`
@@ -54,7 +75,7 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.bigfloat import arith
-from repro.bigfloat.bigfloat import BigFloat, K_FINITE as _K_FINITE
+from repro.bigfloat.bigfloat import BigFloat
 from repro.bigfloat.context import Context
 from repro.bigfloat.doubledouble import (
     DD_REL_ERR_LOG2,
@@ -103,14 +124,20 @@ _LOG_FAMILY = frozenset({"log", "log2", "log10"})
 #: like a power of 1/(1 - |x|).
 _UNIT_SINGULAR = frozenset({"asin", "acos", "atanh"})
 
+#: Ops without a rounding charge: sign ops and rounding to an integer
+#: pass one argument's drift through unless a discrete decision (a sign
+#: source, an integer boundary) is uncertain, and fmod/remainder hinge
+#: on their implicit quotient.
+_DISCRETE = frozenset({"neg", "fabs", "copysign", "trunc", "floor",
+                       "ceil", "round", "nearbyint", "fmod", "remainder"})
+
 
 class PrecisionPolicy:
-    """Fixed-tier base policy: one precision, nothing ever escalates.
+    """The fixed policy (``"fixed"``), the paper's behaviour and the
+    default: one shadow precision, and nothing ever escalates.
 
-    Subclasses override the three ``*_unsafe`` checks and
-    :meth:`propagate` to implement adaptive tiers.  The base class is
-    deliberately a complete, working policy — it is the paper's fixed
-    1000-bit behaviour and the default.
+    :class:`AdaptivePrecisionPolicy` overrides :meth:`propagate` and the
+    checks below with its drift rules.
     """
 
     name = "fixed"
@@ -143,7 +170,8 @@ class PrecisionPolicy:
         self.stats[reason] = self.stats.get(reason, 0) + 1
 
     def propagate(self, op: str, args: Sequence[BigFloat],
-                  drifts: Sequence[float], result: BigFloat) -> float:
+                  drifts: Sequence[float], result: BigFloat,
+                  exact_op: bool) -> float:
         """Drift bound of ``result = op(args)`` given the args' drifts."""
         return EXACT
 
@@ -168,14 +196,13 @@ class PrecisionPolicy:
         return False
 
 
-class FixedPrecisionPolicy(PrecisionPolicy):
-    """The paper's behaviour: one fixed shadow precision."""
-
-    name = "fixed"
-
-
 class AdaptivePrecisionPolicy(PrecisionPolicy):
-    """Low working tier with guarded escalation to the full tier."""
+    """Low working tier with guarded escalation to the full tier.
+
+    Shadow reals are BigFloats at the working tier or double-double
+    pairs; every rule below takes either (see the module docstring for
+    the per-type accessors it reads).
+    """
 
     name = "adaptive"
     escalates = True
@@ -214,19 +241,23 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         """Condition exponent: bits by which ``op`` amplifies the ulp
         error of argument ``index`` into ulps of the result (None when
         unbounded)."""
+        if op in _WELL_CONDITIONED:
+            return 1
+        if op in ("fmin", "fmax"):
+            return 0
         arg = args[index]
         out_msb = result.msb_exponent
-        arg_msb = arg.msb_exponent
         if op in ("+", "-", "fdim", "fma"):
             # Absolute errors add; converting arg-ulps to result-ulps
             # shifts by exactly the exponent drop (the ulp ratio) — this
             # is the catastrophic-cancellation amplification.
             if op == "fma" and index < 2:
-                product_msb = args[0].msb_exponent + args[1].msb_exponent
-                return product_msb - out_msb + 1
-            return arg_msb - out_msb
-        if op in ("fmin", "fmax"):
-            return 0
+                x, y = args[0], args[1]
+                if x.is_zero() or y.is_zero():
+                    return None
+                return x.msb_exponent + y.msb_exponent - out_msb + 1
+            return arg.msb_exponent - out_msb
+        arg_msb = arg.msb_exponent
         if op in _EXP_FAMILY:
             return max(0, arg_msb) + 2
         if op in _LOG_FAMILY:
@@ -255,118 +286,135 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
             if not x.is_zero():
                 lnx_bits = max(0, abs(x.msb_exponent).bit_length())
             return y_bits + lnx_bits + 2
-        if op in _WELL_CONDITIONED:
-            return 1
         # Unknown operation: a generous constant; anything genuinely
         # ill-conditioned also shrinks/grows msb and is caught above.
         return 4
 
     def propagate(self, op: str, args: Sequence[BigFloat],
-                  drifts: Sequence[float], result: BigFloat) -> float:
-        if type(result) is DoubleDouble:
-            # Hardware-tier results normally arrive via propagate_hw
-            # (the kernel knows whether it was error-free); reaching
-            # this generic entry point means the caller lost that flag,
-            # so charge the op as rounded.
-            return self.propagate_hw(op, args, drifts, result, False)
-        if (op == "+" or op == "-" or op == "*" or op == "/") \
-                and result.kind == _K_FINITE and result.man != 0:
-            # Inlined fast path for the four binary arithmetic ops —
-            # the bulk of every workload; equivalent to the generic
-            # code below.
-            d0, d1 = drifts
-            if d0 == EXACT and d1 == EXACT:
-                return EXACT if self._is_exact_operation(op, args) \
-                    else 1.0
-            if d0 < self._ulps_limit and d1 < self._ulps_limit:
-                additive = op == "+" or op == "-"
-                if additive:
-                    out_msb = result.exp + result.man.bit_length() - 1
-                total = 1.0
-                try:
-                    for drift, arg in ((d0, args[0]), (d1, args[1])):
-                        if drift == EXACT:
-                            continue
-                        if arg.kind != _K_FINITE or arg.man == 0:
-                            return UNTRUSTED
-                        if additive:
-                            amp = arg.exp + arg.man.bit_length() - 1 \
-                                - out_msb
-                        else:
-                            amp = 1
-                        total += math.ldexp(drift, amp)
-                except OverflowError:
-                    return UNTRUSTED
-                return total if total < self._ulps_limit else UNTRUSTED
-            return UNTRUSTED
-        exact_in = all(d == EXACT for d in drifts)
-        if op in ("neg", "fabs"):
-            return drifts[0]
-        if op == "copysign":
-            # The magnitude's drift passes through, but only when the
-            # sign operand's sign is certain: a drifted sign source
-            # whose band reaches zero could flip the result wholesale.
-            sign_drift = drifts[1]
-            if sign_drift == EXACT:
+                  drifts: Sequence[float], result: BigFloat,
+                  exact_op: bool) -> float:
+        """Drift bound of ``result = op(args)`` given the args' drifts.
+
+        ``args`` and ``result`` are all BigFloats or all pairs.
+        ``exact_op`` is the pair kernel's proven error-free flag, which
+        every pair result must pass; a BigFloat result's own rounding
+        is decided from its operands, and its flag is ignored.
+        """
+        limit = self._ulps_limit
+        if op in _DISCRETE:
+            if op == "neg" or op == "fabs":
                 return drifts[0]
-            sign = args[1]
-            if (
-                sign.is_finite() and not sign.is_zero()
-                and sign_drift < self._ulps_limit
-                and math.frexp(sign_drift)[1] + GUARD_BITS
-                < self.working_context.precision - 1
-            ):
-                return drifts[0]
-            return UNTRUSTED
-        if op in ("trunc", "floor", "ceil", "round", "nearbyint"):
+            if op == "copysign":
+                # The magnitude's drift passes through, but only when
+                # the sign operand's sign is certain: a drifted sign
+                # source whose band reaches zero could flip the result
+                # wholesale.
+                sign_drift = drifts[1]
+                if sign_drift == EXACT:
+                    return drifts[0]
+                sign = args[1]
+                if (
+                    sign.is_finite() and not sign.is_zero()
+                    and sign_drift < limit
+                    and math.frexp(sign_drift)[1] + GUARD_BITS
+                    < self.working_context.precision - 1
+                ):
+                    return drifts[0]
+                return UNTRUSTED
+            if op == "fmod" or op == "remainder":
+                # The implicit quotient is a discrete decision: safe
+                # only when the operands are exact.
+                return 1.0 if drifts[0] == EXACT and drifts[1] == EXACT \
+                    else UNTRUSTED
             if drifts[0] == EXACT:
                 return EXACT
             if self.integer_unsafe(args[0], drifts[0]):
                 return UNTRUSTED
             return drifts[0]
-        if op in ("fmod", "remainder"):
-            # The implicit quotient is a discrete decision: safe only
-            # when the operands are exact.
-            return 1.0 if exact_in else UNTRUSTED
-        if exact_in and result.is_finite() and not result.is_zero():
-            # Exact operands: only this operation's own rounding counts.
-            if self._is_exact_operation(op, args):
+        exact_in = True
+        for drift in drifts:
+            if drift != EXACT:
+                exact_in = False
+                break
+        charge = _CHARGE[type(result)](self, op, args, result, exact_in,
+                                       exact_op)
+        if result.is_zero() or not result.is_finite():
+            if exact_in and charge == EXACT:
                 return EXACT
-            return 1.0
-        if not result.is_finite() or result.is_zero():
-            if exact_in:
-                return EXACT
-            if result.is_zero() and op == "*" and any(
-                a.is_zero() and d == EXACT for a, d in zip(args, drifts)
-            ):
-                return EXACT  # an exact zero factor forces a true zero
-            if result.is_zero() and op == "/" and args[0].is_zero() \
-                    and drifts[0] == EXACT:
-                return EXACT
+            if result.is_zero():
+                if op == "*" and any(
+                    a.is_zero() and d == EXACT for a, d in zip(args, drifts)
+                ):
+                    return EXACT  # an exact zero factor forces a true zero
+                if op == "/" and args[0].is_zero() and drifts[0] == EXACT:
+                    return EXACT
             # A zero/NaN/inf summoned from inexact operands: the working
             # tier cannot bound how far the true value is.
             return UNTRUSTED
-        # Error in ulps of the result: faithful rounding contributes at
-        # most one ulp; each inexact argument contributes its own band
-        # scaled by the operation's condition exponent.
-        total = 1.0
-        for index, (arg, drift) in enumerate(zip(args, drifts)):
-            if drift == EXACT:
-                continue
-            if drift >= self._ulps_limit:
-                return UNTRUSTED
-            if arg.is_zero() or not arg.is_finite():
-                return UNTRUSTED
-            amp = self._amplification(op, index, args, result)
-            if amp is None:
-                return UNTRUSTED
-            try:
-                total += math.ldexp(drift, amp)
-            except OverflowError:
-                return UNTRUSTED
-        if total >= self._ulps_limit:
-            return UNTRUSTED
-        return total
+        # Error in ulps of the result: the op's own rounding plus each
+        # inexact argument's band scaled by the op's condition exponent.
+        total = charge
+        if not exact_in:
+            for index, drift in enumerate(drifts):
+                if drift == EXACT:
+                    continue
+                arg = args[index]
+                if drift >= limit or arg.is_zero() or not arg.is_finite():
+                    return UNTRUSTED
+                # The well-conditioned ops (``*`` and ``/`` above all)
+                # skip the call.
+                amp = 1 if op in _WELL_CONDITIONED \
+                    else self._amplification(op, index, args, result)
+                if amp is None:
+                    return UNTRUSTED
+                try:
+                    total += math.ldexp(drift, amp)
+                except OverflowError:
+                    return UNTRUSTED
+        return total if total < limit else UNTRUSTED
+
+    # -- the op's own rounding charge, per result type -------------------
+
+    def _working_charge(self, op: str, args: Sequence[BigFloat],
+                        result: BigFloat, exact_in: bool,
+                        exact_op: bool) -> float:
+        """A BigFloat result's own charge: none when exact operands give
+        a zero or special result or a provably exact operation, one
+        working ulp (faithful rounding) otherwise."""
+        if not exact_in:
+            return 1.0
+        if result.is_zero() or not result.is_finite():
+            return EXACT
+        return EXACT if self._is_exact_operation(op, args) else 1.0
+
+    def _pair_charge(self, op: str, args: Sequence[DoubleDouble],
+                     result: DoubleDouble, exact_in: bool,
+                     exact_op: bool) -> float:
+        """A pair result's own charge: none when the kernel proved the op
+        error-free, the kernels' relative bound otherwise."""
+        if exact_op:
+            if exact_in and not fits_precision(
+                result.hi, result.lo, self.full_context.precision
+            ):
+                # Exactly computed, but wider than the full tier: the
+                # oracle would round where we did not.  The gap is at
+                # most half a full-tier ulp — under half a working ulp.
+                return 1.0
+            return EXACT
+        charge = self._hw_op_ulps
+        if op == "fma":
+            x, y = args[0], args[1]
+            if not (result.is_zero() or x.is_zero() or y.is_zero()):
+                # The product stage's rounding is committed before the
+                # addition and amplified by any cancellation in it.
+                try:
+                    charge += math.ldexp(charge, max(
+                        0, x.msb_exponent + y.msb_exponent
+                        - result.msb_exponent + 1
+                    ))
+                except OverflowError:
+                    return UNTRUSTED
+        return charge
 
     def _is_exact_operation(self, op: str,
                             args: Sequence[BigFloat]) -> bool:
@@ -396,249 +444,43 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         return a.man.bit_length() + b.man.bit_length() <= precision
 
     # ------------------------------------------------------------------
-    # Hardware (double-double) tier
-    # ------------------------------------------------------------------
-
-    def propagate_hw(self, op: str, args: Sequence[DoubleDouble],
-                     drifts: Sequence[float], result: DoubleDouble,
-                     exact_op: bool) -> float:
-        """Drift bound for a hardware-tier result.
-
-        ``exact_op`` is the kernel's proven error-free flag; when set,
-        the operation itself contributes nothing and only the amplified
-        argument drifts remain.  Drift stays in working-tier ulps so
-        hardware and working values share one band algebra.
-        """
-        if op == "neg" or op == "fabs":
-            return drifts[0]
-        if op not in ("+", "-", "*", "/", "sqrt", "fma"):
-            # No proven bound for anything else at this tier.
-            return UNTRUSTED
-        if result.hi == 0.0:
-            if exact_op and all(d == EXACT for d in drifts):
-                return EXACT
-            if op == "*" and any(
-                a.is_zero() and d == EXACT for a, d in zip(args, drifts)
-            ):
-                return EXACT  # an exact zero factor forces a true zero
-            if op == "/" and args[0].is_zero() and drifts[0] == EXACT:
-                return EXACT
-            return UNTRUSTED
-        all_exact = True
-        for d in drifts:
-            if d != EXACT:
-                all_exact = False
-                break
-        if all_exact:
-            if exact_op:
-                if fits_precision(result.hi, result.lo,
-                                  self.full_context.precision):
-                    return EXACT
-                # Exactly computed, but wider than the full tier: the
-                # oracle would round where we did not.  The gap is at
-                # most half a full-tier ulp — under half a working ulp.
-                return 1.0
-            if op != "fma":
-                # Fresh rounding only; the per-op charge is far below
-                # the trust limit by construction.
-                return self._hw_op_ulps
-        limit = self._ulps_limit
-        total = EXACT if exact_op else self._hw_op_ulps
-        if op == "*" or op == "/" or op == "sqrt":
-            # Relative amplification is a fixed factor of two; no
-            # magnitudes needed (exact doubling, overflow saturates).
-            for arg, drift in zip(args, drifts):
-                if drift == EXACT:
-                    continue
-                if drift >= limit or arg.is_zero():
-                    return UNTRUSTED
-                total += drift + drift
-            return total if total < limit else UNTRUSTED
-        out_msb = result.msb_exponent
-        if op == "fma":
-            if args[0].is_zero() or args[1].is_zero():
-                product_msb = None
-            else:
-                product_msb = (args[0].msb_exponent
-                               + args[1].msb_exponent)
-            if not exact_op and product_msb is not None:
-                # The product stage's rounding is committed before the
-                # addition and amplified by any cancellation in it.
-                try:
-                    total += math.ldexp(
-                        self._hw_op_ulps,
-                        max(0, product_msb - out_msb + 1),
-                    )
-                except OverflowError:
-                    return UNTRUSTED
-        for index, (arg, drift) in enumerate(zip(args, drifts)):
-            if drift == EXACT:
-                continue
-            if drift >= self._ulps_limit:
-                return UNTRUSTED
-            if arg.is_zero():
-                return UNTRUSTED
-            if op == "+" or op == "-":
-                amp = arg.msb_exponent - out_msb
-            elif op == "fma":
-                if index < 2:
-                    if product_msb is None:
-                        return UNTRUSTED
-                    amp = product_msb - out_msb + 1
-                else:
-                    amp = arg.msb_exponent - out_msb
-            else:
-                amp = 1
-            try:
-                total += math.ldexp(drift, amp)
-            except OverflowError:
-                return UNTRUSTED
-        if total >= self._ulps_limit:
-            return UNTRUSTED
-        return total
-
-    def _hw_rounding_unsafe(self, value: DoubleDouble, drift: float,
-                            mant_bits: int, emin: int) -> bool:
-        if drift == EXACT:
-            return False
-        if drift >= self._ulps_limit:
-            return True
-        if value.hi == 0.0:
-            return True  # a drifted zero is never certifiable
-        if mant_bits != 53 or emin != -1022:
-            # Narrower targets put the ties on a lattice the hardware
-            # pair does not expose cheaply; decide exactly instead.
-            return self.rounding_unsafe(value.to_bigfloat(), drift,
-                                        mant_bits, emin)
-        mantissa, exponent = math.frexp(value.hi)
-        if exponent - 1 < emin:
-            return True  # subnormal target lattice: always confirm
-        # hi sits on the binary64 lattice, so the nearest round-to-
-        # double ties sit half an ulp above and below it (a quarter ulp
-        # below at a binade edge), and lo is the value's exact offset.
-        half_ulp = math.ldexp(1.0, exponent - 54)
-        if value.hi < 0.0:
-            offset = -value.lo
-        else:
-            offset = value.lo
-        up_gap = half_ulp - offset
-        down_gap = offset + (
-            math.ldexp(1.0, exponent - 55) if abs(mantissa) == 0.5
-            else half_ulp
-        )
-        distance = up_gap if up_gap < down_gap else down_gap
-        if distance <= 0.0:
-            return True
-        # value.msb_exponent, reusing the frexp above: hi overshoots
-        # the value's binade only when it rounded up to a power of two.
-        msb = exponent - 1
-        if value.lo != 0.0 and abs(mantissa) == 0.5 and \
-                (value.hi > 0.0) == (value.lo < 0.0):
-            msb = exponent - 2
-        band = (msb - self.working_context.precision + 1
-                + math.frexp(drift)[1] + GUARD_BITS)
-        try:
-            # One extra doubling absorbs the float rounding in the gap
-            # arithmetic above.
-            return math.ldexp(1.0, band + 1) >= distance
-        except OverflowError:
-            return True
-
-    def _hw_comparison_unsafe(self, a, drift_a: float,
-                              b, drift_b: float) -> bool:
-        if drift_a >= self._ulps_limit or drift_b >= self._ulps_limit:
-            return True
-        precision = self.working_context.precision
-        slack = None
-        for value, drift in ((a, drift_a), (b, drift_b)):
-            if drift == EXACT:
-                continue
-            if value.is_zero():
-                return True
-            band = value.msb_exponent - precision + 1 + math.frexp(drift)[1]
-            if slack is None or band > slack:
-                slack = band
-        if type(a) is DoubleDouble and type(b) is DoubleDouble:
-            diff = dd_sub(a.hi, a.lo, b.hi, b.lo)
-            if diff is None or diff[0] == 0.0:
-                return True
-            diff_msb = DoubleDouble(diff[0], diff[1]).msb_exponent
-        else:
-            big_a = a.to_bigfloat() if type(a) is DoubleDouble else a
-            big_b = b.to_bigfloat() if type(b) is DoubleDouble else b
-            if not big_a.is_finite() or not big_b.is_finite():
-                return True
-            difference = arith.sub(big_a, big_b, self.working_context)
-            if difference.is_zero():
-                return True
-            diff_msb = difference.msb_exponent
-        return diff_msb <= slack + GUARD_BITS
-
-    # ------------------------------------------------------------------
     # Escalation checks
     # ------------------------------------------------------------------
 
+    def _band(self, value: BigFloat, drift: float) -> int:
+        """log2 of a drifted value's error band (frexp's exponent is
+        ceil(log2) for positive floats)."""
+        return value.msb_exponent - self.working_context.precision + 1 \
+            + math.frexp(drift)[1]
+
     def rounding_unsafe(self, value: BigFloat, drift: float,
                         mant_bits: int = 53, emin: int = -1022) -> bool:
-        if type(value) is DoubleDouble:
-            return self._hw_rounding_unsafe(value, drift, mant_bits, emin)
         if drift == EXACT:
             return False
         if drift >= self._ulps_limit:
             return True
-        if not value.is_finite() or value.is_zero():
-            # Drifted specials/zeros were flagged UNTRUSTED upstream,
-            # but be defensive: the working tier cannot certify them.
-            return True
-        precision = self.working_context.precision
-        msb = value.msb_exponent
-        # log2 of the guarded error band around the working value
-        # (frexp's exponent is ceil(log2) for positive floats).
-        slack = msb - precision + 1 + math.frexp(drift)[1] + GUARD_BITS
-        length = value.man.bit_length()
-        tiny_exp = emin - mant_bits + 1
-        p_target = mant_bits if msb >= emin else msb - tiny_exp + 1
-        if p_target < 2:
-            # At/below the smallest subnormals every decision is a tie
-            # decision; these are vanishingly rare — always confirm.
-            return True
-        shift = length - p_target
-        if shift <= 0:
-            # Already on the target lattice: the nearest tie is half a
-            # target ulp away.
-            return slack >= msb - p_target
-        half = 1 << (shift - 1)
-        rem = value.man & ((1 << shift) - 1)
-        distance = rem - half if rem >= half else half - rem
-        if distance == 0:
-            return True  # exactly on a tie: parity could flip either way
-        distance_exp = value.exp + distance.bit_length() - 1
-        return slack >= distance_exp
+        tie = _TIE_EXPONENT[type(value)](value, mant_bits, emin)
+        return tie is None or self._band(value, drift) + GUARD_BITS >= tie
 
     def comparison_unsafe(self, a: BigFloat, drift_a: float,
                           b: BigFloat, drift_b: float) -> bool:
         if drift_a == EXACT and drift_b == EXACT:
             return False
-        if type(a) is DoubleDouble or type(b) is DoubleDouble:
-            return self._hw_comparison_unsafe(a, drift_a, b, drift_b)
         if drift_a >= self._ulps_limit or drift_b >= self._ulps_limit:
             return True
         if not a.is_finite() or not b.is_finite():
             return True  # a drifted special: kind itself is uncertain
-        precision = self.working_context.precision
         slack = None
         for value, drift in ((a, drift_a), (b, drift_b)):
             if drift == EXACT:
                 continue
             if value.is_zero():
                 return True
-            band = value.msb_exponent - precision + 1 + math.frexp(drift)[1]
+            band = self._band(value, drift)
             if slack is None or band > slack:
                 slack = band
-        difference = arith.sub(a, b, self.working_context)
-        if difference.is_zero():
-            return True
-        return difference.msb_exponent <= slack + GUARD_BITS
+        diff_msb = _difference_msb(a, b, self.working_context)
+        return diff_msb is None or diff_msb <= slack + GUARD_BITS
 
     def addition_passthrough(self, candidate: BigFloat, drift_c: float,
                              other: BigFloat,
@@ -672,18 +514,13 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
     def integer_unsafe(self, value: BigFloat, drift: float) -> bool:
         if drift == EXACT:
             return False
-        if type(value) is DoubleDouble:
-            # Integer-boundary checks are rare; decide on the exact
-            # BigFloat promotion rather than duplicating the lattice
-            # walk on component pairs.
-            return self.integer_unsafe(value.to_bigfloat(), drift)
         if drift >= self._ulps_limit:
             return True
-        if not value.is_finite() or value.is_zero():
+        if value.is_zero() or not value.is_finite():
             return True
-        precision = self.working_context.precision
-        slack = value.msb_exponent - precision + 1 \
-            + math.frexp(drift)[1] + GUARD_BITS
+        # Integer-boundary checks are rare: a pair decides on its exact
+        # BigFloat promotion rather than walking the lattice itself.
+        value = value.to_bigfloat()
         if value.exp >= 0:
             # Integral at the working tier, inexact overall: the true
             # value sits within the band of an integer boundary.
@@ -692,31 +529,117 @@ class AdaptivePrecisionPolicy(PrecisionPolicy):
         delta = arith.sub(value, nearest, self.working_context)
         if delta.is_zero():
             return True
-        return delta.msb_exponent <= slack
+        return delta.msb_exponent <= self._band(value, drift) + GUARD_BITS
+
+
+# ----------------------------------------------------------------------
+# Per-type accessors of the rules
+# ----------------------------------------------------------------------
+
+def _working_tie_exponent(value: BigFloat, mant_bits: int,
+                          emin: int) -> Optional[int]:
+    """floor(log2) of a BigFloat's distance to the nearest tie of the
+    target format, or None when no band is narrow enough: on a tie, at
+    or below the smallest subnormals, where every decision is a tie
+    decision, and on a zero or special value, which the working tier
+    cannot certify once drifted (all vanishingly rare — always
+    confirm)."""
+    if value.is_zero() or not value.is_finite():
+        return None
+    msb = value.msb_exponent
+    tiny_exp = emin - mant_bits + 1
+    p_target = mant_bits if msb >= emin else msb - tiny_exp + 1
+    if p_target < 2:
+        return None
+    shift = value.man.bit_length() - p_target
+    if shift <= 0:
+        # Already on the target lattice: the nearest tie is half a
+        # target ulp away.
+        return msb - p_target
+    half = 1 << (shift - 1)
+    rem = value.man & ((1 << shift) - 1)
+    distance = rem - half if rem >= half else half - rem
+    if distance == 0:
+        return None  # exactly on a tie: parity could flip either way
+    return value.exp + distance.bit_length() - 1
+
+
+def _pair_tie_exponent(value: DoubleDouble, mant_bits: int,
+                       emin: int) -> Optional[int]:
+    """The pair's tie distance in the same terms, from its components:
+    no BigFloat promotion on the binary64 target."""
+    if value.hi == 0.0:
+        return None
+    if mant_bits != 53 or emin != -1022:
+        # Narrower targets put the ties on a lattice the hardware
+        # pair does not expose cheaply; decide exactly instead.
+        return _working_tie_exponent(value.to_bigfloat(), mant_bits, emin)
+    mantissa, exponent = math.frexp(value.hi)
+    if exponent - 1 < emin:
+        return None  # subnormal target lattice: always confirm
+    # hi sits on the binary64 lattice, so the nearest round-to-double
+    # ties sit half an ulp above and below it (a quarter ulp below at a
+    # binade edge), and lo is the value's exact offset.
+    half_ulp = math.ldexp(1.0, exponent - 54)
+    offset = -value.lo if value.hi < 0.0 else value.lo
+    up_gap = half_ulp - offset
+    down_gap = offset + (
+        math.ldexp(1.0, exponent - 55) if abs(mantissa) == 0.5
+        else half_ulp
+    )
+    distance = up_gap if up_gap < down_gap else down_gap
+    if distance <= 0.0:
+        return None
+    # ceil(log2(distance)) - 1: one doubling above floor(log2) absorbs
+    # the float rounding in the gap arithmetic above.
+    mantissa, exponent = math.frexp(distance)
+    return exponent - 2 if mantissa == 0.5 else exponent - 1
+
+
+def _difference_msb(a: BigFloat, b: BigFloat,
+                    context: Context) -> Optional[int]:
+    """msb of ``a - b``, or None when the difference is zero (or, for
+    two pairs, outside the pair kernel's range)."""
+    if type(a) is type(b) is DoubleDouble:
+        diff = dd_sub(a.hi, a.lo, b.hi, b.lo)
+        if diff is None or diff[0] == 0.0:
+            return None
+        return DoubleDouble(diff[0], diff[1]).msb_exponent
+    difference = arith.sub(a.to_bigfloat(), b.to_bigfloat(), context)
+    if difference.is_zero():
+        return None
+    return difference.msb_exponent
+
+
+#: The op's own rounding charge, by result type.
+_CHARGE = {
+    BigFloat: AdaptivePrecisionPolicy._working_charge,
+    DoubleDouble: AdaptivePrecisionPolicy._pair_charge,
+}
+
+#: The distance to the nearest round-to-target tie, by value type.
+_TIE_EXPONENT = {
+    BigFloat: _working_tie_exponent,
+    DoubleDouble: _pair_tie_exponent,
+}
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
-_POLICIES: Dict[str, type] = {
-    FixedPrecisionPolicy.name: FixedPrecisionPolicy,
-    AdaptivePrecisionPolicy.name: AdaptivePrecisionPolicy,
-}
-
-
 def available_policies() -> List[str]:
-    return sorted(_POLICIES)
+    return sorted((PrecisionPolicy.name, AdaptivePrecisionPolicy.name))
 
 
 def make_policy(name: str, full_precision: int,
                 working_precision: int = 144) -> PrecisionPolicy:
     """Instantiate the policy named ``name``."""
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        known = ", ".join(available_policies())
-        raise KeyError(f"unknown precision policy {name!r} (known: {known})")
-    if cls is FixedPrecisionPolicy:
-        return cls(full_precision)
-    return cls(full_precision, working_precision=working_precision)
+    if name == AdaptivePrecisionPolicy.name:
+        return AdaptivePrecisionPolicy(
+            full_precision, working_precision=working_precision
+        )
+    if name == PrecisionPolicy.name:
+        return PrecisionPolicy(full_precision)
+    known = ", ".join(available_policies())
+    raise KeyError(f"unknown precision policy {name!r} (known: {known})")

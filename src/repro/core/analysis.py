@@ -621,14 +621,10 @@ class HerbgrindAnalysis(Tracer):
             # every tier; without this the working tier must treat the
             # cancelled zero as untrusted.
             drift = EXACT
-        elif type(real_result) is DoubleDouble:
-            drift = self.policy.propagate_hw(
-                op, real_args, [s.drift for s in shadows], real_result,
-                exact_op,
-            )
         else:
             drift = self.policy.propagate(
-                op, real_args, [s.drift for s in shadows], real_result
+                op, real_args, [s.drift for s in shadows], real_result,
+                exact_op,
             )
         result_shadow = ShadowValue(real_result, node, EMPTY_INFLUENCES, drift)
         # Inline the cache-hit branch of _rounded: this comprehension
@@ -977,10 +973,9 @@ class HerbgrindAnalysis(Tracer):
         if self.policy.integer_unsafe(real, shadow.drift):
             self.policy.note_escalation("integer")
             real = self.escalator.exact_real(shadow)
-        if type(real) is DoubleDouble:
-            # Certified safe above; truncation runs on the exact
-            # BigFloat promotion of the pair.
-            real = real.to_bigfloat()
+        # Certified safe above; truncation runs on the exact BigFloat
+        # promotion of a pair.
+        real = real.to_bigfloat()
         if real.is_nan():
             diverged = True
         elif real.is_inf():
@@ -1106,7 +1101,7 @@ _SITE_STEP_TEMPLATE = '''\
 def make_step(self, instr, op, *, site, loc, context, policy, kernel,
               kernel2, fn_double, dd_kernel, shortcut, is_sub, threshold,
               track, counters, tick, pool, ops_table, new_op, memo):
-    propagate_hw = policy.propagate_hw  @if escalates
+    propagate = policy.propagate  @if escalates
     promote = self._promote_shadow  @if escalates
     rounded_of = self._rounded
     raw = kernel2 is not None
@@ -1196,17 +1191,14 @@ def make_step(self, instr, op, *, site, loc, context, policy, kernel,
                 # x - x over the same shadowed value is exactly zero at
                 # every tier (see _analyse_operation).
                 drift = EXACT
-            elif type(real) is DoubleDouble:
-@else
-            if type(real) is DoubleDouble:
-@end
-                drift = propagate_hw(
-                    op, ({s$.real},), ({s$.drift},), real, exact_op
-                )
             else:
-                drift = policy.propagate(
-                    op, [{s$.real}], [{s$.drift}], real
+                drift = propagate(
+                    op, (s0.real, s1.real), (s0.drift, s1.drift), real,
+                    exact_op,
                 )
+@else
+            drift = propagate(op, (s0.real,), (s0.drift,), real, exact_op)
+@end
 @end
             shadow = ShadowValue(real, node, EMPTY_INFLUENCES, drift)
             # --- error stage ------------------------------------------

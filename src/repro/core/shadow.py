@@ -130,7 +130,8 @@ class ShadowEscalator:
             real = shadow.real
             if type(real) is DoubleDouble:
                 # An EXACT hardware pair is the true value and fits the
-                # full tier (propagate_hw requires it), so the exact
+                # full tier (the drift rule charges an error-free pair
+                # wider than the full tier one ulp), so the exact
                 # promotion is bit-identical to full re-execution.
                 return real.to_bigfloat()
             return real

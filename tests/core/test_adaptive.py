@@ -169,7 +169,8 @@ class TestCopysignDrift:
         magnitude = BigFloat.from_float(1.0)
         sign = BigFloat.from_float(-2.0)
         drift = policy.propagate(
-            "copysign", [magnitude, sign], [3.0, 5.0], magnitude.neg()
+            "copysign", [magnitude, sign], [3.0, 5.0], magnitude.neg(),
+            False,
         )
         assert drift == 3.0  # sign is decisively negative: no penalty
 
